@@ -20,6 +20,7 @@ Both reductions are covered by brute-force multi-loop oracles in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -27,6 +28,7 @@ from math import factorial
 from mpmath import mp, mpc, mpf
 
 from .errors import TruncationCapExceeded
+from .integrals import c_constant
 from .partitions import (
     Partition,
     assemble,
@@ -43,6 +45,8 @@ from .precision import (
     det_mpc,
     exact_determinant,
     inv_factorial,
+    to_mpc_any,
+    vandermonde,
 )
 from .schur import lr_coefficient, super_schur_tableaux
 
@@ -97,10 +101,6 @@ def _require_cap(depth: int, prec: Precision):
         )
 
 
-def _to_mpc(z):
-    return z.to_mpc() if isinstance(z, BigComplex) else mpc(z)
-
-
 def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Box-truncated antisymmetric series, all indices bounded by K.
 
@@ -108,7 +108,7 @@ def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     (negative factorials giving zero terms); this equals the truncated
     multi-index sum exactly.
     """
-    zs = [_to_mpc(v) for v in z]
+    zs = [to_mpc_any(v) for v in z]
     N = len(zs)
     if N < 1:
         raise ValueError("need at least one variable")
@@ -137,7 +137,7 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     sum z^k w^l / ((k!)^2 (l!)^2 (k+l+1)) and whose remaining columns are the
     moment sums sum k^d z^k / (k!)^2.
     """
-    zs = [_to_mpc(v) for v in z]
+    zs = [to_mpc_any(v) for v in z]
     N = len(zs)
     if not 1 <= m <= N:
         raise ValueError("block size must satisfy 1 <= m <= N")
@@ -146,10 +146,7 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
         return j0_truncated(z, K, prec)
     _require_cap(K, prec)
     with mp.workprec(prec.work_bits):
-        cross = mpc(1)
-        for i in range(m):
-            for j in range(m, N):
-                cross *= zs[i] - zs[j]
+        cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
         if m >= n:
             big, small = zs[:m], zs[m:]
         else:
@@ -306,35 +303,16 @@ def f_coefficient(r: Partition, rows: int) -> Fraction:
     if len(r) > rows:
         return Fraction(0)
     ks = [r.row(i) + rows - i for i in range(1, rows + 1)]
-    num = 1
-    for i in range(rows):
-        for j in range(i + 1, rows):
-            num *= ks[i] - ks[j]
-    den = 1
-    for k in ks:
-        den *= factorial(k) ** 2
-    return Fraction(num, den)
+    return Fraction(vandermonde(ks), math.prod(factorial(k) ** 2 for k in ks))
 
 
 def g_coefficient(p: Partition, q: Partition, m: int, n: int) -> Fraction:
     """Split-series coefficient for the block pair (p, q)."""
     ka = [p.row(i) + m - i for i in range(1, m + 1)]
     kb = [q.row(j) + n - j for j in range(1, n + 1)]
-    num = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= ka[i] - ka[j]
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= kb[i] - kb[j]
-    den = 1
-    for k in ka + kb:
-        den *= factorial(k) ** 2
-    out = Fraction(num, den)
-    for ki in ka:
-        for kj in kb:
-            out /= ki + kj + 1
-    return out
+    den = math.prod(factorial(k) ** 2 for k in ka + kb)
+    den *= math.prod(ki + kj + 1 for ki in ka for kj in kb)
+    return Fraction(vandermonde(ka) * vandermonde(kb), den)
 
 
 def lr_relation_check(p: Partition, q: Partition, m: int, n: int):
@@ -354,24 +332,10 @@ def lr_relation_check(p: Partition, q: Partition, m: int, n: int):
     return residual == 0, residual
 
 
-def _fact_chain(n: int) -> int:
-    out = 1
-    for i in range(1, n + 1):
-        out *= factorial(i)
-    return out
-
-
 def j0_series_coefficient(exponents) -> Fraction:
     """Exact coefficient of the monomial z^e in the antisymmetric series."""
     e = list(exponents)
-    num = 1
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            num *= e[i] - e[j]
-    den = 1
-    for k in e:
-        den *= factorial(k) ** 2
-    return Fraction(num, den)
+    return Fraction(vandermonde(e), math.prod(factorial(k) ** 2 for k in e))
 
 
 def _pattern_exponents(N: int, m: int, X: int, Y: int) -> list[int]:
@@ -385,7 +349,7 @@ def _pattern_exponents(N: int, m: int, X: int, Y: int) -> list[int]:
 def _s_closed_product(m: int, N: int, k_m: int, k_N: int) -> Fraction:
     """The closed product form of the split-series prefactor on the extreme pattern."""
     km0, kn0 = m - 1, N - m - 1
-    sigma0 = _fact_chain(km0 + kn0 - 1) * _fact_chain(km0 - 1) * _fact_chain(kn0 - 1)
+    sigma0 = c_constant(km0 + kn0) * c_constant(km0) * c_constant(kn0)
     val = Fraction(1, factorial(k_m) ** 2 * factorial(k_N) ** 2 * (k_m + k_N + 1))
     val /= sigma0
     for i in range(1, kn0 + 1):
@@ -400,13 +364,8 @@ def _s_general(m: int, N: int, k_m: int, k_N: int) -> Fraction:
     km0, kn0 = m - 1, N - m - 1
     ka = list(range(km0)) + [k_m]
     kb = list(range(kn0)) + [k_N]
-    val = Fraction(1)
-    for k in ka + kb:
-        val /= factorial(k) ** 2
-    for ki in ka:
-        for kj in kb:
-            val /= ki + kj + 1
-    return val
+    den = math.prod(factorial(k) ** 2 for k in ka + kb)
+    return Fraction(1, den * math.prod(ki + kj + 1 for ki in ka for kj in kb))
 
 
 def partial_coefficient_check(k_m: int, k_N: int, m: int, N: int) -> bool:
@@ -564,14 +523,7 @@ def factorial_ratio_identity_holds(t: Partition, N: int) -> bool:
     lhs = exact_determinant(
         [[inv_factorial(n_rows[j] + (i + 1) - (j + 1)) for j in range(N)] for i in range(N)]
     )
-    num = 1
-    for i in range(N):
-        for j in range(i + 1, N):
-            num *= ks[i] - ks[j]
-    den = 1
-    for k in ks:
-        den *= factorial(k)
-    return lhs == Fraction(num, den)
+    return lhs == Fraction(vandermonde(ks), math.prod(factorial(k) for k in ks))
 
 
 def theorem_c_checks(N: int, seed: int = 7, partition_samples: int = 20) -> bool:
@@ -590,14 +542,7 @@ def theorem_c_checks(N: int, seed: int = 7, partition_samples: int = 20) -> bool
     zs3 = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
 
     def antisym(ks):
-        c = Fraction(1)
-        for k in ks:
-            c /= factorial(k) ** 2
-        v = 1
-        for i in range(len(ks)):
-            for j in range(i + 1, len(ks)):
-                v *= ks[i] - ks[j]
-        return c * v
+        return Fraction(vandermonde(ks), math.prod(factorial(k) ** 2 for k in ks))
 
     if not rearrangement_identity_holds(2, 12, zs2, antisym):
         return False
@@ -625,10 +570,7 @@ def _chi_exact(p: Partition, values):
 
 
 def _supercharacter_exact(sd, bos, ferm):
-    cross = Fraction(1)
-    for a in bos:
-        for b in ferm:
-            cross *= a - b
+    cross = math.prod(a - b for a in bos for b in ferm)
     sign = -1 if sd.q.size % 2 else 1
     return sign * cross * _chi_exact(sd.p, bos) * _chi_exact(sd.q, ferm)
 

@@ -9,19 +9,23 @@ integral vanish identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
 
 from .errors import BosonFermionCoincidence
 from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
+    _near_coincident_pairs,
     bessel_ratio_raw,
     det_mpc,
     scaled_bessel_entry_raw,
     to_mpc_any,
+    vandermonde,
 )
 
 
@@ -97,23 +101,22 @@ def c_constant(n: int) -> int:
     return out
 
 
+def _sectors_coincide(ev: SuperEigenvalues) -> bool:
+    """Whether some bosonic value equals some fermionic value exactly."""
+    return any(x == y for x in ev.bosonic for y in ev.fermionic)
+
+
 def berezinian(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Delta(bosonic) Delta(fermionic) / prod of boson-fermion differences."""
-    for x in ev.bosonic:
-        for y in ev.fermionic:
-            if x == y:
-                raise BosonFermionCoincidence("bosonic and fermionic values coincide")
+    if _sectors_coincide(ev):
+        raise BosonFermionCoincidence("bosonic and fermionic values coincide")
     with mp.workprec(prec.work_bits):
-        num = mpc(1)
-        for sector in (ev.bosonic, ev.fermionic):
-            vals = [v.to_mpc() for v in sector]
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    num *= vals[i] - vals[j]
-        den = mpc(1)
-        for x in ev.bosonic:
-            for y in ev.fermionic:
-                den *= x.to_mpc() - y.to_mpc()
+        num = vandermonde([v.to_mpc() for v in ev.bosonic]) * vandermonde(
+            [v.to_mpc() for v in ev.fermionic]
+        )
+        den = math.prod(
+            (x.to_mpc() - y.to_mpc() for x in ev.bosonic for y in ev.fermionic), start=mpc(1)
+        )
         return BigComplex.from_mpc(num / den, prec.bits)
 
 
@@ -134,18 +137,11 @@ def _group_exact(values):
 
 
 def _near_coincidence_warnings(groups, bits, sector):
-    warnings = []
-    threshold = mpf(2) ** (-(bits // 2))
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            a, b = groups[i][0].to_mpc(), groups[j][0].to_mpc()
-            scale = max(abs(a), abs(b), mpf(1))
-            if abs(a - b) < threshold * scale:
-                warnings.append(
-                    f"{sector} values {i} and {j} are nearly coincident; "
-                    "generic branch evaluated (exact repeats dispatch to the confluent limit)"
-                )
-    return warnings
+    return [
+        f"{sector} values {i} and {j} are nearly coincident; "
+        "generic branch evaluated (exact repeats dispatch to the confluent limit)"
+        for i, j in _near_coincident_pairs([g[0].to_mpc() for g in groups], bits)
+    ]
 
 
 def _grouped_denominator(groups):
@@ -155,12 +151,9 @@ def _grouped_denominator(groups):
     (-1)^(r(r-1)/2) per group from the collapsed pair ordering.  Reduces to
     the plain Vandermonde when every multiplicity is 1.
     """
-    den = mpc(1)
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            den *= (groups[i][0].to_mpc() - groups[j][0].to_mpc()) ** (
-                groups[i][1] * groups[j][1]
-            )
+    den = math.prod(
+        (x.to_mpc() - y.to_mpc()) ** (r * s) for (x, r), (y, s) in combinations(groups, 2)
+    )
     sign = 1
     for _, r in groups:
         if (r * (r - 1) // 2) % 2:
@@ -176,10 +169,8 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
     N = m + n
     if N == 0:
         raise ValueError("need at least one eigenvalue")
-    for x in ev.bosonic:
-        for y in ev.fermionic:
-            if x == y:
-                return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
+    if _sectors_coincide(ev):
+        return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
     bgroups = _group_exact(ev.bosonic)
     fgroups = _group_exact(ev.fermionic)
     confluent = any(r > 1 for _, r in bgroups) or any(r > 1 for _, r in fgroups)
@@ -274,11 +265,7 @@ def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
 def _bk_berezinian_grouped(bgroups, fgroups, bos, ferm):
     """Berezinian with sector Vandermondes replaced by their grouped limits."""
     num = _grouped_denominator(bgroups) * _grouped_denominator(fgroups)
-    den = mpc(1)
-    for x in bos:
-        for y in ferm:
-            den *= x.to_mpc() - y.to_mpc()
-    return num / den
+    return num / math.prod((x.to_mpc() - y.to_mpc() for x in bos for y in ferm), start=mpc(1))
 
 
 def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, force_confluent: bool):
@@ -287,11 +274,8 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, forc
     if lam.beta != mu.beta:
         raise ValueError("the two eigenvalue sets must share beta")
     m, n = lam.m, lam.n
-    for ev in (lam, mu):
-        for x in ev.bosonic:
-            for y in ev.fermionic:
-                if x == y:
-                    return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
+    if _sectors_coincide(lam) or _sectors_coincide(mu):
+        return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
     lb, lf = _group_exact(lam.bosonic), _group_exact(lam.fermionic)
     mb, mf = _group_exact(mu.bosonic), _group_exact(mu.fermionic)
     confluent = any(r > 1 for _, r in lb + lf + mb + mf)

@@ -5,12 +5,14 @@ Everything here is exact integer / rational combinatorics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
 from .errors import NotCovariant, TooManyRows
+from .precision import vandermonde
 
 
 class Partition:
@@ -139,13 +141,8 @@ def sigma_coefficient(t: Partition) -> int:
     if not len(t):
         return 1
     ks = k_hat_indices(t)
-    num = factorial(t.size)
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            num *= ks[i] - ks[j]
-    den = 1
-    for k in ks:
-        den *= factorial(k)
+    num = factorial(t.size) * vandermonde(ks)
+    den = math.prod(factorial(k) for k in ks)
     q, r = divmod(num, den)
     assert r == 0, "sigma must be an integer"
     return q
@@ -205,14 +202,8 @@ def dimension_glm(p: Partition, m: int) -> int:
     if len(p) > m:
         raise TooManyRows(f"partition {p} has more than {m} rows")
     ks = bosonic_k_indices(p, m).values
-    num = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= ks[i] - ks[j]
-    den = 1
-    for i in range(1, m + 1):
-        den *= factorial(m - i)
-    q, r = divmod(num, den)
+    den = math.prod(factorial(m - i) for i in range(1, m + 1))
+    q, r = divmod(vandermonde(ks), den)
     assert r == 0, "dimension must be an integer"
     return q
 
@@ -292,11 +283,7 @@ def sigma_decomposition_factor(sd: SuperDiagram) -> Fraction:
     """
     ka = bosonic_k_indices(sd.p, sd.m).values
     kb = fermionic_k_indices(sd.q, sd.m, sd.n).values
-    out = Fraction(1)
-    for ki in ka:
-        for kj in kb:
-            out /= ki + kj + 1
-    return out
+    return Fraction(1, math.prod(ki + kj + 1 for ki in ka for kj in kb))
 
 
 def norm_alpha(sd: SuperDiagram) -> Fraction:

@@ -7,6 +7,7 @@ of any global context the caller may have set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,10 +117,15 @@ class BigComplex:
     @classmethod
     def from_json(cls, obj: dict) -> "BigComplex":
         bits = int(obj.get("bits", DEFAULT_BITS))
-        out = object.__new__(cls)
+        if bits < 64:
+            raise ValueError("precision must be at least 64 bits")
         with mp.workprec(bits):
-            object.__setattr__(out, "re", mpf(str(obj["re"])))
-            object.__setattr__(out, "im", mpf(str(obj.get("im", "0"))))
+            re, im = mpf(str(obj["re"])), mpf(str(obj.get("im", "0")))
+        if not (mp.isfinite(re) and mp.isfinite(im)):
+            raise ValueError(f"non-finite value re={obj['re']!r} im={obj.get('im', '0')!r}")
+        out = object.__new__(cls)
+        object.__setattr__(out, "re", re)
+        object.__setattr__(out, "im", im)
         object.__setattr__(out, "bits", bits)
         return out
 
@@ -220,32 +226,25 @@ def inv_factorial(n: int) -> Fraction:
     return Fraction(1, math.factorial(n))
 
 
-def vandermonde(values, prec: Precision | None = None):
+def vandermonde(values):
     """Product over i < j of (values[i] - values[j]); empty/singleton lists give 1.
 
-    Exact inputs (int, Fraction) give an exact result; BigComplex inputs give a
-    BigComplex at the minimum operand precision.
+    Computed in the values' own arithmetic: exact for int and Fraction, at the
+    ambient mpmath precision for mpc, and at the minimum operand precision for
+    BigComplex.
     """
-    values = list(values)
-    if len(values) <= 1:
-        return 1
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        out = 1
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                out *= values[i] - values[j]
-        return out
-    bits = min(
-        [v.bits for v in values if isinstance(v, BigComplex)]
-        + [prec.bits if prec else DEFAULT_BITS]
-    )
-    with mp.workprec(bits):
-        out = mpc(1)
-        vals = [v.to_mpc() if isinstance(v, BigComplex) else mpc(_to_mpf_exact(v)) for v in values]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                out *= vals[i] - vals[j]
-    return BigComplex.from_mpc(out, bits)
+    return math.prod(a - b for a, b in itertools.combinations(values, 2))
+
+
+def _near_coincident_pairs(values, bits: int):
+    """Index pairs i < j with |a - b| < 2^-(bits//2) max(|a|, |b|, 1), lazily.
+
+    Evaluated at the ambient mpmath precision.
+    """
+    threshold = mpf(2) ** (-(bits // 2))
+    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
+        if abs(a - b) < threshold * max(abs(a), abs(b), mpf(1)):
+            yield i, j
 
 
 # -- power series kernels ----------------------------------------------------
@@ -354,64 +353,18 @@ def scaled_bessel_entry(
 # -- determinants ------------------------------------------------------------
 
 
-def det_mpc(rows, prec: Precision):
-    """Partial-pivoted elimination determinant of a square mpc matrix."""
-    n = len(rows)
-    if n == 0:
-        return mpc(1)
-    with mp.workprec(prec.work_bits):
-        a = [[mpc(x) for x in row] for row in rows]
-        det = mpc(1)
-        for c in range(n):
-            pivot = max(range(c, n), key=lambda r: abs(a[r][c]))
-            if abs(a[pivot][c]) == 0:
-                return mpc(0)
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                f = a[r][c] * inv
-                if f == 0:
-                    continue
-                for cc in range(c, n):
-                    a[r][cc] -= f * a[c][cc]
-        return det
+def _eliminate(a):
+    """Determinant of the square matrix `a` (overwritten) in its entries' own arithmetic.
 
-
-def det_cofactor(rows):
-    """Cofactor-expansion determinant; exact for exact entries.
-
-    Kept as an independent oracle for small matrices (intended n <= 4, but the
-    recursion is generic).
+    Partial pivoting on the largest |entry| of each column; for exact entries
+    the pivot order does not change the result.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def exact_determinant(rows):
-    """Fraction-arithmetic Gaussian elimination determinant (exact)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    n = len(a)
+    det = 1
     for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
+        pivot = max(range(c, n), key=lambda r: abs(a[r][c]))
+        if a[pivot][c] == 0:
+            return 0
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             det = -det
@@ -426,11 +379,22 @@ def exact_determinant(rows):
     return det
 
 
-def determinant(matrix, prec: Precision = DEFAULT_PRECISION, method: str = "elimination") -> BigComplex:
-    """Determinant of a square BigComplex matrix.
+def det_mpc(rows, prec: Precision):
+    """Partial-pivoted elimination determinant of a square mpc matrix."""
+    with mp.workprec(prec.work_bits):
+        return mpc(_eliminate([[mpc(x) for x in row] for row in rows]))
 
-    method="elimination" uses partial-pivoted elimination at working precision;
-    method="cofactor" (n <= 4) is the exact-expansion cross-check oracle.
+
+def exact_determinant(rows):
+    """Fraction-arithmetic Gaussian elimination determinant (exact)."""
+    return Fraction(_eliminate([[Fraction(x) for x in row] for row in rows]))
+
+
+def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
+    """Determinant of a square BigComplex matrix by partial-pivoted elimination.
+
+    Evaluated at working precision; the result is tagged with the minimum of
+    prec.bits and the entries' precisions.
     """
     n = len(matrix)
     for row in matrix:
@@ -444,11 +408,4 @@ def determinant(matrix, prec: Precision = DEFAULT_PRECISION, method: str = "elim
             [x.to_mpc() if isinstance(x, BigComplex) else mpc(_to_mpf_exact(x)) for x in row]
             for row in matrix
         ]
-    if method == "cofactor":
-        if n > 4:
-            raise ValueError("cofactor mode is limited to n <= 4")
-        with mp.workprec(prec.work_bits):
-            return BigComplex.from_mpc(det_cofactor(rows) if n else mpc(1), bits)
-    if method != "elimination":
-        raise ValueError(f"unknown determinant method {method!r}")
     return BigComplex.from_mpc(det_mpc(rows, prec), bits)

@@ -7,6 +7,7 @@ form is faster but needs pairwise distinct arguments.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -17,6 +18,7 @@ from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
+    _near_coincident_pairs,
     det_mpc,
     exact_determinant,
     vandermonde,
@@ -75,16 +77,6 @@ def schur_tableaux(p: Partition, values):
     return total
 
 
-def _pairwise_separation_ok(vals, bits):
-    threshold = mp.mpf(2) ** (-(bits // 2))
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            scale = max(abs(vals[i]), abs(vals[j]), mp.mpf(1))
-            if abs(vals[i] - vals[j]) < threshold * scale:
-                return False
-    return True
-
-
 def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION):
     """Ratio-of-alternants character value det[a_i^{k_j}] / Delta(a).
 
@@ -109,14 +101,10 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
     )
     with mp.workprec(bits + prec.guard_bits):
         vals = [v.to_mpc() if isinstance(v, BigComplex) else mpc(v) for v in values]
-        if not _pairwise_separation_ok(vals, bits):
+        if any(_near_coincident_pairs(vals, bits)):
             raise DegenerateArguments("arguments too close for the bialternant form")
         num = det_mpc([[v ** k for k in ks] for v in vals], prec)
-        den = mpc(1)
-        for i in range(m):
-            for j in range(i + 1, m):
-                den *= vals[i] - vals[j]
-        return BigComplex.from_mpc(num / den, bits)
+        return BigComplex.from_mpc(num / vandermonde(vals), bits)
 
 
 def super_schur_tableaux(t: Partition, bos, ferm):
@@ -191,10 +179,7 @@ def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PR
         except DegenerateArguments:
             return schur_tableaux(p, values)
 
-    cross = 1
-    for a in bos:
-        for b in ferm:
-            cross = cross * (a - b)
+    cross = math.prod(a - b for a in bos for b in ferm)
     sign = -1 if sd.q.size % 2 else 1
     return sign * cross * chi(sd.p, bos) * chi(sd.q, ferm)
 

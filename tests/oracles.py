@@ -17,6 +17,23 @@ def vandermonde_int(ks):
     return out
 
 
+def det_cofactor(rows):
+    """Cofactor-expansion determinant; exact for exact entries (intended n <= 4)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
 def count_standard_tableaux(shape):
     """Count standard fillings by recursive corner removal."""
     shape = tuple(r for r in shape if r)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CLI = [sys.executable, "-m", "superint"]
 
 LS_INPUT = json.dumps(
@@ -55,6 +57,30 @@ def test_corrupted_input_exits_2(tmp_path):
     assert out.returncode == 2
     out = run_cli("ls-eval", "--input-json", '{"m": 1}')
     assert out.returncode == 2
+
+
+def assert_input_error(out):
+    assert out.returncode == 2
+    assert out.stderr.startswith("input error:")
+    assert out.stderr.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("where", ["bosonic", "beta"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_scalar_exits_2(where, bad):
+    doc = json.loads(LS_INPUT)
+    if where == "beta":
+        doc["beta"]["re"] = bad
+    else:
+        doc["bosonic"][0]["re"] = bad
+    assert_input_error(run_cli("ls-eval", "--input-json", json.dumps(doc)))
+
+
+@pytest.mark.parametrize("bits", [8, -5])
+def test_low_precision_scalar_exits_2(bits):
+    doc = json.loads(LS_INPUT)
+    doc["bosonic"][0]["bits"] = bits
+    assert_input_error(run_cli("ls-eval", "--input-json", json.dumps(doc)))
 
 
 def test_truncation_cap_exits_3():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from superint import (
     BigComplex,
@@ -18,7 +18,9 @@ from superint import (
     scaled_bessel_entry,
     vandermonde,
 )
-from superint.precision import det_cofactor, exact_determinant
+from superint.precision import exact_determinant
+
+from oracles import det_cofactor
 
 PREC = Precision()
 
@@ -52,6 +54,34 @@ def test_vandermonde_alternating(values, data):
     swapped = list(values)
     swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
     assert vandermonde(swapped) == -vandermonde(values)
+
+
+def test_vandermonde_keeps_operand_precision():
+    vals = [
+        BigComplex(Fraction(1, 3), 0, 512),
+        BigComplex(Fraction(-2, 7), 1, 512),
+        BigComplex(5, 0, 512),
+    ]
+    v = vandermonde(vals)
+    assert v.bits == 512
+    with mp.workprec(1024):
+        a, b, c = (x.to_mpc() for x in vals)
+        want = (a - b) * (a - c) * (b - c)
+        assert abs(v.to_mpc() - want) <= abs(want) * mpf(2) ** -500
+    assert vandermonde([BigComplex(1, 0, 512), BigComplex(3, 0, 128)]).bits == 128
+
+
+def test_vandermonde_mpc_at_ambient_precision():
+    with mp.workprec(400):
+        vals = [mpc(mpf(1) / 3, 1), mpc(-2, mpf(1) / 7), mpc(mpf(5) / 11, 0), mpc(0, -3)]
+        v = vandermonde(vals)
+    assert isinstance(v, mpc)
+    with mp.workprec(1024):
+        want = mpc(1)
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                want *= vals[i] - vals[j]
+        assert abs(v - want) <= abs(want) * mpf(2) ** -390
 
 
 def test_bessel_ratio_trivial():
@@ -126,11 +156,12 @@ def test_determinant_elimination_vs_cofactor():
                 [BigComplex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
                 for _ in range(n)
             ]
-            a = determinant(rows, PREC, method="elimination")
-            b = determinant(rows, PREC, method="cofactor")
+            a = determinant(rows, PREC).to_mpc()
+            with mp.workprec(PREC.work_bits):
+                b = det_cofactor([[x.to_mpc() for x in row] for row in rows])
             with mp.workprec(300):
-                scale = max(abs(b.to_mpc()), mpf(1))
-                assert abs(a.to_mpc() - b.to_mpc()) <= scale * mpf(2) ** -(PREC.bits - 32)
+                scale = max(abs(b), mpf(1))
+                assert abs(a - b) <= scale * mpf(2) ** -(PREC.bits - 32)
 
 
 def test_determinant_zero_matrix_and_zero_pivot():
