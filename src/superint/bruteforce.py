@@ -32,6 +32,7 @@ from .grassmann import (
     bessel_series,
     even_inverse,
     exp_odd_block,
+    matmul_rows,
 )
 from .precision import DEFAULT_PRECISION, BigComplex, Precision, to_mpc_any
 
@@ -68,20 +69,6 @@ def measure_order(m: int, n: int, offset: int = 0):
         order.append(2 * (offset + idx))
         order.append(2 * (offset + idx) + 1)
     return order
-
-
-def _matmul_blocks(a, b):
-    k, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _newton_eigen_pair(M, prec: Precision):
@@ -176,8 +163,8 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         b_mat = SuperMatrixSym.diagonal(m, n, g, b_vals)
         a_twist = u_g @ a_mat          # boson/fermion blocks feed the ordinary integrals
         b_twist = b_mat @ u_g.adjoint()
-        mb = _matmul_blocks(a_twist.block("bb"), b_twist.block("bb"))
-        mf = _matmul_blocks(a_twist.block("ff"), b_twist.block("ff"))
+        mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
+        mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
         if m == 1:
             bos_eigen = [EvenElement(mb[0][0])]
         else:

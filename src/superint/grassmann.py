@@ -1,9 +1,11 @@
 """Finite Grassmann algebra, Berezin integration and block supermatrices.
 
 Generators come in conjugate pairs ordered a_0 < a_0* < a_1 < a_1* < ...;
-generator 2i is a_i and generator 2i+1 is its star partner.  Monomials are
-stored as ascending index tuples; every sign in the algebra derives from that
-total order, so results are bit-for-bit reproducible.
+generator 2i is a_i and generator 2i+1 is its star partner.  A monomial is
+stored as an int bitmask with bit i set when generator i is present (the
+bitmap basis-blade representation of Dorst, Fontijne & Mann, *Geometric
+Algebra for Computer Science*): the monomial reads in ascending generator
+order, and every sign in the algebra is the parity of a count of set bits.
 
 Coefficients may be exact (int, Fraction) or multiprecision complex; all
 operations are coefficient-ring agnostic.
@@ -17,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp, mpc
 
 from .errors import GeneratorMismatch, NonInvertibleBody
-from .precision import DEFAULT_PRECISION, BigComplex, Precision
+from .precision import DEFAULT_PRECISION, BigComplex, Precision, _series_sum, inv_factorial, to_mpc_any
 
 
 class GaussianRational:
@@ -73,6 +75,12 @@ class GaussianRational:
         norm = o.re * o.re + o.im * o.im
         return self * GaussianRational(o.re / norm, -o.im / norm)
 
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return other / self.to_mpc()
+        return o / self
+
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
@@ -104,29 +112,30 @@ def _conj_scalar(c):
     return mpc(c).conjugate()
 
 
-def _merge_sign(left: tuple, right: tuple):
-    """Concatenate two ascending monomials; None if a generator repeats.
+def _product_sign(left: int, right: int) -> int:
+    """Sign of sorting the concatenated monomials left, right into ascending order.
 
-    Returns (merged ascending tuple, sign of the sorting permutation).
+    Each generator of right moves past every higher generator of left.
     """
-    sign = 1
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return None, 0
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] moves past the remaining len(left)-i left generators
-            if (len(left) - i) % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
+    swaps = 0
+    left >>= 1
+    while left:
+        swaps += (left & right).bit_count()
+        left >>= 1
+    return -1 if swaps & 1 else 1
+
+
+def _indices(mono: int) -> tuple:
+    return tuple(i for i in range(mono.bit_length()) if mono >> i & 1)
+
+
+def _accumulate(terms: dict, mono: int, coeff):
+    """Add coeff into terms[mono], dropping the key when the sum is zero."""
+    acc = terms.get(mono, 0) + coeff
+    if _is_zero_scalar(acc):
+        terms.pop(mono, None)
+    else:
+        terms[mono] = acc
 
 
 class GrassmannElement:
@@ -142,7 +151,7 @@ class GrassmannElement:
         for mono, coeff in (terms or {}).items():
             if _is_zero_scalar(coeff):
                 continue
-            clean[tuple(mono)] = coeff
+            clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *_):
@@ -152,19 +161,19 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, g: int, value) -> "GrassmannElement":
-        return cls(g, {(): value})
+        return cls(g, {0: value})
 
     @classmethod
     def generator(cls, g: int, index: int) -> "GrassmannElement":
         if not 0 <= index < g:
             raise ValueError("generator index out of range")
-        return cls(g, {(index,): 1})
+        return cls(g, {1 << index: 1})
 
     # -- structure -----------------------------------------------------------
 
     @property
     def body(self):
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def soul(self) -> "GrassmannElement":
         return GrassmannElement(
@@ -179,11 +188,11 @@ class GrassmannElement:
         """0 for even, 1 for odd, None for mixed or zero-with-no-terms."""
         if not self.terms:
             return 0
-        parities = {len(m) % 2 for m in self.terms}
+        parities = {m.bit_count() % 2 for m in self.terms}
         return parities.pop() if len(parities) == 1 else None
 
     def max_degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max((m.bit_count() for m in self.terms), default=0)
 
     # -- ring operations -----------------------------------------------------
 
@@ -199,11 +208,7 @@ class GrassmannElement:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m, 0) + c
-            if _is_zero_scalar(acc):
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
+            _accumulate(terms, m, c)
         return GrassmannElement(self.generator_count, terms)
 
     __radd__ = __add__
@@ -231,14 +236,9 @@ class GrassmannElement:
         terms: dict = {}
         for ml, cl in self.terms.items():
             for mr, cr in other.terms.items():
-                merged, sign = _merge_sign(ml, mr)
-                if merged is None:
+                if ml & mr:
                     continue
-                acc = terms.get(merged, 0) + sign * cl * cr
-                if _is_zero_scalar(acc):
-                    terms.pop(merged, None)
-                else:
-                    terms[merged] = acc
+                _accumulate(terms, ml | mr, _product_sign(ml, mr) * cl * cr)
         return GrassmannElement(self.generator_count, terms)
 
     def __rmul__(self, other):
@@ -246,18 +246,19 @@ class GrassmannElement:
         return self * other
 
     def conjugate(self) -> "GrassmannElement":
-        """Antilinear involution: (xy)* = y* x*, star swaps each generator pair."""
+        """Antilinear involution: (xy)* = y* x*, star swaps each generator pair.
+
+        Reversing a degree-k monomial costs k(k-1)/2 transpositions; starring
+        then reorders each complete pair (a_i, a_i*), one more apiece.
+        """
+        unstarred = sum(1 << i for i in range(0, self.generator_count, 2))
         terms: dict = {}
         for mono, coeff in self.terms.items():
-            starred = tuple(idx ^ 1 for idx in reversed(mono))
-            canon, sign = _sort_sign(starred)
-            if canon is None:
-                continue
-            acc = terms.get(canon, 0) + sign * _conj_scalar(coeff)
-            if _is_zero_scalar(acc):
-                terms.pop(canon, None)
-            else:
-                terms[canon] = acc
+            starred = ((mono & unstarred) << 1) | ((mono >> 1) & unstarred)
+            k = mono.bit_count()
+            pairs = (mono & (mono >> 1) & unstarred).bit_count()
+            sign = -1 if (k * (k - 1) // 2 + pairs) & 1 else 1
+            _accumulate(terms, starred, sign * _conj_scalar(coeff))
         return GrassmannElement(self.generator_count, terms)
 
     def __eq__(self, other):
@@ -272,8 +273,8 @@ class GrassmannElement:
         return hash((self.generator_count, frozenset(self.terms.items())))
 
     def debug_terms(self):
-        """Sorted (monomial, coefficient) pairs; not a stability guarantee."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        """Sorted (generator indices, coefficient) pairs; not a stability guarantee."""
+        return sorted(((_indices(m), c) for m, c in self.terms.items()), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __repr__(self):
         if not self.terms:
@@ -293,22 +294,6 @@ def _is_zero_scalar(c) -> bool:
     return c == 0
 
 
-def _sort_sign(mono: tuple):
-    """Sort a repeat-free monomial into ascending order, tracking the sign."""
-    lst = list(mono)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return None, 0
-    return tuple(lst), sign
-
-
 def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
     """Grassmann product (also available as the * operator)."""
     return x * y
@@ -322,25 +307,19 @@ def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
     """Iterated Berezin integral, innermost (rightmost in `order`) first.
 
     For each generator: monomials not containing it are dropped; in the rest
-    the generator is anticommuted to the front and removed.
+    the generator is anticommuted past the lower ones to the front and removed.
     """
     order = list(order)
     if len(set(order)) != len(order):
         raise ValueError("integration generators must be distinct")
     current = x
     for gen in reversed(order):
+        bit = 1 << gen
         terms: dict = {}
         for mono, coeff in current.terms.items():
-            if gen not in mono:
-                continue
-            pos = mono.index(gen)
-            sign = -1 if pos % 2 else 1
-            rest = mono[:pos] + mono[pos + 1 :]
-            acc = terms.get(rest, 0) + sign * coeff
-            if _is_zero_scalar(acc):
-                terms.pop(rest, None)
-            else:
-                terms[rest] = acc
+            if mono & bit:
+                sign = -1 if (mono & (bit - 1)).bit_count() & 1 else 1
+                _accumulate(terms, mono ^ bit, sign * coeff)
         current = GrassmannElement(x.generator_count, terms)
     return current
 
@@ -442,9 +421,7 @@ def even_inverse(w: EvenElement) -> EvenElement:
 def _scalar_inverse(c):
     if isinstance(c, int):
         return Fraction(1, c)
-    if isinstance(c, Fraction):
-        return 1 / c
-    if isinstance(c, BigComplex):
+    if isinstance(c, (Fraction, BigComplex, GaussianRational)):
         return 1 / c
     return 1 / mpc(c)
 
@@ -461,8 +438,6 @@ class SeriesFunction:
 
     def eval_at(self, body, prec: Precision):
         """Adaptive evaluation at an ordinary (complex) point."""
-        from .precision import _series_sum, to_mpc_any
-
         coeff = self.coefficient
         with mp.workprec(prec.work_bits):
             b = to_mpc_any(body)
@@ -470,25 +445,15 @@ class SeriesFunction:
 
             def update(k, _term):
                 state["pow"] *= b
-                return mpc(_frac_to_mpf(coeff(k + 1))) * state["pow"]
+                return to_mpc_any(coeff(k + 1)) * state["pow"]
 
-            term0 = mpc(_frac_to_mpf(coeff(0)))
+            term0 = to_mpc_any(coeff(0))
             total, _ = _series_sum(term0, update, prec)
             return total
 
 
-def _frac_to_mpf(c):
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    if isinstance(c, (BigComplex, GaussianRational)):
-        return c.to_mpc()
-    return c
-
-
 def bessel_series(nu: int) -> SeriesFunction:
     """Coefficient stream of the even Bessel kernel sum_k w^k/(k!(k+nu)!)."""
-    from .precision import inv_factorial
-
     return SeriesFunction(lambda k: inv_factorial(k) * inv_factorial(k + nu))
 
 
@@ -546,12 +511,7 @@ class SuperMatrixSym:
 
     @classmethod
     def identity(cls, m: int, n: int, g: int) -> "SuperMatrixSym":
-        size = m + n
-        rows = [
-            [GrassmannElement.scalar(g, 1 if i == j else 0) for j in range(size)]
-            for i in range(size)
-        ]
-        return cls(m, n, rows)
+        return cls.diagonal(m, n, g, [1] * (m + n))
 
     @classmethod
     def diagonal(cls, m: int, n: int, g: int, values) -> "SuperMatrixSym":
@@ -571,16 +531,7 @@ class SuperMatrixSym:
     def __matmul__(self, other: "SuperMatrixSym") -> "SuperMatrixSym":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("block shapes differ")
-        size = self.m + self.n
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                acc = GrassmannElement.scalar(self.generator_count, 0)
-                for k in range(size):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
+        rows = matmul_rows(self.entries, other.entries)
         return SuperMatrixSym(self.m, self.n, rows, check_parity=False)
 
     def __add__(self, other: "SuperMatrixSym") -> "SuperMatrixSym":
@@ -626,6 +577,14 @@ class SuperMatrixSym:
                 elif not e.is_zero:
                     return False
         return True
+
+
+def matmul_rows(a, b):
+    """Row-list matrix product; each entry sums left to right from its first product."""
+    return [
+        [sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in zip(*b)]
+        for row in a
+    ]
 
 
 def supertrace(M: SuperMatrixSym) -> GrassmannElement:

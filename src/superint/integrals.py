@@ -176,10 +176,10 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
     confluent = any(r > 1 for _, r in bgroups) or any(r > 1 for _, r in fgroups)
     if force_confluent and not confluent:
         raise ValueError("no exactly repeated eigenvalue inside a sector")
-    warnings = _near_coincidence_warnings(bgroups, prec.bits, "bosonic")
-    warnings += _near_coincidence_warnings(fgroups, prec.bits, "fermionic")
     terms_used = 0
     with mp.workprec(prec.work_bits):
+        warnings = _near_coincidence_warnings(bgroups, prec.bits, "bosonic")
+        warnings += _near_coincidence_warnings(fgroups, prec.bits, "fermionic")
         beta = ev.beta.to_mpc()
         cols = []
         for value, mult in bgroups + fgroups:
@@ -281,11 +281,11 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, forc
     confluent = any(r > 1 for _, r in lb + lf + mb + mf)
     if force_confluent and not confluent:
         raise ValueError("no exactly repeated eigenvalue inside a sector")
-    warnings = []
-    for groups, name in ((lb, "first bosonic"), (lf, "first fermionic"), (mb, "second bosonic"), (mf, "second fermionic")):
-        warnings += _near_coincidence_warnings(groups, prec.bits, name)
     stats = {"terms_used": 0}
     with mp.workprec(prec.work_bits):
+        warnings = []
+        for groups, name in ((lb, "first bosonic"), (lf, "first fermionic"), (mb, "second bosonic"), (mf, "second fermionic")):
+            warnings += _near_coincidence_warnings(groups, prec.bits, name)
         beta = lam.beta.to_mpc()
         det_b = _bk_sector_det(lb, mb, beta, prec, stats)
         det_f = _bk_sector_det(lf, mf, beta, prec, stats)

@@ -17,6 +17,20 @@ def vandermonde_int(ks):
     return out
 
 
+def monomial_product_sign(left, right):
+    """Sign of sorting the concatenated generator index lists left + right.
+
+    The parity of the inversion count, by a plain double loop.
+    """
+    seq = list(left) + list(right)
+    inversions = 0
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
 def det_cofactor(rows):
     """Cofactor-expansion determinant; exact for exact entries (intended n <= 4)."""
     n = len(rows)

@@ -30,8 +30,8 @@ def test_measure_factor_shapes():
     t = measure_factor(2, 1, alphas)
     assert t.body == 1
     # the quadratic correction carries coefficient -1/3 on each pair
-    assert t.terms[(0, 1)] == Fraction(-1, 3)
-    assert t.terms[(2, 3)] == Fraction(-1, 3)
+    assert t.terms[0b0011] == Fraction(-1, 3)
+    assert t.terms[0b1100] == Fraction(-1, 3)
     with pytest.raises(ValueError):
         measure_factor(2, 2, odd_parameter_matrix(2, 2))
 
@@ -97,7 +97,7 @@ def test_supermatrix_oracle_reproduces_nondiag_limit():
         B = SuperMatrixSym.identity(1, 1, g)
         out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
         # scalar part is the coincident (vanishing) case
-        assert () not in out.terms or abs(out.terms[()]) < mpf(2) ** -250
-        coeff = out.terms[(2, 3)]
+        assert 0 not in out.terms or abs(out.terms[0]) < mpf(2) ** -250
+        coeff = out.terms[0b1100]
         lim = nondiag_limit_ls(a, 1, BETA, PREC)
         assert abs(coeff - lim.to_mpc()) <= abs(lim.to_mpc()) * mpf(2) ** -200

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -24,6 +25,8 @@ from superint import (
 )
 from superint.errors import GeneratorMismatch
 
+from oracles import monomial_product_sign
+
 PREC = Precision()
 
 
@@ -35,11 +38,23 @@ def scalar(g, v):
     return GrassmannElement.scalar(g, v)
 
 
+def monomial(g, indices):
+    """Ascending product of the listed generators, built through the public API."""
+    out = scalar(g, 1)
+    for i in sorted(indices):
+        out = out * gen(g, i)
+    return out
+
+
+def all_monomials(g):
+    return {s: monomial(g, s) for k in range(g + 1) for s in combinations(range(g), k)}
+
+
 def random_element(rng, g, max_terms=4, span=5):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         size = rng.randint(0, g)
-        mono = tuple(sorted(rng.sample(range(g), size)))
+        mono = sum(1 << i for i in rng.sample(range(g), size))
         terms[mono] = Fraction(rng.randint(-span, span), rng.randint(1, span))
     return GrassmannElement(g, terms)
 
@@ -82,8 +97,8 @@ def test_conjugate_is_antilinear_involution():
         x = random_element(rng, g)
         assert x.conjugate().conjugate() == x
     # antilinearity on a complex coefficient
-    x = GrassmannElement(2, {(0,): mpc(2, 3)})
-    assert x.conjugate() == GrassmannElement(2, {(1,): mpc(2, -3)})
+    x = GrassmannElement(2, {0b01: mpc(2, 3)})
+    assert x.conjugate() == GrassmannElement(2, {0b10: mpc(2, -3)})
 
 
 def test_conjugate_anti_multiplicativity():
@@ -92,6 +107,44 @@ def test_conjugate_anti_multiplicativity():
         g = rng.choice((4, 6))
         x, y = random_element(rng, g), random_element(rng, g)
         assert (x * y).conjugate() == y.conjugate() * x.conjugate()
+
+
+def test_product_signs_match_inversion_oracle():
+    g = 8
+    monos = all_monomials(g)
+    for left, x in monos.items():
+        for right, y in monos.items():
+            if set(left) & set(right):
+                assert (x * y).is_zero
+            else:
+                want = monos[tuple(sorted(left + right))] * monomial_product_sign(left, right)
+                assert x * y == want
+
+
+def test_conjugate_signs_match_reversed_starred_product():
+    g = 8
+    monos = all_monomials(g)
+    for s, x in monos.items():
+        starred = [i ^ 1 for i in reversed(s)]
+        reversed_product = scalar(g, 1)
+        for i in starred:
+            reversed_product = reversed_product * gen(g, i)
+        conj = x.conjugate()
+        assert conj == reversed_product
+        assert conj == monos[tuple(sorted(starred))] * monomial_product_sign(starred, [])
+
+
+def test_berezin_signs_match_generator_position():
+    g = 8
+    monos = all_monomials(g)
+    for s, x in monos.items():
+        for i in range(g):
+            out = berezin_integrate(x, [i])
+            if i in s:
+                rest = tuple(j for j in s if j != i)
+                assert out == monos[rest] * (-1) ** s.index(i)
+            else:
+                assert out.is_zero
 
 
 def test_berezin_examples():
@@ -138,10 +191,21 @@ def test_even_inverse_random():
         g = 6
         soul_terms = {}
         for _ in range(3):
-            mono = tuple(sorted(rng.sample(range(g), 2)))
+            mono = sum(1 << i for i in rng.sample(range(g), 2))
             soul_terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         w = EvenElement(scalar(g, Fraction(rng.randint(1, 5))) + GrassmannElement(g, soul_terms))
         assert w * even_inverse(w) == EvenElement(scalar(g, 1))
+
+
+def test_exact_complex_body_inverts():
+    g = 4
+    assert 1 / GaussianRational(2, 1) == GaussianRational(Fraction(2, 5), Fraction(-1, 5))
+    soul = gen(g, 0) * gen(g, 2) * Fraction(3, 2) + gen(g, 1) * gen(g, 3) * GaussianRational(0, 1)
+    w = EvenElement(scalar(g, GaussianRational(2, 1)) + soul)
+    assert w * even_inverse(w) == EvenElement(scalar(g, 1))
+    d = SuperMatrixSym.diagonal(1, 1, g, [GaussianRational(5, 1), GaussianRational(2)])
+    want = GaussianRational(Fraction(5, 2), Fraction(1, 2))
+    assert superdeterminant(d) == EvenElement(scalar(g, want))
 
 
 def test_analytic_eval_trivial():

@@ -192,6 +192,20 @@ def test_near_coincidence_warns_but_stays_generic():
     assert res.diagnostics["warnings"]
 
 
+def test_near_coincidence_warning_ignores_caller_precision():
+    # the pair is 2^-128 (1 - 2^-12) apart, just inside the 2^-128 threshold at
+    # 256 bits; at a 10-bit ambient precision the difference would round up to it
+    bos = [Fraction(1), 1 + Fraction(1, 2**128) * (1 - Fraction(1, 2**12)), Fraction(1, 3)]
+    with mp.workprec(10):
+        ls_warnings = ls_closed_form(ev(bos, []), PREC).diagnostics["warnings"]
+        bk_warnings = bk_closed_form(ev(bos, []), ev(bos, []), PREC).diagnostics["warnings"]
+    assert [w.split(";")[0] for w in ls_warnings] == ["bosonic values 0 and 1 are nearly coincident"]
+    assert [w.split(";")[0] for w in bk_warnings] == [
+        "first bosonic values 0 and 1 are nearly coincident",
+        "second bosonic values 0 and 1 are nearly coincident",
+    ]
+
+
 def test_bk_ordinary_value():
     lam = ev([BigComplex(Fraction(4, 5))], [])
     mu = ev([BigComplex(Fraction(5, 4))], [])
