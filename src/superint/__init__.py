@@ -65,11 +65,9 @@ from .grassmann import (
     analytic_eval,
     berezin_integrate,
     bessel_series,
-    conjugate,
     diagonalize_1p1,
     even_inverse,
     exp_odd_block,
-    multiply,
     superdeterminant,
     supertrace,
 )

@@ -1,4 +1,6 @@
-"""The acceptance suite: every exit criterion as a callable check.
+"""The acceptance suite: every exit criterion as a callable check, and the
+parameterised checks the CLI runs, which share their sweeps and seeded draws
+with the criteria.
 
 Each criterion returns a CriterionResult whose detail dict is fully
 deterministic (decimal strings, no timing), so a selftest report built from
@@ -10,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -26,7 +28,9 @@ from .conjecture import (
     factorial_ratio_identity_holds,
     lr_relation_check,
     partial_coefficient_check,
+    seeded_partition,
     splitmix64,
+    theorem_c_checks,
     verify_conjecture,
 )
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
@@ -65,6 +69,39 @@ def _fraction(seed: int, counter: int, span: int = 40, positive: bool = False) -
 def _nonzero_fraction(seed, counter, span=40):
     f = _fraction(seed, counter, span)
     return f if f != 0 else Fraction(1, 7)
+
+
+def _sector_draw(seed: int, m: int, n: int, bos_counter: int, ferm_counter: int):
+    """Seeded nonzero rational eigenvalues: m bosonic and n fermionic, from consecutive counters."""
+    bos = [_nonzero_fraction(seed, bos_counter + i) for i in range(m)]
+    ferm = [_nonzero_fraction(seed, ferm_counter + i) for i in range(n)]
+    return bos, ferm
+
+
+def pool_map(fn, tasks, jobs: int) -> list:
+    """[fn(*task) for task in tasks], on up to `jobs` worker processes, results in task order.
+
+    Never starts more workers than there are tasks, and none for a single one.
+    """
+    tasks = list(tasks)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    import concurrent.futures  # here, so importing the CLI does not load multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def lr_sweep(m: int, n: int, max_boxes: int):
+    """Every block pair (p, q), at most m and n rows, |p| + |q| <= max_boxes: (p, q, residual)."""
+    if max_boxes < 0:
+        raise ValueError("max_boxes must be non-negative")
+    for total in range(max_boxes + 1):
+        for psize in range(total + 1):
+            for p in partitions_of(psize, max_rows=m):
+                for q in partitions_of(total - psize, max_rows=n):
+                    yield p, q, lr_relation_check(p, q, m, n)[1]
 
 
 # -- criteria ----------------------------------------------------------------
@@ -110,8 +147,7 @@ def criterion_supercharacter(seed, prec) -> CriterionResult:
             diagrams = list(super_diagrams(m, n, 6))
             for sample in range(5):
                 base = 1000 * (10 * m + n) + 100 * sample
-                bos = [_nonzero_fraction(seed, base + i) for i in range(m)]
-                ferm = [_nonzero_fraction(seed, base + 50 + i) for i in range(n)]
+                bos, ferm = _sector_draw(seed, m, n, base, base + 50)
                 for sd in diagrams:
                     want = super_schur_tableaux(assemble(sd), bos, ferm)
                     got = supercharacter_amu(sd, bos, ferm)
@@ -131,8 +167,7 @@ def criterion_supertrace_expansion(seed, prec) -> CriterionResult:
     for m in (1, 2):
         for n in (1, 2):
             base = 7000 + 100 * (10 * m + n)
-            bos = [_nonzero_fraction(seed, base + i) for i in range(m)]
-            ferm = [_nonzero_fraction(seed, base + 50 + i) for i in range(n)]
+            bos, ferm = _sector_draw(seed, m, n, base, base + 50)
             if not character_expansion_check(m, n, 6, bos, ferm):
                 return CriterionResult(
                     4, "supertrace power expansion", False, {"failed_at": f"(m,n)=({m},{n})"}
@@ -140,10 +175,8 @@ def criterion_supertrace_expansion(seed, prec) -> CriterionResult:
     return CriterionResult(4, "supertrace power expansion", True, {"blocks": "m,n in {1,2}, 6 boxes"})
 
 
-def _conjecture_cell(args):
-    N, m, seed, samples, radius, bits, guard, cap, depth = args
-    prec = Precision(bits=bits, guard_bits=guard, truncation_cap=cap)
-    report = verify_conjecture(N, m, samples, radius, seed, prec, depth)
+def _conjecture_cell(N, m, seed, prec):
+    report = verify_conjecture(N, m, 10, 2, seed, prec, 64)
     with mp.workprec(prec.work_bits):
         return {
             "N": N,
@@ -161,16 +194,8 @@ def criterion_conjecture_grid(seed, prec, jobs: int = 1) -> CriterionResult:
     N = 2..8, every m, 10 seeded samples of radius 2, depth 64; relative
     differences must stay below the computed tail bound and below 1e-40.
     """
-    cells = [
-        (N, m, seed, 10, 2, prec.bits, prec.guard_bits, prec.truncation_cap, 64)
-        for N in range(2, 9)
-        for m in range(1, N + 1)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_conjecture_cell, cells))
-    else:
-        rows = [_conjecture_cell(c) for c in cells]
+    cells = [(N, m, seed, prec) for N in range(2, 9) for m in range(1, N + 1)]
+    rows = pool_map(_conjecture_cell, cells, jobs)
     ok = all(r["pass"] and r["below_1e-40"] for r in rows)
     return CriterionResult(5, "series identity grid", ok, {"cells": rows})
 
@@ -179,19 +204,15 @@ def criterion_lr_relation(seed, prec) -> CriterionResult:
     """Exact rational recursion for the block-coupling coefficients, |p|+|q| <= 8."""
     pairs = 0
     for m, n in ((1, 1), (2, 1), (2, 2)):
-        for total in range(9):
-            for psize in range(total + 1):
-                for p in partitions_of(psize, max_rows=m):
-                    for q in partitions_of(total - psize, max_rows=n):
-                        ok, residual = lr_relation_check(p, q, m, n)
-                        if not ok:
-                            return CriterionResult(
-                                6,
-                                "coefficient recursion sweep",
-                                False,
-                                {"failed_at": f"(m,n)=({m},{n}) p={p!r} q={q!r}", "residual": str(residual)},
-                            )
-                        pairs += 1
+        for p, q, residual in lr_sweep(m, n, 8):
+            if residual:
+                return CriterionResult(
+                    6,
+                    "coefficient recursion sweep",
+                    False,
+                    {"failed_at": f"(m,n)=({m},{n}) p={p!r} q={q!r}", "residual": str(residual)},
+                )
+            pairs += 1
     return CriterionResult(6, "coefficient recursion sweep", True, {"pairs": pairs})
 
 
@@ -324,9 +345,7 @@ def criterion_factorial_ratio(seed, prec) -> CriterionResult:
     """Factorial-ratio determinant identity for 50 seeded partitions, N <= 6."""
     for s in range(50):
         N = splitmix64(seed, 5000 + 2 * s) % 6 + 1
-        size = splitmix64(seed, 5001 + 2 * s) % 13
-        pool = list(partitions_of(size, max_rows=N))
-        t = pool[splitmix64(seed, 5002 + 2 * s) % len(pool)]
+        t = seeded_partition(seed, 5001 + 2 * s, N)
         if not factorial_ratio_identity_holds(t, N):
             return CriterionResult(
                 12, "factorial-ratio determinant identity", False, {"failed_at": f"N={N} t={t!r}"}
@@ -363,6 +382,10 @@ def run_criteria_1_12(prec: Precision, seed: int, jobs: int = 1):
     return results
 
 
+def _criterion_rows(results) -> list:
+    return [{"index": r.index, "name": r.name, "pass": r.passed, "detail": r.detail} for r in results]
+
+
 def canonical_report(results, prec: Precision, seed: int) -> bytes:
     """Deterministic JSON payload: no timing, no worker counts."""
     doc = {
@@ -372,10 +395,7 @@ def canonical_report(results, prec: Precision, seed: int) -> bytes:
         "precision_bits": prec.bits,
         "guard_bits": prec.guard_bits,
         "truncation_cap": prec.truncation_cap,
-        "criteria": [
-            {"index": r.index, "name": r.name, "pass": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "criteria": _criterion_rows(results),
     }
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
@@ -407,3 +427,59 @@ def run_all(prec: Precision, seed: int = DEFAULT_SEED, jobs: int = 1, with_deter
         det.runtime_s = time.monotonic() - start
         results.append(det)
     return results, reference
+
+
+# -- the checks the CLI runs ---------------------------------------------------
+#
+# Each returns (passed, report body, config echo beyond the command's own flags)
+# and shares its sweep or its seeded draw with the criteria above.
+
+
+def _conjecture_json(*args) -> dict:
+    return verify_conjecture(*args).to_json()
+
+
+def conjecture_check(seed, prec, jobs, N, m, samples, radius):
+    """The seeded J0 = Jm comparison at one N, for block size m or, if None, every m."""
+    ms = [m] if m is not None else list(range(1, N + 1))
+    if not ms:
+        raise ValueError("N must be at least 1")
+    tasks = [(N, k, samples, Fraction(radius), seed, prec, 64) for k in ms]
+    reports = pool_map(_conjecture_json, tasks, jobs)
+    return all(r["pass"] for r in reports), {"results": reports}, {"m": ms, "depth": 64}
+
+
+def lr_check(m, n, max_boxes):
+    """The coefficient recursion sweep of criterion 6 at one (m, n), every residual listed."""
+    sweep = list(lr_sweep(m, n, max_boxes))
+    rows = [{"p": list(p.rows), "q": list(q.rows), "residual": str(residual)} for p, q, residual in sweep]
+    return not any(residual for _, _, residual in sweep), {"results": rows}, {}
+
+
+def supertrace_check(seed, m, n, max_boxes):
+    """The supertrace power expansion of criterion 4 at one (m, n) and box count."""
+    bos, ferm = _sector_draw(seed, m, n, 100, 200)
+    ok = character_expansion_check(m, n, max_boxes, bos, ferm)
+    return ok, {}, {"bosonic": [str(v) for v in bos], "fermionic": [str(v) for v in ferm]}
+
+
+def haar_check(seed, prec):
+    """Criteria 8 and 9: explicit (1|1) and (2|1) integration against the closed form."""
+    blocks = {"block_1_1": criterion_haar_11(seed, prec), "block_2_1": criterion_haar_21(seed, prec)}
+    results = {name: {"pass": r.passed, **r.detail} for name, r in blocks.items()}
+    return all(r.passed for r in blocks.values()), {"results": results}, {}
+
+
+def theorems_check(seed, N):
+    """The rearrangement and determinant identities up to size N."""
+    return theorem_c_checks(N, seed=seed), {}, {}
+
+
+def selftest(seed, prec, jobs):
+    """Criteria 1-13; one console line per criterion goes to stderr."""
+    results, _reference = run_all(prec, seed=seed, jobs=jobs)
+    width = max(len(r.name) for r in results)
+    for r in results:
+        line = f"  [{r.index:2d}] {r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  ({r.runtime_s:.1f}s)"
+        print(line, file=sys.stderr)
+    return all(r.passed for r in results), {"criteria": _criterion_rows(results)}, {}

@@ -12,22 +12,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import __version__
-from .acceptance import (
-    DEFAULT_SEED,
-    criterion_haar_11,
-    criterion_haar_21,
-    run_all,
-)
-from .conjecture import theorem_c_checks, verify_conjecture
+from . import __version__, acceptance
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
-from .partitions import partitions_of
-from .conjecture import character_expansion_check, lr_relation_check
 from .precision import DEFAULT_BITS, Precision
 
 EXIT_PASS = 0
@@ -37,17 +26,6 @@ EXIT_NUMERICAL = 3
 
 PREC_BITS_ENV = "SUPERGROUP_PREC_BITS"
 
-COMMANDS = (
-    "ls-eval",
-    "bk-eval",
-    "conjecture-verify",
-    "lr-check",
-    "strninxi-check",
-    "appendix-e-verify",
-    "theorems-check",
-    "selftest",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,7 +34,7 @@ class RunConfig:
     command: str
     precision_bits: int = DEFAULT_BITS
     truncation_cap: int = 512
-    seed: int = DEFAULT_SEED
+    seed: int = acceptance.DEFAULT_SEED
     jobs: int = 1
     input_path: str | None = None
     input_inline: str | None = None
@@ -106,69 +84,6 @@ def _default_prec_bits() -> int:
         raise ValueError(f"{PREC_BITS_ENV} must be an integer, got {env_bits!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="superint",
-        description="Closed-form supergroup integrals and their verification suites.",
-    )
-    parser.add_argument("--version", action="version", version=f"superint {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, samples=None, radius=None):
-        p.add_argument(
-            "--prec-bits",
-            type=int,
-            default=None,
-            help=f"working precision in bits (default: ${PREC_BITS_ENV}, else {DEFAULT_BITS})",
-        )
-        p.add_argument("--trunc-cap", type=int, default=512)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--json-out", type=str, default=None, help="report path (default: stdout)")
-        if samples is not None:
-            p.add_argument("--samples", type=int, default=samples)
-        if radius is not None:
-            p.add_argument("--radius", type=str, default=radius)
-
-    p = sub.add_parser("ls-eval", help="evaluate the one-source integral from JSON input")
-    p.add_argument("--input", type=str, default=None, help="path to the input document")
-    p.add_argument("--input-json", type=str, default=None, help="inline input document")
-    common(p)
-
-    p = sub.add_parser("bk-eval", help="evaluate the two-source integral from JSON input")
-    p.add_argument("--input", type=str, default=None)
-    p.add_argument("--input-json", type=str, default=None)
-    common(p)
-
-    p = sub.add_parser("conjecture-verify", help="seeded antisymmetric-vs-split series check")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="block size (default: every m)")
-    common(p, samples=10, radius="2")
-
-    p = sub.add_parser("lr-check", help="exact coefficient recursion sweep")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-boxes", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("strninxi-check", help="supertrace power expansion check")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--max-boxes", type=int, default=6)
-    common(p)
-
-    p = sub.add_parser("appendix-e-verify", help="explicit Haar integration vs closed form")
-    common(p, samples=None)
-
-    p = sub.add_parser("theorems-check", help="rearrangement/determinant identity checks")
-    p.add_argument("--N", type=int, default=5)
-    common(p)
-
-    p = sub.add_parser("selftest", help="run the full acceptance suite")
-    common(p)
-    return parser
-
-
 def _load_input(config: RunConfig) -> dict:
     if config.input_inline is not None:
         text = config.input_inline
@@ -189,44 +104,17 @@ def _load_input(config: RunConfig) -> dict:
     return doc
 
 
-def _emit(report: dict, config: RunConfig, status_pass: bool) -> int:
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.json_out:
-        with open(config.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return EXIT_PASS if status_pass else EXIT_MISMATCH
-
-
-def _base_report(config: RunConfig, config_extra: dict) -> dict:
-    echo = {
-        "precision_bits": config.precision_bits,
-        "truncation_cap": config.truncation_cap,
-        "seed": config.seed,
-    }
-    echo.update(config_extra)
-    return {
-        "schema": "superint-report/1",
-        "tool": {"name": "superint", "version": __version__},
-        "command": config.command,
-        "config": echo,
-    }
-
-
-def _cmd_ls_eval(config: RunConfig) -> int:
+def _ls_eval(config: RunConfig):
     doc = _load_input(config)
     try:
         ev = SuperEigenvalues.from_json(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
     result = ls_closed_form(ev, config.precision)
-    report = _base_report(config, {"input": ev.to_json()})
-    report["result"] = result.to_json()
-    return _emit(report, config, True)
+    return None, {"result": result.to_json()}, {"input": ev.to_json()}
 
 
-def _cmd_bk_eval(config: RunConfig) -> int:
+def _bk_eval(config: RunConfig):
     doc = _load_input(config)
     try:
         beta = doc["beta"]
@@ -235,132 +123,126 @@ def _cmd_bk_eval(config: RunConfig) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
     result = bk_closed_form(lam, mu, config.precision)
-    report = _base_report(config, {"input": {"lambda": lam.to_json(), "mu": mu.to_json()}})
-    report["result"] = result.to_json()
-    return _emit(report, config, True)
+    return None, {"result": result.to_json()}, {"input": {"lambda": lam.to_json(), "mu": mu.to_json()}}
 
 
-def _conjecture_job(payload):
-    N, m, samples, radius, seed, bits, cap = payload
-    prec = Precision(bits=bits, truncation_cap=cap)
-    report = verify_conjecture(N, m, samples, Fraction(radius), seed, prec, K=64)
-    return report.to_json()
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its own flags and what it runs.
+
+    `run(config)` returns (passed, report body, config echo beyond the
+    command's own flags); passed is None for an evaluator, whose report
+    carries no status.
+    """
+
+    help: str
+    flags: dict
+    run: object
 
 
-def _cmd_conjecture(config: RunConfig) -> int:
-    n_vars = config.options["N"]
-    m_opt = config.options.get("m")
-    samples = config.options["samples"]
-    radius = config.options["radius"]
-    ms = [m_opt] if m_opt is not None else list(range(1, n_vars + 1))
-    payload = [
-        (n_vars, m, samples, radius, config.seed, config.precision_bits, config.truncation_cap)
-        for m in ms
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_conjecture_job, payload))
-    else:
-        reports = [_conjecture_job(p) for p in payload]
-    ok = all(r["pass"] for r in reports)
-    report = _base_report(
-        config,
-        {"N": n_vars, "m": ms, "samples": samples, "radius": radius, "depth": 64},
-    )
-    report["results"] = reports
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-def _cmd_lr_check(config: RunConfig) -> int:
-    m, n = config.options["m"], config.options["n"]
-    max_boxes = config.options["max_boxes"]
-    rows = []
-    ok = True
-    for total in range(max_boxes + 1):
-        for psize in range(total + 1):
-            for p in partitions_of(psize, max_rows=m):
-                for q in partitions_of(total - psize, max_rows=n):
-                    good, residual = lr_relation_check(p, q, m, n)
-                    rows.append(
-                        {"p": list(p.rows), "q": list(q.rows), "residual": str(residual)}
-                    )
-                    ok = ok and good
-    report = _base_report(config, {"m": m, "n": n, "max_boxes": max_boxes})
-    report["results"] = rows
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-def _cmd_strninxi(config: RunConfig) -> int:
-    from .acceptance import _nonzero_fraction
-
-    m, n = config.options["m"], config.options["n"]
-    max_boxes = config.options["max_boxes"]
-    bos = [_nonzero_fraction(config.seed, 100 + i) for i in range(m)]
-    ferm = [_nonzero_fraction(config.seed, 200 + i) for i in range(n)]
-    ok = character_expansion_check(m, n, max_boxes, bos, ferm)
-    report = _base_report(
-        config,
-        {
-            "m": m,
-            "n": n,
-            "max_boxes": max_boxes,
-            "bosonic": [str(v) for v in bos],
-            "fermionic": [str(v) for v in ferm],
-        },
-    )
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-def _cmd_appendix_e(config: RunConfig) -> int:
-    prec = config.precision
-    r11 = criterion_haar_11(config.seed, prec)
-    r21 = criterion_haar_21(config.seed, prec)
-    ok = r11.passed and r21.passed
-    report = _base_report(config, {})
-    report["results"] = {
-        "block_1_1": {"pass": r11.passed, **r11.detail},
-        "block_2_1": {"pass": r21.passed, **r21.detail},
-    }
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-def _cmd_theorems(config: RunConfig) -> int:
-    ok = theorem_c_checks(config.options["N"], seed=config.seed)
-    report = _base_report(config, {"N": config.options["N"]})
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-def _cmd_selftest(config: RunConfig) -> int:
-    results, _reference = run_all(config.precision, seed=config.seed, jobs=config.jobs)
-    width = max(len(r.name) for r in results)
-    for r in results:
-        line = f"  [{r.index:2d}] {r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  ({r.runtime_s:.1f}s)"
-        print(line, file=sys.stderr)
-    ok = all(r.passed for r in results)
-    report = _base_report(config, {})
-    report["criteria"] = [
-        {"index": r.index, "name": r.name, "pass": r.passed, "detail": r.detail}
-        for r in results
-    ]
-    report["status"] = "pass" if ok else "fail"
-    return _emit(report, config, ok)
-
-
-_COMMANDS = {
-    "ls-eval": _cmd_ls_eval,
-    "bk-eval": _cmd_bk_eval,
-    "conjecture-verify": _cmd_conjecture,
-    "lr-check": _cmd_lr_check,
-    "strninxi-check": _cmd_strninxi,
-    "appendix-e-verify": _cmd_appendix_e,
-    "theorems-check": _cmd_theorems,
-    "selftest": _cmd_selftest,
+_INPUT_FLAGS = {
+    "--input": {"type": str, "default": None, "help": "path to the input document"},
+    "--input-json": {"type": str, "default": None, "help": "inline input document"},
 }
+
+_COMMON_FLAGS = {
+    "--prec-bits": {
+        "type": int,
+        "default": None,
+        "help": f"working precision in bits (default: ${PREC_BITS_ENV}, else {DEFAULT_BITS})",
+    },
+    "--trunc-cap": {"type": int, "default": 512},
+    "--seed": {"type": int, "default": acceptance.DEFAULT_SEED},
+    "--jobs": {"type": int, "default": 1},
+    "--json-out": {"type": str, "default": None, "help": "report path (default: stdout)"},
+}
+
+
+def _ints(**defaults) -> dict:
+    """Integer flags with defaults: max_boxes=8 gives --max-boxes."""
+    return {"--" + k.replace("_", "-"): {"type": int, "default": v} for k, v in defaults.items()}
+
+
+COMMANDS = {
+    "ls-eval": Command("evaluate the one-source integral from JSON input", _INPUT_FLAGS, _ls_eval),
+    "bk-eval": Command("evaluate the two-source integral from JSON input", _INPUT_FLAGS, _bk_eval),
+    "conjecture-verify": Command(
+        "seeded antisymmetric-vs-split series check",
+        {
+            "--N": {"type": int, "required": True},
+            "--m": {"type": int, "default": None, "help": "block size (default: every m)"},
+            "--samples": {"type": int, "default": 10},
+            "--radius": {"type": str, "default": "2"},
+        },
+        lambda c: acceptance.conjecture_check(c.seed, c.precision, c.jobs, **c.options),
+    ),
+    "lr-check": Command(
+        "exact coefficient recursion sweep",
+        _ints(m=2, n=2, max_boxes=8),
+        lambda c: acceptance.lr_check(**c.options),
+    ),
+    "strninxi-check": Command(
+        "supertrace power expansion check",
+        _ints(m=2, n=2, max_boxes=6),
+        lambda c: acceptance.supertrace_check(c.seed, **c.options),
+    ),
+    "appendix-e-verify": Command(
+        "explicit Haar integration vs closed form",
+        {},
+        lambda c: acceptance.haar_check(c.seed, c.precision),
+    ),
+    "theorems-check": Command(
+        "rearrangement/determinant identity checks",
+        _ints(N=5),
+        lambda c: acceptance.theorems_check(c.seed, **c.options),
+    ),
+    "selftest": Command(
+        "run the full acceptance suite",
+        {},
+        lambda c: acceptance.selftest(c.seed, c.precision, c.jobs),
+    ),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="superint",
+        description="Closed-form supergroup integrals and their verification suites.",
+    )
+    parser.add_argument("--version", action="version", version=f"superint {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, spec in {**command.flags, **_COMMON_FLAGS}.items():
+            p.add_argument(flag, **spec)
+    return parser
+
+
+def _run(config: RunConfig) -> int:
+    """Run the command and write its report: stdout, or the --json-out file."""
+    passed, body, echo = COMMANDS[config.command].run(config)
+    report = {
+        "schema": "superint-report/1",
+        "tool": {"name": "superint", "version": __version__},
+        "command": config.command,
+        "config": {
+            "precision_bits": config.precision_bits,
+            "truncation_cap": config.truncation_cap,
+            "seed": config.seed,
+            **config.options,
+            **echo,
+        },
+        **body,
+    }
+    if passed is not None:
+        report["status"] = "pass" if passed else "fail"
+    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if config.json_out:
+        with open(config.json_out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    return EXIT_MISMATCH if passed is False else EXIT_PASS
 
 
 def main(argv=None) -> int:
@@ -373,7 +255,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         config = RunConfig.from_args(args)
-        code = _COMMANDS[config.command](config)
+        code = _run(config)
     except TruncationCapExceeded as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

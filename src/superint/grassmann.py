@@ -294,15 +294,6 @@ def _is_zero_scalar(c) -> bool:
     return c == 0
 
 
-def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    """Grassmann product (also available as the * operator)."""
-    return x * y
-
-
-def conjugate(x: GrassmannElement) -> GrassmannElement:
-    return x.conjugate()
-
-
 def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
     """Iterated Berezin integral, innermost (rightmost in `order`) first.
 

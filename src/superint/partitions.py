@@ -83,6 +83,8 @@ EMPTY = Partition()
 
 def partitions_of(n: int, max_rows: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of n, optionally with bounded row count / largest part."""
+    if any(bound is not None and bound < 0 for bound in (max_rows, max_part)):
+        raise ValueError("max_rows and max_part must be non-negative")
     if max_part is None:
         max_part = n
     if max_rows is None:

@@ -1,11 +1,15 @@
 """Command-line driver: reports, exit codes, determinism."""
 
+import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from superint import cli
 
 CLI = [sys.executable, "-m", "superint"]
 
@@ -30,6 +34,10 @@ BK_INPUT = json.dumps(
 
 def run_cli(*args, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=600, env=env)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_ls_eval_report():
@@ -102,6 +110,7 @@ def test_conjecture_verify_pass_and_exit_codes():
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert doc["status"] == "pass"
+    assert sha256(out.stdout) == "9e59c2e7091be305bf338668e1eeb8de6a1ae8b2da3ab3aa07b503551e285065"
     out = run_cli("conjecture-verify", "--N", "3", "--samples", "2", "--trunc-cap", "8")
     assert out.returncode == 3
 
@@ -120,18 +129,21 @@ def test_lr_check():
     doc = json.loads(out.stdout)
     assert doc["status"] == "pass"
     assert all(r["residual"] == "0" for r in doc["results"])
+    assert sha256(out.stdout) == "f8912366d0f0977b809d7a21dd040ebbcefa5a34f8c0f43741ed64b250d985a5"
 
 
 def test_strninxi_check():
     out = run_cli("strninxi-check", "--m", "1", "--n", "1", "--max-boxes", "4")
     assert out.returncode == 0
     assert json.loads(out.stdout)["status"] == "pass"
+    assert sha256(out.stdout) == "be52208bf405bd592a1376d91705ecde60d00dfbe30ec879cc713141911d577e"
 
 
 def test_theorems_check():
     out = run_cli("theorems-check", "--N", "4")
     assert out.returncode == 0
     assert json.loads(out.stdout)["status"] == "pass"
+    assert sha256(out.stdout) == "92de4d0631635d589f87c89b6c5608bc3907a0f37e345ecc8efcd834df698d25"
 
 
 def test_appendix_e_verify():
@@ -140,6 +152,63 @@ def test_appendix_e_verify():
     doc = json.loads(out.stdout)
     assert doc["results"]["block_1_1"]["pass"]
     assert doc["results"]["block_2_1"]["pass"]
+    assert sha256(out.stdout) == "a55b09b870ab70b3dac8e8bf31857928aa7d7e09477d0bcfd062cbe82c71366d"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorems-check", "--N", "0"],
+        ["lr-check", "--m", "-1"],
+        ["lr-check", "--max-boxes", "-1"],
+        ["strninxi-check", "--max-boxes", "-3"],
+        ["conjecture-verify", "--N", "2", "--samples", "0"],
+        ["conjecture-verify", "--N", "2", "--samples", "-1"],
+        ["conjecture-verify", "--N", "0"],
+        ["conjecture-verify", "--N", "2", "--radius", "-1"],
+    ],
+)
+def test_out_of_domain_check_arguments_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration:")
+    assert captured.err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize(
+    "argv,workers",
+    [
+        (["--N", "2", "--jobs", "500"], [2]),  # two block sizes: two workers, not 500
+        (["--N", "2", "--m", "1", "--jobs", "4"], []),  # one task runs in this process
+    ],
+)
+def test_jobs_capped_at_task_count(argv, workers, monkeypatch, capsys):
+    started = []
+
+    class RecordingExecutor:
+        """Records the worker count it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # replace every binding of the executor, so no worker process can start
+    package = [mod for name, mod in sys.modules.items() if name.startswith("superint")]
+    for mod in [concurrent.futures, *package]:
+        if hasattr(mod, "ProcessPoolExecutor"):
+            monkeypatch.setattr(mod, "ProcessPoolExecutor", RecordingExecutor)
+    assert cli.main(["conjecture-verify", "--samples", "1", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert started == workers
 
 
 def test_env_var_precision_override():

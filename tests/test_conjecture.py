@@ -171,10 +171,22 @@ def test_verify_conjecture_reports_are_bit_identical():
 def test_verify_conjecture_validation():
     with pytest.raises(ValueError):
         verify_conjecture(4, 5)
-    with pytest.raises(ValueError):
-        verify_conjecture(4, 1, radius=5)
+    for radius in (5, -1):
+        with pytest.raises(ValueError):
+            verify_conjecture(4, 1, radius=radius)
     with pytest.raises(ValueError):
         verify_conjecture(12, 1)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            verify_conjecture(2, 1, sample_count=count)
+
+
+def test_conjecture_report_json_ignores_caller_precision():
+    rep = verify_conjecture(2, 1, sample_count=2, radius=2, seed=42, prec=PREC, K=64)
+    doc = rep.to_json()
+    assert doc["tail_bound"] == "4.474486053e-158"
+    with mp.workprec(10):
+        assert rep.to_json() == doc
 
 
 def test_proved_small_cases_pass():
@@ -235,13 +247,16 @@ def test_character_expansion_examples():
     assert character_expansion_check(
         2, 2, 6, [Fraction(2, 3), Fraction(1, 7)], [Fraction(-1, 5), Fraction(3, 4)]
     )
+    with pytest.raises(ValueError):
+        character_expansion_check(1, 1, -1, [Fraction(2, 3)], [Fraction(-1, 5)])
 
 
 def test_theorem_checks():
     assert theorem_c_checks(5)
     assert theorem_c_checks(6, seed=11)
-    with pytest.raises(ValueError):
-        theorem_c_checks(7)
+    for n_vars in (0, -1, 7):
+        with pytest.raises(ValueError):
+            theorem_c_checks(n_vars)
 
 
 def test_factorial_ratio_identity_spot():

@@ -54,6 +54,10 @@ def test_partitions_of_counts():
     for n, want in enumerate(expected):
         assert len(list(partitions_of(n))) == want
     assert all(len(p) <= 2 for p in partitions_of(6, max_rows=2))
+    # a negative bound is an error, not "no bound"
+    for bound in ({"max_rows": -1}, {"max_part": -1}):
+        with pytest.raises(ValueError):
+            list(partitions_of(3, **bound))
 
 
 @pytest.mark.parametrize(
