@@ -134,10 +134,6 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
     raise ValueError("ordinary factor implemented for 1 and 2 eigenvalues")
 
 
-def _even_from(value, g: int) -> EvenElement:
-    return EvenElement(GrassmannElement.scalar(g, value))
-
-
 def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Full Berezin-and-ordinary-group integral for diagonal numeric sources.
 

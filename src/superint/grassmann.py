@@ -19,7 +19,7 @@ from fractions import Fraction
 from mpmath import mp, mpc
 
 from .errors import GeneratorMismatch, NonInvertibleBody
-from .precision import DEFAULT_PRECISION, BigComplex, Precision, _series_sum, inv_factorial, to_mpc_any
+from .precision import DEFAULT_PRECISION, Precision, _series_sum, inv_factorial, to_mpc_any
 
 
 class GaussianRational:
@@ -107,7 +107,7 @@ I_EXACT = GaussianRational(0, 1)
 def _conj_scalar(c):
     if isinstance(c, (int, Fraction)):
         return c
-    if isinstance(c, (BigComplex, GaussianRational)):
+    if isinstance(c, GaussianRational):
         return c.conjugate()
     return mpc(c).conjugate()
 
@@ -287,8 +287,6 @@ class GrassmannElement:
 
 
 def _is_zero_scalar(c) -> bool:
-    if isinstance(c, BigComplex):
-        return c.is_zero
     if isinstance(c, GaussianRational):
         return c.re == 0 and c.im == 0
     return c == 0
@@ -412,7 +410,7 @@ def even_inverse(w: EvenElement) -> EvenElement:
 def _scalar_inverse(c):
     if isinstance(c, int):
         return Fraction(1, c)
-    if isinstance(c, (Fraction, BigComplex, GaussianRational)):
+    if isinstance(c, (Fraction, GaussianRational)):
         return 1 / c
     return 1 / mpc(c)
 

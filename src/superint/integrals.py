@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations
 
 from mpmath import mp, mpc
 
 from .errors import BosonFermionCoincidence
 from .precision import (
+    DEFAULT_BITS,
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
@@ -29,22 +31,33 @@ from .precision import (
 )
 
 
+def _record(v, bits: int) -> BigComplex:
+    """A record as it is; a plain number rounded to a `bits`-bit record."""
+    return v if isinstance(v, BigComplex) else BigComplex(v, bits=bits)
+
+
 @dataclass(frozen=True)
 class SuperEigenvalues:
-    """Squared eigenvalues split into bosonic and fermionic sectors, plus the coupling."""
+    """Squared eigenvalues split into bosonic and fermionic sectors, plus the coupling.
+
+    Each entry is a BigComplex record, which keeps its own bits, or a plain
+    int, float, complex or Fraction, which is rounded at the bits of the
+    evaluation that reads it.
+    """
 
     bosonic: tuple
     fermionic: tuple
-    beta: BigComplex
+    beta: object
 
     def __post_init__(self):
-        object.__setattr__(self, "bosonic", tuple(self._conv(v) for v in self.bosonic))
-        object.__setattr__(self, "fermionic", tuple(self._conv(v) for v in self.fermionic))
-        object.__setattr__(self, "beta", self._conv(self.beta))
+        object.__setattr__(self, "bosonic", tuple(self.bosonic))
+        object.__setattr__(self, "fermionic", tuple(self.fermionic))
 
-    @staticmethod
-    def _conv(v) -> BigComplex:
-        return v if isinstance(v, BigComplex) else BigComplex(v)
+    def values(self, bits: int):
+        """(bosonic, fermionic, beta) as mpc, plain entries rounded to `bits` bits."""
+        bos = [_record(v, bits).to_mpc() for v in self.bosonic]
+        ferm = [_record(v, bits).to_mpc() for v in self.fermionic]
+        return bos, ferm, _record(self.beta, bits).to_mpc()
 
     @property
     def m(self) -> int:
@@ -58,9 +71,9 @@ class SuperEigenvalues:
         return {
             "m": self.m,
             "n": self.n,
-            "beta": self.beta.to_json(),
-            "bosonic": [v.to_json() for v in self.bosonic],
-            "fermionic": [v.to_json() for v in self.fermionic],
+            "beta": _record(self.beta, DEFAULT_BITS).to_json(),
+            "bosonic": [_record(v, DEFAULT_BITS).to_json() for v in self.bosonic],
+            "fermionic": [_record(v, DEFAULT_BITS).to_json() for v in self.fermionic],
         }
 
     @classmethod
@@ -101,23 +114,24 @@ def c_constant(n: int) -> int:
     return out
 
 
-def _sectors_coincide(ev: SuperEigenvalues) -> bool:
+def _sectors_coincide(bos, ferm) -> bool:
     """Whether some bosonic value equals some fermionic value exactly."""
-    return any(x == y for x in ev.bosonic for y in ev.fermionic)
+    return any(x == y for x in bos for y in ferm)
+
+
+def _cross_product(bos, ferm):
+    """Product of every boson-fermion difference."""
+    return math.prod((x - y for x in bos for y in ferm), start=mpc(1))
 
 
 def berezinian(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Delta(bosonic) Delta(fermionic) / prod of boson-fermion differences."""
-    if _sectors_coincide(ev):
+    bos, ferm, _ = ev.values(prec.bits)
+    if _sectors_coincide(bos, ferm):
         raise BosonFermionCoincidence("bosonic and fermionic values coincide")
     with mp.workprec(prec.work_bits):
-        num = vandermonde([v.to_mpc() for v in ev.bosonic]) * vandermonde(
-            [v.to_mpc() for v in ev.fermionic]
-        )
-        den = math.prod(
-            (x.to_mpc() - y.to_mpc() for x in ev.bosonic for y in ev.fermionic), start=mpc(1)
-        )
-        return BigComplex.from_mpc(num / den, prec.bits)
+        num = vandermonde(bos) * vandermonde(ferm)
+        return BigComplex.from_mpc(num / _cross_product(bos, ferm), prec.bits)
 
 
 # -- grouping of exactly repeated values ----------------------------------------
@@ -140,7 +154,7 @@ def _near_coincidence_warnings(groups, bits, sector):
     return [
         f"{sector} values {i} and {j} are nearly coincident; "
         "generic branch evaluated (exact repeats dispatch to the confluent limit)"
-        for i, j in _near_coincident_pairs([g[0].to_mpc() for g in groups], bits)
+        for i, j in _near_coincident_pairs([g[0] for g in groups], bits)
     ]
 
 
@@ -151,9 +165,7 @@ def _grouped_denominator(groups):
     (-1)^(r(r-1)/2) per group from the collapsed pair ordering.  Reduces to
     the plain Vandermonde when every multiplicity is 1.
     """
-    den = math.prod(
-        (x.to_mpc() - y.to_mpc()) ** (r * s) for (x, r), (y, s) in combinations(groups, 2)
-    )
+    den = math.prod((x - y) ** (r * s) for (x, r), (y, s) in combinations(groups, 2))
     sign = 1
     for _, r in groups:
         if (r * (r - 1) // 2) % 2:
@@ -169,10 +181,11 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
     N = m + n
     if N == 0:
         raise ValueError("need at least one eigenvalue")
-    if _sectors_coincide(ev):
+    bos, ferm, beta = ev.values(prec.bits)
+    if _sectors_coincide(bos, ferm):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
-    bgroups = _group_exact(ev.bosonic)
-    fgroups = _group_exact(ev.fermionic)
+    bgroups = _group_exact(bos)
+    fgroups = _group_exact(ferm)
     confluent = any(r > 1 for _, r in bgroups) or any(r > 1 for _, r in fgroups)
     if force_confluent and not confluent:
         raise ValueError("no exactly repeated eigenvalue inside a sector")
@@ -180,10 +193,8 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
     with mp.workprec(prec.work_bits):
         warnings = _near_coincidence_warnings(bgroups, prec.bits, "bosonic")
         warnings += _near_coincidence_warnings(fgroups, prec.bits, "fermionic")
-        beta = ev.beta.to_mpc()
         cols = []
-        for value, mult in bgroups + fgroups:
-            x = value.to_mpc()
+        for x, mult in bgroups + fgroups:
             for k in range(mult):
                 # k-th derivative (in the squared eigenvalue) of each entry, / k!
                 col = []
@@ -236,12 +247,10 @@ def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
         return mpc(1)
     c = beta * beta
     rows = []
-    for xv, xr in lgroups:
-        x = xv.to_mpc()
+    for x, xr in lgroups:
         for j in range(xr):
             row = []
-            for yv, yr in mgroups:
-                y = yv.to_mpc()
+            for y, yr in mgroups:
                 for k in range(yr):
                     total = mpc(0)
                     for l in range(min(j, k) + 1):
@@ -265,19 +274,21 @@ def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
 def _bk_berezinian_grouped(bgroups, fgroups, bos, ferm):
     """Berezinian with sector Vandermondes replaced by their grouped limits."""
     num = _grouped_denominator(bgroups) * _grouped_denominator(fgroups)
-    return num / math.prod((x.to_mpc() - y.to_mpc() for x in bos for y in ferm), start=mpc(1))
+    return num / _cross_product(bos, ferm)
 
 
 def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, force_confluent: bool):
     if lam.m != mu.m or lam.n != mu.n:
         raise ValueError("the two eigenvalue sets must share (m, n)")
-    if lam.beta != mu.beta:
+    lam_b, lam_f, beta = lam.values(prec.bits)
+    mu_b, mu_f, mu_beta = mu.values(prec.bits)
+    if beta != mu_beta:
         raise ValueError("the two eigenvalue sets must share beta")
     m, n = lam.m, lam.n
-    if _sectors_coincide(lam) or _sectors_coincide(mu):
+    if _sectors_coincide(lam_b, lam_f) or _sectors_coincide(mu_b, mu_f):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
-    lb, lf = _group_exact(lam.bosonic), _group_exact(lam.fermionic)
-    mb, mf = _group_exact(mu.bosonic), _group_exact(mu.fermionic)
+    lb, lf = _group_exact(lam_b), _group_exact(lam_f)
+    mb, mf = _group_exact(mu_b), _group_exact(mu_f)
     confluent = any(r > 1 for _, r in lb + lf + mb + mf)
     if force_confluent and not confluent:
         raise ValueError("no exactly repeated eigenvalue inside a sector")
@@ -286,11 +297,10 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, forc
         warnings = []
         for groups, name in ((lb, "first bosonic"), (lf, "first fermionic"), (mb, "second bosonic"), (mf, "second fermionic")):
             warnings += _near_coincidence_warnings(groups, prec.bits, name)
-        beta = lam.beta.to_mpc()
         det_b = _bk_sector_det(lb, mb, beta, prec, stats)
         det_f = _bk_sector_det(lf, mf, beta, prec, stats)
-        ber_l = _bk_berezinian_grouped(lb, lf, lam.bosonic, lam.fermionic)
-        ber_m = _bk_berezinian_grouped(mb, mf, mu.bosonic, mu.fermionic)
+        ber_l = _bk_berezinian_grouped(lb, lf, lam_b, lam_f)
+        ber_m = _bk_berezinian_grouped(mb, mf, mu_b, mu_f)
         power = (m + n) - (m - n) ** 2
         pref = mpc(c_constant(m) ** 2 * c_constant(n) ** 2) * beta ** power
         value = pref * det_b * det_f / (ber_l * ber_m)
@@ -332,7 +342,7 @@ def nondiag_limit_ls(
     where R_s is the even Bessel kernel at beta^2 a.
     """
     if beta is None:
-        beta = BigComplex(1, 0) / 2
+        beta = Fraction(1, 2)
     with mp.workprec(prec.work_bits):
         av = to_mpc_any(a)
         bv = to_mpc_any(beta)
@@ -358,7 +368,7 @@ def nondiag_limit_bk(
         g_j(x) = R(0, beta^2 mu_j^2 x).
     """
     if beta is None:
-        beta = BigComplex(1, 0) / 2
+        beta = Fraction(1, 2)
     with mp.workprec(prec.work_bits):
         av = to_mpc_any(a)
         bv = to_mpc_any(beta)

@@ -1,15 +1,15 @@
-"""Arbitrary-precision scalars and the numeric kernels every other module uses.
+"""Working precision, the JSON boundary record and the numeric kernels every other module uses.
 
-Values are immutable.  All multiprecision arithmetic goes through mpmath with
-an explicit working precision, so results are deterministic and independent
-of any global context the caller may have set.
+All multiprecision arithmetic runs on mpmath values at an explicit working
+precision, so results are deterministic and independent of any global
+context the caller may have set.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -54,8 +54,6 @@ def _to_mpf_exact(x):
 
 def to_mpc_any(x) -> mpc:
     """Convert any supported scalar to mpc at the ambient working precision."""
-    if isinstance(x, BigComplex):
-        return x.to_mpc()
     if isinstance(x, Fraction):
         return mpc(mpf(x.numerator) / mpf(x.denominator))
     if hasattr(x, "to_mpc"):
@@ -63,44 +61,36 @@ def to_mpc_any(x) -> mpc:
     return mpc(x)
 
 
+@dataclass(frozen=True, slots=True)
 class BigComplex:
-    """Immutable complex number with explicit mantissa precision.
+    """A complex value tagged with its mantissa bits: the record of the JSON/API boundary.
 
-    Arithmetic between two BigComplex values is carried out at (and the result
-    tagged with) the minimum of the operand precisions.  Exact Python numbers
-    (int, Fraction) adopt the other operand's precision.
+    The library computes on mpc at an explicit Precision; a record only
+    carries a value in (the constructor, from_mpc, from_json) and out
+    (to_mpc, to_json).  Two records are equal when their values are; bits is
+    not compared.
     """
 
-    __slots__ = ("re", "im", "bits")
+    re: mpf = 0
+    im: mpf = 0
+    bits: int = field(default=DEFAULT_BITS, compare=False)
 
-    def __init__(self, re=0, im=0, bits: int = DEFAULT_BITS):
-        if bits < 64:
+    def __post_init__(self):
+        """Round an int, float, complex, Fraction or mpc to `bits` bits."""
+        if self.bits < 64:
             raise ValueError("precision must be at least 64 bits")
-        if isinstance(re, BigComplex):
-            im = re.im if im == 0 else im
-            re = re.re
+        re, im = self.re, self.im
         if isinstance(re, (complex, mpc)):
             if im != 0:
                 raise ValueError("cannot combine complex re with nonzero im")
             re, im = re.real, re.imag
-        with mp.workprec(bits):
+        with mp.workprec(self.bits):
             object.__setattr__(self, "re", +_to_mpf_exact(re))
             object.__setattr__(self, "im", +_to_mpf_exact(im))
-            object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BigComplex is immutable")
-
-    # -- conversions ---------------------------------------------------------
 
     @classmethod
     def from_mpc(cls, z, bits: int) -> "BigComplex":
-        out = object.__new__(cls)
-        with mp.workprec(bits):
-            object.__setattr__(out, "re", +mpf(z.real))
-            object.__setattr__(out, "im", +mpf(z.imag))
-        object.__setattr__(out, "bits", bits)
-        return out
+        return cls(z, bits=bits)
 
     def to_mpc(self) -> mpc:
         # raw construction: mpc(re, im) would round to the ambient context
@@ -123,81 +113,7 @@ class BigComplex:
             re, im = mpf(str(obj["re"])), mpf(str(obj.get("im", "0")))
         if not (mp.isfinite(re) and mp.isfinite(im)):
             raise ValueError(f"non-finite value re={obj['re']!r} im={obj.get('im', '0')!r}")
-        out = object.__new__(cls)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        object.__setattr__(out, "bits", bits)
-        return out
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _binop(self, other, op):
-        if isinstance(other, BigComplex):
-            bits = min(self.bits, other.bits)
-            other_raw = other.to_mpc()
-        elif isinstance(other, (int, float, complex, Fraction, mpf, mpc)):
-            bits = self.bits
-            other_raw = other
-        else:
-            return NotImplemented
-        with mp.workprec(bits):
-            if isinstance(other_raw, (complex, mpc)):
-                other_raw = mpc(other_raw)
-            else:
-                other_raw = mpc(_to_mpf_exact(other_raw))
-            return BigComplex.from_mpc(op(self.to_mpc(), other_raw), bits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("only integer powers are supported")
-        with mp.workprec(self.bits):
-            return BigComplex.from_mpc(self.to_mpc() ** k, self.bits)
-
-    def __neg__(self):
-        return BigComplex.from_mpc(-self.to_mpc(), self.bits)
-
-    def conjugate(self) -> "BigComplex":
-        out = object.__new__(BigComplex)
-        object.__setattr__(out, "re", self.re)
-        object.__setattr__(out, "im", -self.im)
-        object.__setattr__(out, "bits", self.bits)
-        return out
-
-    def __abs__(self):
-        with mp.workprec(self.bits):
-            return abs(self.to_mpc())
-
-    def __eq__(self, other):
-        if isinstance(other, BigComplex):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, float, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+        return cls(re, im, bits)
 
     @property
     def is_zero(self) -> bool:
@@ -205,6 +121,11 @@ class BigComplex:
 
     def __repr__(self):
         return f"BigComplex({mp.nstr(self.re, 12)}, {mp.nstr(self.im, 12)}, bits={self.bits})"
+
+
+def _tag_bits(prec: Precision, values) -> int:
+    """The bits a result carries: prec.bits, or fewer if a record among `values` has fewer."""
+    return min([prec.bits] + [v.bits for v in values if isinstance(v, BigComplex)])
 
 
 def decimal_digits(bits: int) -> int:
@@ -229,9 +150,8 @@ def inv_factorial(n: int) -> Fraction:
 def vandermonde(values):
     """Product over i < j of (values[i] - values[j]); empty/singleton lists give 1.
 
-    Computed in the values' own arithmetic: exact for int and Fraction, at the
-    ambient mpmath precision for mpc, and at the minimum operand precision for
-    BigComplex.
+    Computed in the values' own arithmetic: exact for int and Fraction, and at
+    the ambient mpmath precision for mpc.
     """
     return math.prod(a - b for a, b in itertools.combinations(values, 2))
 
@@ -303,11 +223,9 @@ def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     At w = x^2 this equals x^-nu I_nu(2 x); the series is a function of w only,
     so no square roots (and no branch choices) ever enter.
     """
-    wv = w.to_mpc() if isinstance(w, BigComplex) else w
-    bits = w.bits if isinstance(w, BigComplex) else prec.bits
-    bits = min(bits, prec.bits)
-    total, _ = bessel_ratio_raw(nu, wv, prec)
-    return BigComplex.from_mpc(total, bits)
+    with mp.workprec(prec.work_bits):
+        total, _ = bessel_ratio_raw(nu, to_mpc_any(w), prec)
+    return BigComplex.from_mpc(total, _tag_bits(prec, [w]))
 
 
 def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
@@ -334,20 +252,12 @@ def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
 def scaled_bessel_entry(
     nu: int, beta, lambda_sq, prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
-    """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2.
-
-    The order-zero entry takes literally the same path as bessel_ratio on
-    beta^2 lambda^2, so the two are bit-identical.
-    """
+    """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2."""
     if nu < 0:
         raise ValueError("order must be non-negative")
-    b = beta if isinstance(beta, BigComplex) else BigComplex(beta, bits=prec.bits)
-    l2 = lambda_sq if isinstance(lambda_sq, BigComplex) else BigComplex(lambda_sq, bits=prec.bits)
-    w = b * b * l2
-    core = bessel_ratio(nu, w, prec)
-    if nu == 0:
-        return core
-    return (b ** nu) * (l2 ** nu) * core
+    with mp.workprec(prec.work_bits):
+        value, _ = scaled_bessel_entry_raw(nu, to_mpc_any(beta), to_mpc_any(lambda_sq), prec)
+    return BigComplex.from_mpc(value, _tag_bits(prec, [beta, lambda_sq]))
 
 
 # -- determinants ------------------------------------------------------------
@@ -391,21 +301,13 @@ def exact_determinant(rows):
 
 
 def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
-    """Determinant of a square BigComplex matrix by partial-pivoted elimination.
+    """Determinant of a square matrix of records or plain numbers, through det_mpc.
 
-    Evaluated at working precision; the result is tagged with the minimum of
-    prec.bits and the entries' precisions.
+    The result is tagged with the minimum of prec.bits and the entries' precisions.
     """
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    bits = min(
-        [prec.bits] + [x.bits for row in matrix for x in row if isinstance(x, BigComplex)]
-    )
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     with mp.workprec(prec.work_bits):
-        rows = [
-            [x.to_mpc() if isinstance(x, BigComplex) else mpc(_to_mpf_exact(x)) for x in row]
-            for row in matrix
-        ]
-    return BigComplex.from_mpc(det_mpc(rows, prec), bits)
+        rows = [[to_mpc_any(x) for x in row] for row in matrix]
+    return BigComplex.from_mpc(det_mpc(rows, prec), _tag_bits(prec, itertools.chain(*matrix)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp
 
 from .errors import DegenerateArguments
 from .partitions import Partition, SuperDiagram
@@ -19,8 +19,10 @@ from .precision import (
     BigComplex,
     Precision,
     _near_coincident_pairs,
+    _tag_bits,
     det_mpc,
     exact_determinant,
+    to_mpc_any,
     vandermonde,
 )
 
@@ -96,11 +98,9 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
             raise DegenerateArguments("coinciding exact arguments")
         num = exact_determinant([[Fraction(v) ** k for k in ks] for v in values])
         return num / Fraction(vandermonde(values))
-    bits = min(
-        [prec.bits] + [v.bits for v in values if isinstance(v, BigComplex)]
-    )
+    bits = _tag_bits(prec, values)
     with mp.workprec(bits + prec.guard_bits):
-        vals = [v.to_mpc() if isinstance(v, BigComplex) else mpc(v) for v in values]
+        vals = [to_mpc_any(v) for v in values]
         if any(_near_coincident_pairs(vals, bits)):
             raise DegenerateArguments("arguments too close for the bialternant form")
         num = det_mpc([[v ** k for k in ks] for v in vals], prec)

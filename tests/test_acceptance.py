@@ -52,3 +52,21 @@ def test_criterion(suite, index):
 def test_canonical_report_pinned(suite):
     _, reference = suite
     assert hashlib.sha256(reference).hexdigest() == REFERENCE_SHA256
+
+
+def test_factorial_ratio_draws_read_each_stream_position_once(monkeypatch):
+    from superint import acceptance, conjecture
+
+    read = []
+
+    def recording(seed, counter):
+        read.append(counter)
+        return splitmix64(seed, counter)
+
+    splitmix64 = conjecture.splitmix64
+    monkeypatch.setattr(acceptance, "splitmix64", recording)
+    monkeypatch.setattr(conjecture, "splitmix64", recording)
+    result = acceptance.criterion_factorial_ratio(DEFAULT_SEED, Precision())
+    assert result.passed
+    assert len(read) == 150
+    assert len(set(read)) == len(read)

@@ -55,7 +55,7 @@ def test_sample_disk_radius_and_determinism():
     for s in range(5):
         for c in range(3):
             z = sample_disk(123, s, c, 2, 256)
-            assert abs(z) <= 2
+            assert abs(z.to_mpc()) <= 2
             z2 = sample_disk(123, s, c, 2, 256)
             assert z.re == z2.re and z.im == z2.im
 

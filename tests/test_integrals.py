@@ -42,7 +42,7 @@ def test_c_constant(n, value):
 
 
 def test_berezinian_examples():
-    assert berezinian(ev([Fraction(3)], [])) == 1
+    assert berezinian(ev([Fraction(3)], [])).to_mpc() == 1
     x, y = Fraction(2, 3), Fraction(1, 5)
     val = berezinian(ev([x], [y]), PREC)
     with mp.workprec(300):
@@ -135,10 +135,11 @@ def test_ls_beta_scaling():
     # is in place: evaluating at (beta, x) equals evaluating at (1, beta^2 x)
     rng = random.Random(13)
     for m, n in ((1, 0), (2, 0), (1, 1), (2, 1), (3, 2)):
-        vals = [BigComplex(rng.uniform(0.2, 1.5)) for _ in range(m + n)]
+        xs = [Fraction(rng.uniform(0.2, 1.5)) for _ in range(m + n)]
+        vals = [BigComplex(x) for x in xs]
         beta = BigComplex(Fraction(3, 4))
         lhs = ls_closed_form(ev(vals[:m], vals[m:], beta), PREC).value
-        scaled = [beta * beta * v for v in vals]
+        scaled = [BigComplex(Fraction(3, 4) ** 2 * x) for x in xs]
         rhs = ls_closed_form(ev(scaled[:m], scaled[m:], BigComplex(1)), PREC).value
         assert rel_diff(lhs, rhs) < mpf(2) ** -(PREC.bits - 40)
 
@@ -298,14 +299,8 @@ def test_nondiag_limit_ls_against_probe():
     for e in (5, 6):
         eps = Fraction(1, 10**e)
         c = Fraction(1, 10 ** (2 * e))
-        up = ls_closed_form(
-            ev([BigComplex(a) + BigComplex(c) / BigComplex(-eps)], [BigComplex(a + eps) + BigComplex(c) / BigComplex(-eps)]),
-            PREC,
-        ).value
-        dn = ls_closed_form(
-            ev([BigComplex(a) - BigComplex(c) / BigComplex(-eps)], [BigComplex(a + eps) - BigComplex(c) / BigComplex(-eps)]),
-            PREC,
-        ).value
+        up = ls_closed_form(ev([BigComplex(a + c / -eps)], [BigComplex(a + eps + c / -eps)]), PREC).value
+        dn = ls_closed_form(ev([BigComplex(a - c / -eps)], [BigComplex(a + eps - c / -eps)]), PREC).value
         with mp.workprec(PREC.work_bits):
             slope = (up.to_mpc() - dn.to_mpc()) / (2 * mpf(c.numerator) / c.denominator)
             assert abs(slope - lim.to_mpc()) < abs(lim.to_mpc()) * 100 * mpf(10) ** -e
@@ -332,12 +327,28 @@ def test_nondiag_limit_bk_against_bessel_reference():
         assert abs(lim.to_mpc() - want) < abs(want) * mpf(2) ** -200
 
 
+def test_plain_entries_round_at_the_evaluation_bits():
+    # a plain-number entry is rounded at the evaluation's bits, not at 256
+    F = Fraction
+    hi = Precision(1024)
+    plain = ls_closed_form(SuperEigenvalues((F(1, 3), F(2, 7)), (F(5, 11),), F(1, 2)), hi).value
+    recs = SuperEigenvalues(
+        (BigComplex(F(1, 3), bits=1024), BigComplex(F(2, 7), bits=1024)),
+        (BigComplex(F(5, 11), bits=1024),),
+        BigComplex(F(1, 2), bits=1024),
+    )
+    want = ls_closed_form(recs, hi).value
+    assert plain.bits == 1024
+    with mp.workprec(1100):
+        assert abs(plain.to_mpc() - want.to_mpc()) <= abs(want.to_mpc()) * mpf(2) ** -1000
+
+
 def test_eigenvalue_json_round_trip():
     lam = ev([Fraction(2, 5), Fraction(1, 9)], [Fraction(5, 7)])
     doc = lam.to_json()
     back = SuperEigenvalues.from_json(doc)
     assert back.m == 2 and back.n == 1
-    assert rel_diff(back.bosonic[0], lam.bosonic[0]) < mpf(2) ** -200
+    assert rel_diff(back.bosonic[0], BigComplex(lam.bosonic[0])) < mpf(2) ** -200
 
 
 def test_integral_result_json():

@@ -1,5 +1,6 @@
 """Precision core: scalars, series kernels, determinants."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -56,21 +57,6 @@ def test_vandermonde_alternating(values, data):
     assert vandermonde(swapped) == -vandermonde(values)
 
 
-def test_vandermonde_keeps_operand_precision():
-    vals = [
-        BigComplex(Fraction(1, 3), 0, 512),
-        BigComplex(Fraction(-2, 7), 1, 512),
-        BigComplex(5, 0, 512),
-    ]
-    v = vandermonde(vals)
-    assert v.bits == 512
-    with mp.workprec(1024):
-        a, b, c = (x.to_mpc() for x in vals)
-        want = (a - b) * (a - c) * (b - c)
-        assert abs(v.to_mpc() - want) <= abs(want) * mpf(2) ** -500
-    assert vandermonde([BigComplex(1, 0, 512), BigComplex(3, 0, 128)]).bits == 128
-
-
 def test_vandermonde_mpc_at_ambient_precision():
     with mp.workprec(400):
         vals = [mpc(mpf(1) / 3, 1), mpc(-2, mpf(1) / 7), mpc(mpf(5) / 11, 0), mpc(0, -3)]
@@ -85,8 +71,8 @@ def test_vandermonde_mpc_at_ambient_precision():
 
 
 def test_bessel_ratio_trivial():
-    assert bessel_ratio(0, BigComplex(0)) == 1
-    assert bessel_ratio(2, BigComplex(0)) == Fraction(1, 2)
+    assert bessel_ratio(0, BigComplex(0)).to_mpc() == 1
+    assert bessel_ratio(2, BigComplex(0)).to_mpc() == mpf(1) / 2
 
 
 def test_bessel_ratio_against_frozen_oracle():
@@ -116,7 +102,7 @@ def test_bessel_ratio_cap():
 
 def test_scaled_bessel_entry_examples():
     prec = PREC
-    assert scaled_bessel_entry(0, BigComplex(3), BigComplex(0), prec) == 1
+    assert scaled_bessel_entry(0, BigComplex(3), BigComplex(0), prec).to_mpc() == 1
     assert scaled_bessel_entry(1, BigComplex(1), BigComplex(0), prec).is_zero
     val = scaled_bessel_entry(1, BigComplex(Fraction(1, 2)), BigComplex(1), prec)
     with mp.workprec(300):
@@ -128,7 +114,9 @@ def test_scaled_bessel_entry_matches_ratio_at_zero_order():
     beta = BigComplex(Fraction(2, 3))
     lam2 = BigComplex(Fraction(5, 7), Fraction(-1, 9))
     a = scaled_bessel_entry(0, beta, lam2, PREC)
-    b = bessel_ratio(0, beta * beta * lam2, PREC)
+    with mp.workprec(PREC.work_bits):
+        w = beta.to_mpc() * beta.to_mpc() * lam2.to_mpc()
+    b = bessel_ratio(0, w, PREC)
     assert a.re == b.re and a.im == b.im
 
 
@@ -141,9 +129,9 @@ def test_ls_eval_value_from_bessel():
 
 def test_determinant_examples():
     one = BigComplex(1)
-    assert determinant([[one]]) == 1
+    assert determinant([[one]]).to_mpc() == 1
     eye3 = [[BigComplex(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert determinant(eye3) == 1
+    assert determinant(eye3).to_mpc() == 1
     m = [[BigComplex(1), BigComplex(2)], [BigComplex(3), BigComplex(4)]]
     assert abs(determinant(m).to_mpc() + 2) < mpf(2) ** -200
 
@@ -177,12 +165,30 @@ def test_exact_determinant_and_cofactor_agree():
     assert exact_determinant(rows) == det_cofactor(rows)
 
 
-def test_bigcomplex_minimum_precision_propagation():
-    a = BigComplex(1, 0, bits=512)
-    b = BigComplex(Fraction(1, 3), 0, bits=128)
-    assert (a + b).bits == 128
-    assert (a * b).bits == 128
-    assert (a / 7).bits == 512
+def test_bigcomplex_is_a_record_without_arithmetic():
+    x = BigComplex(Fraction(1, 3), 2, bits=512)
+    assert x == BigComplex(Fraction(1, 3), 2, bits=512)
+    assert BigComplex(1, bits=512) == BigComplex(1, bits=128)  # bits is not compared
+    assert hash(BigComplex(1, bits=512)) == hash(BigComplex(1, bits=128))
+    assert BigComplex(1) != 1
+    for op in (lambda: x + 1, lambda: 2 * x, lambda: -x, lambda: abs(x), lambda: x < 1):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(AttributeError):
+        x.bits = 64
+
+
+def test_records_and_reports_pickle_round_trip():
+    from superint import SuperEigenvalues, ls_closed_form, verify_conjecture
+
+    x = BigComplex(Fraction(22, 7), Fraction(-1, 3), bits=192)
+    y = pickle.loads(pickle.dumps(x))
+    assert (y.re, y.im, y.bits) == (x.re, x.im, 192)
+    res = ls_closed_form(SuperEigenvalues((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)), PREC)
+    back = pickle.loads(pickle.dumps(res))
+    assert back.to_json() == res.to_json() and back.value.bits == res.value.bits
+    rep = verify_conjecture(2, 1, sample_count=2, K=16)
+    assert pickle.loads(pickle.dumps(rep)).to_json() == rep.to_json()
 
 
 def test_bigcomplex_json_round_trip():
