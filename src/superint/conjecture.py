@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import floordiv, mul
 
 from mpmath import mp, mpc, mpf
 
@@ -44,6 +45,8 @@ from .precision import (
     _to_mpf_exact,
     det_mpc,
     exact_determinant,
+    fixed_series_terms,
+    from_fixed,
     inv_factorial,
     to_mpc_any,
     vandermonde,
@@ -104,11 +107,39 @@ def sample_disk(seed: int, sample_index: int, coordinate: int, radius, bits: int
 # -- truncated series ----------------------------------------------------------
 
 
-def _require_cap(depth: int, prec: Precision):
-    if depth + 1 > prec.truncation_cap:
+def _check_depth(K: int, prec: Precision):
+    if K < 0:
+        raise ValueError("truncation depth must be non-negative")
+    if K + 1 > prec.truncation_cap:
         raise TruncationCapExceeded(
-            f"requested truncation depth {depth} exceeds the cap {prec.truncation_cap}"
+            f"requested truncation depth {K} exceeds the cap {prec.truncation_cap}"
         )
+
+
+def _fixed_bits(K: int, prec: Precision) -> int:
+    """Fraction bits work_bits + g of the fixed-point series sums, g = bit_length(K+1) + 17.
+
+    Error budget for |z| <= 4 (the verify_conjecture radius limit), in units
+    of 2^-(work_bits+g), with b = bit_length(K+1): each weight is off by at
+    most 9 (fixed_series_terms); a shifted Bessel sum of at most K+1 terms
+    by 9(K+1) + 10; a kernel sum s_k = sum_l w_l // (k+l+1) by
+    9 H + sqrt(2)(K+1) + 10, H = sum_{l<=K} 1/(l+1) <= 1 + ln(K+1); and a
+    bordered entry sum_k wb_k s_k by A (18 H + sqrt(2)(K+1) + 20), where
+    A = I_0(4) < 11.31 bounds both sum_k |w_k| and (k+1)|s_k|.  All of
+    these are below 2^4 (K+1) + 2^11 <= 2^(b+12) units, so every sum is
+    within 2^-(work_bits+5) before it is rounded to work_bits (a shifted
+    Bessel sum before its factor z^s/s!).
+    """
+    return prec.work_bits + (K + 1).bit_length() + 17
+
+
+def _shifted_bessel_sum(z, s: int, K: int, fbits: int):
+    """sum_{k=s..K} z^k / (k! (k-s)!), as z^s/s! times a fixed-point sum that starts at 1.
+
+    Taking z^s/s! out keeps full relative accuracy at small |z|.  Zero for K < s.
+    """
+    re, im = fixed_series_terms(z, s, K - s, fbits)
+    return z ** s / factorial(s) * from_fixed(sum(re), sum(im), fbits)
 
 
 def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -116,26 +147,17 @@ def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
 
     Evaluated as det[f_i(z_j)] with f_i(z) = sum_{k<=K} z^k / (k! (k-N+i)!)
     (negative factorials giving zero terms); this equals the truncated
-    multi-index sum exactly.
+    multi-index sum exactly, and is 0 for K < N-1, where no N distinct
+    indices fit.  Each f_i is a fixed-point sum (_fixed_bits).
     """
     zs = [to_mpc_any(v) for v in z]
     N = len(zs)
     if N < 1:
         raise ValueError("need at least one variable")
-    _require_cap(K, prec)
+    _check_depth(K, prec)
+    fbits = _fixed_bits(K, prec)
     with mp.workprec(prec.work_bits):
-        rows = []
-        for i in range(1, N + 1):
-            row = []
-            for zz in zs:
-                lo = max(0, N - i)
-                term = mpc(1) / (mp.factorial(lo) * mp.factorial(lo - N + i)) * zz ** lo
-                acc = term
-                for k in range(lo + 1, K + 1):
-                    term = term * zz / (k * (k - N + i))
-                    acc += term
-                row.append(acc)
-            rows.append(row)
+        rows = [[_shifted_bessel_sum(zz, N - i, K, fbits) for zz in zs] for i in range(1, N + 1)]
         return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
 
 
@@ -145,42 +167,48 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     Reduces exactly to cross-product times a bordered-kernel determinant whose
     coupled entries are the K-truncated double series
     sum z^k w^l / ((k!)^2 (l!)^2 (k+l+1)) and whose remaining columns are the
-    moment sums sum k^d z^k / (k!)^2.
+    moment sums sum (k)_d z^k / (k!)^2 with the falling factorials
+    (k)_d = k (k-1) ... (k-d+1).  They replace the powers k^d by a
+    unit-triangular column operation (k^d = sum_j S(d, j) (k)_j, Stirling
+    numbers of the second kind), which leaves the determinant unchanged, and
+    each is the shifted Bessel sum of j0_truncated's rows, so it keeps full
+    relative accuracy; a power k^d would multiply the absolute error of the
+    small tail weights by up to K^d.  The weights, the kernel sums and the
+    coupled entries are fixed-point integer sums (_fixed_bits).
     """
     zs = [to_mpc_any(v) for v in z]
     N = len(zs)
     if not 1 <= m <= N:
         raise ValueError("block size must satisfy 1 <= m <= N")
+    _check_depth(K, prec)
     n = N - m
     if n == 0:
         return j0_truncated(z, K, prec)
-    _require_cap(K, prec)
+    fbits = _fixed_bits(K, prec)
     with mp.workprec(prec.work_bits):
         cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
         if m >= n:
             big, small = zs[:m], zs[m:]
         else:
             big, small = zs[m:], zs[:m]
-        nb, ns = len(big), len(small)
+        ns, dd = len(small), len(big) - len(small)
+        wb = [fixed_series_terms(v, 0, K, fbits) for v in big]
+        ks = range(max(len(re) for re, _ in wb))
 
-        def weights(v):
-            w = [mpc(1)]
-            for k in range(1, K + 1):
-                w.append(w[-1] * v / (k * k))
-            return w
+        def kernel_sums(part):
+            # s_k = sum_l w_l // (k + l + 1) over one part (re or im) of a small-side weight list
+            return [sum(map(floordiv, part, range(k + 1, k + 1 + len(part)))) for k in ks]
 
-        wb = [weights(v) for v in big]
-        ws = [weights(v) for v in small]
-        recip = [mpf(1) / (s + 1) for s in range(2 * K + 1)]
-        # s_tab[j][k] = sum_l ws[j][l] / (k + l + 1)
-        s_tab = [[mp.fsum(wsj[l] * recip[k + l] for l in range(K + 1)) for k in range(K + 1)] for wsj in ws]
+        s_tab = [[kernel_sums(part) for part in fixed_series_terms(v, 0, K, fbits)] for v in small]
         rows = []
-        for i in range(nb):
-            row = [mp.fsum(wb[i][k] * s_tab[j][k] for k in range(K + 1)) for j in range(ns)]
-            for d in range(nb - ns):
-                row.append(mp.fsum(wb[i][k] * (k ** d) for k in range(K + 1)))
+        for (br, bi), v in zip(wb, big):
+            row = []
+            for sr, si in s_tab:
+                re = sum(map(mul, br, sr)) - sum(map(mul, bi, si))
+                im = sum(map(mul, br, si)) + sum(map(mul, bi, sr))
+                row.append(from_fixed(re, im, 2 * fbits))
+            row.extend(_shifted_bessel_sum(v, d, K, fbits) for d in range(dd))
             rows.append(row)
-        dd = nb - ns
         eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
         return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)
 

@@ -1,8 +1,9 @@
 """Working precision, the JSON boundary record and the numeric kernels every other module uses.
 
 All multiprecision arithmetic runs on mpmath values at an explicit working
-precision, so results are deterministic and independent of any global
-context the caller may have set.
+precision, or on fixed-point Python integers at an explicit scale, so
+results are deterministic and independent of any global context the caller
+may have set.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import TruncationCapExceeded
 
@@ -215,6 +217,47 @@ def bessel_ratio_raw(nu: int, w, prec: Precision):
             return term * w / ((k + 1) * (k + 1 + nu))
 
         return _series_sum(term0, update, prec)
+
+
+def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
+    """Terms t_0..t_n of sum_k nu! z^k / (k! (k+nu)!) as fixed-point complex integers.
+
+    A term (re, im) stands for (re + i im) 2^-fbits; t_0 = 1 and
+    t_k = t_{k-1} z / (k (k+nu)).  z is truncated to the scale with
+    to_fixed (an error below one unit, 2^-fbits, per part), and each step
+    is one integer complex multiply, a floor shift and a floor division by
+    k (k+nu), adding less than 2 units per part.
+
+    Error budget for |z| <= 4 (with |z|/(k (k+nu)) <= 1 for k >= 2): every
+    term is off by at most 6 units from the step errors and 3 from the
+    truncation of z, so at most 9; larger |z| scales this by the largest
+    term, as it does a floating-point sum.  The terms stop before t_n once
+    one is at most a unit in both parts: a term that small forces every
+    later ratio |z| / (k (k+nu)) below 1/2, so the dropped tail is at most
+    that term, about 10 units.
+
+    Returns (re list, im list), of equal length; both are empty for n < 0.
+    """
+    if n < 0:
+        return [], []
+    zr, zi = (to_fixed(part, fbits) for part in z._mpc_)
+    tr, ti = 1 << fbits, 0
+    re, im = [tr], [ti]
+    for k in range(1, n + 1):
+        d = k * (k + nu)
+        tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+        re.append(tr)
+        im.append(ti)
+        if -1 <= tr <= 1 and -1 <= ti <= 1:
+            break
+    return re, im
+
+
+def from_fixed(re: int, im: int, fbits: int) -> mpc:
+    """The fixed-point complex (re + i im) 2^-fbits, rounded to the ambient precision."""
+    return mp.make_mpc(
+        (from_man_exp(re, -fbits, mp.prec, round_nearest), from_man_exp(im, -fbits, mp.prec, round_nearest))
+    )
 
 
 def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:

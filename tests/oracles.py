@@ -1,12 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is deliberately naive (multi-loops, direct enumeration) and
-shares no code path with the implementations it checks.
+shares no code path with the implementations it checks.  The one exception
+is the pair of mpmath series references, which share det_mpc with
+j0_truncated and jm_truncated so that the series sums alone are compared,
+bit for bit.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from math import factorial
+
+from mpmath import mp, mpc, mpf
+
+from superint.precision import BigComplex, det_mpc, to_mpc_any
 
 
 def vandermonde_int(ks):
@@ -159,3 +167,59 @@ def poly_mul(a, b):
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def j0_truncated_mpmath(z, K, prec):
+    """The box-truncated antisymmetric series as det[f_i(z_j)], each f_i an mpc term recurrence."""
+    zs = [to_mpc_any(v) for v in z]
+    N = len(zs)
+    with mp.workprec(prec.work_bits):
+        rows = []
+        for i in range(1, N + 1):
+            row = []
+            for zz in zs:
+                lo = max(0, N - i)
+                term = mpc(1) / (mp.factorial(lo) * mp.factorial(lo - N + i)) * zz ** lo
+                acc = term
+                for k in range(lo + 1, K + 1):
+                    term = term * zz / (k * (k - N + i))
+                    acc += term
+                row.append(acc)
+            rows.append(row)
+        return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
+
+
+def jm_truncated_mpmath(z, m, K, prec):
+    """The box-truncated split series through the bordered kernel with power moment columns, in mpc."""
+    zs = [to_mpc_any(v) for v in z]
+    N = len(zs)
+    n = N - m
+    if n == 0:
+        return j0_truncated_mpmath(z, K, prec)
+    with mp.workprec(prec.work_bits):
+        cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
+        if m >= n:
+            big, small = zs[:m], zs[m:]
+        else:
+            big, small = zs[m:], zs[:m]
+        nb, ns = len(big), len(small)
+
+        def weights(v):
+            w = [mpc(1)]
+            for k in range(1, K + 1):
+                w.append(w[-1] * v / (k * k))
+            return w
+
+        wb = [weights(v) for v in big]
+        ws = [weights(v) for v in small]
+        recip = [mpf(1) / (s + 1) for s in range(2 * K + 1)]
+        s_tab = [[mp.fsum(wsj[l] * recip[k + l] for l in range(K + 1)) for k in range(K + 1)] for wsj in ws]
+        rows = []
+        for i in range(nb):
+            row = [mp.fsum(wb[i][k] * s_tab[j][k] for k in range(K + 1)) for j in range(ns)]
+            for d in range(nb - ns):
+                row.append(mp.fsum(wb[i][k] * (k ** d) for k in range(K + 1)))
+            rows.append(row)
+        dd = nb - ns
+        eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
+        return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)
