@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import __version__, acceptance
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
-from .precision import DEFAULT_BITS, Precision
+from .precision import DEFAULT_BITS, DEFAULT_TRUNCATION_CAP, Precision
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -33,7 +33,7 @@ class RunConfig:
 
     command: str
     precision_bits: int = DEFAULT_BITS
-    truncation_cap: int = 512
+    truncation_cap: int = DEFAULT_TRUNCATION_CAP
     seed: int = acceptance.DEFAULT_SEED
     jobs: int = 1
     input_path: str | None = None
@@ -151,7 +151,7 @@ _COMMON_FLAGS = {
         "default": None,
         "help": f"working precision in bits (default: ${PREC_BITS_ENV}, else {DEFAULT_BITS})",
     },
-    "--trunc-cap": {"type": int, "default": 512},
+    "--trunc-cap": {"type": int, "default": DEFAULT_TRUNCATION_CAP},
     "--seed": {"type": int, "default": acceptance.DEFAULT_SEED},
     "--jobs": {"type": int, "default": 1},
     "--json-out": {"type": str, "default": None, "help": "report path (default: stdout)"},

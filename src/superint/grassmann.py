@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from .errors import GeneratorMismatch, NonInvertibleBody
-from .precision import DEFAULT_PRECISION, Precision, _series_sum, inv_factorial, to_mpc_any
+from .errors import GeneratorMismatch, NonInvertibleBody, TruncationCapExceeded
+from .precision import DEFAULT_PRECISION, Precision, inv_factorial, to_mpc_any
 
 
 class GaussianRational:
@@ -413,6 +413,39 @@ def _scalar_inverse(c):
     if isinstance(c, (Fraction, GaussianRational)):
         return 1 / c
     return 1 / mpc(c)
+
+
+def _series_sum(term0, update, prec: Precision):
+    """Adaptive partial sum: terms start at term0, update(k, term) -> term_{k+1}.
+
+    Stops once two consecutive term magnitudes drop below 2^-(bits+guard)
+    times the largest partial-sum magnitude seen so far (two, so that a
+    single zero coefficient inside a series cannot end the sum early).
+    Raises TruncationCapExceeded when the rule is not met within the cap.
+    Returns (sum, terms_used).
+    """
+    threshold_exp = -(prec.bits + prec.guard_bits)
+    with mp.workprec(prec.work_bits):
+        total = mpc(0)
+        term = term0
+        max_mag = mpf(1)
+        cutoff = mpf(2) ** threshold_exp
+        small_run = 0
+        for k in range(prec.truncation_cap):
+            total += term
+            mag = abs(total)
+            if mag > max_mag:
+                max_mag = mag
+            if abs(term) < cutoff * max_mag:
+                small_run += 1
+                if small_run >= 2:
+                    return total, k + 1
+            else:
+                small_run = 0
+            term = update(k, term)
+    raise TruncationCapExceeded(
+        f"series did not converge within {prec.truncation_cap} terms"
+    )
 
 
 @dataclass(frozen=True)

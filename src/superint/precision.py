@@ -172,61 +172,83 @@ def _near_coincident_pairs(values, bits: int):
 # -- power series kernels ----------------------------------------------------
 
 
-def _series_sum(term0, update, prec: Precision):
-    """Adaptive partial sum: terms start at term0, update(k, term) -> term_{k+1}.
+def _fixed_terms(zr: int, zi: int, nu: int, fbits: int):
+    """Endless terms t_0 = 1, t_k = t_{k-1} z / (k (k+nu)) as fixed-point complex integers.
 
-    Stops once two consecutive term magnitudes drop below 2^-(bits+guard)
-    times the largest partial-sum magnitude seen so far (two, so that a
-    single zero coefficient inside a series cannot end the sum early).
-    Raises TruncationCapExceeded when the rule is not met within the cap.
-    Returns (sum, terms_used).
+    z = (zr + i zi) 2^-fbits and each term (re, im) stands for (re + i im)
+    2^-fbits.  Each step is one integer complex multiply, a floor shift and a
+    floor division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so
+    below 2 sqrt(2) < 3 units in modulus.
     """
-    threshold_exp = -(prec.bits + prec.guard_bits)
-    with mp.workprec(prec.work_bits):
-        total = mpc(0)
-        term = term0
-        max_mag = mpf(1)
-        cutoff = mpf(2) ** threshold_exp
-        small_run = 0
-        for k in range(prec.truncation_cap):
-            total += term
-            mag = abs(total)
-            if mag > max_mag:
-                max_mag = mag
-            if abs(term) < cutoff * max_mag:
-                small_run += 1
-                if small_run >= 2:
-                    return total, k + 1
-            else:
-                small_run = 0
-            term = update(k, term)
-    raise TruncationCapExceeded(
-        f"series did not converge within {prec.truncation_cap} terms"
-    )
+    tr, ti = 1 << fbits, 0
+    k = 0
+    while True:
+        yield tr, ti
+        k += 1
+        d = k * (k + nu)
+        tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
 
 
 def bessel_ratio_raw(nu: int, w, prec: Precision):
-    """Sum over k of w^k / (k! (k+nu)!) as an mpc, with the term count used."""
+    """Sum over k of w^k / (k! (k+nu)!) as an mpc, with the term count used.
+
+    Sums T_k = nu! w^k / (k! (k+nu)!) as fixed-point complex integers
+    (_fixed_terms) at the scale 2^-F, F = work_bits + g with
+    g = bit_length(cap) + 14, and divides by nu! once at the end, so a high
+    order costs no relative accuracy.  w is rounded to work_bits and then
+    truncated to the scale (exact unless a part is below 2^-(g+1)).
+
+    Stopping rule: after two consecutive terms with
+    |t_k| < 2^-work_bits max(1, max_j<=k |partial sum_j|), compared exactly
+    as squared norms of the integers; TruncationCapExceeded when the rule is
+    not met within the cap.  For |w| >= cap (cap+nu) every term t_1..t_cap
+    is at least the one before it, so the rule can only be met at the
+    second term, by two terms below 2^-work_bits; past it the sum raises at
+    once instead of growing its integers to the cap.
+
+    Error budget, in units of 2^-F: since the ratios |w| / (k (k+nu))
+    decrease in k, |T_k / T_j| <= |T_(k-j)|, so the step errors carried into
+    T_k add up to at most 3 sum_(m<=k) |T_m| <= 3 A, where
+    A = sum_k |T_k| = nu! R(nu, |w|) >= 1; the truncation of w adds at
+    most 2 A.  A sum of n <= cap terms is therefore within (3 n + 2) A
+    < 2^(g-12) A units, that is 2^-(work_bits+12) A, before it is rounded
+    to work_bits and divided by nu!.  A bounds the largest term, which for
+    |w| near cap^2 is about 2^1450 at the default cap; the relative error
+    of the result is this bound times A / |sum|, the cancellation factor,
+    which a floating-point sum of the same terms pays as well.
+    """
     if nu < 0:
         raise ValueError("order must be non-negative")
+    cap = prec.truncation_cap
+    fbits = prec.work_bits + cap.bit_length() + 14
     with mp.workprec(prec.work_bits):
         w = mpc(w)
-        term0 = mpc(1) / mp.factorial(nu)
-
-        def update(k, term):
-            return term * w / ((k + 1) * (k + 1 + nu))
-
-        return _series_sum(term0, update, prec)
+        limit = cap if abs(w) < cap * (cap + nu) else 2
+        zr, zi = (to_fixed(part, fbits) for part in w._mpc_)
+        shift = 2 * prec.work_bits
+        nu_fact = math.factorial(nu)
+        peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
+        sr = si = 0
+        small_run = 0
+        for k, (tr, ti) in enumerate(itertools.islice(_fixed_terms(zr, zi, nu, fbits), limit)):
+            sr += tr
+            si += ti
+            peak = max(peak, sr * sr + si * si)
+            if (tr * tr + ti * ti) << shift < peak:
+                small_run += 1
+                if small_run >= 2:
+                    return from_fixed(sr, si, fbits) / nu_fact, k + 1
+            else:
+                small_run = 0
+    raise TruncationCapExceeded(f"series did not converge within {cap} terms")
 
 
 def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
     """Terms t_0..t_n of sum_k nu! z^k / (k! (k+nu)!) as fixed-point complex integers.
 
-    A term (re, im) stands for (re + i im) 2^-fbits; t_0 = 1 and
-    t_k = t_{k-1} z / (k (k+nu)).  z is truncated to the scale with
-    to_fixed (an error below one unit, 2^-fbits, per part), and each step
-    is one integer complex multiply, a floor shift and a floor division by
-    k (k+nu), adding less than 2 units per part.
+    A term (re, im) stands for (re + i im) 2^-fbits (_fixed_terms).  z is
+    truncated to the scale with to_fixed, an error below one unit, 2^-fbits,
+    per part.
 
     Error budget for |z| <= 4 (with |z|/(k (k+nu)) <= 1 for k >= 2): every
     term is off by at most 6 units from the step errors and 3 from the
@@ -238,14 +260,9 @@ def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
 
     Returns (re list, im list), of equal length; both are empty for n < 0.
     """
-    if n < 0:
-        return [], []
+    re, im = [], []
     zr, zi = (to_fixed(part, fbits) for part in z._mpc_)
-    tr, ti = 1 << fbits, 0
-    re, im = [tr], [ti]
-    for k in range(1, n + 1):
-        d = k * (k + nu)
-        tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+    for tr, ti in itertools.islice(_fixed_terms(zr, zi, nu, fbits), max(n + 1, 0)):
         re.append(tr)
         im.append(ti)
         if -1 <= tr <= 1 and -1 <= ti <= 1:

@@ -4,7 +4,9 @@ Everything here is deliberately naive (multi-loops, direct enumeration) and
 shares no code path with the implementations it checks.  The one exception
 is the pair of mpmath series references, which share det_mpc with
 j0_truncated and jm_truncated so that the series sums alone are compared,
-bit for bit.
+bit for bit.  bessel_ratio_mpmath is the even Bessel kernel summed in mpc
+under the same stopping rule, so that bessel_ratio_raw's values and term
+counts can be compared with it bit for bit.
 """
 
 import math
@@ -14,6 +16,7 @@ from math import factorial
 
 from mpmath import mp, mpc, mpf
 
+from superint.errors import TruncationCapExceeded
 from superint.precision import BigComplex, det_mpc, to_mpc_any
 
 
@@ -167,6 +170,33 @@ def poly_mul(a, b):
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
+
+
+def bessel_ratio_mpmath(nu, w, prec):
+    """Sum over k of w^k / (k! (k+nu)!) in mpc at work_bits, with the term count used.
+
+    Stops after two consecutive terms with |term| < 2^-work_bits times
+    max(1, the largest partial-sum magnitude so far); raises
+    TruncationCapExceeded when that does not happen within the cap.
+    """
+    with mp.workprec(prec.work_bits):
+        w = mpc(w)
+        term = mpc(1) / mp.factorial(nu)
+        total = mpc(0)
+        max_mag = mpf(1)
+        cutoff = mpf(2) ** -prec.work_bits
+        small_run = 0
+        for k in range(prec.truncation_cap):
+            total += term
+            max_mag = max(max_mag, abs(total))
+            if abs(term) < cutoff * max_mag:
+                small_run += 1
+                if small_run >= 2:
+                    return total, k + 1
+            else:
+                small_run = 0
+            term = term * w / ((k + 1) * (k + 1 + nu))
+    raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
 
 
 def j0_truncated_mpmath(z, K, prec):

@@ -105,6 +105,15 @@ def test_truncation_cap_exits_3():
     assert out.returncode == 3
 
 
+def test_huge_argument_exits_3():
+    # w = beta^2 lambda = 2.5e99999: every term of the kernel grows through the cap
+    doc = json.loads(LS_INPUT)
+    doc["bosonic"] = [{"re": "1e100000", "im": "0"}]
+    out = run_cli("ls-eval", "--input-json", json.dumps(doc))
+    assert out.returncode == 3
+    assert "did not converge within 512 terms" in out.stderr
+
+
 def test_conjecture_verify_pass_and_exit_codes():
     out = run_cli("conjecture-verify", "--N", "2", "--m", "1", "--samples", "3")
     assert out.returncode == 0

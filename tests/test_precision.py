@@ -19,9 +19,9 @@ from superint import (
     scaled_bessel_entry,
     vandermonde,
 )
-from superint.precision import exact_determinant
+from superint.precision import bessel_ratio_raw, exact_determinant
 
-from oracles import det_cofactor
+from oracles import bessel_ratio_mpmath, det_cofactor
 
 PREC = Precision()
 
@@ -98,6 +98,64 @@ def test_bessel_ratio_cap():
     tiny_cap = Precision(bits=256, truncation_cap=8)
     with pytest.raises(TruncationCapExceeded):
         bessel_ratio(0, BigComplex(50), tiny_cap)
+    # the cap counts terms: exactly the terms the mpc reference needs suffice, one fewer raises
+    _, needed = bessel_ratio_mpmath(0, 50, PREC)
+    assert bessel_ratio_raw(0, 50, Precision(truncation_cap=needed))[1] == needed
+    with pytest.raises(TruncationCapExceeded):
+        bessel_ratio_raw(0, 50, Precision(truncation_cap=needed - 1))
+
+
+def _kernel_outcome(kernel, nu, w, prec):
+    """(value rounded to prec.bits, terms used), or None when the kernel hits the cap."""
+    try:
+        value, terms = kernel(nu, w, prec)
+    except TruncationCapExceeded:
+        return None
+    rounded = BigComplex.from_mpc(value, prec.bits)
+    return rounded.re, rounded.im, terms
+
+
+@pytest.mark.parametrize("nu", [0, 3, 100])
+def test_bessel_ratio_cap_boundary_matches_reference(nu):
+    # at |w| >= cap (cap+nu) the terms grow through the cap: both kernels raise,
+    # unless 1/nu! and the next term are already below 2^-work_bits (nu = 100)
+    prec = Precision(truncation_cap=8)
+    edge = 8 * (8 + nu)
+    for w in (edge - 1, edge, mpc(0, edge), -edge * 10**6, mpf("1e100000")):
+        want = _kernel_outcome(bessel_ratio_mpmath, nu, w, prec)
+        assert _kernel_outcome(bessel_ratio_raw, nu, w, prec) == want, w
+    assert _kernel_outcome(bessel_ratio_raw, 100, edge * 10**6, prec)[2] == 2
+
+
+def test_bessel_ratio_huge_argument_raises_at_once():
+    # every term grows through the cap; the integers must not be grown that far
+    with pytest.raises(TruncationCapExceeded):
+        bessel_ratio_raw(0, mpf("1e100000"), PREC)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
+def test_bessel_ratio_bit_identical_to_mpmath_reference(bits):
+    # nu = 0..12, |w| = 1e-3..1e2 at eight phases: same value at prec.bits, same term count
+    prec = Precision(bits=bits)
+    for nu in range(13):
+        for exponent in range(-3, 3):
+            for j in range(8):
+                with mp.workprec(prec.work_bits):
+                    w = mpf(10) ** exponent * mp.expjpi(mpf(j) / 4)
+                got = _kernel_outcome(bessel_ratio_raw, nu, w, prec)
+                assert got == _kernel_outcome(bessel_ratio_mpmath, nu, w, prec), (nu, exponent, j)
+
+
+@pytest.mark.parametrize("w", [-1000, -5000, mpc(-10000, 10)])
+def test_bessel_ratio_at_least_as_close_as_mpmath_reference(w):
+    # negative-axis sums cancel about 90, 200 and 290 bits, the last all of the 288 working bits
+    prec = Precision(bits=256)
+    for nu in (0, 1, 5):
+        with mp.workprec(prec.bits + 512):
+            exact = mp.hyp0f1(nu + 1, w) / mp.factorial(nu)
+            err = abs(bessel_ratio_raw(nu, w, prec)[0] - exact)
+            err_reference = abs(bessel_ratio_mpmath(nu, w, prec)[0] - exact)
+        assert err <= err_reference, nu
 
 
 def test_scaled_bessel_entry_examples():
