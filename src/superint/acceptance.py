@@ -25,6 +25,7 @@ from .bruteforce import brute_force_ls
 from .conjecture import (
     bk_character_sum,
     character_expansion_check,
+    clear_series_memo,
     factorial_ratio_identity_holds,
     lr_relation_check,
     partial_coefficient_check,
@@ -401,8 +402,14 @@ def canonical_report(results, prec: Precision, seed: int) -> bytes:
 
 
 def criterion_determinism(prec: Precision, seed: int, reference: bytes) -> CriterionResult:
-    """Reruns of the suite yield byte-identical reports, independent of workers."""
+    """Reruns of the suite yield byte-identical reports, independent of workers.
+
+    Each rerun starts with an empty series memo, so it recomputes every
+    J0 = Jm table instead of reading the earlier run's values.
+    """
+    clear_series_memo()
     rerun_serial = canonical_report(run_criteria_1_12(prec, seed, jobs=1), prec, seed)
+    clear_series_memo()
     rerun_parallel = canonical_report(run_criteria_1_12(prec, seed, jobs=2), prec, seed)
     same = reference == rerun_serial == rerun_parallel
     return CriterionResult(

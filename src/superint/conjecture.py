@@ -43,12 +43,12 @@ from .precision import (
     BigComplex,
     Precision,
     _to_mpf_exact,
+    as_record,
     det_mpc,
     exact_determinant,
     fixed_series_terms,
     from_fixed,
     inv_factorial,
-    to_mpc_any,
     vandermonde,
 )
 from .schur import lr_coefficient, super_schur_tableaux
@@ -133,13 +133,87 @@ def _fixed_bits(K: int, prec: Precision) -> int:
     return prec.work_bits + (K + 1).bit_length() + 17
 
 
-def _shifted_bessel_sum(z, s: int, K: int, fbits: int):
-    """sum_{k=s..K} z^k / (k! (k-s)!), as z^s/s! times a fixed-point sum that starts at 1.
+# -- per-z series tables ---------------------------------------------------------
+#
+# sample_disk ignores m and N, so every (N, m) cell of one sample draws a
+# prefix of the same z, and j0_truncated and jm_truncated share the tables
+# below across calls.  They are keyed on the exact value of z with K and the
+# Precision and filled on first use, so a cold call does no arithmetic the
+# uncached one would not.  Once a memo holds its cap, the oldest entry goes
+# first.  The caps hold one criterion-5 cell's 10 samples (80 z and 10
+# vectors at N = 8), and so one perfbench grid sweep (8 z in 7 vectors).
 
-    Taking z^s/s! out keeps full relative accuracy at small |z|.  Zero for K < s.
-    """
-    re, im = fixed_series_terms(z, s, K - s, fbits)
-    return z ** s / factorial(s) * from_fixed(sum(re), sum(im), fbits)
+_TABLES_CAP = 80
+_J0_CAP = 10
+_tables_memo: dict = {}
+_j0_memo: dict = {}
+
+
+def clear_series_memo() -> None:
+    """Forget every cached table and J0 value, so the next calls compute them anew."""
+    _tables_memo.clear()
+    _j0_memo.clear()
+
+
+def _remember(memo: dict, key, value, cap: int):
+    """Store value under key, first dropping the oldest entry of a full memo."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+class _SeriesTables:
+    """The fixed-K series of one z: the weights, the shifted Bessel sums and the kernel sums."""
+
+    __slots__ = ("z", "K", "fbits", "_weights", "_shifted", "_kernel")
+
+    def __init__(self, z, K: int, fbits: int):
+        self.z, self.K, self.fbits = z, K, fbits
+        self._weights = None
+        self._shifted = {}
+        self._kernel = ([], [])
+
+    def weights(self):
+        """The s = 0 terms z^k / (k!)^2, k <= K, as fixed-point (re, im) lists."""
+        if self._weights is None:
+            self._weights = fixed_series_terms(self.z, 0, self.K, self.fbits)
+        return self._weights
+
+    def shifted(self, s: int):
+        """sum_{k=s..K} z^k / (k! (k-s)!), as z^s/s! times a fixed-point sum that starts at 1.
+
+        Taking z^s/s! out keeps full relative accuracy at small |z|.  Zero
+        for K < s.  Rounded to the ambient precision, work_bits.  At s = 0
+        the terms are the weights.
+        """
+        value = self._shifted.get(s)
+        if value is None:
+            z, K, fbits = self.z, self.K, self.fbits
+            re, im = self.weights() if s == 0 else fixed_series_terms(z, s, K - s, fbits)
+            value = self._shifted[s] = z ** s / factorial(s) * from_fixed(sum(re), sum(im), fbits)
+        return value
+
+    def kernel(self, length: int):
+        """(re, im) lists of the kernel sums s_k = sum_l w_l // (k + l + 1), at least k < length.
+
+        Each s_k is the same integer whatever length is asked for, so the
+        lists only grow.
+        """
+        have = len(self._kernel[0])
+        if have < length:
+            for sums, part in zip(self._kernel, self.weights()):
+                n = len(part)
+                sums.extend(sum(map(floordiv, part, range(k + 1, k + 1 + n))) for k in range(have, length))
+        return self._kernel
+
+
+def _series_tables(z, K: int, prec: Precision) -> _SeriesTables:
+    key = (z._mpc_, K, prec)
+    tables = _tables_memo.get(key)
+    if tables is None:
+        tables = _remember(_tables_memo, key, _SeriesTables(z, K, _fixed_bits(K, prec)), _TABLES_CAP)
+    return tables
 
 
 def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -148,17 +222,22 @@ def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     Evaluated as det[f_i(z_j)] with f_i(z) = sum_{k<=K} z^k / (k! (k-N+i)!)
     (negative factorials giving zero terms); this equals the truncated
     multi-index sum exactly, and is 0 for K < N-1, where no N distinct
-    indices fit.  Each f_i is a fixed-point sum (_fixed_bits).
+    indices fit.  Each f_i is a fixed-point sum (_fixed_bits).  Plain
+    numbers in z are rounded to prec.bits; the value is memoized per z vector.
     """
-    zs = [to_mpc_any(v) for v in z]
+    zs = [as_record(v, prec.bits).to_mpc() for v in z]
     N = len(zs)
     if N < 1:
         raise ValueError("need at least one variable")
     _check_depth(K, prec)
-    fbits = _fixed_bits(K, prec)
-    with mp.workprec(prec.work_bits):
-        rows = [[_shifted_bessel_sum(zz, N - i, K, fbits) for zz in zs] for i in range(1, N + 1)]
-        return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
+    key = (tuple(v._mpc_ for v in zs), K, prec)
+    value = _j0_memo.get(key)
+    if value is None:
+        tables = [_series_tables(v, K, prec) for v in zs]
+        with mp.workprec(prec.work_bits):
+            rows = [[t.shifted(N - i) for t in tables] for i in range(1, N + 1)]
+            value = _remember(_j0_memo, key, BigComplex.from_mpc(det_mpc(rows, prec), prec.bits), _J0_CAP)
+    return value
 
 
 def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -174,9 +253,10 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     each is the shifted Bessel sum of j0_truncated's rows, so it keeps full
     relative accuracy; a power k^d would multiply the absolute error of the
     small tail weights by up to K^d.  The weights, the kernel sums and the
-    coupled entries are fixed-point integer sums (_fixed_bits).
+    coupled entries are fixed-point integer sums (_fixed_bits); the weights,
+    the kernel sums and the moment columns come from the per-z tables.
     """
-    zs = [to_mpc_any(v) for v in z]
+    zs = [as_record(v, prec.bits).to_mpc() for v in z]
     N = len(zs)
     if not 1 <= m <= N:
         raise ValueError("block size must satisfy 1 <= m <= N")
@@ -185,29 +265,24 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     if n == 0:
         return j0_truncated(z, K, prec)
     fbits = _fixed_bits(K, prec)
+    tables = [_series_tables(v, K, prec) for v in zs]
     with mp.workprec(prec.work_bits):
         cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
         if m >= n:
-            big, small = zs[:m], zs[m:]
+            big, small = tables[:m], tables[m:]
         else:
-            big, small = zs[m:], zs[:m]
+            big, small = tables[m:], tables[:m]
         ns, dd = len(small), len(big) - len(small)
-        wb = [fixed_series_terms(v, 0, K, fbits) for v in big]
-        ks = range(max(len(re) for re, _ in wb))
-
-        def kernel_sums(part):
-            # s_k = sum_l w_l // (k + l + 1) over one part (re or im) of a small-side weight list
-            return [sum(map(floordiv, part, range(k + 1, k + 1 + len(part)))) for k in ks]
-
-        s_tab = [[kernel_sums(part) for part in fixed_series_terms(v, 0, K, fbits)] for v in small]
+        wb = [t.weights() for t in big]
+        s_tab = [t.kernel(max(len(re) for re, _ in wb)) for t in small]
         rows = []
-        for (br, bi), v in zip(wb, big):
+        for (br, bi), t in zip(wb, big):
             row = []
             for sr, si in s_tab:
                 re = sum(map(mul, br, sr)) - sum(map(mul, bi, si))
                 im = sum(map(mul, br, si)) + sum(map(mul, bi, sr))
                 row.append(from_fixed(re, im, 2 * fbits))
-            row.extend(_shifted_bessel_sum(v, d, K, fbits) for d in range(dd))
+            row.extend(t.shifted(d) for d in range(dd))
             rows.append(row)
         eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
         return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)

@@ -23,17 +23,13 @@ from .precision import (
     BigComplex,
     Precision,
     _near_coincident_pairs,
+    as_record,
     bessel_ratio_raw,
     det_mpc,
     scaled_bessel_entry_raw,
     to_mpc_any,
     vandermonde,
 )
-
-
-def _record(v, bits: int) -> BigComplex:
-    """A record as it is; a plain number rounded to a `bits`-bit record."""
-    return v if isinstance(v, BigComplex) else BigComplex(v, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -55,9 +51,9 @@ class SuperEigenvalues:
 
     def values(self, bits: int):
         """(bosonic, fermionic, beta) as mpc, plain entries rounded to `bits` bits."""
-        bos = [_record(v, bits).to_mpc() for v in self.bosonic]
-        ferm = [_record(v, bits).to_mpc() for v in self.fermionic]
-        return bos, ferm, _record(self.beta, bits).to_mpc()
+        bos = [as_record(v, bits).to_mpc() for v in self.bosonic]
+        ferm = [as_record(v, bits).to_mpc() for v in self.fermionic]
+        return bos, ferm, as_record(self.beta, bits).to_mpc()
 
     @property
     def m(self) -> int:
@@ -71,9 +67,9 @@ class SuperEigenvalues:
         return {
             "m": self.m,
             "n": self.n,
-            "beta": _record(self.beta, DEFAULT_BITS).to_json(),
-            "bosonic": [_record(v, DEFAULT_BITS).to_json() for v in self.bosonic],
-            "fermionic": [_record(v, DEFAULT_BITS).to_json() for v in self.fermionic],
+            "beta": as_record(self.beta, DEFAULT_BITS).to_json(),
+            "bosonic": [as_record(v, DEFAULT_BITS).to_json() for v in self.bosonic],
+            "fermionic": [as_record(v, DEFAULT_BITS).to_json() for v in self.fermionic],
         }
 
     @classmethod

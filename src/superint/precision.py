@@ -125,6 +125,11 @@ class BigComplex:
         return f"BigComplex({mp.nstr(self.re, 12)}, {mp.nstr(self.im, 12)}, bits={self.bits})"
 
 
+def as_record(v, bits: int) -> BigComplex:
+    """A record as it is; any other number rounded to a `bits`-bit record."""
+    return v if isinstance(v, BigComplex) else BigComplex(v, bits=bits)
+
+
 def _tag_bits(prec: Precision, values) -> int:
     """The bits a result carries: prec.bits, or fewer if a record among `values` has fewer."""
     return min([prec.bits] + [v.bits for v in values if isinstance(v, BigComplex)])

@@ -70,3 +70,33 @@ def test_factorial_ratio_draws_read_each_stream_position_once(monkeypatch):
     assert result.passed
     assert len(read) == 150
     assert len(set(read)) == len(read)
+
+
+def test_determinism_reruns_recompute_the_series_tables(monkeypatch):
+    # criterion 13 must rerun the J0 = Jm series, not read the first run's memo
+    from superint import acceptance, conjecture
+
+    computed = []
+
+    def counting(*args):
+        computed.append(args)
+        return fixed_series_terms(*args)
+
+    fixed_series_terms = conjecture.fixed_series_terms
+    monkeypatch.setattr(conjecture, "fixed_series_terms", counting)
+    prec = Precision()
+    z = [conjecture.sample_disk(DEFAULT_SEED, 0, c, 2, prec.bits) for c in range(3)]
+    misses = []
+
+    def run(prec, seed, jobs=1):
+        before = len(computed)
+        for m in range(1, 4):
+            conjecture.jm_truncated(z, m, 64, prec)
+        misses.append(len(computed) - before)
+        return []
+
+    monkeypatch.setattr(acceptance, "run_criteria_1_12", run)
+    conjecture.clear_series_memo()
+    reference = acceptance.canonical_report(run(prec, DEFAULT_SEED), prec, DEFAULT_SEED)
+    assert acceptance.criterion_determinism(prec, DEFAULT_SEED, reference).passed
+    assert misses[0] > 0 and misses == [misses[0]] * 3

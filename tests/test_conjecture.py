@@ -1,5 +1,6 @@
 """Series identity machinery, exact coefficient checks, deterministic sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from superint import (
     theorem_c_checks,
     verify_conjecture,
 )
+from superint import conjecture
 from superint.conjecture import (
+    clear_series_memo,
     factorial_ratio_identity_holds,
     j0_series_coefficient,
     sample_disk,
@@ -180,14 +183,80 @@ def test_negative_depth_is_rejected():
 
 @pytest.mark.parametrize("seed", [42, 4001])
 def test_series_bit_identical_to_mpmath_reference_on_grid_cells(seed):
-    # criterion 5's cells: N = 2..8, every m, radius 2, K = 64, 256 bits
-    for s in range(2):
-        for N in range(2, 9):
+    # criterion 5's cells: N = 2..8, every m, radius 2, K = 64, 256 bits, at
+    # samples 0-1; visited in order, shuffled and reversed with the series memo
+    # shared across the whole order, and cold, with the memo cleared before every call
+    cells = [(s, N, m) for s in range(2) for N in range(2, 9) for m in range(1, N + 1)]
+    want = {}
+    for s, N, m in cells:
+        z = [sample_disk(seed, s, c, 2, PREC.bits) for c in range(N)]
+        want[s, N, m] = j0_truncated_mpmath(z, 64, PREC) if m == N else jm_truncated_mpmath(z, m, 64, PREC)
+    shuffled = list(cells)
+    random.Random(seed).shuffle(shuffled)
+    for order, cold in ((cells, False), (shuffled, False), (cells[::-1], False), (cells, True)):
+        clear_series_memo()
+        for s, N, m in order:
             z = [sample_disk(seed, s, c, 2, PREC.bits) for c in range(N)]
-            pairs = [(j0_truncated(z, 64, PREC), j0_truncated_mpmath(z, 64, PREC))]
-            pairs += [(jm_truncated(z, m, 64, PREC), jm_truncated_mpmath(z, m, 64, PREC)) for m in range(1, N)]
-            for got, want in pairs:
-                assert (got.re, got.im) == (want.re, want.im), (s, N)
+            if cold:
+                clear_series_memo()
+            j0 = j0_truncated(z, 64, PREC)
+            if cold:
+                clear_series_memo()
+            jm = jm_truncated(z, m, 64, PREC)
+            for value, ref in ((j0, want[s, N, N]), (jm, want[s, N, m])):
+                assert (value.re, value.im) == (ref.re, ref.im), (s, N, m, cold)
+
+
+def test_plain_arguments_are_rounded_at_the_requested_bits():
+    # a Fraction used to be rounded at the caller's mp.prec (53 bits by default)
+    prec = Precision(bits=256)
+    records = [BigComplex(v, bits=256) for v in Z3]
+    for f in (lambda z: j0_truncated(z, 64, prec), lambda z: jm_truncated(z, 1, 64, prec)):
+        clear_series_memo()
+        want = f(records)
+        for ambient in (53, 400):
+            clear_series_memo()
+            with mp.workprec(ambient):
+                got = f(Z3)
+            assert (got.re, got.im) == (want.re, want.im), ambient
+
+
+def test_series_memo_key_separates_depth_bits_and_guard_bits():
+    z = [sample_disk(42, 0, c, 2, 512) for c in range(3)]
+    keys = [(K, Precision(bits=b, guard_bits=g)) for K in (32, 64) for b in (128, 256) for g in (0, 32)]
+
+    def values(K, prec):
+        return tuple((v.re, v.im) for v in [j0_truncated(z, K, prec)] + [jm_truncated(z, m, K, prec) for m in (1, 2)])
+
+    cold = {}
+    for key in keys:
+        clear_series_memo()
+        cold[key] = values(*key)
+    # every key but K at 128 bits (the K = 32 tail is below 2^-200) gives its own
+    # values, so a key that dropped K, bits or guard_bits would return a wrong one
+    assert len(set(cold.values())) == len(keys) - 2
+    clear_series_memo()
+    for key in keys + keys[::-1]:
+        assert values(*key) == cold[key], key
+
+
+def test_kernel_sums_do_not_depend_on_the_length_asked_for():
+    z, fbits = sample_disk(42, 0, 0, 2, PREC.bits).to_mpc(), conjecture._fixed_bits(64, PREC)
+    grown = conjecture._SeriesTables(z, 64, fbits)
+    fresh = conjecture._SeriesTables(z, 64, fbits)
+    assert len(grown.kernel(3)[0]) == 3
+    assert grown.kernel(40) == fresh.kernel(40)
+    assert len(fresh.kernel(40)[0]) == 40
+
+
+def test_series_memo_stays_at_its_cap():
+    clear_series_memo()
+    for s in range(40):
+        z = [sample_disk(9, s, c, 2, PREC.bits) for c in range(3)]
+        j0_truncated(z, 8, PREC)
+        jm_truncated(z, 1, 8, PREC)
+    assert len(conjecture._tables_memo) == conjecture._TABLES_CAP
+    assert len(conjecture._j0_memo) == conjecture._J0_CAP
 
 
 # At N = 8 and radius 1/100 the bordered determinant cancels up to 38 bits in
