@@ -36,7 +36,6 @@ from .precision import (
     vandermonde,
 )
 from .partitions import (
-    KIndices,
     Partition,
     SuperDiagram,
     assemble,
@@ -44,6 +43,7 @@ from .partitions import (
     dimension_glm,
     hook_product,
     is_covariant,
+    k_indices,
     norm_alpha,
     partitions_of,
     sigma_coefficient,

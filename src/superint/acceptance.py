@@ -275,35 +275,25 @@ def criterion_confluent_limits(seed, prec) -> CriterionResult:
     detail = {}
     ok = True
     with mp.workprec(prec.work_bits):
-        # one-source, repeated bosonic value at (2,1)
-        conf = ls_closed_form(SuperEigenvalues((x, x), (y,), beta), prec).value.to_mpc()
-        slopes = []
-        for e in (4, 6, 8):
-            eps = Fraction(1, 10**e)
-            gen = ls_closed_form(SuperEigenvalues((x, x + eps), (y,), beta), prec).value.to_mpc()
-            rel = abs(gen - conf) / abs(conf)
-            slopes.append(rel * 10**e)
-            if e == 6 and not rel <= mpf(100) * mpf(10) ** -6:
-                ok = False
-        if max(slopes) > 50 * min(slopes):
-            ok = False
-        detail["one_source_slopes"] = [mp.nstr(s, 6) for s in slopes]
-        # two-source, repeated bosonic value in the first set at (2,1)
+        # a repeated bosonic value at (2,1): one source, then two with the second set fixed
         mu = SuperEigenvalues((Fraction(2, 5), Fraction(1, 4)), (Fraction(5, 9),), beta)
-        conf = bk_closed_form(SuperEigenvalues((x, x), (y,), beta), mu, prec).value.to_mpc()
-        slopes = []
-        for e in (4, 6, 8):
-            eps = Fraction(1, 10**e)
-            gen = bk_closed_form(
-                SuperEigenvalues((x, x + eps), (y,), beta), mu, prec
-            ).value.to_mpc()
-            rel = abs(gen - conf) / abs(conf)
-            slopes.append(rel * 10**e)
-            if e == 6 and not rel <= mpf(100) * mpf(10) ** -6:
+        evaluators = (
+            ("one_source_slopes", lambda lam: ls_closed_form(lam, prec)),
+            ("two_source_slopes", lambda lam: bk_closed_form(lam, mu, prec)),
+        )
+        for key, evaluate in evaluators:
+            conf = evaluate(SuperEigenvalues((x, x), (y,), beta)).value.to_mpc()
+            slopes = []
+            for e in (4, 6, 8):
+                eps = Fraction(1, 10**e)
+                gen = evaluate(SuperEigenvalues((x, x + eps), (y,), beta)).value.to_mpc()
+                rel = abs(gen - conf) / abs(conf)
+                slopes.append(rel * 10**e)
+                if e == 6 and not rel <= mpf(100) * mpf(10) ** -6:
+                    ok = False
+            if max(slopes) > 50 * min(slopes):
                 ok = False
-        if max(slopes) > 50 * min(slopes):
-            ok = False
-        detail["two_source_slopes"] = [mp.nstr(s, 6) for s in slopes]
+            detail[key] = [mp.nstr(s, 6) for s in slopes]
     return CriterionResult(10, "confluent limits scale linearly", ok, detail)
 
 
@@ -424,15 +414,14 @@ def criterion_determinism(prec: Precision, seed: int, reference: bytes) -> Crite
     )
 
 
-def run_all(prec: Precision, seed: int = DEFAULT_SEED, jobs: int = 1, with_determinism: bool = True):
+def run_all(prec: Precision, seed: int = DEFAULT_SEED, jobs: int = 1):
     """Run the full suite; returns (results, canonical report bytes of criteria 1-12)."""
     results = run_criteria_1_12(prec, seed, jobs)
     reference = canonical_report(results, prec, seed)
-    if with_determinism:
-        start = time.monotonic()
-        det = criterion_determinism(prec, seed, reference)
-        det.runtime_s = time.monotonic() - start
-        results.append(det)
+    start = time.monotonic()
+    det = criterion_determinism(prec, seed, reference)
+    det.runtime_s = time.monotonic() - start
+    results.append(det)
     return results, reference
 
 

@@ -33,6 +33,8 @@ from .integrals import c_constant
 from .partitions import (
     Partition,
     assemble,
+    is_covariant,
+    k_indices,
     norm_alpha,
     partitions_of,
     sigma_coefficient,
@@ -51,7 +53,7 @@ from .precision import (
     inv_factorial,
     vandermonde,
 )
-from .schur import lr_coefficient, super_schur_tableaux
+from .schur import lr_coefficient, super_schur_tableaux, supercharacter_amu
 
 # -- deterministic sampling ----------------------------------------------------
 
@@ -366,11 +368,10 @@ def verify_conjecture(
     seed: int = 42,
     prec: Precision = DEFAULT_PRECISION,
     K: int = 64,
-    max_n: int = 10,
 ) -> ConjectureReport:
     """Compare the two truncated series on seeded samples from the complex disk."""
-    if N < 1 or N > max_n:
-        raise ValueError(f"N must lie in 1..{max_n}")
+    if not 1 <= N <= 10:
+        raise ValueError("N must lie in 1..10")
     if not 1 <= m <= N:
         raise ValueError("m must lie in 1..N")
     if sample_count < 1:
@@ -418,13 +419,13 @@ def f_coefficient(r: Partition, rows: int) -> Fraction:
     """Antisymmetric-series coefficient of the diagram r padded to `rows` rows."""
     if len(r) > rows:
         return Fraction(0)
-    return j0_series_coefficient(r.row(i) + rows - i for i in range(1, rows + 1))
+    return j0_series_coefficient(k_indices(r, rows))
 
 
 def g_coefficient(p: Partition, q: Partition, m: int, n: int) -> Fraction:
     """Split-series coefficient for the block pair (p, q)."""
-    ka = [p.row(i) + m - i for i in range(1, m + 1)]
-    kb = [q.row(j) + n - j for j in range(1, n + 1)]
+    ka = k_indices(p, m)
+    kb = k_indices(q, n)
     den = math.prod(factorial(k) ** 2 for k in ka + kb)
     den *= math.prod(ki + kj + 1 for ki in ka for kj in kb)
     return Fraction(vandermonde(ka) * vandermonde(kb), den)
@@ -557,7 +558,7 @@ def character_expansion_check(m: int, n: int, boxes_max: int, bos, ferm) -> bool
         power *= supertrace_val
         total = Fraction(0)
         for t in partitions_of(b):
-            if t.row(m + 1) > n:
+            if not is_covariant(t, m, n):
                 continue
             total += sigma_coefficient(t) * super_schur_tableaux(t, bos, ferm)
         if total != power:
@@ -635,20 +636,19 @@ def factorial_ratio_identity_holds(t: Partition, N: int) -> bool:
     """
     if len(t) > N:
         raise ValueError("partition has more than N rows")
-    n_rows = [t.row(j) for j in range(1, N + 1)]
-    ks = [n_rows[j] + N - (j + 1) for j in range(N)]
+    ks = k_indices(t, N)
     lhs = exact_determinant(
-        [[inv_factorial(n_rows[j] + (i + 1) - (j + 1)) for j in range(N)] for i in range(N)]
+        [[inv_factorial(t.row(j) + i - j) for j in range(1, N + 1)] for i in range(1, N + 1)]
     )
     return lhs == Fraction(vandermonde(ks), math.prod(factorial(k) for k in ks))
 
 
-def theorem_c_checks(N: int, seed: int = 7, partition_samples: int = 20) -> bool:
+def theorem_c_checks(N: int, seed: int = 7) -> bool:
     """Exact checks of the three rearrangement/determinant identities up to size N."""
     if not 1 <= N <= 6:
         raise ValueError("N must lie in 1..6")
     # factorial-ratio identity over random partitions
-    for s in range(partition_samples):
+    for s in range(20):
         if not factorial_ratio_identity_holds(seeded_partition(seed, 2 * s, N), N):
             return False
     # ordered-sum rearrangement with an explicitly antisymmetric coefficient
@@ -668,64 +668,51 @@ def theorem_c_checks(N: int, seed: int = 7, partition_samples: int = 20) -> bool
 # -- character-expansion evaluations of the closed-form integrals ---------------
 
 
-def _chi_exact(p: Partition, values):
-    """Exact Gl character at rational arguments (tableaux when arguments repeat)."""
-    from .schur import schur_bialternant, schur_tableaux
-    from .errors import DegenerateArguments
+def _shell_sums(m: int, n: int, max_boxes: int, term):
+    """Sum term(sd, t) over the (m|n) diagrams sd, assembled as t, by box count.
 
-    try:
-        return schur_bialternant(p, values)
-    except DegenerateArguments:
-        return schur_tableaux(p, values)
-
-
-def _supercharacter_exact(sd, bos, ferm):
-    cross = math.prod(a - b for a in bos for b in ferm)
-    sign = -1 if sd.q.size % 2 else 1
-    return sign * cross * _chi_exact(sd.p, bos) * _chi_exact(sd.q, ferm)
+    Returns (partial_sum, shell_values) where shell_values[b] is the exact
+    contribution of all diagrams with b boxes (useful for tail estimates).
+    """
+    shells = {}
+    for sd in super_diagrams(m, n, max_boxes):
+        t = assemble(sd)
+        shells[t.size] = shells.get(t.size, Fraction(0)) + term(sd, t)
+    return sum(shells.values(), Fraction(0)), shells
 
 
 def ls_character_sum(bos, ferm, beta: Fraction, max_boxes: int):
     """Partial diagram-expansion sum for the one-source integral, exact rationals.
 
-    Returns (partial_sum, shell_values) where shell_values[b] is the exact
-    contribution of all diagrams with b boxes (useful for tail estimates).
+    Returns (partial_sum, shell_values), as _shell_sums does.
     """
-    m, n = len(bos), len(ferm)
     bos = [Fraction(v) for v in bos]
     ferm = [Fraction(v) for v in ferm]
     beta = Fraction(beta)
-    shells = {}
-    for sd in super_diagrams(m, n, max_boxes):
-        t = assemble(sd)
-        boxes = t.size
-        coeff = Fraction(sigma_coefficient(t), factorial(boxes)) ** 2 * beta ** (2 * boxes)
-        term = coeff * norm_alpha(sd) * _supercharacter_exact(sd, bos, ferm)
-        shells[boxes] = shells.get(boxes, Fraction(0)) + term
-    total = sum(shells.values(), Fraction(0))
-    return total, shells
+
+    def term(sd, t):
+        coeff = Fraction(sigma_coefficient(t), factorial(t.size)) ** 2 * beta ** (2 * t.size)
+        return coeff * norm_alpha(sd) * supercharacter_amu(sd, bos, ferm)
+
+    return _shell_sums(len(bos), len(ferm), max_boxes, term)
 
 
 def bk_character_sum(lam_bos, lam_ferm, mu_bos, mu_ferm, beta: Fraction, max_boxes: int):
     """Partial diagram-expansion sum for the two-source integral, exact rationals."""
-    m, n = len(lam_bos), len(lam_ferm)
     lam_bos = [Fraction(v) for v in lam_bos]
     lam_ferm = [Fraction(v) for v in lam_ferm]
     mu_bos = [Fraction(v) for v in mu_bos]
     mu_ferm = [Fraction(v) for v in mu_ferm]
     beta = Fraction(beta)
-    shells = {}
-    for sd in super_diagrams(m, n, max_boxes):
-        t = assemble(sd)
-        boxes = t.size
+
+    def term(sd, t):
         coeff = (
-            Fraction(sigma_coefficient(t) * norm_alpha(sd), factorial(boxes)) * beta ** boxes
+            Fraction(sigma_coefficient(t) * norm_alpha(sd), factorial(t.size)) * beta ** t.size
         ) ** 2
-        term = (
+        return (
             coeff
-            * _supercharacter_exact(sd, lam_bos, lam_ferm)
-            * _supercharacter_exact(sd, mu_bos, mu_ferm)
+            * supercharacter_amu(sd, lam_bos, lam_ferm)
+            * supercharacter_amu(sd, mu_bos, mu_ferm)
         )
-        shells[boxes] = shells.get(boxes, Fraction(0)) + term
-    total = sum(shells.values(), Fraction(0))
-    return total, shells
+
+    return _shell_sums(len(lam_bos), len(lam_ferm), max_boxes, term)

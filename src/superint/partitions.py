@@ -128,10 +128,11 @@ def standard_tableaux_count(t: Partition) -> int:
     return rec(tuple(rows))
 
 
-def k_hat_indices(t: Partition) -> tuple[int, ...]:
-    """Strictly decreasing indices rows + t_i - i over the diagram's own rows."""
-    nhat = len(t)
-    return tuple(nhat + t.rows[i] - (i + 1) for i in range(nhat))
+def k_indices(p: Partition, rows: int) -> tuple[int, ...]:
+    """Strictly decreasing shifted row indices k_i = rows + p_i - i, i = 1..rows."""
+    if len(p) > rows:
+        raise TooManyRows(f"partition {p} has more than {rows} rows")
+    return tuple(rows + p.row(i) - i for i in range(1, rows + 1))
 
 
 def sigma_coefficient(t: Partition) -> int:
@@ -142,7 +143,7 @@ def sigma_coefficient(t: Partition) -> int:
     """
     if not len(t):
         return 1
-    ks = k_hat_indices(t)
+    ks = k_indices(t, len(t))
     num = factorial(t.size) * vandermonde(ks)
     den = math.prod(factorial(k) for k in ks)
     q, r = divmod(num, den)
@@ -168,42 +169,9 @@ def hook_product(t: Partition) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class KIndices:
-    """Strictly decreasing shifted row indices of a partition block.
-
-    origin records which block they index: ("bosonic", m) uses k_i = m + p_i - i,
-    ("fermionic", m + n) uses k_{m+j} = m + n + q_j - (m + j).
-    """
-
-    values: tuple[int, ...]
-    origin: tuple[str, int]
-
-    def __post_init__(self):
-        for a, b in zip(self.values, self.values[1:]):
-            if a <= b:
-                raise ValueError("k-indices must be strictly decreasing")
-
-
-def bosonic_k_indices(p: Partition, m: int) -> KIndices:
-    if len(p) > m:
-        raise TooManyRows(f"partition {p} has more than {m} rows")
-    return KIndices(tuple(m + p.row(i) - i for i in range(1, m + 1)), ("bosonic", m))
-
-
-def fermionic_k_indices(q: Partition, m: int, n: int) -> KIndices:
-    if len(q) > n:
-        raise TooManyRows(f"partition {q} has more than {n} rows")
-    return KIndices(
-        tuple(m + n + q.row(j) - (m + j) for j in range(1, n + 1)), ("fermionic", m + n)
-    )
-
-
 def dimension_glm(p: Partition, m: int) -> int:
     """Dimension of the Gl(m) irreducible with highest weight p."""
-    if len(p) > m:
-        raise TooManyRows(f"partition {p} has more than {m} rows")
-    ks = bosonic_k_indices(p, m).values
+    ks = k_indices(p, m)
     den = math.prod(factorial(m - i) for i in range(1, m + 1))
     q, r = divmod(vandermonde(ks), den)
     assert r == 0, "dimension must be an integer"
@@ -283,8 +251,8 @@ def sigma_decomposition_factor(sd: SuperDiagram) -> Fraction:
     Multiplying it by (sigma_p/|p|!)(sigma_q/|q|!) reproduces sigma_t/|t|!
     exactly for the assembled diagram t.
     """
-    ka = bosonic_k_indices(sd.p, sd.m).values
-    kb = fermionic_k_indices(sd.q, sd.m, sd.n).values
+    ka = k_indices(sd.p, sd.m)
+    kb = k_indices(sd.q, sd.n)
     return Fraction(1, math.prod(ki + kj + 1 for ki in ka for kj in kb))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import DegenerateArguments
-from .partitions import Partition, SuperDiagram
+from .partitions import Partition, SuperDiagram, k_indices
 from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
@@ -27,56 +27,13 @@ from .precision import (
 )
 
 
-def _ssyt_rows(shape, alphabet_size):
-    """Yield semistandard fillings row by row as tuples of letter indices (0-based)."""
-
-    def fill_row(length, min_vals, prev_row):
-        # min_vals[j]: strict lower bound from the row above (or -1)
-        def rec(j, row):
-            if j == length:
-                yield tuple(row)
-                return
-            lo = max(row[j - 1] if j else 0, min_vals[j] + 1)
-            for v in range(lo, alphabet_size):
-                row.append(v)
-                yield from rec(j + 1, row)
-                row.pop()
-
-        yield from rec(0, [])
-
-    def rec_rows(i, rows):
-        if i == len(shape):
-            yield list(rows)
-            return
-        length = shape[i]
-        min_vals = [rows[-1][j] if rows else -1 for j in range(length)]
-        for row in fill_row(length, min_vals, rows[-1] if rows else None):
-            rows.append(row)
-            yield from rec_rows(i + 1, rows)
-            rows.pop()
-
-    yield from rec_rows(0, [])
-
-
 def schur_tableaux(p: Partition, values):
     """Semistandard-tableaux monomial sum; exact for exact inputs.
 
-    Returns 0 whenever the shape has more rows than there are variables.
+    The super-Schur sum with no fermionic letters.  Returns 0 whenever the
+    shape has more rows than there are variables.
     """
-    values = list(values)
-    m = len(values)
-    if len(p) > m:
-        return 0
-    if not len(p):
-        return 1
-    total = 0
-    for filling in _ssyt_rows(p.rows, m):
-        term = 1
-        for row in filling:
-            for v in row:
-                term = term * values[v]
-        total = total + term
-    return total
+    return super_schur_tableaux(p, values, ())
 
 
 def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION):
@@ -92,7 +49,7 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
         raise ValueError("shape has more rows than variables")
     if not len(p):
         return 1
-    ks = [m + p.row(i) - i for i in range(1, m + 1)]
+    ks = k_indices(p, m)
     if all(isinstance(v, (int, Fraction)) for v in values):
         if len(set(values)) != m:
             raise DegenerateArguments("coinciding exact arguments")
@@ -166,22 +123,32 @@ def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PR
     """Supercharacter of a non-degenerate diagram via the factorized product form.
 
     (-1)^|q| prod(a_i - a_{m+j}) chi_p(bosonic) chi_q(fermionic); coinciding
-    arguments fall back to the tableaux form automatically.
+    arguments fall back to the tableaux form automatically.  Exact inputs give
+    the exact value; otherwise the product is taken on mpc at prec.work_bits
+    and returned as a record tagged like schur_bialternant's.
     """
     bos = list(bos)
     ferm = list(ferm)
     if len(bos) != sd.m or len(ferm) != sd.n:
         raise ValueError("eigenvalue counts must match the diagram's (m, n)")
+    exact = all(isinstance(v, (int, Fraction)) for v in bos + ferm)
+    bits = _tag_bits(prec, bos + ferm)
 
     def chi(p, values):
         try:
-            return schur_bialternant(p, values, prec)
+            value = schur_bialternant(p, values, prec)
         except DegenerateArguments:
             return schur_tableaux(p, values)
+        return value if exact else to_mpc_any(value)
 
-    cross = math.prod(a - b for a in bos for b in ferm)
-    sign = -1 if sd.q.size % 2 else 1
-    return sign * cross * chi(sd.p, bos) * chi(sd.q, ferm)
+    with mp.workprec(prec.work_bits):
+        if not exact:
+            bos = [to_mpc_any(v) for v in bos]
+            ferm = [to_mpc_any(v) for v in ferm]
+        cross = math.prod(a - b for a in bos for b in ferm)
+        sign = -1 if sd.q.size % 2 else 1
+        value = sign * cross * chi(sd.p, bos) * chi(sd.q, ferm)
+    return value if exact else BigComplex.from_mpc(value, bits)
 
 
 def _lr_fillings(r: Partition, mu: Partition, nu: Partition) -> int:

@@ -35,7 +35,7 @@ REFERENCE_SHA256 = "82f093f49c413dd5ec24f70cbd9628a8f87b16873827472ffeba2930457d
 
 @pytest.fixture(scope="session")
 def suite():
-    results, reference = run_all(Precision(), seed=DEFAULT_SEED, jobs=2, with_determinism=True)
+    results, reference = run_all(Precision(), seed=DEFAULT_SEED, jobs=2)
     return {r.index: r for r in results}, reference
 
 

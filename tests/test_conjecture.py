@@ -410,11 +410,7 @@ def test_hook_coupling_form_equals_norm_form():
 
     from superint import ls_closed_form, SuperEigenvalues
     from superint.conjecture import ls_character_sum
-    from superint.partitions import (
-        bosonic_k_indices,
-        fermionic_k_indices,
-        super_diagrams,
-    )
+    from superint.partitions import k_indices, super_diagrams
     from superint.schur import schur_bialternant
     from superint.precision import vandermonde
     from superint.integrals import c_constant
@@ -432,8 +428,8 @@ def test_hook_coupling_form_equals_norm_form():
                 cross *= a - b
         hook_form = Fraction(0)
         for sd in super_diagrams(m, n, 14):
-            ka = bosonic_k_indices(sd.p, m).values
-            kb = fermionic_k_indices(sd.q, m, n).values
+            ka = k_indices(sd.p, m)
+            kb = k_indices(sd.q, n)
             coeff = Fraction(vandermonde(list(ka)) * vandermonde(list(kb)))
             for k in ka + kb:
                 coeff /= Fraction(fact(k)) ** 2

@@ -21,7 +21,7 @@ from superint import (
     sigma_decomposition_factor,
     super_diagrams,
 )
-from superint.partitions import bosonic_k_indices, fermionic_k_indices, hook_lengths
+from superint.partitions import hook_lengths, k_indices
 
 from oracles import count_standard_tableaux, weyl_dimension
 
@@ -114,11 +114,10 @@ def test_dimension_too_many_rows():
 
 
 def test_k_indices():
-    ks = bosonic_k_indices(P((2, 1)), 3)
-    assert ks.values == (4, 2, 0)
-    assert ks.origin == ("bosonic", 3)
-    kf = fermionic_k_indices(P((1,)), 2, 2)
-    assert kf.values == (2, 0)
+    assert k_indices(P((2, 1)), 3) == (4, 2, 0)
+    assert k_indices(P((1,)), 2) == (2, 0)
+    with pytest.raises(TooManyRows):
+        k_indices(P((1, 1, 1)), 2)
 
 
 def test_assemble_examples():

@@ -1,5 +1,6 @@
 """Characters: Schur functions, super-Schur tableaux sums, coefficient counts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,26 @@ def test_schur_tableaux_examples():
     assert schur_tableaux(P((2,)), [z1, z2]) == z1 * z1 + z1 * z2 + z2 * z2
     assert schur_tableaux(P((1, 1)), [z1]) == 0
     assert schur_tableaux(P(), [z1, z2]) == 1
+
+
+def test_schur_tableaux_matches_oracle_polynomial():
+    # repeated arguments, and shapes with more rows than variables (value 0)
+    rng = random.Random(17)
+    pool = [Fraction(-3, 2), Fraction(2, 3), Fraction(5)]
+    for m in (1, 2, 3, 4):
+        vectors = [
+            [Fraction(2, 3)] * m,
+            [Fraction(-1, 4)] * min(m, 2) + [Fraction(k + 1, 3) for k in range(m - 2)],
+            [rng.choice(pool) for _ in range(m)],
+        ]
+        for z in vectors:
+            for boxes in range(7):
+                for p in partitions_of(boxes):
+                    poly = schur_polynomial(p.rows, m)
+                    want = sum(
+                        c * math.prod(v**e for v, e in zip(z, expo)) for expo, c in poly.items()
+                    )
+                    assert schur_tableaux(p, z) == want, (p, z)
 
 
 def test_schur_bialternant_examples():
@@ -100,6 +121,26 @@ def test_supercharacter_examples():
     assert supercharacter_amu(SuperDiagram(1, 1, P(), P()), [a1], [a2]) == a1 - a2
     assert supercharacter_amu(SuperDiagram(1, 1, P((1,)), P()), [a1], [a2]) == (a1 - a2) * a1
     assert supercharacter_amu(SuperDiagram(1, 1, P(), P((1,))), [a1], [a2]) == -(a1 - a2) * a2
+
+
+def test_supercharacter_on_records_matches_tableaux():
+    rng = random.Random(29)
+    bos = [BigComplex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
+    ferm = [BigComplex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+    for sd in super_diagrams(2, 1, 6):
+        a = supercharacter_amu(sd, bos, ferm, PREC)
+        assert a.bits == PREC.bits
+        with mp.workprec(PREC.work_bits):
+            b = super_schur_tableaux(
+                assemble(sd), [x.to_mpc() for x in bos], [x.to_mpc() for x in ferm]
+            )
+        with mp.workprec(300):
+            scale = max(abs(b), mpf(1))
+            assert abs(a.to_mpc() - b) <= scale * mpf(2) ** -(PREC.bits - 40), sd
+    # the tag is the fewest bits among the record arguments, as for the bialternant
+    coarse = [BigComplex(x.to_mpc(), bits=128) for x in ferm]
+    sd = SuperDiagram(2, 1, P((1,)), P((1,)))
+    assert supercharacter_amu(sd, bos, coarse, PREC).bits == 128
 
 
 def test_supercharacter_matches_tableaux_sweep():
