@@ -109,12 +109,13 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
     series, divided by their Vandermonde.  Supports k in {1, 2}.
     """
     k = len(eigen)
-    g = eigen[0].generator_count
+    # R(s, body) by order and body: both entries at one eigenvalue share R(1), R(2)
+    sums = {}
 
     def entry(nu, x):
         # beta^nu x^nu R(nu, beta^2 x) via the even-series calculus
         w = x * (beta * beta)
-        core = analytic_eval(bessel_series(nu), w, prec)
+        core = analytic_eval(bessel_series(nu, sums), w, prec)
         out = core
         for _ in range(nu):
             out = out * x

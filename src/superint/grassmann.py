@@ -13,13 +13,14 @@ operations are coefficient-ring agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
 from .errors import GeneratorMismatch, NonInvertibleBody, TruncationCapExceeded
-from .precision import DEFAULT_PRECISION, Precision, inv_factorial, to_mpc_any
+from .precision import DEFAULT_PRECISION, Precision, to_mpc_any
 
 
 class GaussianRational:
@@ -91,7 +92,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to 1 or Fraction(1, 2) when real, so equal values hash alike
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def to_mpc(self) -> mpc:
         return mpc(mp.mpf(self.re.numerator) / mp.mpf(self.re.denominator),
@@ -289,7 +291,8 @@ class GrassmannElement:
 def _is_zero_scalar(c) -> bool:
     if isinstance(c, GaussianRational):
         return c.re == 0 and c.im == 0
-    return c == 0
+    # truth value, not c == 0: for mpc that is one tuple compare, not a coercion
+    return not c
 
 
 def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
@@ -474,32 +477,73 @@ class SeriesFunction:
             return total
 
 
-def bessel_series(nu: int) -> SeriesFunction:
-    """Coefficient stream of the even Bessel kernel sum_k w^k/(k!(k+nu)!)."""
-    return SeriesFunction(lambda k: inv_factorial(k) * inv_factorial(k + nu))
+@dataclass(frozen=True)
+class BesselSeries:
+    """The even Bessel kernel R(nu, w) = sum_k w^k/(k!(k+nu)!) as a series.
+
+    Termwise d/dw R(nu, w) = R(nu+1, w), so the derivative is the next order.
+    `sums` is a dict shared by the series and its derivatives: each R(s, body)
+    at one precision is summed once into it.
+    """
+
+    nu: int
+    sums: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def derivative(self) -> "BesselSeries":
+        return BesselSeries(self.nu + 1, self.sums)
+
+    def eval_at(self, body, prec: Precision):
+        """Sum on the term recurrence t_(k+1) = t_k w/((k+1)(k+1+nu)), t_0 = 1/nu!."""
+        key = (self.nu, body, prec)
+        if key not in self.sums:
+            nu = self.nu
+            with mp.workprec(prec.work_bits):
+                b = to_mpc_any(body)
+                term0 = mpc(mpf(1) / math.factorial(nu))
+                self.sums[key], _ = _series_sum(
+                    term0, lambda k, term: term * b / ((k + 1) * (k + 1 + nu)), prec
+                )
+        return self.sums[key]
 
 
-def analytic_eval(series: SeriesFunction, w: EvenElement, prec: Precision = DEFAULT_PRECISION) -> EvenElement:
+def bessel_series(nu: int, sums: dict | None = None) -> BesselSeries:
+    """The series of R(nu, w); pass one `sums` dict to share sums between series.
+
+    The Haar oracle sums the kernel here, in mpc on its own term recurrence,
+    rather than with `precision.bessel_ratio_raw`: the closed forms it is
+    compared with sum with that kernel, so a fault there would show on both
+    sides of the comparison and cancel.
+    """
+    return BesselSeries(nu, {} if sums is None else sums)
+
+
+def analytic_eval(series, w: EvenElement, prec: Precision = DEFAULT_PRECISION) -> EvenElement:
     """f(body + soul) = sum_j f^(j)(body) soul^j / j!, exact in the soul.
 
-    The soul expansion terminates by nilpotency; each derivative value at the
-    body is evaluated adaptively under the precision's truncation rules.
+    `series` is a `SeriesFunction` or a `BesselSeries`: anything with
+    eval_at(body, prec) and derivative().  The soul expansion terminates by
+    nilpotency; each derivative value at the body is evaluated adaptively under
+    the precision's truncation rules.  For `bessel_series(nu)` the j-th
+    derivative is R(nu+j, w) by the order shift, summed on its own recurrence.
+    The soul products are rounded at prec.work_bits, whatever the caller's
+    mpmath precision.
     """
     g = w.generator_count
     body = w.body
     soul = w.soul()
-    out = GrassmannElement.scalar(g, series.eval_at(body, prec))
-    power = GrassmannElement.scalar(g, 1)
-    deriv = series
-    jfact = 1
-    for j in range(1, g // 2 + 1):
-        power = power * soul
-        if power.is_zero:
-            break
-        deriv = deriv.derivative()
-        jfact *= j
-        coeff = deriv.eval_at(body, prec) / jfact
-        out = out + power * coeff
+    with mp.workprec(prec.work_bits):
+        out = GrassmannElement.scalar(g, series.eval_at(body, prec))
+        power = GrassmannElement.scalar(g, 1)
+        deriv = series
+        jfact = 1
+        for j in range(1, g // 2 + 1):
+            power = power * soul
+            if power.is_zero:
+                break
+            deriv = deriv.derivative()
+            jfact *= j
+            coeff = deriv.eval_at(body, prec) / jfact
+            out = out + power * coeff
     return EvenElement(out)
 
 

@@ -86,18 +86,27 @@ def test_brute_force_unsupported_shape():
 def test_supermatrix_oracle_reproduces_nondiag_limit():
     # A carries an external odd pair; B is the identity, so the source product
     # is exactly the (1+1) matrix with merged diagonal and odd off-diagonal
-    a = Fraction(9, 16)
+    # c t1, t2, whose t1 t2 coefficient is the limit, linear in c
     g = 4
     one = GrassmannElement.scalar(g, 1)
-    with mp.workprec(PREC.work_bits):
-        av = BigComplex(a).to_mpc()
-        t1 = GrassmannElement.generator(g, 2)
-        t2 = GrassmannElement.generator(g, 3)
-        A = SuperMatrixSym(1, 1, [[one * av, t1], [t2, one * av]], check_parity=False)
-        B = SuperMatrixSym.identity(1, 1, g)
-        out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
-        # scalar part is the coincident (vanishing) case
-        assert 0 not in out.terms or abs(out.terms[0]) < mpf(2) ** -250
-        coeff = out.terms[0b1100]
-        lim = nondiag_limit_ls(a, 1, BETA, PREC)
-        assert abs(coeff - lim.to_mpc()) <= abs(lim.to_mpc()) * mpf(2) ** -200
+    t1 = GrassmannElement.generator(g, 2)
+    t2 = GrassmannElement.generator(g, 3)
+    merged = [
+        BigComplex(Fraction(9, 16)),
+        BigComplex(Fraction(2, 7)),
+        BigComplex(Fraction(5, 3)),
+        BigComplex(Fraction(1, 2), Fraction(1, 3)),
+    ]
+    for a in merged:
+        for c in (Fraction(1), Fraction(3, 5)):
+            with mp.workprec(PREC.work_bits):
+                av = a.to_mpc()
+                A = SuperMatrixSym(1, 1, [[one * av, t1 * c], [t2, one * av]], check_parity=False)
+                B = SuperMatrixSym.identity(1, 1, g)
+                out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
+                # scalar part is the coincident (vanishing) case
+                assert 0 not in out.terms or abs(out.terms[0]) < mpf(2) ** -250
+                assert set(out.terms) <= {0, 0b1100}
+                coeff = out.terms[0b1100]
+                lim = nondiag_limit_ls(a, c, BETA, PREC).to_mpc()
+                assert abs(coeff - lim) <= abs(lim) * mpf(2) ** -200, (a, c)

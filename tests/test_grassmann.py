@@ -232,11 +232,48 @@ def test_analytic_eval_bessel_soul_structure():
     out = analytic_eval(bessel_series(0), arg, PREC)
     d0 = analytic_eval(bessel_series(0), EvenElement.scalar(g, x), PREC).body
     d1 = analytic_eval(bessel_series(1), EvenElement.scalar(g, x), PREC).body
-    expect_soul = gen(g, 0).conjugate() * gen(g, 0) * (x * d1)
     with mp.workprec(300):
+        expect_soul = gen(g, 0).conjugate() * gen(g, 0) * (x * d1)
         assert abs(mpc(out.body) - mpc(d0)) < mpf(2) ** -250
         diff = out.soul() - expect_soul
         assert all(abs(mpc(c)) < mpf(2) ** -250 for c in diff.terms.values())
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("body", [Fraction(3, 7), GaussianRational(Fraction(-5, 2), Fraction(1, 3))])
+def test_analytic_eval_bessel_second_order_soul(nu, body):
+    # g = 4 admits s^2 != 0, so f(b + s) = f(b) + f'(b) s + f''(b) s^2 / 2 enters
+    # at second order; the reference is hyp0f1 with mp.diff derivatives, which
+    # does not use the order shift d/dw R(nu, w) = R(nu + 1, w)
+    g = 4
+    s = gen(g, 0) * gen(g, 1) * Fraction(2, 5) + gen(g, 2) * gen(g, 3) * GaussianRational(Fraction(-3, 4), 1)
+    assert not (s * s).is_zero
+    out = analytic_eval(bessel_series(nu), EvenElement(scalar(g, body) + s), PREC)
+    with mp.workprec(400):
+        b = GaussianRational(body).to_mpc() if isinstance(body, Fraction) else body.to_mpc()
+
+        def f(x):
+            return mp.hyp0f1(nu + 1, x) / mp.factorial(nu)
+
+        d0, d1, d2 = (mp.diff(f, b, j) for j in range(3))
+        ref = scalar(g, d0) + s * d1 + (s * s) * (d2 / 2)
+        diff = out.element - ref
+        assert set(out.element.terms) == {0, 0b0011, 0b1100, 0b1111}
+        assert all(abs(mpc(c)) < mpf(2) ** -200 for c in diff.terms.values())
+
+
+def test_gaussian_rational_hash_agrees_with_equality():
+    # equal values must hash alike, or sets and dicts keep both copies
+    assert GaussianRational(1) == 1 and hash(GaussianRational(1)) == hash(1)
+    assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({GaussianRational(1), 1}) == 1
+    assert GaussianRational(1, 1) != GaussianRational(1)
+    g = 2
+    real, plain = GrassmannElement.scalar(g, GaussianRational(1)), GrassmannElement.scalar(g, 1)
+    assert real == plain and hash(real) == hash(plain)
+    assert len({real, plain}) == 1
+    soul = gen(g, 0) * gen(g, 1)
+    assert len({real + soul * GaussianRational(Fraction(2, 3)), plain + soul * Fraction(2, 3)}) == 1
 
 
 def test_exp_odd_block_unitary_1_1():
