@@ -43,10 +43,8 @@ from .partitions import (
     sigma_decomposition_factor,
     super_diagrams,
 )
-from .precision import Precision
+from .precision import DEFAULT_SEED, Precision
 from .schur import super_schur_tableaux, supercharacter_amu
-
-DEFAULT_SEED = 42
 
 
 @dataclass
@@ -88,7 +86,7 @@ def pool_map(fn, tasks, jobs: int) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    import concurrent.futures  # here, so importing the CLI does not load multiprocessing
+    import concurrent.futures  # here, so importing the suites does not load multiprocessing
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))

@@ -18,6 +18,7 @@ unchanged for (2,1).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -135,6 +136,19 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
     raise ValueError("ordinary factor implemented for 1 and 2 eigenvalues")
 
 
+@functools.lru_cache(maxsize=2)
+def _odd_block(m: int, n: int):
+    """The odd generators, exp of the odd block and its adjoint for one shape.
+
+    They depend on (m, n) alone, their elements are exact and immutable and
+    callers only read them, so every point of a shape shares one build;
+    brute_force_ls admits two shapes.
+    """
+    alphas = odd_parameter_matrix(m, n)
+    u_g = exp_odd_block(alphas)
+    return alphas, u_g, u_g.adjoint()
+
+
 def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Full Berezin-and-ordinary-group integral for diagonal numeric sources.
 
@@ -154,12 +168,11 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         beta_v = to_mpc_any(beta)
         a_vals = [to_mpc_any(v) for v in a_diag]
         b_vals = [to_mpc_any(v) for v in b_diag]
-        alphas = odd_parameter_matrix(m, n, g)
-        u_g = exp_odd_block(alphas)
+        alphas, u_g, u_g_adjoint = _odd_block(m, n)
         a_mat = SuperMatrixSym.diagonal(m, n, g, a_vals)
         b_mat = SuperMatrixSym.diagonal(m, n, g, b_vals)
         a_twist = u_g @ a_mat          # boson/fermion blocks feed the ordinary integrals
-        b_twist = b_mat @ u_g.adjoint()
+        b_twist = b_mat @ u_g_adjoint
         mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
         mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
         if m == 1:

@@ -14,10 +14,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import __version__, acceptance
+from . import __version__
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
-from .precision import DEFAULT_BITS, DEFAULT_TRUNCATION_CAP, Precision
+from .precision import DEFAULT_BITS, DEFAULT_SEED, DEFAULT_TRUNCATION_CAP, Precision
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -34,7 +34,7 @@ class RunConfig:
     command: str
     precision_bits: int = DEFAULT_BITS
     truncation_cap: int = DEFAULT_TRUNCATION_CAP
-    seed: int = acceptance.DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     jobs: int = 1
     input_path: str | None = None
     input_inline: str | None = None
@@ -152,10 +152,18 @@ _COMMON_FLAGS = {
         "help": f"working precision in bits (default: ${PREC_BITS_ENV}, else {DEFAULT_BITS})",
     },
     "--trunc-cap": {"type": int, "default": DEFAULT_TRUNCATION_CAP},
-    "--seed": {"type": int, "default": acceptance.DEFAULT_SEED},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
     "--jobs": {"type": int, "default": 1},
     "--json-out": {"type": str, "default": None, "help": "report path (default: stdout)"},
 }
+
+
+def _acceptance():
+    """The verification suites, imported when a suite command runs: an
+    evaluator process loads none of their modules, nor multiprocessing."""
+    from . import acceptance
+
+    return acceptance
 
 
 def _ints(**defaults) -> dict:
@@ -174,32 +182,32 @@ COMMANDS = {
             "--samples": {"type": int, "default": 10},
             "--radius": {"type": str, "default": "2"},
         },
-        lambda c: acceptance.conjecture_check(c.seed, c.precision, c.jobs, **c.options),
+        lambda c: _acceptance().conjecture_check(c.seed, c.precision, c.jobs, **c.options),
     ),
     "lr-check": Command(
         "exact coefficient recursion sweep",
         _ints(m=2, n=2, max_boxes=8),
-        lambda c: acceptance.lr_check(**c.options),
+        lambda c: _acceptance().lr_check(**c.options),
     ),
     "strninxi-check": Command(
         "supertrace power expansion check",
         _ints(m=2, n=2, max_boxes=6),
-        lambda c: acceptance.supertrace_check(c.seed, **c.options),
+        lambda c: _acceptance().supertrace_check(c.seed, **c.options),
     ),
     "appendix-e-verify": Command(
         "explicit Haar integration vs closed form",
         {},
-        lambda c: acceptance.haar_check(c.seed, c.precision),
+        lambda c: _acceptance().haar_check(c.seed, c.precision),
     ),
     "theorems-check": Command(
         "rearrangement/determinant identity checks",
         _ints(N=5),
-        lambda c: acceptance.theorems_check(c.seed, **c.options),
+        lambda c: _acceptance().theorems_check(c.seed, **c.options),
     ),
     "selftest": Command(
         "run the full acceptance suite",
         {},
-        lambda c: acceptance.selftest(c.seed, c.precision, c.jobs),
+        lambda c: _acceptance().selftest(c.seed, c.precision, c.jobs),
     ),
 }
 

@@ -253,16 +253,15 @@ def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
                         core, terms = bessel_ratio_raw(j + k - l, c * x * y, prec)
                         stats["terms_used"] = max(stats["terms_used"], terms)
                         term = (
-                            mp.binomial(k, l)
-                            * mp.factorial(j)
-                            / mp.factorial(j - l)
+                            math.comb(k, l)
+                            * math.perm(j, l)
                             * y ** (j - l)
                             * (c * x) ** (k - l)
                             * c ** j
                             * core
                         )
                         total += term
-                    row.append(total / (mp.factorial(j) * mp.factorial(k)))
+                    row.append(total / (math.factorial(j) * math.factorial(k)))
             rows.append(row)
     return det_mpc(rows, prec)
 

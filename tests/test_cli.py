@@ -220,6 +220,37 @@ def test_jobs_capped_at_task_count(argv, workers, monkeypatch, capsys):
     assert started == workers
 
 
+# runs `python -m superint <argv>` and then prints every loaded module's name
+IMPORT_PROBE = """
+import runpy, sys
+sys.argv[0] = "superint"
+try:
+    runpy.run_module("superint", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv", [["ls-eval", "--input-json", LS_INPUT], ["bk-eval", "--input-json", BK_INPUT]])
+def test_evaluator_process_imports_no_verification_code(argv, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv, "--json-out", str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads((tmp_path / "report.json").read_text())["result"]["branch"] == "generic"
+    loaded = set(out.stdout.split())
+    # none of acceptance, conjecture, grassmann, bruteforce, schur, partitions
+    package = {name for name in loaded if name.startswith("superint")}
+    assert package == {"superint", "superint.cli", "superint.errors", "superint.integrals", "superint.precision"}
+    assert "multiprocessing" not in loaded
+
+
 def test_env_var_precision_override():
     out = subprocess.run(
         CLI + ["ls-eval", "--input-json", LS_INPUT],

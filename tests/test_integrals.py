@@ -293,6 +293,20 @@ def test_bk_simultaneous_repeats_in_both_sets():
         assert rel_diff(gen.value, conf.value) <= 1000 * mpf(10) ** -e
 
 
+def test_bk_triple_repeats_in_both_sets():
+    # second-order derivative entries (j, k = 2) on both sides, probed by eps
+    x, y = Fraction(3, 5), Fraction(1, 7)
+    v, w = Fraction(1, 4), Fraction(5, 9)
+    conf = bk_closed_form(ev([x, x, x], [y]), ev([v, v, v], [w]), PREC)
+    assert conf.branch == "confluent"
+    for e in (5, 7):
+        eps = Fraction(1, 10**e)
+        gen = bk_closed_form(
+            ev([x, x + eps, x + 2 * eps], [y]), ev([v, v + eps, v + 2 * eps], [w]), PREC
+        )
+        assert rel_diff(gen.value, conf.value) <= 1000 * mpf(10) ** -e
+
+
 def test_nondiag_limit_ls_against_probe():
     a = Fraction(9, 16)
     lim = nondiag_limit_ls(a, 1, BETA, PREC)
