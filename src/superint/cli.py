@@ -108,7 +108,7 @@ def _ls_eval(config: RunConfig):
     doc = _load_input(config)
     try:
         ev = SuperEigenvalues.from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
     result = ls_closed_form(ev, config.precision)
     return None, {"result": result.to_json()}, {"input": ev.to_json()}
@@ -120,7 +120,7 @@ def _bk_eval(config: RunConfig):
         beta = doc["beta"]
         lam = SuperEigenvalues.from_json({**doc["lambda"], "beta": beta})
         mu = SuperEigenvalues.from_json({**doc["mu"], "beta": beta})
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
     result = bk_closed_form(lam, mu, config.precision)
     return None, {"result": result.to_json()}, {"input": {"lambda": lam.to_json(), "mu": mu.to_json()}}

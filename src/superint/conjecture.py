@@ -97,13 +97,18 @@ def _coord_counter(sample_index: int, coordinate: int, part: int) -> int:
 
 
 def sample_disk(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
-    """Uniform draw from the complex disk of the given radius (area-uniform)."""
-    u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
-    v = unit_double(seed, _coord_counter(sample_index, coordinate, 1))
-    with mp.workprec(bits):
-        r = _to_mpf_exact(radius) * mp.sqrt(mpf(u))
-        theta = 2 * mp.pi * mpf(v)
-        return BigComplex.from_mpc(mpc(r * mp.cos(theta), r * mp.sin(theta)), bits)
+    """Uniform draw from the complex disk of the given radius (area-uniform), memoized."""
+    key = (seed, sample_index, coordinate, radius, bits)
+    z = _draws_memo.get(key)
+    if z is None:
+        u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
+        v = unit_double(seed, _coord_counter(sample_index, coordinate, 1))
+        with mp.workprec(bits):
+            r = _to_mpf_exact(radius) * mp.sqrt(mpf(u))
+            theta = 2 * mp.pi * mpf(v)
+            z = BigComplex.from_mpc(mpc(r * mp.cos(theta), r * mp.sin(theta)), bits)
+        _remember(_draws_memo, key, z, _DRAWS_CAP)
+    return z
 
 
 # -- truncated series ----------------------------------------------------------
@@ -138,21 +143,24 @@ def _fixed_bits(K: int, prec: Precision) -> int:
 # -- per-z series tables ---------------------------------------------------------
 #
 # sample_disk ignores m and N, so every (N, m) cell of one sample draws a
-# prefix of the same z, and j0_truncated and jm_truncated share the tables
-# below across calls.  They are keyed on the exact value of z with K and the
-# Precision and filled on first use, so a cold call does no arithmetic the
-# uncached one would not.  Once a memo holds its cap, the oldest entry goes
-# first.  The caps hold one criterion-5 cell's 10 samples (80 z and 10
-# vectors at N = 8), and so one perfbench grid sweep (8 z in 7 vectors).
+# prefix of the same z: the draws are memoized on sample_disk's arguments,
+# and j0_truncated and jm_truncated share the tables below across calls.
+# The tables are keyed on the exact value of z with K and the Precision and
+# filled on first use, so a cold call does no arithmetic the uncached one
+# would not.  Once a memo holds its cap, the oldest entry goes first.  The
+# caps hold one criterion-5 cell's 10 samples (80 z and 10 vectors at N = 8),
+# and so one perfbench grid sweep (8 z in 7 vectors).
 
-_TABLES_CAP = 80
+_DRAWS_CAP = _TABLES_CAP = 80
 _J0_CAP = 10
+_draws_memo: dict = {}
 _tables_memo: dict = {}
 _j0_memo: dict = {}
 
 
 def clear_series_memo() -> None:
-    """Forget every cached table and J0 value, so the next calls compute them anew."""
+    """Forget every cached draw, table and J0 value, so the next calls compute them anew."""
+    _draws_memo.clear()
     _tables_memo.clear()
     _j0_memo.clear()
 

@@ -74,8 +74,12 @@ class SuperEigenvalues:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuperEigenvalues":
-        bos = [BigComplex.from_json(v) for v in obj.get("bosonic", [])]
-        ferm = [BigComplex.from_json(v) for v in obj.get("fermionic", [])]
+        sectors = {name: obj.get(name, []) for name in ("bosonic", "fermionic")}
+        for name, values in sectors.items():
+            if not isinstance(values, list):
+                raise ValueError(f"the {name} values must be a list, got {values!r}")
+        bos = [BigComplex.from_json(v) for v in sectors["bosonic"]]
+        ferm = [BigComplex.from_json(v) for v in sectors["fermionic"]]
         if "m" in obj and int(obj["m"]) != len(bos):
             raise ValueError("declared m does not match the bosonic list length")
         if "n" in obj and int(obj["n"]) != len(ferm):
@@ -242,23 +246,31 @@ def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
     if size == 0:
         return mpc(1)
     c = beta * beta
+
+    def kernel(nu, w):
+        core, terms = bessel_ratio_raw(nu, w, prec)
+        stats["terms_used"] = max(stats["terms_used"], terms)
+        return core
+
     rows = []
     for x, xr in lgroups:
         for j in range(xr):
             row = []
             for y, yr in mgroups:
                 for k in range(yr):
+                    if j == k == 0:
+                        # a generic entry: every factor below is an exact 1
+                        row.append(kernel(0, c * x * y))
+                        continue
                     total = mpc(0)
                     for l in range(min(j, k) + 1):
-                        core, terms = bessel_ratio_raw(j + k - l, c * x * y, prec)
-                        stats["terms_used"] = max(stats["terms_used"], terms)
                         term = (
                             math.comb(k, l)
                             * math.perm(j, l)
                             * y ** (j - l)
                             * (c * x) ** (k - l)
                             * c ** j
-                            * core
+                            * kernel(j + k - l, c * x * y)
                         )
                         total += term
                     row.append(total / (math.factorial(j) * math.factorial(k)))

@@ -12,9 +12,30 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+import operator
+from functools import cmp_to_key, partial, reduce
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    mpc_abs,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_neg,
+    mpc_one,
+    mpc_sub,
+    mpc_zero,
+    mpf_add,
+    mpf_cmp,
+    mpf_ge,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    round_down,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import TruncationCapExceeded
 
@@ -111,6 +132,8 @@ class BigComplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BigComplex":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a scalar must be an object with re and im, got {obj!r}")
         bits = int(obj.get("bits", DEFAULT_BITS))
         if bits < 64:
             raise ValueError("precision must be at least 64 bits")
@@ -169,11 +192,13 @@ def vandermonde(values):
 def _near_coincident_pairs(values, bits: int):
     """Index pairs i < j with |a - b| < 2^-(bits//2) max(|a|, |b|, 1), lazily.
 
-    Evaluated at the ambient mpmath precision.
+    Evaluated at the ambient mpmath precision.  The threshold is a power of
+    two, so scaling each max(|v|, 1) by it first is exact.
     """
     threshold = mpf(2) ** (-(bits // 2))
+    limits = [threshold * max(abs(v), mpf(1)) for v in values]
     for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
-        if abs(a - b) < threshold * max(abs(a), abs(b), mpf(1)):
+        if abs(a - b) < max(limits[i], limits[j]):
             yield i, j
 
 
@@ -330,42 +355,99 @@ def scaled_bessel_entry(
 
 # -- determinants ------------------------------------------------------------
 
+_mpf_key = cmp_to_key(mpf_cmp)
 
-def _eliminate(a):
-    """Determinant of the square matrix `a` (overwritten) in its entries' own arithmetic.
 
-    Partial pivoting on the largest |entry| of each column; for exact entries
-    the pivot order does not change the result.
+def _eliminate(a, pivot, mul, sub, inv, zero):
+    """Partial-pivoted elimination of the square matrix `a` (overwritten), in the arithmetic given.
+
+    pivot(column) picks the pivot's index among the candidates a[c][c],
+    a[c+1][c], ...; inv(x) is 1/x, and a multiplier equal to `zero` leaves
+    its row as it is.  The row update starts at column c + 1: the entries
+    below a pivot are never read again.  Returns (pivots, odd): the diagonal
+    in elimination order, or None once a column holds only zero candidates,
+    and whether the row swaps were odd in number.
     """
     n = len(a)
-    det = 1
+    odd = False
     for c in range(n):
-        pivot = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if a[pivot][c] == 0:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] * inv
-            if f == 0:
+        p = c + pivot([a[r][c] for r in range(c, n)])
+        if a[p][c] == zero:
+            return None, odd
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            odd = not odd
+        top = a[c]
+        scale = inv(top[c])
+        for row in a[c + 1 :]:
+            f = mul(row[c], scale)
+            if f == zero:
                 continue
-            for cc in range(c, n):
-                a[r][cc] -= f * a[c][cc]
-    return det
+            for cc in range(c + 1, n):
+                row[cc] = sub(row[cc], mul(f, top[cc]))
+    return [a[c][c] for c in range(n)], odd
+
+
+def _pivot_mpc(column, wp: int) -> int:
+    """The first index of the largest |entry| rounded to wp bits: max(range(...), key=abs)'s pick.
+
+    Each rounded |entry| is within a relative 2^-wp or so of the exact one,
+    so an entry whose squared norm lies more than a relative 2^-(wp-4) below
+    the largest one rounds to a smaller |entry|.  The squared norms, rounded
+    down to wp + 8 bits, are within a relative 2^-(wp+7) of the exact ones
+    (an exact sum can grow without bound when the parts' exponents lie far
+    apart), which is enough to sort those entries out.  Only the rest get
+    mpc_abs, and usually that is the column's largest entry alone.
+    """
+    if len(column) == 1:
+        return 0
+    norms = [mpf_add(mpf_mul(re, re), mpf_mul(im, im), wp + 8, round_down) for re, im in column]
+    top = max(norms, key=_mpf_key)
+    bound = mpf_sub(top, mpf_shift(top, 4 - wp))
+    near = [i for i, norm in enumerate(norms) if mpf_ge(norm, bound)]
+    if len(near) == 1:
+        return near[0]
+    return max(near, key=lambda i: _mpf_key(mpc_abs(column[i], wp, round_nearest)))
 
 
 def det_mpc(rows, prec: Precision):
-    """Partial-pivoted elimination determinant of a square mpc matrix."""
-    with mp.workprec(prec.work_bits):
-        return mpc(_eliminate([[mpc(x) for x in row] for row in rows]))
+    """Partial-pivoted elimination determinant of a square mpc matrix.
+
+    Runs on the raw libmp tuples with the calls that mpc's operators make at
+    work_bits, rounding to nearest, so each value is rounded as the same
+    elimination on mpc values rounds it.  The determinant is the product of
+    the pivots in elimination order; rounding to nearest is symmetric in the
+    sign, so the sign of the row swaps can come last.
+    """
+    wp = prec.work_bits
+    with mp.workprec(wp):
+        a = [[mpc(x)._mpc_ for x in row] for row in rows]
+    mul = partial(mpc_mul, prec=wp, rnd=round_nearest)
+    pivots, odd = _eliminate(
+        a,
+        partial(_pivot_mpc, wp=wp),
+        mul,
+        partial(mpc_sub, prec=wp, rnd=round_nearest),
+        partial(mpc_mpf_div, fone, prec=wp, rnd=round_nearest),
+        mpc_zero,
+    )
+    det = mpc_zero if pivots is None else reduce(mul, pivots, mpc_one)
+    return mp.make_mpc(mpc_neg(det) if odd else det)
 
 
 def exact_determinant(rows):
     """Fraction-arithmetic Gaussian elimination determinant (exact)."""
-    return Fraction(_eliminate([[Fraction(x) for x in row] for row in rows]))
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots, odd = _eliminate(
+        a,
+        lambda column: max(range(len(column)), key=lambda i: abs(column[i])),
+        operator.mul,
+        operator.sub,
+        lambda x: 1 / x,
+        0,
+    )
+    det = Fraction(0) if pivots is None else math.prod(pivots, start=Fraction(1))
+    return -det if odd else det
 
 
 def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:

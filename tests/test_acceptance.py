@@ -100,3 +100,35 @@ def test_determinism_reruns_recompute_the_series_tables(monkeypatch):
     reference = acceptance.canonical_report(run(prec, DEFAULT_SEED), prec, DEFAULT_SEED)
     assert acceptance.criterion_determinism(prec, DEFAULT_SEED, reference).passed
     assert misses[0] > 0 and misses == [misses[0]] * 3
+
+
+def test_determinism_reruns_recompute_the_draws(monkeypatch):
+    # criterion 13 must draw its sample points anew, not read the first run's draws
+    from superint import acceptance, conjecture
+
+    drawn = []
+
+    def counting(seed, counter):
+        drawn.append(counter)
+        return unit_double(seed, counter)
+
+    unit_double = conjecture.unit_double
+    monkeypatch.setattr(conjecture, "unit_double", counting)
+    prec = Precision()
+    misses = []
+
+    def run(prec, seed, jobs=1):
+        before = len(drawn)
+        for m in range(1, 4):
+            for s in range(2):
+                for c in range(3):
+                    conjecture.sample_disk(seed, s, c, 2, prec.bits)
+        misses.append(len(drawn) - before)
+        return []
+
+    monkeypatch.setattr(acceptance, "run_criteria_1_12", run)
+    conjecture.clear_series_memo()
+    reference = acceptance.canonical_report(run(prec, DEFAULT_SEED), prec, DEFAULT_SEED)
+    assert acceptance.criterion_determinism(prec, DEFAULT_SEED, reference).passed
+    # two parts of each of the six points, once per run
+    assert misses == [12] * 3

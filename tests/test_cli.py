@@ -91,6 +91,21 @@ def test_low_precision_scalar_exits_2(bits):
     assert_input_error(run_cli("ls-eval", "--input-json", json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    "command, change",
+    [
+        ("ls-eval", {"beta": 0.5}),
+        ("ls-eval", {"bosonic": {"re": "1"}}),
+        ("bk-eval", {"lambda": {"bosonic": [5]}}),
+        ("ls-eval", {"beta": {"re": "0.5", "bits": float("inf")}}),
+    ],
+)
+def test_malformed_eigenvalue_document_exits_2(command, change):
+    # a scalar that is not an object, a sector that is not a list, bits that are no integer
+    doc = json.loads(LS_INPUT if command == "ls-eval" else BK_INPUT)
+    assert_input_error(run_cli(command, "--input-json", json.dumps({**doc, **change})))
+
+
 def test_truncation_cap_exits_3():
     big = json.dumps(
         {

@@ -63,6 +63,45 @@ def test_sample_disk_radius_and_determinism():
             assert z.re == z2.re and z.im == z2.im
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """The stream positions sample_disk reads, from an empty memo on."""
+    read = []
+
+    def counting(seed, counter):
+        read.append(counter)
+        return unit_double(seed, counter)
+
+    monkeypatch.setattr(conjecture, "unit_double", counting)
+    clear_series_memo()
+    return read
+
+
+def test_draw_memo_keys_clearing_and_cap(drawn):
+    z = sample_disk(5, 0, 0, 2, 256)
+    assert sample_disk(5, 0, 0, 2, 256) is z and len(drawn) == 2
+    # every argument is part of the key
+    keys = [(6, 0, 0, 2, 256), (5, 1, 0, 2, 256), (5, 0, 1, 2, 256), (5, 0, 0, 1, 256), (5, 0, 0, 2, 128)]
+    values = [sample_disk(*key) for key in keys]
+    assert len(drawn) == 12
+    assert len({(v.re, v.im) for v in values + [z]}) == 6
+    clear_series_memo()
+    assert not conjecture._draws_memo
+    again = sample_disk(5, 0, 0, 2, 256)
+    assert (again.re, again.im) == (z.re, z.im) and len(drawn) == 14
+    for s in range(2 * conjecture._DRAWS_CAP):
+        sample_disk(5, s, 0, 2, 256)
+    assert len(conjecture._draws_memo) == conjecture._DRAWS_CAP
+
+
+def test_verify_conjecture_draws_each_point_once(drawn):
+    # every m of one N reads the same points, as every (N, m) cell of criterion 5 does
+    for N in (2, 3):
+        for m in range(1, N + 1):
+            assert verify_conjecture(N, m, sample_count=2, K=16).passed
+    assert len(drawn) == len(set(drawn)) == 2 * 2 * 3
+
+
 # -- truncated series ------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from superint import (
     BigComplex,
@@ -19,9 +20,9 @@ from superint import (
     scaled_bessel_entry,
     vandermonde,
 )
-from superint.precision import bessel_ratio_raw, exact_determinant
+from superint.precision import bessel_ratio_raw, det_mpc, exact_determinant
 
-from oracles import bessel_ratio_mpmath, det_cofactor
+from oracles import bessel_ratio_mpmath, det_cofactor, det_mpc_reference
 
 PREC = Precision()
 
@@ -221,6 +222,101 @@ def test_exact_determinant_and_cofactor_agree():
     rng = random.Random(3)
     rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)]
     assert exact_determinant(rows) == det_cofactor(rows)
+
+
+# -- det_mpc against the elimination on mpc values, bit for bit -------------------
+
+# exactly singular, or with a zero leading entry that forces a row swap
+INTEGER_MATRICES = [
+    [[0]],
+    [[0, 0], [0, 0]],
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 1], [1, 0]],
+    [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+    [[0, 0, 1], [0, 2, 3], [4, 5, 6]],
+    [[2, 1, 0], [4, 2, 1], [1, 5, 3]],
+]
+
+
+def _full(rng, bits, scale=0):
+    """A random mpf of `bits` mantissa bits in (-2^scale, 2^scale)."""
+    return mp.make_mpf(from_man_exp(rng.choice((1, -1)) * rng.getrandbits(bits), scale - bits))
+
+
+def _random_rows(rng, n, bits, scale=lambda i, j: 0):
+    return [[mpc(_full(rng, bits, scale(i, j)), _full(rng, bits, scale(i, j))) for j in range(n)] for i in range(n)]
+
+
+def _assert_det_bits(rows, prec):
+    assert det_mpc(rows, prec)._mpc_ == det_mpc_reference(rows, prec)._mpc_
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_det_mpc_bit_identical_to_reference(bits):
+    # work bits 128, 288 and 1056; entries of work_bits, of twice that (an
+    # mpc entry is not rounded before its first operation), graded by row and
+    # column, and of scattered magnitudes
+    prec = Precision(bits=bits)
+    wp = prec.work_bits
+    rng = random.Random(bits)
+    gradings = [
+        lambda i, j: 0,
+        lambda i, j: 40 * (i - j),
+        lambda i, j: -60 * i * j,
+        lambda i, j: rng.randint(-300, 300),
+    ]
+    for n in range(1, 13):
+        for grading in gradings:
+            _assert_det_bits(_random_rows(rng, n, wp, grading), prec)
+        _assert_det_bits(_random_rows(rng, n, 2 * wp), prec)
+    for rows in INTEGER_MATRICES:
+        _assert_det_bits(rows, prec)
+        assert exact_determinant(rows) == det_cofactor(rows)
+
+
+def _near_tie_columns(rng, wp):
+    """Pivot columns whose largest |entry| is tied, exactly or after rounding to wp bits."""
+    x, y = _full(rng, wp), _full(rng, wp)
+    ulp = mp.make_mpf(from_man_exp(1, x.man.bit_length() + x.exp - wp)) if x else 0
+    # (x, t) has |.|^2 = x^2 (1 + 2^-(wp+2)): its |.| rounds to |x| at wp bits
+    t = abs(x) * mpf(2) ** -((wp + 2) // 2)
+    return [
+        # conjugate pairs and swapped parts: equal exact norms
+        [mpc(x, y), mpc(x, -y)],
+        [mpc(x, y), mpc(y, x), mpc(-x, y)],
+        [mpc(0.5 * x, y), mpc(x, -y), mpc(x, y)],
+        # equal rounded |.|, different exact norms, the larger second or first
+        [mpc(x), mpc(x, t)],
+        [mpc(x, t), mpc(x)],
+        [mpc(0.25 * x), mpc(x), mpc(-x, t)],
+        # exact norms within 2^-(wp-4) of each other, but rounded |.| two units apart
+        [mpc(x), mpc(abs(x) + 2 * ulp)],
+        [mpc(x, y), mpc(x + 2 * ulp * mp.sign(x), y)],
+    ]
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_det_mpc_near_tie_pivots_bit_identical_to_reference(bits):
+    prec = Precision(bits=bits)
+    wp = prec.work_bits
+    rng = random.Random(7 * bits)
+    for trial in range(4):
+        with mp.workprec(4 * wp):
+            columns = _near_tie_columns(rng, wp)
+        for column in columns:
+            n = len(column) + 1
+            rows = _random_rows(rng, n, wp)
+            for i, v in enumerate(column):
+                rows[i][0] = v
+            _assert_det_bits(rows, prec)
+            # the same column one step later: zeros below the first pivot leave it as it is
+            rows = _random_rows(rng, n + 1, wp)
+            for i, v in enumerate(column):
+                rows[i + 1][0] = 0
+                rows[i + 1][1] = v
+            _assert_det_bits(rows, prec)
 
 
 def test_bigcomplex_is_a_record_without_arithmetic():
