@@ -38,14 +38,10 @@ from .grassmann import (
 from .precision import DEFAULT_PRECISION, BigComplex, Precision, to_mpc_any
 
 
-def odd_parameter_matrix(m: int, n: int, g: int | None = None, offset: int = 0):
-    """m x n array of odd generators a_(offset+k), paired with their stars."""
-    if g is None:
-        g = 2 * m * n + 2 * offset
-    return [
-        [GrassmannElement.generator(g, 2 * (offset + i * n + j)) for j in range(n)]
-        for i in range(m)
-    ]
+def odd_parameter_matrix(m: int, n: int):
+    """m x n array of odd generators a_k, k = i n + j, each paired with its star."""
+    g = 2 * m * n
+    return [[GrassmannElement.generator(g, 2 * (i * n + j)) for j in range(n)] for i in range(m)]
 
 
 def measure_factor(m: int, n: int, alphas) -> GrassmannElement:
@@ -63,13 +59,9 @@ def measure_factor(m: int, n: int, alphas) -> GrassmannElement:
     raise ValueError(f"unsupported block shape ({m}, {n})")
 
 
-def measure_order(m: int, n: int, offset: int = 0):
+def measure_order(m: int, n: int):
     """Berezin integration order: a11, a11*, a21, a21*, ... (row-major pairs)."""
-    order = []
-    for idx in range(m * n):
-        order.append(2 * (offset + idx))
-        order.append(2 * (offset + idx) + 1)
-    return order
+    return list(range(2 * m * n))
 
 
 def _newton_eigen_pair(M, prec: Precision):
@@ -149,6 +141,30 @@ def _odd_block(m: int, n: int):
     return alphas, u_g, u_g.adjoint()
 
 
+def _integrate_odd(
+    alphas, a_twist: SuperMatrixSym, b_twist: SuperMatrixSym, beta, prec: Precision
+) -> GrassmannElement:
+    """Berezin integral over the odd parameters alphas for the twisted sources.
+
+    a_twist = u_g A and b_twist = B u_g^dagger; the boson and fermion blocks
+    of their product feed the ordinary-group integrals.  Any generators
+    beyond the odd parameters survive into the returned element.
+    """
+    m, n = a_twist.m, a_twist.n
+    mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
+    mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
+    if m == 1:
+        bos_eigen = [EvenElement(mb[0][0])]
+    else:
+        bos_eigen = _newton_eigen_pair(mb, prec)
+    ferm_eigen = [EvenElement(mf[0][0])]
+    bos_factor = _ordinary_ls_factor(bos_eigen, beta, prec)
+    # fermion block integrand carries exp(-beta tr(...)): even series, same value
+    ferm_factor = _ordinary_ls_factor(ferm_eigen, -beta, prec)
+    integrand = measure_factor(m, n, alphas) * bos_factor.element * ferm_factor.element
+    return berezin_integrate(integrand, measure_order(m, n))
+
+
 def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Full Berezin-and-ordinary-group integral for diagonal numeric sources.
 
@@ -163,28 +179,21 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     b_diag = list(b_diag)
     if len(a_diag) != size or len(b_diag) != size:
         raise ValueError("need m+n diagonal values per source")
-    g = 2 * m * n
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
         a_vals = [to_mpc_any(v) for v in a_diag]
         b_vals = [to_mpc_any(v) for v in b_diag]
         alphas, u_g, u_g_adjoint = _odd_block(m, n)
-        a_mat = SuperMatrixSym.diagonal(m, n, g, a_vals)
-        b_mat = SuperMatrixSym.diagonal(m, n, g, b_vals)
-        a_twist = u_g @ a_mat          # boson/fermion blocks feed the ordinary integrals
-        b_twist = b_mat @ u_g_adjoint
-        mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
-        mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
-        if m == 1:
-            bos_eigen = [EvenElement(mb[0][0])]
-        else:
-            bos_eigen = _newton_eigen_pair(mb, prec)
-        ferm_eigen = [EvenElement(mf[0][0])]
-        bos_factor = _ordinary_ls_factor(bos_eigen, beta_v, prec)
-        # fermion block integrand carries exp(-beta tr(...)): even series, same value
-        ferm_factor = _ordinary_ls_factor(ferm_eigen, -beta_v, prec)
-        integrand = measure_factor(m, n, alphas) * bos_factor.element * ferm_factor.element
-        reduced = berezin_integrate(integrand, measure_order(m, n))
+        # diagonal sources: u_g A scales column j of u_g by a_j, B u_g^dagger row j by b_j
+        a_rows = [[e * a for e, a in zip(row, a_vals)] for row in u_g.entries]
+        b_rows = [[e * b for e in row] for row, b in zip(u_g_adjoint.entries, b_vals)]
+        reduced = _integrate_odd(
+            alphas,
+            SuperMatrixSym(m, n, a_rows, check_parity=False),
+            SuperMatrixSym(m, n, b_rows, check_parity=False),
+            beta_v,
+            prec,
+        )
         if not reduced.soul().is_zero:
             raise RuntimeError("odd directions did not integrate out")
         return BigComplex.from_mpc(mpc(reduced.body), prec.bits)
@@ -203,14 +212,6 @@ def brute_force_ls_supermatrix_11(
     if g < 2 or b_mat.generator_count != g:
         raise ValueError("sources must share an algebra with generators 0,1 reserved")
     with mp.workprec(prec.work_bits):
-        beta_v = to_mpc_any(beta)
         alphas = [[GrassmannElement.generator(g, 0)]]
         u_g = exp_odd_block(alphas)
-        a_twist = u_g @ a_mat
-        b_twist = b_mat @ u_g.adjoint()
-        x = EvenElement(a_twist.entries[0][0] * b_twist.entries[0][0])
-        y = EvenElement(a_twist.entries[1][1] * b_twist.entries[1][1])
-        bos = _ordinary_ls_factor([x], beta_v, prec)
-        ferm = _ordinary_ls_factor([y], -beta_v, prec)
-        integrand = measure_factor(1, 1, alphas) * bos.element * ferm.element
-        return berezin_integrate(integrand, [0, 1])
+        return _integrate_odd(alphas, u_g @ a_mat, b_mat @ u_g.adjoint(), to_mpc_any(beta), prec)

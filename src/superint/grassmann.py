@@ -418,65 +418,6 @@ def _scalar_inverse(c):
     return 1 / mpc(c)
 
 
-def _series_sum(term0, update, prec: Precision):
-    """Adaptive partial sum: terms start at term0, update(k, term) -> term_{k+1}.
-
-    Stops once two consecutive term magnitudes drop below 2^-(bits+guard)
-    times the largest partial-sum magnitude seen so far (two, so that a
-    single zero coefficient inside a series cannot end the sum early).
-    Raises TruncationCapExceeded when the rule is not met within the cap.
-    Returns (sum, terms_used).
-    """
-    threshold_exp = -(prec.bits + prec.guard_bits)
-    with mp.workprec(prec.work_bits):
-        total = mpc(0)
-        term = term0
-        max_mag = mpf(1)
-        cutoff = mpf(2) ** threshold_exp
-        small_run = 0
-        for k in range(prec.truncation_cap):
-            total += term
-            mag = abs(total)
-            if mag > max_mag:
-                max_mag = mag
-            if abs(term) < cutoff * max_mag:
-                small_run += 1
-                if small_run >= 2:
-                    return total, k + 1
-            else:
-                small_run = 0
-            term = update(k, term)
-    raise TruncationCapExceeded(
-        f"series did not converge within {prec.truncation_cap} terms"
-    )
-
-
-@dataclass(frozen=True)
-class SeriesFunction:
-    """Power series around zero given by an exact coefficient callable."""
-
-    coefficient: object  # callable k -> coefficient
-
-    def derivative(self) -> "SeriesFunction":
-        coeff = self.coefficient
-        return SeriesFunction(lambda k: (k + 1) * coeff(k + 1))
-
-    def eval_at(self, body, prec: Precision):
-        """Adaptive evaluation at an ordinary (complex) point."""
-        coeff = self.coefficient
-        with mp.workprec(prec.work_bits):
-            b = to_mpc_any(body)
-            state = {"pow": mpc(1)}
-
-            def update(k, _term):
-                state["pow"] *= b
-                return to_mpc_any(coeff(k + 1)) * state["pow"]
-
-            term0 = to_mpc_any(coeff(0))
-            total, _ = _series_sum(term0, update, prec)
-            return total
-
-
 @dataclass(frozen=True)
 class BesselSeries:
     """The even Bessel kernel R(nu, w) = sum_k w^k/(k!(k+nu)!) as a series.
@@ -493,17 +434,40 @@ class BesselSeries:
         return BesselSeries(self.nu + 1, self.sums)
 
     def eval_at(self, body, prec: Precision):
-        """Sum on the term recurrence t_(k+1) = t_k w/((k+1)(k+1+nu)), t_0 = 1/nu!."""
+        """Sum on the term recurrence t_(k+1) = t_k w/((k+1)(k+1+nu)), t_0 = 1/nu!.
+
+        Stops once two consecutive term magnitudes drop below 2^-(bits+guard)
+        times the largest partial-sum magnitude seen so far (two, so that a
+        single small term cannot end the sum early).  Raises
+        TruncationCapExceeded when the rule is not met within the cap.
+        """
         key = (self.nu, body, prec)
-        if key not in self.sums:
-            nu = self.nu
-            with mp.workprec(prec.work_bits):
-                b = to_mpc_any(body)
-                term0 = mpc(mpf(1) / math.factorial(nu))
-                self.sums[key], _ = _series_sum(
-                    term0, lambda k, term: term * b / ((k + 1) * (k + 1 + nu)), prec
-                )
-        return self.sums[key]
+        if key in self.sums:
+            return self.sums[key]
+        nu = self.nu
+        with mp.workprec(prec.work_bits):
+            b = to_mpc_any(body)
+            term = mpc(mpf(1) / math.factorial(nu))
+            total = mpc(0)
+            max_mag = mpf(1)
+            cutoff = mpf(2) ** -(prec.bits + prec.guard_bits)
+            small_run = 0
+            for k in range(prec.truncation_cap):
+                total += term
+                mag = abs(total)
+                if mag > max_mag:
+                    max_mag = mag
+                if abs(term) < cutoff * max_mag:
+                    small_run += 1
+                    if small_run >= 2:
+                        self.sums[key] = total
+                        return total
+                else:
+                    small_run = 0
+                term = term * b / ((k + 1) * (k + 1 + nu))
+        raise TruncationCapExceeded(
+            f"series did not converge within {prec.truncation_cap} terms"
+        )
 
 
 def bessel_series(nu: int, sums: dict | None = None) -> BesselSeries:
@@ -520,11 +484,10 @@ def bessel_series(nu: int, sums: dict | None = None) -> BesselSeries:
 def analytic_eval(series, w: EvenElement, prec: Precision = DEFAULT_PRECISION) -> EvenElement:
     """f(body + soul) = sum_j f^(j)(body) soul^j / j!, exact in the soul.
 
-    `series` is a `SeriesFunction` or a `BesselSeries`: anything with
-    eval_at(body, prec) and derivative().  The soul expansion terminates by
-    nilpotency; each derivative value at the body is evaluated adaptively under
-    the precision's truncation rules.  For `bessel_series(nu)` the j-th
-    derivative is R(nu+j, w) by the order shift, summed on its own recurrence.
+    `series` is a `BesselSeries`, such as `bessel_series(nu)`.  The soul
+    expansion terminates by nilpotency; the j-th derivative at the body is
+    R(nu+j, body) by the order shift, summed adaptively on its own recurrence
+    under the precision's truncation rules.
     The soul products are rounded at prec.work_bits, whatever the caller's
     mpmath precision.
     """

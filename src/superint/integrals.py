@@ -26,6 +26,7 @@ from .precision import (
     as_record,
     bessel_ratio_raw,
     det_mpc,
+    json_int,
     scaled_bessel_entry_raw,
     to_mpc_any,
     vandermonde,
@@ -80,9 +81,9 @@ class SuperEigenvalues:
                 raise ValueError(f"the {name} values must be a list, got {values!r}")
         bos = [BigComplex.from_json(v) for v in sectors["bosonic"]]
         ferm = [BigComplex.from_json(v) for v in sectors["fermionic"]]
-        if "m" in obj and int(obj["m"]) != len(bos):
+        if "m" in obj and json_int(obj["m"], "m") != len(bos):
             raise ValueError("declared m does not match the bosonic list length")
-        if "n" in obj and int(obj["n"]) != len(ferm):
+        if "n" in obj and json_int(obj["n"], "n") != len(ferm):
             raise ValueError("declared n does not match the fermionic list length")
         return cls(tuple(bos), tuple(ferm), BigComplex.from_json(obj["beta"]))
 
@@ -150,6 +151,18 @@ def _group_exact(values):
     return [(g[0], g[1]) for g in groups]
 
 
+def _require_repeat(*pairs):
+    """ValueError unless a sector of some (bosonic, fermionic) pair repeats a value.
+
+    A boson-fermion coincidence also passes: the closed form returns its
+    vanishing branch for it.
+    """
+    if any(_sectors_coincide(bos, ferm) for bos, ferm in pairs):
+        return
+    if not any(r > 1 for pair in pairs for sector in pair for _, r in _group_exact(sector)):
+        raise ValueError("no exactly repeated eigenvalue inside a sector")
+
+
 def _near_coincidence_warnings(groups, bits, sector):
     return [
         f"{sector} values {i} and {j} are nearly coincident; "
@@ -176,7 +189,7 @@ def _grouped_denominator(groups):
 # -- the one-source integral -----------------------------------------------------
 
 
-def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
+def _ls_value(ev: SuperEigenvalues, prec: Precision):
     m, n = ev.m, ev.n
     N = m + n
     if N == 0:
@@ -187,8 +200,6 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision, force_confluent: bool):
     bgroups = _group_exact(bos)
     fgroups = _group_exact(ferm)
     confluent = any(r > 1 for _, r in bgroups) or any(r > 1 for _, r in fgroups)
-    if force_confluent and not confluent:
-        raise ValueError("no exactly repeated eigenvalue inside a sector")
     terms_used = 0
     with mp.workprec(prec.work_bits):
         warnings = _near_coincidence_warnings(bgroups, prec.bits, "bosonic")
@@ -222,12 +233,14 @@ def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) ->
     Repeated values inside a sector are dispatched to the confluent limit;
     a boson-fermion coincidence returns the vanishing branch.
     """
-    return _ls_value(ev, prec, force_confluent=False)
+    return _ls_value(ev, prec)
 
 
 def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
     """Confluent (derivative-column) limit; requires an exact repeat in a sector."""
-    return _ls_value(ev, prec, force_confluent=True)
+    bos, ferm, _ = ev.values(prec.bits)
+    _require_repeat((bos, ferm))
+    return _ls_value(ev, prec)
 
 
 # -- the two-source integral -----------------------------------------------------
@@ -284,7 +297,7 @@ def _bk_berezinian_grouped(bgroups, fgroups, bos, ferm):
     return num / _cross_product(bos, ferm)
 
 
-def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, force_confluent: bool):
+def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
     if lam.m != mu.m or lam.n != mu.n:
         raise ValueError("the two eigenvalue sets must share (m, n)")
     lam_b, lam_f, beta = lam.values(prec.bits)
@@ -297,8 +310,6 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision, forc
     lb, lf = _group_exact(lam_b), _group_exact(lam_f)
     mb, mf = _group_exact(mu_b), _group_exact(mu_f)
     confluent = any(r > 1 for _, r in lb + lf + mb + mf)
-    if force_confluent and not confluent:
-        raise ValueError("no exactly repeated eigenvalue inside a sector")
     stats = {"terms_used": 0}
     with mp.workprec(prec.work_bits):
         warnings = []
@@ -320,14 +331,17 @@ def bk_closed_form(
     lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
 ) -> IntegralResult:
     """Two-source integral over two independent supergroup copies, closed form."""
-    return _bk_value(lam, mu, prec, force_confluent=False)
+    return _bk_value(lam, mu, prec)
 
 
 def bk_confluent(
     lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
 ) -> IntegralResult:
     """Confluent limit of the two-source integral; requires an exact repeat."""
-    return _bk_value(lam, mu, prec, force_confluent=True)
+    lam_b, lam_f, _ = lam.values(prec.bits)
+    mu_b, mu_f, _ = mu.values(prec.bits)
+    _require_repeat((lam_b, lam_f), (mu_b, mu_f))
+    return _bk_value(lam, mu, prec)
 
 
 # -- (1+1)-dimensional non-diagonalizable limits ----------------------------------

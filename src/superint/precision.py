@@ -134,7 +134,7 @@ class BigComplex:
     def from_json(cls, obj: dict) -> "BigComplex":
         if not isinstance(obj, dict):
             raise ValueError(f"a scalar must be an object with re and im, got {obj!r}")
-        bits = int(obj.get("bits", DEFAULT_BITS))
+        bits = json_int(obj.get("bits", DEFAULT_BITS), "bits")
         if bits < 64:
             raise ValueError("precision must be at least 64 bits")
         with mp.workprec(bits):
@@ -149,6 +149,14 @@ class BigComplex:
 
     def __repr__(self):
         return f"BigComplex({mp.nstr(self.re, 12)}, {mp.nstr(self.im, 12)}, bits={self.bits})"
+
+
+def json_int(value, name: str) -> int:
+    """An integer field of an input document; a value int() would change is refused."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def as_record(v, bits: int) -> BigComplex:

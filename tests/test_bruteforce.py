@@ -1,9 +1,11 @@
 """Explicit Haar-parametrized integration against the closed determinant form."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from superint import (
     BigComplex,
@@ -110,3 +112,48 @@ def test_supermatrix_oracle_reproduces_nondiag_limit():
                 coeff = out.terms[0b1100]
                 lim = nondiag_limit_ls(a, c, BETA, PREC).to_mpc()
                 assert abs(coeff - lim) <= abs(lim) * mpf(2) ** -200, (a, c)
+
+
+def _pin_points():
+    """Seeded (1|1) and (2|1) diagonal sources with rational and complex entries."""
+    rng = random.Random(4101)
+
+    def entry():
+        re = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        if rng.random() < 0.5:
+            return re
+        return BigComplex(re, Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
+
+    shapes = [(1, 1)] * 3 + [(2, 1)] * 3
+    return [(m, n, [entry() for _ in range(m + n)], [entry() for _ in range(m + n)]) for m, n in shapes]
+
+
+def test_brute_force_values_bit_pinned():
+    # every bit of the Haar oracle's values, where the closed-form tests allow 2^-200
+    out = []
+    for i, (m, n, a, b) in enumerate(_pin_points()):
+        beta = BETA if i % 2 else BigComplex(Fraction(2, 3), Fraction(-1, 4))
+        v = brute_force_ls(m, n, a, b, beta, PREC)
+        out.append((v.re._mpf_, v.im._mpf_))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "d8889e50f8f19664ce0349f9c61d12cab08e25e67f2ffdfcb0e014f4ab6ce5f5"
+
+
+def test_supermatrix_oracle_terms_bit_pinned():
+    # general (1|1) sources with odd entries on both sides, over two external generators
+    g = 4
+    one = GrassmannElement.scalar(g, 1)
+    t1 = GrassmannElement.generator(g, 2)
+    t2 = GrassmannElement.generator(g, 3)
+    with mp.workprec(PREC.work_bits):
+        A = SuperMatrixSym(
+            1, 1, [[one * mpc(mpf(9) / 16, mpf(1) / 3), t1 * Fraction(3, 5)], [t2, one * (mpf(2) / 7)]],
+            check_parity=False,
+        )
+        B = SuperMatrixSym(
+            1, 1, [[one * (mpf(5) / 4), t2], [t1 * Fraction(1, 2), one * mpc(mpf(1) / 3, 1)]],
+            check_parity=False,
+        )
+    out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
+    terms = sorted((mono, c._mpc_) for mono, c in out.terms.items())
+    assert set(dict(terms)) == {0, 0b1100}
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == "b914f888e7c7a7bea5ed0415a6a319ae314e9937dd33e3fdab251efd55df60d4"

@@ -212,16 +212,6 @@ def test_analytic_eval_trivial():
     g = 2
     zero = EvenElement.scalar(g, 0)
     assert analytic_eval(bessel_series(0), zero, PREC) == EvenElement(scalar(g, mpc(1)))
-    ident = bessel_series(0)
-    w = EvenElement(scalar(g, Fraction(1, 2)) + gen(g, 0) * gen(g, 1))
-    # identity series: f(w) = w
-    from superint.grassmann import SeriesFunction
-
-    f = SeriesFunction(lambda k: Fraction(1) if k == 1 else Fraction(0))
-    out = analytic_eval(f, w, PREC)
-    assert out.soul() == w.soul()
-    with mp.workprec(300):
-        assert abs(mpc(out.body) - mpc(0.5)) < mpf(2) ** -250
 
 
 def test_analytic_eval_bessel_soul_structure():

@@ -149,6 +149,26 @@ def test_ls_confluent_requires_repeat():
         ls_confluent(ev([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5)]), PREC)
 
 
+def test_confluent_entry_points_check_before_summing(monkeypatch):
+    # no repeat: ValueError before any kernel series; a boson-fermion
+    # coincidence without a repeat still returns the vanishing branch
+    from superint import integrals
+
+    def no_series(*args):
+        raise AssertionError("a series was summed")
+
+    monkeypatch.setattr(integrals, "scaled_bessel_entry_raw", no_series)
+    monkeypatch.setattr(integrals, "bessel_ratio_raw", no_series)
+    x, y = Fraction(1, 2), Fraction(1, 5)
+    plain = ev([x, Fraction(1, 3)], [y])
+    with pytest.raises(ValueError):
+        ls_confluent(plain, PREC)
+    with pytest.raises(ValueError):
+        bk_confluent(plain, ev([Fraction(2, 5), Fraction(1, 4)], [Fraction(5, 9)]), PREC)
+    assert ls_confluent(ev([x, Fraction(1, 3)], [x]), PREC).branch == "vanishing"
+    assert bk_confluent(plain, ev([y, Fraction(1, 4)], [y]), PREC).branch == "vanishing"
+
+
 def test_ls_confluent_epsilon_limit():
     x, y = Fraction(3, 5), Fraction(1, 7)
     conf = ls_closed_form(ev([x, x], [y]), PREC)
