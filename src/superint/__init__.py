@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "BosonFermionCoincidence",
-        "DegenerateArguments",
         "GeneratorMismatch",
         "InputFormatError",
         "NonInvertibleBody",

@@ -13,10 +13,6 @@ class TruncationCapExceeded(SuperintError):
     """
 
 
-class DegenerateArguments(SuperintError):
-    """Bialternant character evaluation requested at (nearly) coinciding points."""
-
-
 class NotCovariant(SuperintError):
     """The diagram does not fit the (m|n) hook, so no covariant representation exists."""
 

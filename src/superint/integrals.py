@@ -1,10 +1,10 @@
 """Closed-form evaluators for the supersymmetric one- and two-source group integrals.
 
 Every determinant entry is computed through the squared eigenvalues only, so
-complex inputs never require a branch choice.  Exactly repeated eigenvalues
-inside the bosonic or fermionic sector dispatch to the confluent (derivative
-column) limit; a bosonic value coinciding with a fermionic one makes the
-integral vanish identically.
+complex inputs never require a branch choice.  Clusters of close or repeated
+values inside a sector take Newton divided-difference columns, so nothing is
+divided by their differences; a bosonic value coinciding with a fermionic one
+makes the integral vanish identically.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
-    _near_coincident_pairs,
+    _log2_abs,
     as_record,
     bessel_ratio_raw,
     det_mpc,
     json_int,
+    newton_sums,
     scaled_bessel_entry_raw,
     to_mpc_any,
     vandermonde,
@@ -135,55 +136,46 @@ def berezinian(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> Big
         return BigComplex.from_mpc(num / _cross_product(bos, ferm), prec.bits)
 
 
-# -- grouping of exactly repeated values ----------------------------------------
-
-
-def _group_exact(values):
-    """Group bit-identical values, preserving first-occurrence order."""
-    groups = []
-    for v in values:
-        for g in groups:
-            if g[0] == v:
-                g[1] += 1
-                break
-        else:
-            groups.append([v, 1])
-    return [(g[0], g[1]) for g in groups]
+# -- clusters of close values ----------------------------------------------------
 
 
 def _require_repeat(*pairs):
     """ValueError unless a sector of some (bosonic, fermionic) pair repeats a value.
 
-    A boson-fermion coincidence also passes: the closed form returns its
-    vanishing branch for it.
+    A boson-fermion coincidence also passes: the closed form returns its vanishing branch.
     """
-    if any(_sectors_coincide(bos, ferm) for bos, ferm in pairs):
-        return
-    if not any(r > 1 for pair in pairs for sector in pair for _, r in _group_exact(sector)):
+    if not any(_sectors_coincide(b, f) or len(set(b)) + len(set(f)) < len(b) + len(f) for b, f in pairs):
         raise ValueError("no exactly repeated eigenvalue inside a sector")
 
 
-def _near_coincidence_warnings(groups, bits, sector):
-    return [
-        f"{sector} values {i} and {j} are nearly coincident; "
-        "generic branch evaluated (exact repeats dispatch to the confluent limit)"
-        for i, j in _near_coincident_pairs([g[0] for g in groups], bits)
-    ]
+def _clusters(sectors, prec: Precision):
+    """Each sector's values split into clusters, both in first-occurrence order.
 
-
-def _grouped_denominator(groups):
-    """Confluent replacement for a sector Vandermonde.
-
-    prod over group pairs of (x_g - x_h)^(r_g r_h), carrying the sign
-    (-1)^(r(r-1)/2) per group from the collapsed pair ordering.  Reduces to
-    the plain Vandermonde when every multiplicity is 1.
+    Dividing by x - y loses about max(0, log2(max(|x|, |y|, 1) / |x - y|)) bits.  While
+    that loss, summed over same-sector pairs in different clusters, exceeds guard_bits / 2,
+    the pair losing most joins its two clusters (exact repeats first).  Run at work_bits.
     """
-    den = math.prod((x - y) ** (r * s) for (x, r), (y, s) in combinations(groups, 2))
-    sign = 1
-    for _, r in groups:
-        if (r * (r - 1) // 2) % 2:
-            sign = -sign
-    return sign * den
+    values = [(s, v, max(0.0, _log2_abs(v))) for s, sector in enumerate(sectors) for v in sector]
+    lost = {(i, j): max(0.0, max(x[2], y[2]) - _log2_abs(x[1] - y[1]))
+            for (i, x), (j, y) in combinations(enumerate(values), 2) if x[0] == y[0]}
+    label = list(range(len(values)))
+    while sum(bits for (i, j), bits in lost.items() if label[i] != label[j]) > prec.guard_bits / 2:
+        i, j = max((pair for pair in lost if label[pair[0]] != label[pair[1]]), key=lost.get)
+        label = [label[i] if lab == label[j] else lab for lab in label]
+    out = [{} for _ in sectors]
+    for lab, (s, v, _) in zip(label, values):
+        out[s].setdefault(lab, []).append(v)
+    return [list(clusters.values()) for clusters in out]
+
+
+def _cluster_denominator(clusters):
+    """The Vandermonde over pairs in different clusters, times (-1)^(r(r-1)/2) per cluster of r values.
+
+    The sign turns a cluster's prod_(i<j) (x_j - x_i) into the Vandermonde's.
+    """
+    flat = [(c, x) for c, cluster in enumerate(clusters) for x in cluster]
+    den = math.prod(x - y for (c, x), (d, y) in combinations(flat, 2) if c != d)
+    return (-1) ** sum(len(c) * (len(c) - 1) // 2 for c in clusters) * den
 
 
 # -- the one-source integral -----------------------------------------------------
@@ -197,47 +189,46 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision):
     bos, ferm, beta = ev.values(prec.bits)
     if _sectors_coincide(bos, ferm):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
-    bgroups = _group_exact(bos)
-    fgroups = _group_exact(ferm)
-    confluent = any(r > 1 for _, r in bgroups) or any(r > 1 for _, r in fgroups)
-    terms_used = 0
     with mp.workprec(prec.work_bits):
-        warnings = _near_coincidence_warnings(bgroups, prec.bits, "bosonic")
-        warnings += _near_coincidence_warnings(fgroups, prec.bits, "fermionic")
+        bclusters, fclusters = _clusters((bos, ferm), prec)
+        terms_used = 0
         cols = []
-        for x, mult in bgroups + fgroups:
-            for k in range(mult):
-                # k-th derivative (in the squared eigenvalue) of each entry, / k!
-                col = []
-                kfact = mp.factorial(k)
-                for i in range(1, N + 1):
-                    nu = N - i
-                    entry, terms = scaled_bessel_entry_raw(nu - k, beta, x, prec)
-                    terms_used = max(terms_used, terms)
-                    col.append(beta ** k * entry / kfact)
-                cols.append(col)
-        rows = [[cols[j][i] for j in range(N)] for i in range(N)]
-        num = det_mpc(rows, prec)
-        den = _grouped_denominator(bgroups) * _grouped_denominator(fgroups)
+        for xs in bclusters + fclusters:
+            kernel = [scaled_bessel_entry_raw(nu, beta, xs[0], prec) for nu in range(N - 1, -1, -1)]
+            # column j > 1 is f_nu[x_1..x_j]: f_nu(x) = beta^nu x^nu R(nu, beta^2 x) = beta^-nu
+            # sum_(q>=nu) (beta^2 x)^q / ((q-nu)! q!), so it is beta^(2j-2-nu)
+            # sum_(q>=q0) h_(q-j+1)(beta^2 x_1..) / ((q-nu)! q!), q0 = max(nu, j-1)
+            keys = [(j, nu, max(nu, j - 1)) for j in range(2, len(xs) + 1) for nu in range(N - 1, -1, -1)]
+            sums, terms = newton_sums([[beta * beta * x for x in xs]], [
+                ([(0, j, q0 - j + 1)], q0 - nu, q0) for j, nu, q0 in keys], prec)
+            terms_used = max([terms_used, terms] + [t for _, t in kernel])
+            # at beta = 0 a sum under a negative beta power is exactly 0
+            col = [v for v, _ in kernel] + [
+                beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
+                for (j, nu, q0), v in zip(keys, sums)
+            ]
+            cols += [col[k : k + N] for k in range(0, len(col), N)]
+        num = det_mpc([list(row) for row in zip(*cols)], prec)
+        den = _cluster_denominator(bclusters) * _cluster_denominator(fclusters)
         power = ((m + n) - (m - n) ** 2) // 2
         pref = mpc(c_constant(m) * c_constant(n)) * beta ** power
         value = pref * num / den
-    branch = "confluent" if confluent else "generic"
-    diag = {"warnings": warnings, "terms_used": terms_used}
+    branch = "confluent" if len(set(bos)) + len(set(ferm)) < N else "generic"
+    diag = {"warnings": [], "terms_used": terms_used}
     return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
 
 
 def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
     """One-source integral over the unitary supergroup in closed determinant form.
 
-    Repeated values inside a sector are dispatched to the confluent limit;
-    a boson-fermion coincidence returns the vanishing branch.
+    Clusters of close or repeated values inside a sector take Newton
+    columns; a boson-fermion coincidence returns the vanishing branch.
     """
     return _ls_value(ev, prec)
 
 
 def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
-    """Confluent (derivative-column) limit; requires an exact repeat in a sector."""
+    """Confluent limit; requires an exact repeat in a sector."""
     bos, ferm, _ = ev.values(prec.bits)
     _require_repeat((bos, ferm))
     return _ls_value(ev, prec)
@@ -246,55 +237,30 @@ def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> I
 # -- the two-source integral -----------------------------------------------------
 
 
-def _bk_sector_det(lgroups, mgroups, beta, prec, stats):
-    """Determinant over one sector with derivative rows/columns for repeats.
+def _bk_sector_det(lclusters, mclusters, beta, prec):
+    """One sector's determinant and terms used: rows (x_1..x_j) of first-set clusters, columns (y_1..y_k).
 
-    Entry for row-group (x, row-order j) and column-group (y, column-order k):
-    the (j, k) mixed derivative of the kernel R(0, beta^2 x y) in (x, y),
-    divided by j! k!.
+    Entries are divided differences of R(0, c x y), c = beta^2: the kernel at j = k = 1, else
+    c^(j-1) sum_p h_(p-j+1)(c x_1..c x_j) h_(p-k+1)(y_1..y_k) / (p!)^2 from p0 = max(j, k) - 1.
     """
-    size = sum(r for _, r in lgroups)
-    if size != sum(r for _, r in mgroups):
+    size = sum(map(len, lclusters))
+    if size != sum(map(len, mclusters)):
         raise ValueError("sector sizes must agree")
     if size == 0:
-        return mpc(1)
+        return mpc(1), 0
     c = beta * beta
-
-    def kernel(nu, w):
-        core, terms = bessel_ratio_raw(nu, w, prec)
-        stats["terms_used"] = max(stats["terms_used"], terms)
-        return core
-
-    rows = []
-    for x, xr in lgroups:
-        for j in range(xr):
-            row = []
-            for y, yr in mgroups:
-                for k in range(yr):
-                    if j == k == 0:
-                        # a generic entry: every factor below is an exact 1
-                        row.append(kernel(0, c * x * y))
-                        continue
-                    total = mpc(0)
-                    for l in range(min(j, k) + 1):
-                        term = (
-                            math.comb(k, l)
-                            * math.perm(j, l)
-                            * y ** (j - l)
-                            * (c * x) ** (k - l)
-                            * c ** j
-                            * kernel(j + k - l, c * x * y)
-                        )
-                        total += term
-                    row.append(total / (math.factorial(j) * math.factorial(k)))
-            rows.append(row)
-    return det_mpc(rows, prec)
-
-
-def _bk_berezinian_grouped(bgroups, fgroups, bos, ferm):
-    """Berezinian with sector Vandermondes replaced by their grouped limits."""
-    num = _grouped_denominator(bgroups) * _grouped_denominator(fgroups)
-    return num / _cross_product(bos, ferm)
+    keys = [(a, b, j, k, max(j, k) - 1) for a, xs in enumerate(lclusters) for j in range(1, len(xs) + 1)
+            for b, ys in enumerate(mclusters) for k in range(1, len(ys) + 1)]
+    kernel = {(a, b): bessel_ratio_raw(0, c * xs[0] * ys[0], prec)
+              for a, xs in enumerate(lclusters) for b, ys in enumerate(mclusters)}
+    nl = len(lclusters)
+    sums, terms = newton_sums([[c * x for x in xs] for xs in lclusters] + mclusters, [
+        ([(a, j, p0 - j + 1), (nl + b, k, p0 - k + 1)], p0, p0) for a, b, j, k, p0 in keys if p0], prec)
+    sums = iter(sums)
+    entries = [c ** (j - 1) * next(sums) / math.factorial(p0) ** 2 if p0 else kernel[a, b][0]
+               for a, b, j, k, p0 in keys]
+    terms = max([terms] + [t for _, t in kernel.values()])
+    return det_mpc([entries[i : i + size] for i in range(0, size * size, size)], prec), terms
 
 
 def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
@@ -307,23 +273,17 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
     m, n = lam.m, lam.n
     if _sectors_coincide(lam_b, lam_f) or _sectors_coincide(mu_b, mu_f):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
-    lb, lf = _group_exact(lam_b), _group_exact(lam_f)
-    mb, mf = _group_exact(mu_b), _group_exact(mu_f)
-    confluent = any(r > 1 for _, r in lb + lf + mb + mf)
-    stats = {"terms_used": 0}
     with mp.workprec(prec.work_bits):
-        warnings = []
-        for groups, name in ((lb, "first bosonic"), (lf, "first fermionic"), (mb, "second bosonic"), (mf, "second fermionic")):
-            warnings += _near_coincidence_warnings(groups, prec.bits, name)
-        det_b = _bk_sector_det(lb, mb, beta, prec, stats)
-        det_f = _bk_sector_det(lf, mf, beta, prec, stats)
-        ber_l = _bk_berezinian_grouped(lb, lf, lam_b, lam_f)
-        ber_m = _bk_berezinian_grouped(mb, mf, mu_b, mu_f)
+        lb, lf, mb, mf = _clusters((lam_b, lam_f, mu_b, mu_f), prec)
+        det_b, terms_b = _bk_sector_det(lb, mb, beta, prec)
+        det_f, terms_f = _bk_sector_det(lf, mf, beta, prec)
+        ber_l = _cluster_denominator(lb) * _cluster_denominator(lf) / _cross_product(lam_b, lam_f)
+        ber_m = _cluster_denominator(mb) * _cluster_denominator(mf) / _cross_product(mu_b, mu_f)
         power = (m + n) - (m - n) ** 2
         pref = mpc(c_constant(m) ** 2 * c_constant(n) ** 2) * beta ** power
         value = pref * det_b * det_f / (ber_l * ber_m)
-    branch = "confluent" if confluent else "generic"
-    diag = {"warnings": warnings, "terms_used": stats["terms_used"]}
+    branch = "confluent" if any(len(set(v)) < len(v) for v in (lam_b, lam_f, mu_b, mu_f)) else "generic"
+    diag = {"warnings": [], "terms_used": max(terms_b, terms_f)}
     return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
 
 

@@ -12,7 +12,7 @@ from math import factorial
 from typing import Iterator
 
 from .errors import NotCovariant, TooManyRows
-from .precision import vandermonde
+from .precision import json_int, vandermonde
 
 
 class Partition:
@@ -81,14 +81,11 @@ class Partition:
 EMPTY = Partition()
 
 
-def partitions_of(n: int, max_rows: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, optionally with bounded row count / largest part."""
-    if any(bound is not None and bound < 0 for bound in (max_rows, max_part)):
-        raise ValueError("max_rows and max_part must be non-negative")
-    if max_part is None:
-        max_part = n
-    if max_rows is None:
-        max_rows = n
+def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, optionally with a bounded row count."""
+    max_rows = n if max_rows is None else max_rows
+    if max_rows < 0:
+        raise ValueError("max_rows must be non-negative")
 
     def rec(remaining, largest, rows_left, prefix):
         if remaining == 0:
@@ -99,7 +96,7 @@ def partitions_of(n: int, max_rows: int | None = None, max_part: int | None = No
         for part in range(min(remaining, largest), 0, -1):
             yield from rec(remaining - part, part, rows_left - 1, prefix + [part])
 
-    yield from rec(n, max_part, max_rows, [])
+    yield from rec(n, n, max_rows, [])
 
 
 def standard_tableaux_count(t: Partition) -> int:
@@ -204,7 +201,8 @@ class SuperDiagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuperDiagram":
-        return cls(int(obj["m"]), int(obj["n"]), Partition(obj["p"]), Partition(obj["q"]))
+        p, q = (Partition([json_int(r, key) for r in obj[key]]) for key in ("p", "q"))
+        return cls(json_int(obj["m"], "m"), json_int(obj["n"], "n"), p, q)
 
 
 def assemble(sd: SuperDiagram) -> Partition:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
-from functools import cmp_to_key, partial, reduce
+from functools import cmp_to_key, lru_cache, partial, reduce
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -32,6 +32,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_shift,
     mpf_sub,
+    round_ceiling,
     round_down,
     round_nearest,
     to_fixed,
@@ -197,19 +198,6 @@ def vandermonde(values):
     return math.prod(a - b for a, b in itertools.combinations(values, 2))
 
 
-def _near_coincident_pairs(values, bits: int):
-    """Index pairs i < j with |a - b| < 2^-(bits//2) max(|a|, |b|, 1), lazily.
-
-    Evaluated at the ambient mpmath precision.  The threshold is a power of
-    two, so scaling each max(|v|, 1) by it first is exact.
-    """
-    threshold = mpf(2) ** (-(bits // 2))
-    limits = [threshold * max(abs(v), mpf(1)) for v in values]
-    for (i, a), (j, b) in itertools.combinations(enumerate(values), 2):
-        if abs(a - b) < max(limits[i], limits[j]):
-            yield i, j
-
-
 # -- power series kernels ----------------------------------------------------
 
 
@@ -330,35 +318,132 @@ def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
 
 
 def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
-    """lambda^nu I_nu(2 beta lambda) through lambda^2 only; nu may be negative.
+    """lambda^nu I_nu(2 beta lambda) through lambda^2 only, for nu >= 0.
 
-    For nu >= 0 this is beta^nu (lambda^2)^nu R(nu, beta^2 lambda^2); negative
-    orders use I_{-nu} = I_nu, which cancels the lambda power exactly:
-    lambda^-s I_s(2 beta lambda) = beta^s R(s, beta^2 lambda^2).
-    Returns (value, series terms used).
+    This is beta^nu (lambda^2)^nu R(nu, beta^2 lambda^2).  Returns (value,
+    series terms used).
     """
     with mp.workprec(prec.work_bits):
         beta = mpc(beta)
         lam2 = mpc(lambda_sq)
-        if nu >= 0:
-            if nu == 0:
-                return bessel_ratio_raw(0, beta * beta * lam2, prec)
-            core, terms = bessel_ratio_raw(nu, beta * beta * lam2, prec)
-            return (beta ** nu) * (lam2 ** nu) * core, terms
-        s = -nu
-        core, terms = bessel_ratio_raw(s, beta * beta * lam2, prec)
-        return (beta ** s) * core, terms
+        core, terms = bessel_ratio_raw(nu, beta * beta * lam2, prec)
+        return (beta ** nu) * (lam2 ** nu) * core, terms
 
 
 def scaled_bessel_entry(
     nu: int, beta, lambda_sq, prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
     """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2."""
-    if nu < 0:
-        raise ValueError("order must be non-negative")
     with mp.workprec(prec.work_bits):
         value, _ = scaled_bessel_entry_raw(nu, to_mpc_any(beta), to_mpc_any(lambda_sq), prec)
     return BigComplex.from_mpc(value, _tag_bits(prec, [beta, lambda_sq]))
+
+
+# -- divided differences -----------------------------------------------------
+
+
+def _log2_abs(z) -> float:
+    """log2 |z| of an mpc, to about 53 bits; -inf at 0."""
+    _, man, exp, _ = mpc_abs(z._mpc_, 53)
+    return math.log2(man) + exp if man else -math.inf
+
+
+def complete_homogeneous(values, degree, one=1, mul=operator.mul, add=operator.add):
+    """Prefix table table[j][d] = h_d(values[0..j]), d <= degree, in the arithmetic given.
+
+    h_d(x_1..x_j) = h_d(x_1..x_(j-1)) + x_j h_(d-1)(x_1..x_j) divides by nothing, and
+    sum_q c_q h_(q-j+1)(x_1..x_j) is the divided difference of sum_q c_q x^q over x_1..x_j.
+    """
+    table = []
+    for x in values:
+        row = [one]
+        for d in range(1, degree + 1):
+            row.append(add(table[-1][d], mul(x, row[-1])) if table else mul(x, row[-1]))
+        table.append(row)
+    return table
+
+
+@lru_cache(maxsize=1024)
+def _newton_count(log_z: float, P: int, O: int, fbits: int, cap: int) -> int:
+    """Terms of a newton_sums sum: the first n with b_(n-1) below 2^-fbits and b_(i+1) <= b_i / 2 after.
+
+    b_i = |z|^i (O+i+1)^P / (i!)^2 bounds term i, so the dropped tail is below
+    b_(n-1).  TruncationCapExceeded when n would pass the cap.
+    """
+    log_bound = P * math.log2(O + 1)
+    for n in range(1, cap + 1):
+        step = log_z - 2 * math.log2(n) + P * math.log2((O + n + 1) / (O + n))
+        if step <= -1 and log_bound < -fbits:
+            return n
+        log_bound += step
+    raise TruncationCapExceeded(f"series did not converge within {cap} terms")
+
+
+def newton_sums(sides, sums, prec: Precision):
+    """Divided-difference sums over clusters of mpc values: (list of mpc, largest term count).
+
+    Each entry (parts, a, b) of `sums` names one or two parts (side, j, o) and
+    asks for
+
+        S = sum_i w_i prod_parts h_(o+i)(first j values of the part's side),
+        w_i = prod_(l <= i) 1 / ((a + l) (b + l)).
+
+    A part with j = 1 is the power u_1^(o+i).  For j > 1 the side is divided
+    by s, its largest |u| rounded up to 8 bits, so |h_d(v_1..v_j)| <=
+    B = binom(d+j-1, j-1), and its complete_homogeneous table is built once,
+    on fixed-point complex pairs at the scale 2^-F, F = work_bits + g,
+    g = bit_length(cap) + 14.  Then S = prod c^o sum_(i<n) z^i w_i T_i, with
+    c = s or u_1, z the product of the parts' c and T_i that of their table
+    entries, summed by Horner's rule; n = _newton_count(log2 |z|, sum (j - 1),
+    largest o) leaves a tail below one unit.
+
+    Error budget, in units of 2^-F, with B = 1 for a power: the table's floors
+    leave h_d within sqrt(2) (d+1) B of the polynomial of V, and dividing and
+    truncating V moves it by at most 2 sqrt(2) d B more; a product of two
+    tables floors once and a Horner step twice; truncating z moves term i by
+    sqrt(2) i |z|^(i-1) w_i prod B <= sqrt(2) (P+1)^2 |z^(i-1) w_(i-1)| prod B,
+    the B of degree i - 1, P = sum (j - 1).  So S is within
+    (9 (D+2) + 2 (P+1)^2) A units, D the largest degree read and
+    A = sum_i |z^i w_i| prod B >= 1, which is below 2^-work_bits A while D and P
+    are below 2^(g/2 - 2).  The relative error of S is that times A / |S|, the
+    cancellation factor, which a floating-point sum of the same terms pays too.
+    """
+    cap = prec.truncation_cap
+    fbits = prec.work_bits + cap.bit_length() + 14
+    tabled = {side for parts, _, _ in sums for side, j, _ in parts if j > 1}
+    scales = {side: max(mp.make_mpf(mpc_abs(u._mpc_, 8, round_ceiling)) for u in sides[side]) or mpf(1)
+              for side in tabled}
+    plans, zs = [], {}
+    for parts, _, _ in sums:
+        key = tuple((side, j > 1) for side, j, _ in parts)
+        if key not in zs:
+            with mp.workprec(fbits):
+                zs[key] = math.prod((scales[s] if table else sides[s][0] for s, table in key), start=mpc(1))
+        P, O = sum(j - 1 for _, j, _ in parts), max(o for _, _, o in parts)
+        n = _newton_count(_log2_abs(zs[key]), P, O, fbits, cap)
+        plans.append((n, [to_fixed(part, fbits) for part in zs[key]._mpc_]))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1]) >> fbits, (x[0] * y[1] + x[1] * y[0]) >> fbits
+
+    top = max((n + max(o for _, _, o in parts) for (parts, _, _), (n, _) in zip(sums, plans)), default=0)
+    tables = {}
+    for side, s in scales.items():
+        with mp.workprec(fbits):
+            fixed = [tuple(to_fixed(part, fbits) for part in (u / s)._mpc_) for u in sides[side]]
+        tables[side] = complete_homogeneous(
+            fixed, top, (1 << fbits, 0), mul, lambda x, y: (x[0] + y[0], x[1] + y[1]))
+    out = []
+    for (parts, a, b), (n, (zr, zi)) in zip(sums, plans):
+        rows = [tables[side][j - 1][o : o + n] for side, j, o in parts if j > 1]
+        terms = [reduce(mul, t) for t in zip(*rows)] if rows else [(1 << fbits, 0)] * n
+        sr, si = terms[-1]
+        for i in range(n - 1, 0, -1):
+            d, (tr, ti) = (a + i) * (b + i), terms[i - 1]
+            sr, si = tr + ((sr * zr - si * zi) >> fbits) // d, ti + ((sr * zi + si * zr) >> fbits) // d
+        pref = math.prod(scales[side] ** o if j > 1 else sides[side][0] ** o for side, j, o in parts)
+        out.append(from_fixed(sr, si, fbits) * pref)
+    return out, max((n for n, _ in plans), default=0)
 
 
 # -- determinants ------------------------------------------------------------

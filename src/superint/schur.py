@@ -2,7 +2,8 @@
 
 The tableaux-based evaluators work over any commutative coefficient ring
 (exact Fractions, ints, or multiprecision complex values); the bialternant
-form is faster but needs pairwise distinct arguments.
+is evaluated in its Newton form, which divides by nothing, so coinciding
+arguments need no special case.
 """
 
 from __future__ import annotations
@@ -12,18 +13,16 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DegenerateArguments
 from .partitions import Partition, SuperDiagram, k_indices
 from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
-    _near_coincident_pairs,
     _tag_bits,
+    complete_homogeneous,
     det_mpc,
     exact_determinant,
     to_mpc_any,
-    vandermonde,
 )
 
 
@@ -37,11 +36,12 @@ def schur_tableaux(p: Partition, values):
 
 
 def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION):
-    """Ratio-of-alternants character value det[a_i^{k_j}] / Delta(a).
+    """Ratio of alternants det[a_j^(k_i)] / Delta(a) as (-1)^(m(m-1)/2) det[h_(k_i-j+1)(a_1..a_j)].
 
-    Exact inputs (int, Fraction) are evaluated exactly and only require exact
-    distinctness; inexact inputs must be separated beyond the configured
-    threshold, otherwise DegenerateArguments is raised (use schur_tableaux).
+    Column j of the alternant, replaced by its divided difference over
+    a_1..a_j, is h_(k_i-j+1)(a_1..a_j): nothing is divided.  Exact inputs (int,
+    Fraction) give the exact value; others a record on mpc, tagged with
+    prec.bits or the fewer bits of an input record.
     """
     values = list(values)
     m = len(values)
@@ -50,18 +50,15 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
     if not len(p):
         return 1
     ks = k_indices(p, m)
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        if len(set(values)) != m:
-            raise DegenerateArguments("coinciding exact arguments")
-        num = exact_determinant([[Fraction(v) ** k for k in ks] for v in values])
-        return num / Fraction(vandermonde(values))
+    sign = -1 if m * (m - 1) // 2 % 2 else 1
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
     bits = _tag_bits(prec, values)
     with mp.workprec(bits + prec.guard_bits):
-        vals = [to_mpc_any(v) for v in values]
-        if any(_near_coincident_pairs(vals, bits)):
-            raise DegenerateArguments("arguments too close for the bialternant form")
-        num = det_mpc([[v ** k for k in ks] for v in vals], prec)
-        return BigComplex.from_mpc(num / vandermonde(vals), bits)
+        table = complete_homogeneous(values if exact else [to_mpc_any(v) for v in values], ks[0])
+        rows = [[table[j][k - j] if k >= j else 0 for j in range(m)] for k in ks]
+        if exact:
+            return sign * exact_determinant(rows)
+        return BigComplex.from_mpc(sign * det_mpc(rows, prec), bits)
 
 
 def super_schur_tableaux(t: Partition, bos, ferm):
@@ -122,10 +119,10 @@ def super_schur_tableaux(t: Partition, bos, ferm):
 def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PRECISION):
     """Supercharacter of a non-degenerate diagram via the factorized product form.
 
-    (-1)^|q| prod(a_i - a_{m+j}) chi_p(bosonic) chi_q(fermionic); coinciding
-    arguments fall back to the tableaux form automatically.  Exact inputs give
-    the exact value; otherwise the product is taken on mpc at prec.work_bits
-    and returned as a record tagged like schur_bialternant's.
+    (-1)^|q| prod(a_i - a_{m+j}) chi_p(bosonic) chi_q(fermionic), each chi a
+    schur_bialternant.  Exact inputs give the exact value; otherwise the
+    product is taken on mpc at prec.work_bits and returned as a record tagged
+    like schur_bialternant's.
     """
     bos = list(bos)
     ferm = list(ferm)
@@ -134,20 +131,14 @@ def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PR
     exact = all(isinstance(v, (int, Fraction)) for v in bos + ferm)
     bits = _tag_bits(prec, bos + ferm)
 
-    def chi(p, values):
-        try:
-            value = schur_bialternant(p, values, prec)
-        except DegenerateArguments:
-            return schur_tableaux(p, values)
-        return value if exact else to_mpc_any(value)
-
     with mp.workprec(prec.work_bits):
         if not exact:
             bos = [to_mpc_any(v) for v in bos]
             ferm = [to_mpc_any(v) for v in ferm]
-        cross = math.prod(a - b for a in bos for b in ferm)
-        sign = -1 if sd.q.size % 2 else 1
-        value = sign * cross * chi(sd.p, bos) * chi(sd.q, ferm)
+        value = (-1 if sd.q.size % 2 else 1) * math.prod(a - b for a in bos for b in ferm)
+        for p, values in ((sd.p, bos), (sd.q, ferm)):
+            chi = schur_bialternant(p, values, prec)
+            value *= chi if exact else to_mpc_any(chi)
     return value if exact else BigComplex.from_mpc(value, bits)
 
 

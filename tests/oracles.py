@@ -283,3 +283,62 @@ def jm_truncated_mpmath(z, m, K, prec):
         dd = nb - ns
         eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
         return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)
+
+
+def _plain_difference_product(values):
+    out = mpc(1)
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            out *= values[i] - values[j]
+    return out
+
+
+def _factorial_product(n):
+    """prod_(k < n) k!, the constant of the (n|.) closed forms."""
+    return math.prod(factorial(k) for k in range(n))
+
+
+def ls_division_reference(bos, ferm, beta, bits=4000):
+    """The one-source closed form as det[x_j^nu I_nu(2 beta x_j^(1/2))] / (Delta(bos) Delta(ferm)), at `bits` bits.
+
+    Plain division over distinct values: every entry is beta^nu x^nu
+    0F1(; nu+1; beta^2 x) / nu! from mpmath's hyp0f1 (its series, which
+    mpmath re-sums at higher precision when it cancels), the determinant is
+    mpmath.det, and `bits` must cover what the division cancels.
+    """
+    with mp.workprec(bits):
+        b = to_mpc_any(beta)
+        xs = [to_mpc_any(v) for v in list(bos) + list(ferm)]
+        m, n, N = len(bos), len(ferm), len(xs)
+        rows = [
+            [b**nu * x**nu * mp.hyp0f1(nu + 1, b * b * x, force_series=True) / mp.factorial(nu) for x in xs]
+            for nu in range(N - 1, -1, -1)
+        ]
+        den = _plain_difference_product(xs[:m]) * _plain_difference_product(xs[m:])
+        pref = _factorial_product(m) * _factorial_product(n) * b ** (((m + n) - (m - n) ** 2) // 2)
+        return pref * mp.det(mp.matrix(rows)) / den
+
+
+def bk_division_reference(lam, mu, beta, bits=4000):
+    """The two-source closed form with the Berezinians divided out plainly, at `bits` bits.
+
+    lam and mu are (bosonic, fermionic) pairs; each sector's entries are
+    0F1(; 1; beta^2 x y) from mpmath's hyp0f1 and its determinant is
+    mpmath.det.
+    """
+    with mp.workprec(bits):
+        b = to_mpc_any(beta)
+        (lb, lf), (mb, mf) = ([[to_mpc_any(v) for v in sector] for sector in pair] for pair in (lam, mu))
+        m, n = len(lb), len(lf)
+
+        def sector_det(xs, ys):
+            if not xs:
+                return mpc(1)
+            return mp.det(mp.matrix([[mp.hyp0f1(1, b * b * x * y, force_series=True) for y in ys] for x in xs]))
+
+        def berezinian(bos, ferm):
+            cross = math.prod((x - y for x in bos for y in ferm), start=mpc(1))
+            return _plain_difference_product(bos) * _plain_difference_product(ferm) / cross
+
+        pref = (_factorial_product(m) * _factorial_product(n)) ** 2 * b ** ((m + n) - (m - n) ** 2)
+        return pref * sector_det(lb, mb) * sector_det(lf, mf) / (berezinian(lb, lf) * berezinian(mb, mf))

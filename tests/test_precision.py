@@ -1,5 +1,6 @@
 """Precision core: scalars, series kernels, determinants."""
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from superint import (
     scaled_bessel_entry,
     vandermonde,
 )
-from superint.precision import bessel_ratio_raw, det_mpc, exact_determinant
+from superint.precision import bessel_ratio_raw, complete_homogeneous, det_mpc, exact_determinant, newton_sums
 
 from oracles import bessel_ratio_mpmath, det_cofactor, det_mpc_reference
 
@@ -184,6 +185,65 @@ def test_ls_eval_value_from_bessel():
     val = bessel_ratio(0, BigComplex(Fraction(1, 4)), PREC)
     with mp.workprec(300):
         assert abs(val.to_mpc() - mpf(I0_AT_1)) < mpf(10) ** -43
+
+
+def _divided_difference(f_derivative, nodes):
+    """f[nodes] by the recursive definition on sorted nodes; f^(r)(x) / r! at an (r+1)-fold node."""
+    nodes = sorted(nodes)
+    if nodes[0] == nodes[-1]:
+        return f_derivative(len(nodes) - 1, nodes[0])
+    high = _divided_difference(f_derivative, nodes[1:])
+    low = _divided_difference(f_derivative, nodes[:-1])
+    return (high - low) / (nodes[-1] - nodes[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=9), min_size=1, max_size=3),
+    st.data(),
+)
+def test_complete_homogeneous_is_the_newton_column_of_powers(values, data):
+    # with repeats drawn from the same values: h_(k-j+1)(x_1..x_j) = (x^k)[x_1..x_j]
+    nodes = values + data.draw(st.lists(st.sampled_from(values), max_size=3))
+    nodes = data.draw(st.permutations(nodes))
+    table = complete_homogeneous(nodes, 9)
+    for k in range(10):
+        def power_derivative(r, x):
+            return math.comb(k, r) * x ** (k - r) if r <= k else 0
+
+        for j in range(1, len(nodes) + 1):
+            want = _divided_difference(power_derivative, nodes[:j])
+            assert (table[j - 1][k - j + 1] if k >= j - 1 else 0) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_newton_sums_within_their_error_budget(data):
+    # one or two sides of dyadic nodes (exact in mpc) with repeats, against the
+    # exact sum; the budget plus the final roundings at work_bits
+    fractions = st.builds(lambda num, k: Fraction(num, 2**k), st.integers(-60, 60), st.integers(0, 4))
+    sides = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        values = data.draw(st.lists(fractions, min_size=1, max_size=3))
+        sides.append(values + data.draw(st.lists(st.sampled_from(values), max_size=2)))
+    parts = [(s, data.draw(st.integers(1, len(side))), data.draw(st.integers(0, 3))) for s, side in enumerate(sides)]
+    a, b = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    with mp.workprec(PREC.work_bits):
+        (got,), n = newton_sums([[mpc(u.numerator) / u.denominator for u in side] for side in sides], [(parts, a, b)], PREC)
+    tables = [complete_homogeneous(side, n + 3 + 40) for side in sides]
+    top = [max(abs(u) for u in side) * (1 + Fraction(1, 2**7)) or 1 for side in sides]
+    exact = bound = Fraction(0)
+    weight = Fraction(1)
+    for i in range(n + 40):
+        if i:
+            weight /= (a + i) * (b + i)
+        exact += weight * math.prod(tables[s][j - 1][o + i] for s, j, o in parts)
+        if i < n:
+            bound += weight * math.prod(top[s] ** (o + i) * math.comb(o + i + j - 1, j - 1) for s, j, o in parts)
+    with mp.workprec(1000):
+        err = abs(got - mpf(exact.numerator) / exact.denominator)
+        scale = abs(mpf(exact.numerator) / exact.denominator) * 4 + mpf(bound.numerator) / bound.denominator
+        assert err <= scale * mpf(2) ** -PREC.work_bits
 
 
 def test_determinant_examples():

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from superint import (
     BigComplex,
-    DegenerateArguments,
     Partition,
     Precision,
     SuperDiagram,
@@ -93,11 +94,26 @@ def test_schur_bialternant_numeric_matches_tableaux():
 
 
 def test_schur_bialternant_degenerate_arguments():
-    with pytest.raises(DegenerateArguments):
-        schur_bialternant(P((1,)), [Fraction(1), Fraction(1)])
+    # the Newton form divides by nothing: coinciding and nearly coinciding
+    # arguments agree with the tableaux sum
+    ones = [Fraction(1), Fraction(1)]
+    assert schur_bialternant(P((1,)), ones) == schur_tableaux(P((1,)), ones) == 2
     near = [BigComplex(1), BigComplex(1 + Fraction(1, 2**200))]
-    with pytest.raises(DegenerateArguments):
-        schur_bialternant(P((2,)), near, PREC)
+    got = schur_bialternant(P((2,)), near, PREC)
+    with mp.workprec(2000):
+        want = schur_tableaux(P((2,)), [x.to_mpc() for x in near])
+        assert abs(got.to_mpc() - want) <= abs(want) * mpf(2) ** -(PREC.bits - 8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=1, max_size=4),
+    st.data(),
+)
+def test_schur_bialternant_exact_equals_tableaux_with_repeats(values, data):
+    values = values + data.draw(st.lists(st.sampled_from(values), max_size=2))
+    p = data.draw(st.sampled_from([q for b in range(7) for q in partitions_of(b, max_rows=len(values))]))
+    assert schur_bialternant(p, values) == schur_tableaux(p, values)
 
 
 def test_super_schur_examples():
@@ -155,11 +171,24 @@ def test_supercharacter_matches_tableaux_sweep():
                     assert supercharacter_amu(sd, bos, ferm) == super_schur_tableaux(t, bos, ferm)
 
 
-def test_supercharacter_with_coinciding_arguments_falls_back():
+def test_supercharacter_with_coinciding_arguments_matches_tableaux():
     sd = SuperDiagram(2, 1, P((2,)), P())
     bos = [Fraction(1, 2), Fraction(1, 2)]
     ferm = [Fraction(1, 3)]
     assert supercharacter_amu(sd, bos, ferm) == super_schur_tableaux(assemble(sd), bos, ferm)
+
+
+def test_supercharacter_near_coincidence_keeps_its_bits():
+    # bosonic values 1e-30 apart: the alternant division lost about 63 of the
+    # 256 tagged bits; the Newton form keeps them
+    sd = SuperDiagram(2, 1, P((4, 2)), P((1,)))
+    bos = [BigComplex(Fraction(3, 10)), BigComplex(Fraction(3, 10) + Fraction(1, 10**30))]
+    ferm = [BigComplex(Fraction(1, 7))]
+    got = supercharacter_amu(sd, bos, ferm, PREC)
+    assert got.bits == PREC.bits
+    with mp.workprec(2000):
+        want = super_schur_tableaux(assemble(sd), [x.to_mpc() for x in bos], [x.to_mpc() for x in ferm])
+        assert abs(got.to_mpc() - want) <= abs(want) * mpf(2) ** -(PREC.bits - 8)
 
 
 def test_covariant_tableaux_nonzero_iff_hook():
