@@ -70,14 +70,12 @@ _EXPORTS = {
         "supercharacter_amu",
     ),
     "grassmann": (
-        "EvenElement",
+        "BesselSeries",
         "GaussianRational",
         "GrassmannElement",
         "SuperMatrixSym",
         "analytic_eval",
         "berezin_integrate",
-        "bessel_series",
-        "diagonalize_1p1",
         "even_inverse",
         "exp_odd_block",
         "superdeterminant",

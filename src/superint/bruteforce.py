@@ -25,12 +25,11 @@ from mpmath import mp, mpc
 
 from .errors import NonInvertibleBody
 from .grassmann import (
-    EvenElement,
+    BesselSeries,
     GrassmannElement,
     SuperMatrixSym,
     analytic_eval,
     berezin_integrate,
-    bessel_series,
     even_inverse,
     exp_odd_block,
     matmul_rows,
@@ -71,8 +70,8 @@ def _newton_eigen_pair(M, prec: Precision):
     diagonal body; nilpotent corrections converge in a few exact steps, so no
     square root of an algebra element is ever formed.
     """
-    trace = EvenElement(M[0][0] + M[1][1])
-    det = EvenElement(M[0][0] * M[1][1] - M[0][1] * M[1][0])
+    trace = M[0][0] + M[1][1]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     g = trace.generator_count
     bodies = [M[0][0].body, M[1][1].body]
     if bodies[0] == bodies[1]:
@@ -83,10 +82,10 @@ def _newton_eigen_pair(M, prec: Precision):
     steps = max(3, g.bit_length() + 2)
     eigen = []
     for body in bodies:
-        x = EvenElement.scalar(g, body)
+        x = GrassmannElement.scalar(g, body)
         for _ in range(steps):
             p = x * x - trace * x + det
-            if p.element.is_zero:
+            if p.is_zero:
                 break
             dp = 2 * x - trace
             x = x - p * even_inverse(dp)
@@ -94,10 +93,10 @@ def _newton_eigen_pair(M, prec: Precision):
     return eigen
 
 
-def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
+def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     """Closed-form one-source integral of an ordinary unitary group, on even arguments.
 
-    eigen are the (even-element) squared eigenvalues; the k x k determinant of
+    eigen are the squared eigenvalues, even elements; the k x k determinant of
     lambda^(k-i) I_(k-i)(2 beta lambda) entries over the squared-eigenvalue
     series, divided by their Vandermonde.  Supports k in {1, 2}.
     """
@@ -108,12 +107,12 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
     def entry(nu, x):
         # beta^nu x^nu R(nu, beta^2 x) via the even-series calculus
         w = x * (beta * beta)
-        core = analytic_eval(bessel_series(nu, sums), w, prec)
+        core = analytic_eval(BesselSeries(nu, sums), w, prec)
         out = core
         for _ in range(nu):
             out = out * x
         if nu:
-            out = EvenElement(out.element * (beta ** nu))
+            out = out * (beta ** nu)
         return out
 
     if k == 1:
@@ -124,7 +123,7 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> EvenElement:
         num = e11 * e02 - e12 * e01
         den = even_inverse(eigen[0] - eigen[1])
         # prefactor C_2 beta^((2-4)/2) = 1/beta
-        return EvenElement(num.element * den.element * (1 / beta))
+        return num * den * (1 / beta)
     raise ValueError("ordinary factor implemented for 1 and 2 eigenvalues")
 
 
@@ -154,14 +153,14 @@ def _integrate_odd(
     mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
     mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
     if m == 1:
-        bos_eigen = [EvenElement(mb[0][0])]
+        bos_eigen = [mb[0][0]]
     else:
         bos_eigen = _newton_eigen_pair(mb, prec)
-    ferm_eigen = [EvenElement(mf[0][0])]
+    ferm_eigen = [mf[0][0]]
     bos_factor = _ordinary_ls_factor(bos_eigen, beta, prec)
     # fermion block integrand carries exp(-beta tr(...)): even series, same value
     ferm_factor = _ordinary_ls_factor(ferm_eigen, -beta, prec)
-    integrand = measure_factor(m, n, alphas) * bos_factor.element * ferm_factor.element
+    integrand = measure_factor(m, n, alphas) * bos_factor * ferm_factor
     return berezin_integrate(integrand, measure_order(m, n))
 
 
@@ -189,8 +188,8 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         b_rows = [[e * b for e in row] for row, b in zip(u_g_adjoint.entries, b_vals)]
         reduced = _integrate_odd(
             alphas,
-            SuperMatrixSym(m, n, a_rows, check_parity=False),
-            SuperMatrixSym(m, n, b_rows, check_parity=False),
+            SuperMatrixSym(m, n, a_rows),
+            SuperMatrixSym(m, n, b_rows),
             beta_v,
             prec,
         )

@@ -186,16 +186,6 @@ class GrassmannElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed or zero-with-no-terms."""
-        if not self.terms:
-            return 0
-        parities = {m.bit_count() % 2 for m in self.terms}
-        return parities.pop() if len(parities) == 1 else None
-
-    def max_degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "GrassmannElement"):
@@ -319,79 +309,14 @@ def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
 # -- even-element calculus -----------------------------------------------------
 
 
-class EvenElement:
-    """Even multivector: an ordinary body plus a nilpotent soul."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: GrassmannElement):
-        if element.parity() not in (0,):
-            raise ValueError("element is not purely even")
-        object.__setattr__(self, "element", element)
-
-    def __setattr__(self, *_):
-        raise AttributeError("EvenElement is immutable")
-
-    @classmethod
-    def scalar(cls, g: int, value) -> "EvenElement":
-        return cls(GrassmannElement.scalar(g, value))
-
-    @property
-    def body(self):
-        return self.element.body
-
-    def soul(self) -> GrassmannElement:
-        return self.element.soul()
-
-    @property
-    def generator_count(self):
-        return self.element.generator_count
-
-    def _lift(self, other) -> "EvenElement":
-        if isinstance(other, EvenElement):
-            return other
-        if isinstance(other, GrassmannElement):
-            return EvenElement(other)
-        return EvenElement.scalar(self.generator_count, other)
-
-    def __add__(self, other):
-        return EvenElement(self.element + self._lift(other).element)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return EvenElement(self.element - self._lift(other).element)
-
-    def __rsub__(self, other):
-        return EvenElement(self._lift(other).element - self.element)
-
-    def __mul__(self, other):
-        if isinstance(other, GrassmannElement):
-            return self.element * other
-        if isinstance(other, EvenElement):
-            return EvenElement(self.element * other.element)
-        return EvenElement(self.element * other)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __neg__(self):
-        return EvenElement(-self.element)
-
-    def __eq__(self, other):
-        if isinstance(other, EvenElement):
-            return self.element == other.element
-        return self.element == other
-
-    def __hash__(self):
-        return hash(self.element)
-
-    def __repr__(self):
-        return f"Even[{self.element!r}]"
+def _require_even(w: GrassmannElement):
+    if any(mono.bit_count() & 1 for mono in w.terms):
+        raise ValueError("element is not purely even")
 
 
-def even_inverse(w: EvenElement) -> EvenElement:
-    """Exact inverse via the terminating geometric series around the body."""
+def even_inverse(w: GrassmannElement) -> GrassmannElement:
+    """Exact inverse of an even element via the terminating geometric series around the body."""
+    _require_even(w)
     body = w.body
     if _is_zero_scalar(body):
         raise NonInvertibleBody("even element has zero body")
@@ -407,7 +332,7 @@ def even_inverse(w: EvenElement) -> EvenElement:
         if power.is_zero:
             break
         out = out + ((-1) ** k) * power
-    return EvenElement(out * inv_body)
+    return out * inv_body
 
 
 def _scalar_inverse(c):
@@ -424,7 +349,13 @@ class BesselSeries:
 
     Termwise d/dw R(nu, w) = R(nu+1, w), so the derivative is the next order.
     `sums` is a dict shared by the series and its derivatives: each R(s, body)
-    at one precision is summed once into it.
+    at one precision is summed once into it; pass one dict to share sums
+    between series.
+
+    The Haar oracle sums the kernel here, in mpc on its own term recurrence,
+    rather than with `precision.bessel_ratio_raw`: the closed forms it is
+    compared with sum with that kernel, so a fault there would show on both
+    sides of the comparison and cancel.
     """
 
     nu: int
@@ -470,27 +401,17 @@ class BesselSeries:
         )
 
 
-def bessel_series(nu: int, sums: dict | None = None) -> BesselSeries:
-    """The series of R(nu, w); pass one `sums` dict to share sums between series.
-
-    The Haar oracle sums the kernel here, in mpc on its own term recurrence,
-    rather than with `precision.bessel_ratio_raw`: the closed forms it is
-    compared with sum with that kernel, so a fault there would show on both
-    sides of the comparison and cancel.
-    """
-    return BesselSeries(nu, {} if sums is None else sums)
-
-
-def analytic_eval(series, w: EvenElement, prec: Precision = DEFAULT_PRECISION) -> EvenElement:
+def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
     """f(body + soul) = sum_j f^(j)(body) soul^j / j!, exact in the soul.
 
-    `series` is a `BesselSeries`, such as `bessel_series(nu)`.  The soul
+    `w` must be even and `series` is a `BesselSeries`.  The soul
     expansion terminates by nilpotency; the j-th derivative at the body is
     R(nu+j, body) by the order shift, summed adaptively on its own recurrence
     under the precision's truncation rules.
     The soul products are rounded at prec.work_bits, whatever the caller's
     mpmath precision.
     """
+    _require_even(w)
     g = w.generator_count
     body = w.body
     soul = w.soul()
@@ -507,7 +428,7 @@ def analytic_eval(series, w: EvenElement, prec: Precision = DEFAULT_PRECISION) -
             jfact *= j
             coeff = deriv.eval_at(body, prec) / jfact
             out = out + power * coeff
-    return EvenElement(out)
+    return out
 
 
 # -- block supermatrices --------------------------------------------------------
@@ -518,7 +439,7 @@ class SuperMatrixSym:
 
     __slots__ = ("m", "n", "entries", "generator_count")
 
-    def __init__(self, m: int, n: int, entries, check_parity: bool = True):
+    def __init__(self, m: int, n: int, entries):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         rows = tuple(tuple(row) for row in entries)
@@ -527,13 +448,11 @@ class SuperMatrixSym:
         g = rows[0][0].generator_count
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "generator_count", g)
-        if check_parity:
-            for i, row in enumerate(rows):
-                for j, e in enumerate(row):
-                    want = 0 if (i < m) == (j < m) else 1
-                    par = e.parity()
-                    if par is not None and par != want and not e.is_zero:
-                        raise ValueError(f"entry ({i},{j}) has wrong parity")
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                want = (i < m) != (j < m)
+                if any(mono.bit_count() & 1 != want for mono in e.terms):
+                    raise ValueError(f"entry ({i},{j}) has wrong parity")
 
     def __setattr__(self, *_):
         raise AttributeError("SuperMatrixSym is immutable")
@@ -561,7 +480,7 @@ class SuperMatrixSym:
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("block shapes differ")
         rows = matmul_rows(self.entries, other.entries)
-        return SuperMatrixSym(self.m, self.n, rows, check_parity=False)
+        return SuperMatrixSym(self.m, self.n, rows)
 
     def __add__(self, other: "SuperMatrixSym") -> "SuperMatrixSym":
         size = self.m + self.n
@@ -569,19 +488,19 @@ class SuperMatrixSym:
             [self.entries[i][j] + other.entries[i][j] for j in range(size)]
             for i in range(size)
         ]
-        return SuperMatrixSym(self.m, self.n, rows, check_parity=False)
+        return SuperMatrixSym(self.m, self.n, rows)
 
     def scale(self, c) -> "SuperMatrixSym":
         size = self.m + self.n
         rows = [[self.entries[i][j] * c for j in range(size)] for i in range(size)]
-        return SuperMatrixSym(self.m, self.n, rows, check_parity=False)
+        return SuperMatrixSym(self.m, self.n, rows)
 
     def adjoint(self) -> "SuperMatrixSym":
         size = self.m + self.n
         rows = [
             [self.entries[j][i].conjugate() for j in range(size)] for i in range(size)
         ]
-        return SuperMatrixSym(self.m, self.n, rows, check_parity=False)
+        return SuperMatrixSym(self.m, self.n, rows)
 
     def block(self, which: str):
         m, n = self.m, self.n
@@ -642,16 +561,15 @@ def _even_matrix_det(rows) -> GrassmannElement:
     return acc
 
 
-def superdeterminant(M: SuperMatrixSym) -> EvenElement:
+def superdeterminant(M: SuperMatrixSym) -> GrassmannElement:
     """det(A - B D^-1 C) / det(D) in block form; needs det(D) with invertible body."""
     m, n = M.m, M.n
-    g = M.generator_count
     A, B, C, D = M.block("bb"), M.block("bf"), M.block("fb"), M.block("ff")
-    det_d = EvenElement(_even_matrix_det(D))
+    det_d = _even_matrix_det(D)
     inv_det_d = even_inverse(det_d)
     # D^-1 by the adjugate
     if n == 1:
-        Dinv = [[inv_det_d.element]]
+        Dinv = [[inv_det_d]]
     else:
         Dinv = []
         for i in range(n):
@@ -663,7 +581,7 @@ def superdeterminant(M: SuperMatrixSym) -> EvenElement:
                 cof = _even_matrix_det(minor)
                 if (i + j) % 2:
                     cof = -cof
-                row.append(cof * inv_det_d.element)
+                row.append(cof * inv_det_d)
             Dinv.append(row)
     # A - B Dinv C
     top = []
@@ -676,13 +594,14 @@ def superdeterminant(M: SuperMatrixSym) -> EvenElement:
                     acc = acc - B[i][r] * Dinv[r][s] * C[s][j]
             row.append(acc)
         top.append(row)
-    return EvenElement(_even_matrix_det(top)) * inv_det_d
+    return _even_matrix_det(top) * inv_det_d
 
 
 def exp_odd_block(alphas) -> SuperMatrixSym:
     """exp of the off-diagonal supermatrix with upper block i*alpha, lower i*alpha*.
 
-    alphas is an m x n array of odd elements; nilpotency terminates the series.
+    alphas is an m x n array of odd elements (the supermatrix constructor
+    refuses any other); nilpotency terminates the series.
     Coefficients stay exact (Gaussian rationals over the input ring).
     """
     m, n = len(alphas), len(alphas[0])
@@ -694,11 +613,9 @@ def exp_odd_block(alphas) -> SuperMatrixSym:
     for a in range(m):
         for b in range(n):
             al = alphas[a][b]
-            if al.parity() not in (1,) and not al.is_zero:
-                raise ValueError("exponent entries must be odd")
             omega_rows[a][m + b] = al * i_unit
             omega_rows[m + b][a] = al.conjugate() * i_unit
-    omega = SuperMatrixSym(m, n, omega_rows, check_parity=False)
+    omega = SuperMatrixSym(m, n, omega_rows)
     out = SuperMatrixSym.identity(m, n, g)
     power = SuperMatrixSym.identity(m, n, g)
     kfact = 1
@@ -709,54 +626,3 @@ def exp_odd_block(alphas) -> SuperMatrixSym:
         kfact *= k
         out = out + power.scale(Fraction(1, kfact))
     return out
-
-
-def diagonalize_1p1(M: SuperMatrixSym):
-    """Explicit diagonalization of a (1+1) supermatrix with separated blocks.
-
-    Returns (V, M_D, V_inv) with V_inv @ M_D @ V == M exactly.  The
-    eigenvector-normalizing matrix pair is oriented so that reconstruction
-    holds with V_inv on the left (conjugating the other way flips the sign
-    of the odd entries).  Raises NonInvertibleBody when the two diagonal
-    entries agree up to nilpotents.
-    """
-    if (M.m, M.n) != (1, 1):
-        raise ValueError("only (1+1)-dimensional supermatrices")
-    g = M.generator_count
-    a, al = M.entries[0][0], M.entries[0][1]
-    be, b = M.entries[1][0], M.entries[1][1]
-    d = EvenElement(a - b)
-    dinv = even_inverse(d).element
-    dinv2 = dinv * dinv
-    alb = al * be  # even nilpotent
-    one = GrassmannElement.scalar(g, 1)
-    half = Fraction(1, 2)
-    v = SuperMatrixSym(
-        1,
-        1,
-        [
-            [one - alb * dinv2 * half, al * dinv],
-            [-(be * dinv), one + alb * dinv2 * half],
-        ],
-        check_parity=False,
-    )
-    v_inv = SuperMatrixSym(
-        1,
-        1,
-        [
-            [one - alb * dinv2 * half, -(al * dinv)],
-            [be * dinv, one + alb * dinv2 * half],
-        ],
-        check_parity=False,
-    )
-    shift = alb * dinv
-    m_d = SuperMatrixSym(
-        1,
-        1,
-        [
-            [a + shift, GrassmannElement.scalar(g, 0)],
-            [GrassmannElement.scalar(g, 0), b + shift],
-        ],
-        check_parity=False,
-    )
-    return v, m_d, v_inv

@@ -178,6 +178,15 @@ def _cluster_denominator(clusters):
     return (-1) ** sum(len(c) * (len(c) - 1) // 2 for c in clusters) * den
 
 
+def _mass_at_zero_beta(m: int, n: int):
+    """The integral at beta = 0, where the closed form's beta^power < 0 meets a zero determinant.
+
+    The integrand is then 1, so the value is the measure's total mass: 1 for an
+    ordinary group (m n = 0), 0 for a supergroup.
+    """
+    return mpc(0 if m * n else 1)
+
+
 # -- the one-source integral -----------------------------------------------------
 
 
@@ -211,8 +220,10 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision):
         num = det_mpc([list(row) for row in zip(*cols)], prec)
         den = _cluster_denominator(bclusters) * _cluster_denominator(fclusters)
         power = ((m + n) - (m - n) ** 2) // 2
-        pref = mpc(c_constant(m) * c_constant(n)) * beta ** power
-        value = pref * num / den
+        if beta or power >= 0:
+            value = mpc(c_constant(m) * c_constant(n)) * beta ** power * num / den
+        else:
+            value = _mass_at_zero_beta(m, n)
     branch = "confluent" if len(set(bos)) + len(set(ferm)) < N else "generic"
     diag = {"warnings": [], "terms_used": terms_used}
     return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
@@ -280,8 +291,10 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
         ber_l = _cluster_denominator(lb) * _cluster_denominator(lf) / _cross_product(lam_b, lam_f)
         ber_m = _cluster_denominator(mb) * _cluster_denominator(mf) / _cross_product(mu_b, mu_f)
         power = (m + n) - (m - n) ** 2
-        pref = mpc(c_constant(m) ** 2 * c_constant(n) ** 2) * beta ** power
-        value = pref * det_b * det_f / (ber_l * ber_m)
+        if beta or power >= 0:
+            value = mpc(c_constant(m) ** 2 * c_constant(n) ** 2) * beta ** power * det_b * det_f / (ber_l * ber_m)
+        else:
+            value = _mass_at_zero_beta(m, n)
     branch = "confluent" if any(len(set(v)) < len(v) for v in (lam_b, lam_f, mu_b, mu_f)) else "generic"
     diag = {"warnings": [], "terms_used": max(terms_b, terms_f)}
     return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)

@@ -103,7 +103,7 @@ def test_supermatrix_oracle_reproduces_nondiag_limit():
         for c in (Fraction(1), Fraction(3, 5)):
             with mp.workprec(PREC.work_bits):
                 av = a.to_mpc()
-                A = SuperMatrixSym(1, 1, [[one * av, t1 * c], [t2, one * av]], check_parity=False)
+                A = SuperMatrixSym(1, 1, [[one * av, t1 * c], [t2, one * av]])
                 B = SuperMatrixSym.identity(1, 1, g)
                 out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
                 # scalar part is the coincident (vanishing) case
@@ -147,11 +147,9 @@ def test_supermatrix_oracle_terms_bit_pinned():
     with mp.workprec(PREC.work_bits):
         A = SuperMatrixSym(
             1, 1, [[one * mpc(mpf(9) / 16, mpf(1) / 3), t1 * Fraction(3, 5)], [t2, one * (mpf(2) / 7)]],
-            check_parity=False,
         )
         B = SuperMatrixSym(
             1, 1, [[one * (mpf(5) / 4), t2], [t1 * Fraction(1, 2), one * mpc(mpf(1) / 3, 1)]],
-            check_parity=False,
         )
     out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
     terms = sorted((mono, c._mpc_) for mono, c in out.terms.items())

@@ -56,6 +56,15 @@ def test_bk_eval_report():
     assert doc["result"]["branch"] == "generic"
 
 
+def test_ls_eval_zero_beta_negative_power():
+    # (2|0) has beta^-1 in front of a determinant that vanishes at beta = 0: it
+    # exited 1 with a ZeroDivisionError traceback, and the value is the mass, 1
+    doc = {"beta": {"re": "0"}, "bosonic": [{"re": "1"}, {"re": "2"}], "fermionic": []}
+    out = run_cli("ls-eval", "--input-json", json.dumps(doc))
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    assert json.loads(out.stdout)["result"]["value"] == {"bits": 256, "im": "0.0", "re": "1.0"}
+
+
 def test_bk_eval_clustered_values():
     # four fermionic values 1e-20 apart in each set: the plain division printed
     # 1.336e+36 here with exit 0; the Newton columns give the 4000-bit value

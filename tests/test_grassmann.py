@@ -1,4 +1,4 @@
-"""Grassmann algebra, Berezin calculus, supermatrices, (1+1) diagonalization."""
+"""Grassmann algebra, Berezin calculus, even-element calculus, supermatrices."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from superint import (
-    EvenElement,
+    BesselSeries,
     GaussianRational,
     GrassmannElement,
     NonInvertibleBody,
@@ -16,8 +16,6 @@ from superint import (
     SuperMatrixSym,
     analytic_eval,
     berezin_integrate,
-    bessel_series,
-    diagonalize_1p1,
     even_inverse,
     exp_odd_block,
     superdeterminant,
@@ -167,22 +165,26 @@ def test_berezin_full_top_form():
 
 def test_even_element_body_soul():
     g = 2
-    w = EvenElement(scalar(g, 3) + gen(g, 0) * gen(g, 1))
+    w = scalar(g, 3) + gen(g, 0) * gen(g, 1)
     assert w.body == 3
     assert w.soul() == gen(g, 0) * gen(g, 1)
-    with pytest.raises(ValueError):
-        EvenElement(gen(g, 0))
+    # the even-element calculus refuses odd and mixed elements
+    for bad in (gen(g, 0), w + gen(g, 1)):
+        with pytest.raises(ValueError, match="not purely even"):
+            even_inverse(bad)
+        with pytest.raises(ValueError, match="not purely even"):
+            analytic_eval(BesselSeries(0), bad, PREC)
 
 
 def test_even_inverse_examples():
     g = 4
-    w = EvenElement.scalar(g, Fraction(2))
-    assert even_inverse(w) == EvenElement.scalar(g, Fraction(1, 2))
-    u = EvenElement(scalar(g, 1) + gen(g, 0) * gen(g, 2))
-    assert even_inverse(u) == EvenElement(scalar(g, 1) - gen(g, 0) * gen(g, 2))
-    assert (u * even_inverse(u)) == EvenElement(scalar(g, 1))
+    w = scalar(g, Fraction(2))
+    assert even_inverse(w) == scalar(g, Fraction(1, 2))
+    u = scalar(g, 1) + gen(g, 0) * gen(g, 2)
+    assert even_inverse(u) == scalar(g, 1) - gen(g, 0) * gen(g, 2)
+    assert (u * even_inverse(u)) == scalar(g, 1)
     with pytest.raises(NonInvertibleBody):
-        even_inverse(EvenElement(gen(g, 0) * gen(g, 1)))
+        even_inverse(gen(g, 0) * gen(g, 1))
 
 
 def test_even_inverse_random():
@@ -193,35 +195,35 @@ def test_even_inverse_random():
         for _ in range(3):
             mono = sum(1 << i for i in rng.sample(range(g), 2))
             soul_terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        w = EvenElement(scalar(g, Fraction(rng.randint(1, 5))) + GrassmannElement(g, soul_terms))
-        assert w * even_inverse(w) == EvenElement(scalar(g, 1))
+        w = scalar(g, Fraction(rng.randint(1, 5))) + GrassmannElement(g, soul_terms)
+        assert w * even_inverse(w) == scalar(g, 1)
 
 
 def test_exact_complex_body_inverts():
     g = 4
     assert 1 / GaussianRational(2, 1) == GaussianRational(Fraction(2, 5), Fraction(-1, 5))
     soul = gen(g, 0) * gen(g, 2) * Fraction(3, 2) + gen(g, 1) * gen(g, 3) * GaussianRational(0, 1)
-    w = EvenElement(scalar(g, GaussianRational(2, 1)) + soul)
-    assert w * even_inverse(w) == EvenElement(scalar(g, 1))
+    w = scalar(g, GaussianRational(2, 1)) + soul
+    assert w * even_inverse(w) == scalar(g, 1)
     d = SuperMatrixSym.diagonal(1, 1, g, [GaussianRational(5, 1), GaussianRational(2)])
     want = GaussianRational(Fraction(5, 2), Fraction(1, 2))
-    assert superdeterminant(d) == EvenElement(scalar(g, want))
+    assert superdeterminant(d) == scalar(g, want)
 
 
 def test_analytic_eval_trivial():
     g = 2
-    zero = EvenElement.scalar(g, 0)
-    assert analytic_eval(bessel_series(0), zero, PREC) == EvenElement(scalar(g, mpc(1)))
+    zero = scalar(g, 0)
+    assert analytic_eval(BesselSeries(0), zero, PREC) == scalar(g, mpc(1))
 
 
 def test_analytic_eval_bessel_soul_structure():
     # f(x (1 + a a*)) = f(x) + x f'(x) a a* for the nilpotent direction
     g = 2
     x = Fraction(3, 7)
-    arg = EvenElement(scalar(g, x) + gen(g, 0).conjugate() * gen(g, 0) * x)
-    out = analytic_eval(bessel_series(0), arg, PREC)
-    d0 = analytic_eval(bessel_series(0), EvenElement.scalar(g, x), PREC).body
-    d1 = analytic_eval(bessel_series(1), EvenElement.scalar(g, x), PREC).body
+    arg = scalar(g, x) + gen(g, 0).conjugate() * gen(g, 0) * x
+    out = analytic_eval(BesselSeries(0), arg, PREC)
+    d0 = analytic_eval(BesselSeries(0), scalar(g, x), PREC).body
+    d1 = analytic_eval(BesselSeries(1), scalar(g, x), PREC).body
     with mp.workprec(300):
         expect_soul = gen(g, 0).conjugate() * gen(g, 0) * (x * d1)
         assert abs(mpc(out.body) - mpc(d0)) < mpf(2) ** -250
@@ -238,7 +240,7 @@ def test_analytic_eval_bessel_second_order_soul(nu, body):
     g = 4
     s = gen(g, 0) * gen(g, 1) * Fraction(2, 5) + gen(g, 2) * gen(g, 3) * GaussianRational(Fraction(-3, 4), 1)
     assert not (s * s).is_zero
-    out = analytic_eval(bessel_series(nu), EvenElement(scalar(g, body) + s), PREC)
+    out = analytic_eval(BesselSeries(nu), scalar(g, body) + s, PREC)
     with mp.workprec(400):
         b = GaussianRational(body).to_mpc() if isinstance(body, Fraction) else body.to_mpc()
 
@@ -247,8 +249,8 @@ def test_analytic_eval_bessel_second_order_soul(nu, body):
 
         d0, d1, d2 = (mp.diff(f, b, j) for j in range(3))
         ref = scalar(g, d0) + s * d1 + (s * s) * (d2 / 2)
-        diff = out.element - ref
-        assert set(out.element.terms) == {0, 0b0011, 0b1100, 0b1111}
+        diff = out - ref
+        assert set(out.terms) == {0, 0b0011, 0b1100, 0b1111}
         assert all(abs(mpc(c)) < mpf(2) ** -200 for c in diff.terms.values())
 
 
@@ -290,10 +292,10 @@ def test_supertrace_and_sdet_identity():
     g = 2
     eye = SuperMatrixSym.identity(1, 1, g)
     assert supertrace(eye).is_zero
-    assert superdeterminant(eye) == EvenElement(scalar(g, 1))
+    assert superdeterminant(eye) == scalar(g, 1)
     d = SuperMatrixSym.diagonal(1, 1, g, [Fraction(5), Fraction(3)])
     assert supertrace(d) == scalar(g, Fraction(2))
-    assert superdeterminant(d) == EvenElement(scalar(g, Fraction(5, 3)))
+    assert superdeterminant(d) == scalar(g, Fraction(5, 3))
 
 
 def _generic_1p1(g=4):
@@ -312,7 +314,7 @@ def test_characteristic_equation_four_solutions():
     a, al = M.entries[0][0], M.entries[0][1]
     be, b = M.entries[1][0], M.entries[1][1]
     alb = al * be
-    shift = alb * even_inverse(EvenElement(a - b)).element
+    shift = alb * even_inverse(a - b)
     roots_det_zero = [a + shift, b - shift]
     roots_inv_zero = [b + shift, a - shift]
     for m in roots_det_zero:
@@ -322,40 +324,24 @@ def test_characteristic_equation_four_solutions():
     # where the block form applies (fermion body separated), sdet itself vanishes
     eye = SuperMatrixSym.identity(1, 1, g)
     shifted = M + eye.scale(-1 * roots_det_zero[0])
-    assert superdeterminant(shifted).element.is_zero
+    assert superdeterminant(shifted).is_zero
 
 
-def test_diagonalize_examples():
+def test_supermatrix_rejects_entries_of_the_wrong_parity():
+    # the only guard on block parity: every constructor call checks its entries
     g = 4
-    # numeric diagonal: V is the identity
-    m_plain = SuperMatrixSym.diagonal(1, 1, g, [Fraction(5), Fraction(2)])
-    v, m_d, v_inv = diagonalize_1p1(m_plain)
-    assert v.is_identity() and v_inv.is_identity()
-    assert m_d.entries[0][0] == scalar(g, Fraction(5))
-    # generic symbolic matrix: reconstruction is exact and M_D matches the formulas
-    M = _generic_1p1(g)
-    v, m_d, v_inv = diagonalize_1p1(M)
-    recon = v_inv @ m_d @ v
-    for i in range(2):
-        for j in range(2):
-            assert recon.entries[i][j] == M.entries[i][j]
-    a, al = M.entries[0][0], M.entries[0][1]
-    be, b = M.entries[1][0], M.entries[1][1]
-    shift = al * be * even_inverse(EvenElement(a - b)).element
-    assert m_d.entries[0][0] == a + shift
-    assert m_d.entries[1][1] == b + shift
-    assert m_d.entries[0][1].is_zero and m_d.entries[1][0].is_zero
-
-
-def test_diagonalize_non_invertible_body():
-    g = 2
-    same = SuperMatrixSym(
-        1,
-        1,
-        [[scalar(g, Fraction(3)), gen(g, 0)], [gen(g, 1), scalar(g, Fraction(3))]],
-    )
-    with pytest.raises(NonInvertibleBody):
-        diagonalize_1p1(same)
+    one, odd, soul = scalar(g, 1), gen(g, 0), gen(g, 0) * gen(g, 1)
+    SuperMatrixSym(1, 1, [[one + soul, odd], [odd * 2, one]])
+    SuperMatrixSym(1, 1, [[one, scalar(g, 0)], [scalar(g, 0), one]])
+    with pytest.raises(ValueError, match=r"entry \(0,0\) has wrong parity"):
+        SuperMatrixSym(1, 1, [[odd, odd], [odd, one]])
+    with pytest.raises(ValueError, match=r"entry \(0,1\) has wrong parity"):
+        SuperMatrixSym(1, 1, [[one, soul], [odd, one]])
+    with pytest.raises(ValueError, match=r"entry \(1,0\) has wrong parity"):
+        SuperMatrixSym(1, 1, [[one, odd], [odd + soul, one]])
+    # exp_odd_block's exponent is a supermatrix too, so the same check refuses an even entry
+    with pytest.raises(ValueError, match=r"entry \(0,1\) has wrong parity"):
+        exp_odd_block([[one]])
 
 
 def test_supertrace_factorization_identity():

@@ -11,6 +11,7 @@ from superint import (
     BosonFermionCoincidence,
     Precision,
     SuperEigenvalues,
+    TruncationCapExceeded,
     berezinian,
     bk_closed_form,
     bk_confluent,
@@ -76,6 +77,52 @@ def test_zero_beta_with_repeats_is_zero():
     for bos, ferm in (([F(1, 3), F(1, 3)], [F(1, 7)]), ([F(1, 3)], [F(1, 7), F(1, 7)])):
         res = ls_closed_form(ev(bos, ferm, BigComplex(0)), PREC)
         assert res.branch == "confluent" and res.value.is_zero
+
+
+SMALL_VALUES = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 11), Fraction(7, 13)]
+
+
+@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 3, 1), (4, 0, 1), (1, 4, 0), (4, 1, 0), (1, 0, 1), (1, 1, 0)])
+def test_ls_zero_beta_is_the_measure_mass(m, n, mass):
+    # at beta = 0 the integrand is 1; where the beta power is negative the closed
+    # form is 0/0 (it raised ZeroDivisionError), and the value is its limit
+    bos, ferm = SMALL_VALUES[:m], SMALL_VALUES[m : m + n]
+    res = ls_closed_form(ev(bos, ferm, BigComplex(0)), PREC)
+    assert res.branch == "generic" and res.value.to_mpc() == mass
+    near = ls_closed_form(ev(bos, ferm, Fraction(1, 2**200)), PREC).value.to_mpc()
+    assert abs(near - mass) < mpf(2) ** -250
+
+
+@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 2, 1), (3, 0, 1), (1, 4, 0), (1, 1, 0)])
+def test_bk_zero_beta_is_the_measure_mass(m, n, mass):
+    lam = ev(SMALL_VALUES[:m], SMALL_VALUES[m : m + n], BigComplex(0))
+    mu = ev([3 * v for v in lam.bosonic], [3 * v for v in lam.fermionic], BigComplex(0))
+    res = bk_closed_form(lam, mu, PREC)
+    assert res.branch == "generic" and res.value.to_mpc() == mass
+    small = Fraction(1, 10**12)
+    near = bk_closed_form(ev(lam.bosonic, lam.fermionic, small), ev(mu.bosonic, mu.fermionic, small), PREC)
+    assert abs(near.value.to_mpc() - mass) < mpf(10) ** -20
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: R(nu, w) cancellation on the negative real axis")
+def test_known_defect_negative_axis_cancellation():
+    # w = beta^2 x = -40000 loses about 577 bits; today the value is 1.19e82 with a
+    # 256-bit tag, where R(0, -40000) = J0(400) = -0.0388...
+    try:
+        res = ls_closed_form(ev([-160000], [], Fraction(1, 2)), PREC)
+    except TruncationCapExceeded:
+        return
+    with mp.workprec(600):
+        assert abs(res.value.to_mpc() - mp.besselj(0, 400)) < mpf(2) ** -248
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the cluster rule misses the bk kernel's loss at small arguments")
+def test_known_defect_small_bk_sector_stays_split():
+    # c = beta^2 = 1e-60 puts every R(0, c x y) within 1e-57 of 1: the value is 1
+    # to that order, and the split sector printed 1.17e33 with a 256-bit tag
+    beta = BigComplex.from_json({"re": "1e-30"})
+    res = bk_closed_form(ev([], [1, 2, 5], beta), ev([], [3, 5, 7], beta), PREC)
+    assert abs(res.value.to_mpc() - 1) < mpf(10) ** -40
 
 
 def test_ls_ordinary_value():

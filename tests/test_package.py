@@ -19,9 +19,9 @@ PUBLIC = {
         sigma_coefficient sigma_decomposition_factor super_diagrams""",
     "schur": """lr_coefficient schur_bialternant schur_tableaux super_schur_tableaux
         supercharacter_amu""",
-    "grassmann": """EvenElement GaussianRational GrassmannElement SuperMatrixSym
-        analytic_eval berezin_integrate bessel_series diagonalize_1p1 even_inverse
-        exp_odd_block superdeterminant supertrace""",
+    "grassmann": """BesselSeries GaussianRational GrassmannElement SuperMatrixSym
+        analytic_eval berezin_integrate even_inverse exp_odd_block superdeterminant
+        supertrace""",
     "bruteforce": "brute_force_ls brute_force_ls_supermatrix_11",
     "integrals": """IntegralResult SuperEigenvalues berezinian bk_closed_form
         bk_confluent c_constant ls_closed_form ls_confluent nondiag_limit_bk
