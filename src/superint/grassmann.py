@@ -17,7 +17,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpc
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_div_mpf,
+    mpc_mul,
+    mpc_zero,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_shift,
+    round_nearest,
+)
 
 from .errors import GeneratorMismatch, NonInvertibleBody, TruncationCapExceeded
 from .precision import DEFAULT_PRECISION, Precision, to_mpc_any
@@ -371,31 +386,36 @@ class BesselSeries:
         times the largest partial-sum magnitude seen so far (two, so that a
         single small term cannot end the sum early).  Raises
         TruncationCapExceeded when the rule is not met within the cap.
+        Runs on raw libmp tuples with the calls mpc's operators make, so the
+        sum is the one mpc arithmetic at work_bits gives.
         """
         key = (self.nu, body, prec)
         if key in self.sums:
             return self.sums[key]
         nu = self.nu
-        with mp.workprec(prec.work_bits):
-            b = to_mpc_any(body)
-            term = mpc(mpf(1) / math.factorial(nu))
-            total = mpc(0)
-            max_mag = mpf(1)
-            cutoff = mpf(2) ** -(prec.bits + prec.guard_bits)
-            small_run = 0
-            for k in range(prec.truncation_cap):
-                total += term
-                mag = abs(total)
-                if mag > max_mag:
-                    max_mag = mag
-                if abs(term) < cutoff * max_mag:
-                    small_run += 1
-                    if small_run >= 2:
-                        self.sums[key] = total
-                        return total
-                else:
-                    small_run = 0
-                term = term * b / ((k + 1) * (k + 1 + nu))
+        wp = prec.work_bits
+        with mp.workprec(wp):
+            b = to_mpc_any(body)._mpc_
+        term = (mpf_div(fone, from_int(math.factorial(nu)), wp, round_nearest), fzero)
+        total = mpc_zero
+        max_mag = fone
+        bound = mpf_shift(max_mag, -wp)  # 2^-(bits+guard) max_mag, exact
+        small_run = 0
+        for k in range(prec.truncation_cap):
+            total = mpc_add(total, term, wp, round_nearest)
+            mag = mpc_abs(total, wp, round_nearest)
+            if mpf_gt(mag, max_mag):
+                max_mag = mag
+                bound = mpf_shift(max_mag, -wp)
+            if mpf_lt(mpc_abs(term, wp, round_nearest), bound):
+                small_run += 1
+                if small_run >= 2:
+                    self.sums[key] = value = mp.make_mpc(total)
+                    return value
+            else:
+                small_run = 0
+            term = mpc_mul(term, b, wp, round_nearest)
+            term = mpc_div_mpf(term, from_int((k + 1) * (k + 1 + nu)), wp, round_nearest)
         raise TruncationCapExceeded(
             f"series did not converge within {prec.truncation_cap} terms"
         )

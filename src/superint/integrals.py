@@ -28,7 +28,6 @@ from .precision import (
     det_mpc,
     json_int,
     newton_sums,
-    scaled_bessel_entry_raw,
     to_mpc_any,
     vandermonde,
 )
@@ -202,17 +201,19 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision):
         bclusters, fclusters = _clusters((bos, ferm), prec)
         terms_used = 0
         cols = []
+        orders = range(N - 1, -1, -1)
         for xs in bclusters + fclusters:
-            kernel = [scaled_bessel_entry_raw(nu, beta, xs[0], prec) for nu in range(N - 1, -1, -1)]
+            w = beta * beta * xs[0]  # one pass sums R(nu, w) for all N orders
+            kernel = [bessel_ratio_raw(nu, w, prec, top=N - 1) for nu in orders]
             # column j > 1 is f_nu[x_1..x_j]: f_nu(x) = beta^nu x^nu R(nu, beta^2 x) = beta^-nu
             # sum_(q>=nu) (beta^2 x)^q / ((q-nu)! q!), so it is beta^(2j-2-nu)
             # sum_(q>=q0) h_(q-j+1)(beta^2 x_1..) / ((q-nu)! q!), q0 = max(nu, j-1)
-            keys = [(j, nu, max(nu, j - 1)) for j in range(2, len(xs) + 1) for nu in range(N - 1, -1, -1)]
+            keys = [(j, nu, max(nu, j - 1)) for j in range(2, len(xs) + 1) for nu in orders]
             sums, terms = newton_sums([[beta * beta * x for x in xs]], [
                 ([(0, j, q0 - j + 1)], q0 - nu, q0) for j, nu, q0 in keys], prec)
             terms_used = max([terms_used, terms] + [t for _, t in kernel])
             # at beta = 0 a sum under a negative beta power is exactly 0
-            col = [v for v, _ in kernel] + [
+            col = [beta ** nu * xs[0] ** nu * v for nu, (v, _) in zip(orders, kernel)] + [
                 beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
                 for (j, nu, q0), v in zip(keys, sums)
             ]
@@ -342,10 +343,7 @@ def nondiag_limit_ls(
         bv = to_mpc_any(beta)
         cv = to_mpc_any(alpha_beta_coeff)
         w = bv * bv * av
-        r0 = bessel_ratio_raw(0, w, prec)[0]
-        r1 = bessel_ratio_raw(1, w, prec)[0]
-        r2 = bessel_ratio_raw(2, w, prec)[0]
-        r3 = bessel_ratio_raw(3, w, prec)[0]
+        r0, r1, r2, r3 = (bessel_ratio_raw(s, w, prec, top=3)[0] for s in range(4))
         value = cv * bv ** 4 * (2 * r2 * r0 + bv * bv * av * (r3 * r0 - r1 * r2))
         return BigComplex.from_mpc(value, prec.bits)
 
@@ -369,9 +367,9 @@ def nondiag_limit_bk(
         cv = to_mpc_any(alpha_beta_coeff)
         y1, y2 = (to_mpc_any(v) for v in mu_sq_pair)
         c1, c2 = bv * bv * y1, bv * bv * y2
-        g1 = bessel_ratio_raw(0, c1 * av, prec)[0]
-        g2 = bessel_ratio_raw(0, c2 * av, prec)[0]
-        g1p = c1 * bessel_ratio_raw(1, c1 * av, prec)[0]
-        g2p = c2 * bessel_ratio_raw(1, c2 * av, prec)[0]
+        # each w's two orders back to back, so they read one pass
+        g1, g1p = (bessel_ratio_raw(s, c1 * av, prec, top=1)[0] for s in range(2))
+        g2, g2p = (bessel_ratio_raw(s, c2 * av, prec, top=1)[0] for s in range(2))
+        g1p, g2p = c1 * g1p, c2 * g2p
         value = bv * bv * (y1 - y2) * cv * (g1p * g2 + g1 * g2p)
         return BigComplex.from_mpc(value, prec.bits)

@@ -18,17 +18,21 @@ from functools import cmp_to_key, lru_cache, partial, reduce
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
+    from_int,
     from_man_exp,
     mpc_abs,
+    mpc_div_mpf,
     mpc_mpf_div,
     mpc_mul,
     mpc_neg,
     mpc_one,
+    mpc_pos,
     mpc_sub,
     mpc_zero,
     mpf_add,
     mpf_cmp,
     mpf_ge,
+    mpf_lt,
     mpf_mul,
     mpf_shift,
     mpf_sub,
@@ -218,22 +222,27 @@ def _fixed_terms(zr: int, zi: int, nu: int, fbits: int):
         tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
 
 
-def bessel_ratio_raw(nu: int, w, prec: Precision):
+def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     """Sum over k of w^k / (k! (k+nu)!) as an mpc, with the term count used.
 
-    Sums T_k = nu! w^k / (k! (k+nu)!) as fixed-point complex integers
-    (_fixed_terms) at the scale 2^-F, F = work_bits + g with
-    g = bit_length(cap) + 14, and divides by nu! once at the end, so a high
-    order costs no relative accuracy.  w is rounded to work_bits and then
-    truncated to the scale (exact unless a part is below 2^-(g+1)).
+    Sums T_k = nu! w^k / (k! (k+nu)!) as fixed-point complex integers at the
+    scale 2^-F, F = work_bits + g with g = bit_length(cap) + 14, and divides
+    by nu! once at the end, so a high order costs no relative accuracy.  w is
+    rounded to work_bits and then truncated to the scale (exact unless a part
+    is below 2^-(g+1)).  Each term is the one before times w, an exact
+    integer complex multiply (of three products, or of four where w is real
+    or imaginary and two of them vanish), then a floor shift and a floor
+    division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
+    2 sqrt(2) < 3 units in modulus.
 
     Stopping rule: after two consecutive terms with
-    |t_k| < 2^-work_bits max(1, max_j<=k |partial sum_j|), compared exactly
-    as squared norms of the integers; TruncationCapExceeded when the rule is
-    not met within the cap.  For |w| >= cap (cap+nu) every term t_1..t_cap
-    is at least the one before it, so the rule can only be met at the
-    second term, by two terms below 2^-work_bits; past it the sum raises at
-    once instead of growing its integers to the cap.
+    |t_k| < 2^-work_bits max(1, max_j<=k |partial sum_j|), decided exactly on
+    the integers, by their bit lengths where those settle it and else by
+    their squared norms; TruncationCapExceeded when the rule is not met
+    within the cap.  For |w| >= cap (cap+nu) every term t_1..t_cap is at
+    least the one before it, so the rule can only be met at the second term,
+    by two terms below 2^-work_bits; past it the sum raises at once instead
+    of growing its integers to the cap.
 
     Error budget, in units of 2^-F: since the ratios |w| / (k (k+nu))
     decrease in k, |T_k / T_j| <= |T_(k-j)|, so the step errors carried into
@@ -245,31 +254,165 @@ def bessel_ratio_raw(nu: int, w, prec: Precision):
     |w| near cap^2 is about 2^1450 at the default cap; the relative error
     of the result is this bound times A / |sum|, the cancellation factor,
     which a floating-point sum of the same terms pays as well.
+
+    Chained orders: given `top` >= nu, one pass sums every order 0..top at
+    this w, each under its own stopping rule and cap test, and the call
+    returns order nu's sum and term count.  Order 0 runs on the recurrence;
+    order s's term is floor(s / (k+s) times order s-1's term) per part, as
+    T_k(s) = T_k(s-1) s / (k+s).  Each floor adds below sqrt(2) units, and
+    the factors s / (k+s) <= 1 do not grow the errors beneath, so order nu's
+    sum of n terms is within (3 n + 2 + sqrt(2) nu n) A units.  The scale is
+    widened by bit_length(top) bits, so the bound 2^-(work_bits+12) A holds
+    for every order.  The last pass is kept: the calls for orders 0..top at
+    one w and precision sum once.  Without `top`, order nu is summed alone
+    on its own recurrence, at the unwidened scale.
     """
+    global _last_pass
     if nu < 0:
         raise ValueError("order must be non-negative")
+    if top is not None and nu > top:
+        raise ValueError("order above top")
+    wp = prec.work_bits
+    if not isinstance(w, mpc):
+        with mp.workprec(wp):
+            w = mpc(w)
+    w = mpc_pos(w._mpc_, wp, round_nearest)  # w rounded to work_bits, as mpc(w) there rounds it
+    if top is not None:
+        key = (w, top, prec)
+        last = _last_pass
+        if last[0] != key:
+            last = _last_pass = key, _bessel_orders(w, top, prec)
+        found = last[1][nu]
+        if found is None:
+            raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
+        return found
     cap = prec.truncation_cap
-    fbits = prec.work_bits + cap.bit_length() + 14
-    with mp.workprec(prec.work_bits):
-        w = mpc(w)
-        limit = cap if abs(w) < cap * (cap + nu) else 2
-        zr, zi = (to_fixed(part, fbits) for part in w._mpc_)
-        shift = 2 * prec.work_bits
-        nu_fact = math.factorial(nu)
-        peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
-        sr = si = 0
-        small_run = 0
-        for k, (tr, ti) in enumerate(itertools.islice(_fixed_terms(zr, zi, nu, fbits), limit)):
-            sr += tr
-            si += ti
-            peak = max(peak, sr * sr + si * si)
-            if (tr * tr + ti * ti) << shift < peak:
-                small_run += 1
-                if small_run >= 2:
-                    return from_fixed(sr, si, fbits) / nu_fact, k + 1
+    fbits = wp + cap.bit_length() + 14
+    shift = 2 * wp
+    zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
+    zs = zr + zi
+    three = zr and zi  # on a real or imaginary axis the four products are two
+    limit = cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2
+    nu_fact = math.factorial(nu)
+    peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
+    peak_bits = peak.bit_length()
+    tr, ti = 1 << fbits, 0
+    sr = si = 0
+    small_run = 0
+    for k in range(limit):
+        if k:
+            d = k * (k + nu)
+            if three:
+                a, b = tr * zr, ti * zi
+                tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
             else:
-                small_run = 0
+                tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+        sr += tr
+        si += ti
+        # |s|^2 < 2^(2L+1) and peak >= 2^(peak_bits-1): square only when it may raise the peak
+        if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
+            s2 = sr * sr + si * si
+            if s2 > peak:
+                peak, peak_bits = s2, s2.bit_length()
+        # |t|^2 << shift lies in [2^(e-2), 2^(e+1)): square only when that range straddles the peak
+        e = 2 * (abs(tr) | abs(ti)).bit_length() + shift
+        if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
+            small_run += 1
+            if small_run >= 2:
+                return _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
+        else:
+            small_run = 0
     raise TruncationCapExceeded(f"series did not converge within {cap} terms")
+
+
+# ((w, top, prec), per-order results) of the last chained pass, a pure function
+# of its key: the N calls of one cluster's N kernel columns read one pass
+_last_pass = (None, None)
+
+
+def _below_edge(w, zr: int, zi: int, fbits: int, edge: int, wp: int) -> bool:
+    """|w| < edge, with |w| rounded to wp bits; (zr, zi) is w truncated to 2^-fbits.
+
+    A finite part of w is below 2^(L-fbits), L the larger bit length of zr
+    and zi, so |w| < 2^(L+1/2-fbits) and, rounded, below 2^(L+1-fbits):
+    when that is at most 2^(bit_length(edge)-1) <= edge, no square root is
+    taken.  Infinities and NaNs (no mantissa, nonzero exponent) take it.
+    """
+    finite = (w[0][1] or not w[0][2]) and (w[1][1] or not w[1][2])
+    if finite and max(zr.bit_length(), zi.bit_length()) + 2 <= fbits + edge.bit_length():
+        return True
+    return mpf_lt(mpc_abs(w, wp, round_nearest), from_int(edge))
+
+
+def _fixed_value(re: int, im: int, fbits: int, divisor: int, wp: int) -> mpc:
+    """(re + i im) 2^-fbits rounded to wp bits, then divided by `divisor` at wp bits."""
+    z = (from_man_exp(re, -fbits, wp, round_nearest), from_man_exp(im, -fbits, wp, round_nearest))
+    if divisor != 1:
+        z = mpc_div_mpf(z, from_int(divisor), wp, round_nearest)
+    return mp.make_mpc(z)
+
+
+def _bessel_orders(w, top: int, prec: Precision):
+    """Orders 0..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one chained pass.
+
+    Order 0 takes bessel_ratio_raw's term step and every order its stopping
+    test.  Returns, per order, (value, terms), or None where the order did
+    not stop within its cap.
+    """
+    cap = prec.truncation_cap
+    wp = prec.work_bits
+    fbits = wp + cap.bit_length() + 14 + top.bit_length()
+    shift = 2 * wp
+    zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
+    zs = zr + zi
+    three = zr and zi
+    limit = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in range(top + 1)]
+    # per order: partial sum (re, im), peak = max(1, max |partial sum|)^2 in squared
+    # units and its bit length, and the run of small terms; None once it stopped
+    state = [[0, 0, p, p.bit_length(), 0] for p in ((math.factorial(nu) << fbits) ** 2 for nu in range(top + 1))]
+    out = [None] * (top + 1)
+    hi = top  # the highest order still summing; every order below feeds its chain
+    tr, ti = 1 << fbits, 0
+    for k in range(max(limit)):
+        if k:
+            d = k * k
+            if three:
+                a, b = tr * zr, ti * zi
+                tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
+            else:
+                tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+        cr, ci = tr, ti
+        for nu in range(hi + 1):
+            if nu:
+                cr, ci = cr * nu // (k + nu), ci * nu // (k + nu)
+            s = state[nu]
+            if s is None:
+                continue
+            sr, si, peak, peak_bits, run = s
+            sr += cr
+            si += ci
+            if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
+                s2 = sr * sr + si * si
+                if s2 > peak:
+                    peak, peak_bits = s2, s2.bit_length()
+            e = 2 * (abs(cr) | abs(ci)).bit_length() + shift
+            if e + 2 <= peak_bits or (e - 2 < peak_bits and (cr * cr + ci * ci) << shift < peak):
+                run += 1
+                if run >= 2:
+                    out[nu] = _fixed_value(sr, si, fbits, math.factorial(nu), wp), k + 1
+                    state[nu] = None
+                    continue
+            else:
+                run = 0
+            if k + 1 == limit[nu]:
+                state[nu] = None
+            else:
+                s[:] = sr, si, peak, peak_bits, run
+        while hi >= 0 and state[hi] is None:
+            hi -= 1
+        if hi < 0:
+            break
+    return out
 
 
 def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):

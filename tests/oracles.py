@@ -6,20 +6,24 @@ is the pair of mpmath series references, which share det_mpc with
 j0_truncated and jm_truncated so that the series sums alone are compared,
 bit for bit.  bessel_ratio_mpmath is the even Bessel kernel summed in mpc
 under the same stopping rule, so that bessel_ratio_raw's values and term
-counts can be compared with it bit for bit, and det_mpc_reference is the
-elimination determinant on mpc values, to which det_mpc must agree bit for
-bit.
+counts can be compared with it bit for bit, bessel_ratio_fixed_reference
+is the single-order fixed-point kernel as a plain generator loop, whose
+integers bessel_ratio_raw must reproduce exactly, and det_mpc_reference is
+the elimination determinant on mpc values, to which det_mpc must agree bit
+for bit.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
 from superint.errors import TruncationCapExceeded
-from superint.precision import BigComplex, det_mpc, to_mpc_any
+from superint.precision import BigComplex, det_mpc, from_fixed, to_mpc_any
 
 
 def vandermonde_int(ks):
@@ -227,6 +231,49 @@ def bessel_ratio_mpmath(nu, w, prec):
                 small_run = 0
             term = term * w / ((k + 1) * (k + 1 + nu))
     raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
+
+
+def _fixed_terms_reference(zr, zi, nu, fbits):
+    """Endless terms t_0 = 1, t_k = t_{k-1} z / (k (k+nu)), a four-product complex multiply each."""
+    tr, ti = 1 << fbits, 0
+    k = 0
+    while True:
+        yield tr, ti
+        k += 1
+        d = k * (k + nu)
+        tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+
+
+def bessel_ratio_fixed_reference(nu, w, prec):
+    """The single-order fixed-point kernel summed on a term generator, with the term count used.
+
+    The same scale, terms and stopping rule as bessel_ratio_raw without
+    `top`, decided by exact squared norms at every term.
+    """
+    if nu < 0:
+        raise ValueError("order must be non-negative")
+    cap = prec.truncation_cap
+    fbits = prec.work_bits + cap.bit_length() + 14
+    with mp.workprec(prec.work_bits):
+        w = mpc(w)
+        limit = cap if abs(w) < cap * (cap + nu) else 2
+        zr, zi = (to_fixed(part, fbits) for part in w._mpc_)
+        shift = 2 * prec.work_bits
+        nu_fact = math.factorial(nu)
+        peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
+        sr = si = 0
+        small_run = 0
+        for k, (tr, ti) in enumerate(itertools.islice(_fixed_terms_reference(zr, zi, nu, fbits), limit)):
+            sr += tr
+            si += ti
+            peak = max(peak, sr * sr + si * si)
+            if (tr * tr + ti * ti) << shift < peak:
+                small_run += 1
+                if small_run >= 2:
+                    return from_fixed(sr, si, fbits) / nu_fact, k + 1
+            else:
+                small_run = 0
+    raise TruncationCapExceeded(f"series did not converge within {cap} terms")
 
 
 def j0_truncated_mpmath(z, K, prec):

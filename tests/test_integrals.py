@@ -21,6 +21,7 @@ from superint import (
     nondiag_limit_bk,
     nondiag_limit_ls,
 )
+from superint import integrals, precision
 from superint.conjecture import bk_character_sum, ls_character_sum
 
 from oracles import bk_division_reference, ls_division_reference
@@ -207,15 +208,34 @@ def test_ls_confluent_requires_repeat():
         ls_confluent(ev([Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5)]), PREC)
 
 
+def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
+    # N distinct values: N passes of the N orders, read by N^2 kernel calls
+    passes, calls = [], []
+    bessel_orders, bessel_ratio_raw = precision._bessel_orders, precision.bessel_ratio_raw
+
+    def counting_pass(w, top, prec):
+        passes.append(top)
+        return bessel_orders(w, top, prec)
+
+    def counting_call(*args, **kwargs):
+        calls.append(args[0])
+        return bessel_ratio_raw(*args, **kwargs)
+
+    monkeypatch.setattr(precision, "_bessel_orders", counting_pass)
+    monkeypatch.setattr(precision, "_last_pass", (None, None))
+    monkeypatch.setattr(integrals, "bessel_ratio_raw", counting_call)
+    values = ev([Fraction(1, 2), Fraction(-2, 3), 0.3 + 1.1j], [Fraction(5, 4), -0.7j], Fraction(3, 4))
+    assert ls_closed_form(values, PREC).branch == "generic"
+    assert passes == [4] * 5
+    assert sorted(calls) == sorted(list(range(5)) * 5)
+
+
 def test_confluent_entry_points_check_before_summing(monkeypatch):
     # no repeat: ValueError before any kernel series; a boson-fermion
     # coincidence without a repeat still returns the vanishing branch
-    from superint import integrals
-
-    def no_series(*args):
+    def no_series(*args, **kwargs):
         raise AssertionError("a series was summed")
 
-    monkeypatch.setattr(integrals, "scaled_bessel_entry_raw", no_series)
     monkeypatch.setattr(integrals, "bessel_ratio_raw", no_series)
     monkeypatch.setattr(integrals, "newton_sums", no_series)
     x, y = Fraction(1, 2), Fraction(1, 5)

@@ -23,7 +23,7 @@ from superint import (
 )
 from superint.precision import bessel_ratio_raw, complete_homogeneous, det_mpc, exact_determinant, newton_sums
 
-from oracles import bessel_ratio_mpmath, det_cofactor, det_mpc_reference
+from oracles import bessel_ratio_fixed_reference, bessel_ratio_mpmath, det_cofactor, det_mpc_reference
 
 PREC = Precision()
 
@@ -137,15 +137,59 @@ def test_bessel_ratio_huge_argument_raises_at_once():
 
 @pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024])
 def test_bessel_ratio_bit_identical_to_mpmath_reference(bits):
-    # nu = 0..12, |w| = 1e-3..1e2 at eight phases: same value at prec.bits, same term count
+    # nu = 0..12, |w| = 1e-3..1e2 at eight phases: same value at prec.bits, same term count,
+    # for each order alone and for every order of one top=12 pass per point
     prec = Precision(bits=bits)
-    for nu in range(13):
-        for exponent in range(-3, 3):
-            for j in range(8):
-                with mp.workprec(prec.work_bits):
-                    w = mpf(10) ** exponent * mp.expjpi(mpf(j) / 4)
-                got = _kernel_outcome(bessel_ratio_raw, nu, w, prec)
-                assert got == _kernel_outcome(bessel_ratio_mpmath, nu, w, prec), (nu, exponent, j)
+
+    def chained(nu, w, prec):
+        return bessel_ratio_raw(nu, w, prec, top=12)
+
+    for exponent in range(-3, 3):
+        for j in range(8):
+            with mp.workprec(prec.work_bits):
+                w = mpf(10) ** exponent * mp.expjpi(mpf(j) / 4)
+            for nu in range(13):
+                want = _kernel_outcome(bessel_ratio_mpmath, nu, w, prec)
+                assert _kernel_outcome(bessel_ratio_raw, nu, w, prec) == want, (nu, exponent, j)
+                assert _kernel_outcome(chained, nu, w, prec) == want, (nu, exponent, j)
+    with pytest.raises(ValueError):
+        bessel_ratio_raw(13, 1, prec, top=12)
+
+
+def _exact_outcome(kernel, nu, w, prec):
+    """(value parts, terms used) exactly, or None when the kernel hits the cap."""
+    try:
+        value, terms = kernel(nu, w, prec)
+    except TruncationCapExceeded:
+        return None
+    return value._mpc_, terms
+
+
+def test_bessel_ratio_single_order_bit_identical_to_fixed_reference():
+    # nu = 0..12, |w| = 1e-3..3e5 at any phase, a fifth of them on an axis, where the
+    # complex multiply takes four products; 64-1024 bits, caps 8, 64 and 512
+    rng = random.Random(4017)
+    cases = []
+    for _ in range(3000):
+        prec = Precision(bits=rng.randrange(64, 1025), truncation_cap=rng.choice((8, 64, 512)))
+        with mp.workprec(prec.work_bits):
+            size = mpf(10) ** rng.uniform(-3, math.log10(3e5))
+            w = size * (rng.choice((1, 1j, -1, -1j)) if rng.random() < 0.2 else mp.expjpi(mpf(rng.uniform(-1, 1))))
+        cases.append((rng.randrange(13), w, prec))
+    # w = 0, either side of the cap boundary cap (cap+nu), 1e100000, where the sum raises at once,
+    # and non-finite w
+    for cap in (8, 64, 512):
+        prec = Precision(truncation_cap=cap)
+        for nu in (0, 5, 12):
+            edge = cap * (cap + nu)
+            cases += [(nu, w, prec) for w in (0, edge - 1, edge, mpc(0, -edge), mpf("1e100000"))]
+            cases += [(nu, w, prec) for w in (mp.inf, mpc(0, mp.ninf), mp.nan)]
+    outcomes = set()
+    for nu, w, prec in cases:
+        want = _exact_outcome(bessel_ratio_fixed_reference, nu, w, prec)
+        assert _exact_outcome(bessel_ratio_raw, nu, w, prec) == want, (nu, w, prec)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("w", [-1000, -5000, mpc(-10000, 10)])
