@@ -434,7 +434,11 @@ def conjecture_check(seed, prec, jobs, N, m, samples, radius):
     ms = [m] if m is not None else list(range(1, N + 1))
     if not ms:
         raise ValueError("N must be at least 1")
-    tasks = [(N, k, samples, Fraction(radius), seed, prec, 64) for k in ms]
+    try:
+        radius = Fraction(radius)
+    except ZeroDivisionError:
+        raise ValueError(f"radius must be a number, got {radius!r}") from None
+    tasks = [(N, k, samples, radius, seed, prec, 64) for k in ms]
     reports = [r.to_json() for r in pool_map(verify_conjecture, tasks, jobs)]
     return all(r["pass"] for r in reports), {"results": reports}, {"m": ms, "depth": 64}
 

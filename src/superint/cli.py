@@ -40,12 +40,13 @@ class RunConfig:
     input_inline: str | None = None
     json_out: str | None = None
     options: dict = field(default_factory=dict)
+    precision: Precision = field(init=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.precision_bits < 64:
-            raise ValueError("precision must be at least 64 bits")
+        # built once, here, so that Precision's own checks refuse the bits and the cap
+        object.__setattr__(self, "precision", Precision(bits=self.precision_bits, truncation_cap=self.truncation_cap))
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -64,10 +65,6 @@ class RunConfig:
             json_out=args.json_out,
             options=options,
         )
-
-    @property
-    def precision(self) -> Precision:
-        return Precision(bits=self.precision_bits, truncation_cap=self.truncation_cap)
 
 
 def _default_prec_bits() -> int:

@@ -255,78 +255,42 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     of the result is this bound times A / |sum|, the cancellation factor,
     which a floating-point sum of the same terms pays as well.
 
-    Chained orders: given `top` >= nu, one pass sums every order 0..top at
-    this w, each under its own stopping rule and cap test, and the call
-    returns order nu's sum and term count.  Order 0 runs on the recurrence;
-    order s's term is floor(s / (k+s) times order s-1's term) per part, as
-    T_k(s) = T_k(s-1) s / (k+s).  Each floor adds below sqrt(2) units, and
-    the factors s / (k+s) <= 1 do not grow the errors beneath, so order nu's
-    sum of n terms is within (3 n + 2 + sqrt(2) nu n) A units.  The scale is
-    widened by bit_length(top) bits, so the bound 2^-(work_bits+12) A holds
-    for every order.  The last pass is kept: the calls for orders 0..top at
-    one w and precision sum once.  Without `top`, order nu is summed alone
-    on its own recurrence, at the unwidened scale.
+    Passes: every call reads order nu of one pass over the orders lo..top at
+    this w (_bessel_orders).  Given `top` >= nu, lo = 0; without it, order
+    nu is the pass with lo = top = nu.  Each order of a pass is summed
+    alone, under its own stopping rule and cap test.  Order lo runs on the
+    recurrence above; order s > lo takes floor(s / (k+s) times order s-1's
+    term) per part, as T_k(s) = T_k(s-1) s / (k+s).  Each floor adds below
+    sqrt(2) units, and the factors s / (k+s) <= 1 do not grow the errors
+    beneath, so order nu's sum of n terms is within
+    (3 n + 2 + sqrt(2) (nu-lo) n) A units.  The scale is widened by
+    bit_length(top - lo) bits, so the bound 2^-(work_bits+12) A holds for
+    every order; a single order keeps the unwidened scale.  The last pass is
+    kept: the calls for orders lo..top at one w and precision sum once.
     """
     global _last_pass
     if nu < 0:
         raise ValueError("order must be non-negative")
-    if top is not None and nu > top:
+    lo, top = (nu, nu) if top is None else (0, top)
+    if nu > top:
         raise ValueError("order above top")
     wp = prec.work_bits
     if not isinstance(w, mpc):
         with mp.workprec(wp):
             w = mpc(w)
     w = mpc_pos(w._mpc_, wp, round_nearest)  # w rounded to work_bits, as mpc(w) there rounds it
-    if top is not None:
-        key = (w, top, prec)
-        last = _last_pass
-        if last[0] != key:
-            last = _last_pass = key, _bessel_orders(w, top, prec)
-        found = last[1][nu]
-        if found is None:
-            raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
-        return found
-    cap = prec.truncation_cap
-    fbits = wp + cap.bit_length() + 14
-    shift = 2 * wp
-    zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
-    zs = zr + zi
-    three = zr and zi  # on a real or imaginary axis the four products are two
-    limit = cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2
-    nu_fact = math.factorial(nu)
-    peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
-    peak_bits = peak.bit_length()
-    tr, ti = 1 << fbits, 0
-    sr = si = 0
-    small_run = 0
-    for k in range(limit):
-        if k:
-            d = k * (k + nu)
-            if three:
-                a, b = tr * zr, ti * zi
-                tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
-            else:
-                tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
-        sr += tr
-        si += ti
-        # |s|^2 < 2^(2L+1) and peak >= 2^(peak_bits-1): square only when it may raise the peak
-        if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
-            s2 = sr * sr + si * si
-            if s2 > peak:
-                peak, peak_bits = s2, s2.bit_length()
-        # |t|^2 << shift lies in [2^(e-2), 2^(e+1)): square only when that range straddles the peak
-        e = 2 * (abs(tr) | abs(ti)).bit_length() + shift
-        if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
-            small_run += 1
-            if small_run >= 2:
-                return _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
-        else:
-            small_run = 0
-    raise TruncationCapExceeded(f"series did not converge within {cap} terms")
+    key = (w, lo, top, prec)
+    last = _last_pass
+    if last[0] != key:
+        last = _last_pass = key, _bessel_orders(w, lo, top, prec)
+    found = last[1][nu - lo]
+    if found is None:
+        raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
+    return found
 
 
-# ((w, top, prec), per-order results) of the last chained pass, a pure function
-# of its key: the N calls of one cluster's N kernel columns read one pass
+# ((w, lo, top, prec), per-order results) of the last pass, a pure function of
+# its key: the N calls of one cluster's N kernel columns read one pass
 _last_pass = (None, None)
 
 
@@ -352,67 +316,89 @@ def _fixed_value(re: int, im: int, fbits: int, divisor: int, wp: int) -> mpc:
     return mp.make_mpc(z)
 
 
-def _bessel_orders(w, top: int, prec: Precision):
-    """Orders 0..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one chained pass.
+def _bessel_orders(w, lo: int, top: int, prec: Precision):
+    """Orders lo..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one pass.
 
-    Order 0 takes bessel_ratio_raw's term step and every order its stopping
-    test.  Returns, per order, (value, terms), or None where the order did
-    not stop within its cap.
+    _sum_order sums each order alone: order lo on the recurrence, every
+    order above on the terms the order below kept.  An order keeps its terms
+    up to its own stop.  When an order runs past them, as at the cap edge
+    where the order below is capped at 2 terms and it is not, the pass is
+    redone with every order keeping as many terms as top's limit, the
+    largest, so that no order runs past them again.  Returns, per order,
+    (value, terms), or None where the order did not stop within its cap.
     """
     cap = prec.truncation_cap
     wp = prec.work_bits
-    fbits = wp + cap.bit_length() + 14 + top.bit_length()
-    shift = 2 * wp
+    fbits = wp + cap.bit_length() + 14 + (top - lo).bit_length()
     zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
+    orders = range(lo, top + 1)
+    limits = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in orders]
+    keep = 0
+    while True:
+        out, kept = [], None
+        for nu, limit in zip(orders, limits):
+            found, kept = _sum_order(nu, kept, zr, zi, fbits, wp, limit, keep)
+            if kept is None:
+                break
+            out.append(found)
+        else:
+            return out
+        keep = limits[-1]
+
+
+def _sum_order(nu: int, below, zr: int, zi: int, fbits: int, wp: int, limit: int, keep: int):
+    """One order of a _bessel_orders pass: ((value, terms) or None, the terms it kept).
+
+    Its terms come from the recurrence when `below` is None, else as
+    floor(t nu / (k+nu)) per part from the kept terms t of order nu-1.  It
+    sums under the stopping rule within `limit` terms and keeps its terms up
+    to its stop, and at least `keep` of them; (None, None) when it needs a
+    term the order below did not keep.
+    """
+    shift = 2 * wp
     zs = zr + zi
-    three = zr and zi
-    limit = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in range(top + 1)]
-    # per order: partial sum (re, im), peak = max(1, max |partial sum|)^2 in squared
-    # units and its bit length, and the run of small terms; None once it stopped
-    state = [[0, 0, p, p.bit_length(), 0] for p in ((math.factorial(nu) << fbits) ** 2 for nu in range(top + 1))]
-    out = [None] * (top + 1)
-    hi = top  # the highest order still summing; every order below feeds its chain
+    three = zr and zi  # on a real or imaginary axis the four products are two
+    nu_fact = math.factorial(nu)
+    peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
+    peak_bits = peak.bit_length()
     tr, ti = 1 << fbits, 0
-    for k in range(max(limit)):
-        if k:
-            d = k * k
+    sr = si = 0
+    small_run = 0
+    found = None
+    kept = []
+    for k in range(max(limit, keep)):
+        if below is not None:
+            try:
+                tr, ti = below[k]
+            except IndexError:
+                return None, None
+            tr, ti = tr * nu // (k + nu), ti * nu // (k + nu)
+        elif k:
+            d = k * (k + nu)
             if three:
                 a, b = tr * zr, ti * zi
                 tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
             else:
                 tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
-        cr, ci = tr, ti
-        for nu in range(hi + 1):
-            if nu:
-                cr, ci = cr * nu // (k + nu), ci * nu // (k + nu)
-            s = state[nu]
-            if s is None:
-                continue
-            sr, si, peak, peak_bits, run = s
-            sr += cr
-            si += ci
-            if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
-                s2 = sr * sr + si * si
-                if s2 > peak:
-                    peak, peak_bits = s2, s2.bit_length()
-            e = 2 * (abs(cr) | abs(ci)).bit_length() + shift
-            if e + 2 <= peak_bits or (e - 2 < peak_bits and (cr * cr + ci * ci) << shift < peak):
-                run += 1
-                if run >= 2:
-                    out[nu] = _fixed_value(sr, si, fbits, math.factorial(nu), wp), k + 1
-                    state[nu] = None
-                    continue
-            else:
-                run = 0
-            if k + 1 == limit[nu]:
-                state[nu] = None
-            else:
-                s[:] = sr, si, peak, peak_bits, run
-        while hi >= 0 and state[hi] is None:
-            hi -= 1
-        if hi < 0:
-            break
-    return out
+        kept.append((tr, ti))
+        sr += tr
+        si += ti
+        # |s|^2 < 2^(2L+1) and peak >= 2^(peak_bits-1): square only when it may raise the peak
+        if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
+            s2 = sr * sr + si * si
+            if s2 > peak:
+                peak, peak_bits = s2, s2.bit_length()
+        # |t|^2 << shift lies in [2^(e-2), 2^(e+1)): square only when that range straddles the peak
+        e = 2 * (abs(tr) | abs(ti)).bit_length() + shift
+        if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
+            small_run += 1
+            if small_run >= 2 and found is None and k < limit:
+                found = _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
+                if k + 1 >= keep:
+                    break
+        else:
+            small_run = 0
+    return found, kept
 
 
 def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):

@@ -8,7 +8,10 @@ bit for bit.  bessel_ratio_mpmath is the even Bessel kernel summed in mpc
 under the same stopping rule, so that bessel_ratio_raw's values and term
 counts can be compared with it bit for bit, bessel_ratio_fixed_reference
 is the single-order fixed-point kernel as a plain generator loop, whose
-integers bessel_ratio_raw must reproduce exactly, and det_mpc_reference is
+integers bessel_ratio_raw must reproduce exactly,
+bessel_orders_interleaved_reference sums the chained orders of one w term by
+term together, whose values and term counts bessel_ratio_raw's chained orders
+must reproduce exactly, and det_mpc_reference is
 the elimination determinant on mpc values, to which det_mpc must agree bit
 for bit.
 """
@@ -23,7 +26,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from superint.errors import TruncationCapExceeded
-from superint.precision import BigComplex, det_mpc, from_fixed, to_mpc_any
+from superint.precision import BigComplex, _below_edge, _fixed_value, det_mpc, from_fixed, to_mpc_any
 
 
 def vandermonde_int(ks):
@@ -274,6 +277,70 @@ def bessel_ratio_fixed_reference(nu, w, prec):
             else:
                 small_run = 0
     raise TruncationCapExceeded(f"series did not converge within {cap} terms")
+
+
+def bessel_orders_interleaved_reference(w, top: int, prec):
+    """Orders 0..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one interleaved pass.
+
+    Every order steps term by term together: order 0 on the recurrence,
+    order s on floor(s / (k+s) times order s-1's term), each under its own
+    stopping test.  Returns, per order, (value, terms), or None where the
+    order did not stop within its cap.
+    """
+    cap = prec.truncation_cap
+    wp = prec.work_bits
+    fbits = wp + cap.bit_length() + 14 + top.bit_length()
+    shift = 2 * wp
+    zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
+    zs = zr + zi
+    three = zr and zi
+    limit = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in range(top + 1)]
+    # per order: partial sum (re, im), peak = max(1, max |partial sum|)^2 in squared
+    # units and its bit length, and the run of small terms; None once it stopped
+    state = [[0, 0, p, p.bit_length(), 0] for p in ((math.factorial(nu) << fbits) ** 2 for nu in range(top + 1))]
+    out = [None] * (top + 1)
+    hi = top  # the highest order still summing; every order below feeds its chain
+    tr, ti = 1 << fbits, 0
+    for k in range(max(limit)):
+        if k:
+            d = k * k
+            if three:
+                a, b = tr * zr, ti * zi
+                tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
+            else:
+                tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+        cr, ci = tr, ti
+        for nu in range(hi + 1):
+            if nu:
+                cr, ci = cr * nu // (k + nu), ci * nu // (k + nu)
+            s = state[nu]
+            if s is None:
+                continue
+            sr, si, peak, peak_bits, run = s
+            sr += cr
+            si += ci
+            if 2 * (abs(sr) | abs(si)).bit_length() + 2 > peak_bits:
+                s2 = sr * sr + si * si
+                if s2 > peak:
+                    peak, peak_bits = s2, s2.bit_length()
+            e = 2 * (abs(cr) | abs(ci)).bit_length() + shift
+            if e + 2 <= peak_bits or (e - 2 < peak_bits and (cr * cr + ci * ci) << shift < peak):
+                run += 1
+                if run >= 2:
+                    out[nu] = _fixed_value(sr, si, fbits, math.factorial(nu), wp), k + 1
+                    state[nu] = None
+                    continue
+            else:
+                run = 0
+            if k + 1 == limit[nu]:
+                state[nu] = None
+            else:
+                s[:] = sr, si, peak, peak_bits, run
+        while hi >= 0 and state[hi] is None:
+            hi -= 1
+        if hi < 0:
+            break
+    return out
 
 
 def j0_truncated_mpmath(z, K, prec):

@@ -232,6 +232,9 @@ def test_appendix_e_verify():
         ["conjecture-verify", "--N", "2", "--samples", "-1"],
         ["conjecture-verify", "--N", "0"],
         ["conjecture-verify", "--N", "2", "--radius", "-1"],
+        ["conjecture-verify", "--N", "2", "--radius", "1/0"],
+        ["lr-check", "--trunc-cap", "1"],
+        ["lr-check", "--prec-bits", "10"],
     ],
 )
 def test_out_of_domain_check_arguments_exit_2(argv, capsys):

@@ -213,9 +213,9 @@ def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
     passes, calls = [], []
     bessel_orders, bessel_ratio_raw = precision._bessel_orders, precision.bessel_ratio_raw
 
-    def counting_pass(w, top, prec):
-        passes.append(top)
-        return bessel_orders(w, top, prec)
+    def counting_pass(w, lo, top, prec):
+        passes.append((lo, top))
+        return bessel_orders(w, lo, top, prec)
 
     def counting_call(*args, **kwargs):
         calls.append(args[0])
@@ -226,7 +226,7 @@ def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
     monkeypatch.setattr(integrals, "bessel_ratio_raw", counting_call)
     values = ev([Fraction(1, 2), Fraction(-2, 3), 0.3 + 1.1j], [Fraction(5, 4), -0.7j], Fraction(3, 4))
     assert ls_closed_form(values, PREC).branch == "generic"
-    assert passes == [4] * 5
+    assert passes == [(0, 4)] * 5
     assert sorted(calls) == sorted(list(range(5)) * 5)
 
 

@@ -21,9 +21,16 @@ from superint import (
     scaled_bessel_entry,
     vandermonde,
 )
+from superint import precision
 from superint.precision import bessel_ratio_raw, complete_homogeneous, det_mpc, exact_determinant, newton_sums
 
-from oracles import bessel_ratio_fixed_reference, bessel_ratio_mpmath, det_cofactor, det_mpc_reference
+from oracles import (
+    bessel_orders_interleaved_reference,
+    bessel_ratio_fixed_reference,
+    bessel_ratio_mpmath,
+    det_cofactor,
+    det_mpc_reference,
+)
 
 PREC = Precision()
 
@@ -190,6 +197,46 @@ def test_bessel_ratio_single_order_bit_identical_to_fixed_reference():
         assert _exact_outcome(bessel_ratio_raw, nu, w, prec) == want, (nu, w, prec)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def test_bessel_ratio_chained_orders_bit_identical_to_interleaved_reference(monkeypatch):
+    # every order of a top pass, top 1..12, |w| 1e-3..3e5 at any phase, a fifth of them on an
+    # axis, 64-1024 bits, caps 8, 16, 64 and 512; a third of the draws lie at the cap edge
+    # cap^2 <= |w| < cap (cap+top), where order 0 is capped at 2 terms and the orders above it
+    # are not, so that the pass is redone keeping more terms
+    sum_order, reruns = precision._sum_order, []
+
+    def counting_order(*args):
+        found, kept = sum_order(*args)
+        if kept is None:
+            reruns.append(args[0])
+        return found, kept
+
+    monkeypatch.setattr(precision, "_sum_order", counting_order)
+    rng = random.Random(4018)
+    cases = []
+    for _ in range(600):
+        top, cap = rng.randint(1, 12), rng.choice((8, 16, 64, 512))
+        prec = Precision(bits=rng.randrange(64, 1025), truncation_cap=cap)
+        with mp.workprec(prec.work_bits):
+            if rng.random() < 1 / 3:
+                size = mpf(rng.uniform(cap * cap, cap * (cap + top)))
+            else:
+                size = mpf(10) ** rng.uniform(-3, math.log10(3e5))
+            w = mpc(size * (rng.choice((1, 1j, -1, -1j)) if rng.random() < 0.2 else mp.expjpi(mpf(rng.uniform(-1, 1)))))
+        cases.append((top, w, prec))
+    # at 100 working bits orders 30..32 stop at their second term, 2^-100 nu! being above their
+    # first terms, inside the pass redone because order 29 reads past order 28's 2 terms
+    cases.append((33, mpc(292), Precision(bits=68, truncation_cap=8)))
+    outcomes = set()
+    for top, w, prec in cases:
+        want = [r and (r[0]._mpc_, r[1]) for r in bessel_orders_interleaved_reference(w._mpc_, top, prec)]
+        for nu in range(top + 1):
+            got = _exact_outcome(lambda nu, w, prec: bessel_ratio_raw(nu, w, prec, top=top), nu, w, prec)
+            assert got == want[nu], (nu, top, w, prec)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+    assert reruns
 
 
 @pytest.mark.parametrize("w", [-1000, -5000, mpc(-10000, 10)])
