@@ -26,6 +26,7 @@ from .conjecture import (
     bk_character_sum,
     character_expansion_check,
     clear_series_memo,
+    disk_radius,
     factorial_ratio_identity_holds,
     lr_relation_check,
     partial_coefficient_check,
@@ -434,10 +435,7 @@ def conjecture_check(seed, prec, jobs, N, m, samples, radius):
     ms = [m] if m is not None else list(range(1, N + 1))
     if not ms:
         raise ValueError("N must be at least 1")
-    try:
-        radius = Fraction(radius)
-    except ZeroDivisionError:
-        raise ValueError(f"radius must be a number, got {radius!r}") from None
+    radius = disk_radius(radius)
     tasks = [(N, k, samples, radius, seed, prec, 64) for k in ms]
     reports = [r.to_json() for r in pool_map(verify_conjecture, tasks, jobs)]
     return all(r["pass"] for r in reports), {"results": reports}, {"m": ms, "depth": 64}

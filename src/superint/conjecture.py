@@ -96,6 +96,22 @@ def _coord_counter(sample_index: int, coordinate: int, part: int) -> int:
     return (sample_index << 21) | (coordinate << 1) | part
 
 
+def disk_radius(radius) -> Fraction:
+    """The radius of verify_conjecture's disk as an exact Fraction in 0..4.
+
+    An int, Fraction, float or Decimal converts exactly and a string as
+    Fraction parses it ("2", "0.5", "1/3"); anything else, x/0 included, and
+    any value outside 0..4 raise ValueError.
+    """
+    try:
+        r = Fraction(radius)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"radius must be a number, got {radius!r}") from None
+    if not 0 <= r <= 4:
+        raise ValueError(f"radius must lie in 0..4, got {radius!r}")
+    return r
+
+
 def sample_disk(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
     """Uniform draw from the complex disk of the given radius (area-uniform), memoized."""
     key = (seed, sample_index, coordinate, radius, bits)
@@ -377,15 +393,17 @@ def verify_conjecture(
     prec: Precision = DEFAULT_PRECISION,
     K: int = 64,
 ) -> ConjectureReport:
-    """Compare the two truncated series on seeded samples from the complex disk."""
+    """Compare the two truncated series on seeded samples from the complex disk.
+
+    The radius is read by disk_radius: a number or numeric string in 0..4.
+    """
     if not 1 <= N <= 10:
         raise ValueError("N must lie in 1..10")
     if not 1 <= m <= N:
         raise ValueError("m must lie in 1..N")
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    if not 0 <= Fraction(str(radius) if not isinstance(radius, (int, Fraction)) else radius) <= 4:
-        raise ValueError("radius must lie in 0..4")
+    radius = disk_radius(radius)
     report = ConjectureReport(
         N=N,
         m=m,

@@ -233,7 +233,12 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     integer complex multiply (of three products, or of four where w is real
     or imaginary and two of them vanish), then a floor shift and a floor
     division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
-    2 sqrt(2) < 3 units in modulus.
+    2 sqrt(2) < 3 units in modulus.  The multiply takes w's significant
+    bits only: its fixed-point parts stripped of their common trailing
+    zeros, tz of them (at most F), and the shift is F - tz, since
+    (X 2^tz) >> F = X >> (F - tz) exactly.  The terms are the same integers
+    as with the full parts, so the budget below is unchanged; a w from
+    doubles pays full-by-short products instead of full-by-full ones.
 
     Stopping rule: after two consecutive terms with
     |t_k| < 2^-work_bits max(1, max_j<=k |partial sum_j|), decided exactly on
@@ -333,11 +338,15 @@ def _bessel_orders(w, lo: int, top: int, prec: Precision):
     zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
     orders = range(lo, top + 1)
     limits = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in orders]
+    # w's significant bits: (X 2^tz) >> F = X >> (F-tz), so the step multiplies by short integers
+    low = zr | zi
+    tz = min((low & -low).bit_length() - 1, fbits) if low else 0
+    z = zr >> tz, zi >> tz, fbits - tz
     keep = 0
     while True:
         out, kept = [], None
         for nu, limit in zip(orders, limits):
-            found, kept = _sum_order(nu, kept, zr, zi, fbits, wp, limit, keep)
+            found, kept = _sum_order(nu, kept, z, fbits, wp, limit, keep)
             if kept is None:
                 break
             out.append(found)
@@ -346,16 +355,20 @@ def _bessel_orders(w, lo: int, top: int, prec: Precision):
         keep = limits[-1]
 
 
-def _sum_order(nu: int, below, zr: int, zi: int, fbits: int, wp: int, limit: int, keep: int):
+def _sum_order(nu: int, below, z, fbits: int, wp: int, limit: int, keep: int):
     """One order of a _bessel_orders pass: ((value, terms) or None, the terms it kept).
 
     Its terms come from the recurrence when `below` is None, else as
-    floor(t nu / (k+nu)) per part from the kept terms t of order nu-1.  It
-    sums under the stopping rule within `limit` terms and keeps its terms up
-    to its stop, and at least `keep` of them; (None, None) when it needs a
-    term the order below did not keep.
+    floor(t nu / (k+nu)) per part from the kept terms t of order nu-1.  The
+    recurrence multiplies by z = (zr, zi, step), w's fixed-point parts
+    stripped of their common trailing zeros, w = (zr + i zi) 2^-step with
+    step <= fbits, and shifts by step.  It sums under the stopping rule
+    within `limit` terms and keeps its terms up to its stop, and at least
+    `keep` of them; (None, None) when it needs a term the order below did
+    not keep.
     """
     shift = 2 * wp
+    zr, zi, step = z
     zs = zr + zi
     three = zr and zi  # on a real or imaginary axis the four products are two
     nu_fact = math.factorial(nu)
@@ -377,9 +390,9 @@ def _sum_order(nu: int, below, zr: int, zi: int, fbits: int, wp: int, limit: int
             d = k * (k + nu)
             if three:
                 a, b = tr * zr, ti * zi
-                tr, ti = ((a - b) >> fbits) // d, (((tr + ti) * zs - a - b) >> fbits) // d
+                tr, ti = ((a - b) >> step) // d, (((tr + ti) * zs - a - b) >> step) // d
             else:
-                tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+                tr, ti = ((tr * zr - ti * zi) >> step) // d, ((tr * zi + ti * zr) >> step) // d
         kept.append((tr, ti))
         sr += tr
         si += ti

@@ -337,14 +337,25 @@ def test_verify_conjecture_reports_are_bit_identical():
 def test_verify_conjecture_validation():
     with pytest.raises(ValueError):
         verify_conjecture(4, 5)
-    for radius in (5, -1):
-        with pytest.raises(ValueError):
+    # out of 0..4, not a number, or x/0: ValueError, also from a library call
+    for radius in (5, -1, "9/2", Fraction(-1, 3), "1/0", "abc", None, 1j, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
             verify_conjecture(4, 1, radius=radius)
     with pytest.raises(ValueError):
         verify_conjecture(12, 1)
     for count in (0, -1):
         with pytest.raises(ValueError):
             verify_conjecture(2, 1, sample_count=count)
+
+
+def test_verify_conjecture_reads_radius_exactly():
+    # a numeric string, a Fraction and a float of the same value draw the same points
+    reports = [
+        verify_conjecture(2, 1, sample_count=2, radius=r, seed=5, prec=PREC, K=16).to_json()
+        for r in ("1/2", Fraction(1, 2), 0.5, "0.5")
+    ]
+    assert all(r == reports[0] for r in reports)
+    assert reports[0]["radius"] == "1/2"
 
 
 def test_conjecture_report_json_ignores_caller_precision():

@@ -172,6 +172,33 @@ def _exact_outcome(kernel, nu, w, prec):
     return value._mpc_, terms
 
 
+def _short_mantissa_w(rng, size, wp):
+    """A w with few significant bits and |w| near `size`, of the kinds the closed forms pass.
+
+    A Python float, a complex double at any phase, a purely imaginary double, a
+    quarter of the product of two complex doubles (the bk argument c x y) rounded to
+    wp bits, or an integer or power of two, whose trailing zeros reach past the
+    kernel's fixed-point scale.
+    """
+    kind = rng.randrange(5)
+    phase = rng.uniform(-math.pi, math.pi)
+    if kind == 0:
+        return rng.choice((1, -1)) * size
+    if kind == 1:
+        return complex(size * math.cos(phase), size * math.sin(phase))
+    if kind == 2:
+        return complex(0, rng.choice((1, -1)) * size)
+    if kind == 3:
+        a = complex(math.cos(phase), math.sin(phase)) * 2 * math.sqrt(size) * rng.uniform(0.5, 2)
+        b = complex(math.cos(-2 * phase), math.sin(-2 * phase)) * 4 * size / abs(a)
+        with mp.workprec(wp):
+            return mpc(a) * mpc(b) / 4
+    unit = rng.choice((1, -1, 1j, -1j))
+    if rng.random() < 0.5:
+        return unit * 2 ** round(math.log2(size))
+    return unit * max(1, round(size))
+
+
 def test_bessel_ratio_single_order_bit_identical_to_fixed_reference():
     # nu = 0..12, |w| = 1e-3..3e5 at any phase, a fifth of them on an axis, where the
     # complex multiply takes four products; 64-1024 bits, caps 8, 64 and 512
@@ -182,6 +209,11 @@ def test_bessel_ratio_single_order_bit_identical_to_fixed_reference():
         with mp.workprec(prec.work_bits):
             size = mpf(10) ** rng.uniform(-3, math.log10(3e5))
             w = size * (rng.choice((1, 1j, -1, -1j)) if rng.random() < 0.2 else mp.expjpi(mpf(rng.uniform(-1, 1))))
+        cases.append((rng.randrange(13), w, prec))
+    # w with few significant bits, so the recurrence multiplies by short integers
+    for _ in range(300):
+        prec = Precision(bits=rng.randrange(64, 1025), truncation_cap=rng.choice((8, 64, 512)))
+        w = _short_mantissa_w(rng, 10 ** rng.uniform(-3, math.log10(3e5)), prec.work_bits)
         cases.append((rng.randrange(13), w, prec))
     # w = 0, either side of the cap boundary cap (cap+nu), 1e100000, where the sum raises at once,
     # and non-finite w
@@ -228,6 +260,13 @@ def test_bessel_ratio_chained_orders_bit_identical_to_interleaved_reference(monk
     # at 100 working bits orders 30..32 stop at their second term, 2^-100 nu! being above their
     # first terms, inside the pass redone because order 29 reads past order 28's 2 terms
     cases.append((33, mpc(292), Precision(bits=68, truncation_cap=8)))
+    # w with few significant bits, so the recurrence multiplies by short integers
+    for _ in range(150):
+        top, cap = rng.randint(1, 12), rng.choice((8, 16, 64, 512))
+        prec = Precision(bits=rng.randrange(64, 1025), truncation_cap=cap)
+        w = _short_mantissa_w(rng, 10 ** rng.uniform(-3, math.log10(3e5)), prec.work_bits)
+        with mp.workprec(prec.work_bits):
+            cases.append((top, mpc(w), prec))
     outcomes = set()
     for top, w, prec in cases:
         want = [r and (r[0]._mpc_, r[1]) for r in bessel_orders_interleaved_reference(w._mpc_, top, prec)]
