@@ -1,9 +1,9 @@
 """Working precision, the JSON boundary record and the numeric kernels every other module uses.
 
 All multiprecision arithmetic runs on mpmath values at an explicit working
-precision, or on fixed-point Python integers at an explicit scale, so
-results are deterministic and independent of any global context the caller
-may have set.
+precision, on fixed-point Python integers at an explicit scale, or on integer
+(mantissa, exponent) pairs rounded as mpmath rounds them, so results are
+deterministic and independent of any global context the caller may have set.
 """
 
 from __future__ import annotations
@@ -18,26 +18,16 @@ from functools import cmp_to_key, lru_cache, partial, reduce
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
+    fzero,
     from_int,
     from_man_exp,
     mpc_abs,
     mpc_div_mpf,
     mpc_mpf_div,
-    mpc_mul,
-    mpc_neg,
-    mpc_one,
     mpc_pos,
-    mpc_sub,
-    mpc_zero,
-    mpf_add,
     mpf_cmp,
-    mpf_ge,
     mpf_lt,
-    mpf_mul,
-    mpf_shift,
-    mpf_sub,
     round_ceiling,
-    round_down,
     round_nearest,
     to_fixed,
 )
@@ -593,17 +583,21 @@ def newton_sums(sides, sums, prec: Precision):
 _mpf_key = cmp_to_key(mpf_cmp)
 
 
-def _eliminate(a, pivot, mul, sub, inv, zero):
+def _eliminate(a, pivot, mul, update, inv, zero):
     """Partial-pivoted elimination of the square matrix `a` (overwritten), in the arithmetic given.
 
     pivot(column) picks the pivot's index among the candidates a[c][c],
-    a[c+1][c], ...; inv(x) is 1/x, and a multiplier equal to `zero` leaves
-    its row as it is.  The row update starts at column c + 1: the entries
-    below a pivot are never read again.  Returns (pivots, odd): the diagonal
-    in elimination order, or None once a column holds only zero candidates,
-    and whether the row swaps were odd in number.
+    a[c+1][c], ...; inv(x) is 1/x, and a multiplier f = mul(a[r][c], inv(pivot))
+    equal to `zero` leaves its row as it is.  update(x, f, t) is x - f*t, the
+    row update, which starts at column c + 1: the entries below a pivot are
+    never read again, and the last pivot is never inverted.  Returns (pivots,
+    odd): the diagonal in elimination order, or None once a column holds only
+    zero candidates, and whether the row swaps were odd in number.  Raises
+    ValueError unless `a` is square.
     """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
     odd = False
     for c in range(n):
         p = c + pivot([a[r][c] for r in range(c, n)])
@@ -613,71 +607,172 @@ def _eliminate(a, pivot, mul, sub, inv, zero):
             a[c], a[p] = a[p], a[c]
             odd = not odd
         top = a[c]
-        scale = inv(top[c])
-        for row in a[c + 1 :]:
+        below = a[c + 1 :]
+        if below:
+            scale = inv(top[c])
+            tail = top[c + 1 :]
+        for row in below:
             f = mul(row[c], scale)
-            if f == zero:
-                continue
-            for cc in range(c + 1, n):
-                row[cc] = sub(row[cc], mul(f, top[cc]))
+            if f != zero:
+                row[c + 1 :] = map(update, row[c + 1 :], itertools.repeat(f), tail)
     return [a[c][c] for c in range(n)], odd
 
 
-def _pivot_mpc(column, wp: int) -> int:
+# det_mpc's entries are (re, re_exp, im, im_exp): each part m·2^e with m odd or
+# 0 (exponent 0), the signed form of libmp's normalized (sign, man, exp, bc)
+_PAIR_ZERO = (0, 0, 0, 0)
+_PAIR_ONE = (1, 0, 0, 0)
+
+
+def _add(am, ae, bm, be, wp):
+    """am·2^ae + bm·2^be rounded as mpf_add rounds it at wp bits, to nearest.
+
+    am and bm are odd or 0.  When their exponents lie within 100 bits of
+    each other, or their top bits within wp + 4, the sum is exact; otherwise
+    it is mpf_add's perturbation, the larger term shifted up by wp + 4 bits
+    plus the smaller one's sign.  Either is rounded to nearest at wp bits,
+    ties to even, and stripped of trailing zeros, as libmp's normalize
+    rounds it.
+    """
+    if am and bm:
+        off = ae - be
+        if off > 100 and am.bit_length() - bm.bit_length() + off > wp + 4:
+            am, ae = (am << wp + 4) + (1 if bm > 0 else -1), ae - wp - 4
+        elif off < -100 and bm.bit_length() - am.bit_length() - off > wp + 4:
+            am, ae = (bm << wp + 4) + (1 if am > 0 else -1), be - wp - 4
+        elif off >= 0:
+            am, ae = (am << off) + bm, be
+        else:
+            am += bm << -off
+    elif bm:
+        am, ae = bm, be
+    if not am:
+        return 0, 0
+    # on a signed am the floor shifts see the same half bit, sticky bits and
+    # kept-bit parity as on |am|, so this rounds |am| as normalize does
+    n = am.bit_length() - wp
+    if n > 0:
+        t = am >> n - 1
+        # t's low bit is the first bit dropped; the bits below it are sticky
+        am = (t >> 1) + 1 if t & 1 and (t & 2 or (am & -am).bit_length() < n) else t >> 1
+        ae += n
+    if not am & 1:
+        z = (am & -am).bit_length() - 1
+        am >>= z
+        ae += z
+    return am, ae
+
+
+def _mul_pairs(wp, z, w):
+    """z·w as mpc_mul rounds it at wp bits: each part's two exact products summed by _add."""
+    zr, zre, zi, zie = z
+    wr, wre, wi, wie = w
+    return _add(zr * wr, zre + wre, -zi * wi, zie + wie, wp) + _add(zr * wi, zre + wie, zi * wr, zie + wre, wp)
+
+
+def _update_pairs(wp, x, f, t):
+    """x - f·t as mpc_sub(x, mpc_mul(f, t)) rounds it at wp bits: two roundings per part."""
+    pr, pre, pi, pie = _mul_pairs(wp, f, t)
+    return _add(x[0], x[1], -pr, pre, wp) + _add(x[2], x[3], -pi, pie, wp)
+
+
+def _to_mpc(z):
+    """A pair entry as a raw libmp mpc: a (sign, man, exp, bitcount) tuple per part."""
+    return tuple((int(m < 0), abs(m), e, m.bit_length()) if m else fzero for m, e in (z[:2], z[2:]))
+
+
+def _from_mpc(z, wp):
+    """A raw libmp mpc of finite parts as a pair entry, each part rounded to wp bits as mpc(z) rounds it."""
+    (rs, rm, re, rb), (is_, im, ie, ib) = z
+    rm, im = -rm if rs else rm, -im if is_ else im
+    if rb <= wp and ib <= wp:
+        return rm, re, im, ie
+    return _add(rm, re, 0, 0, wp) + _add(im, ie, 0, 0, wp)
+
+
+def _inverse_pairs(wp, z):
+    """1/z as mpc's operators round it at wp bits (libmp's mpc_mpf_div)."""
+    return _from_mpc(mpc_mpf_div(fone, _to_mpc(z), wp, round_nearest), wp)
+
+
+def _pivot_pairs(wp, column):
     """The first index of the largest |entry| rounded to wp bits: max(range(...), key=abs)'s pick.
 
-    Each rounded |entry| is within a relative 2^-wp or so of the exact one,
-    so an entry whose squared norm lies more than a relative 2^-(wp-4) below
-    the largest one rounds to a smaller |entry|.  The squared norms, rounded
-    down to wp + 8 bits, are within a relative 2^-(wp+7) of the exact ones
-    (an exact sum can grow without bound when the parts' exponents lie far
-    apart), which is enough to sort those entries out.  Only the rest get
+    Each |entry|² is floored to an integer N at one scale 2^s for the whole
+    column, with the column's largest part squared at wp + 7 or wp + 8 bits,
+    so N is below |entry|²/2^s by less than 2 and the largest N is at least
+    2^(wp+6) - 2.  Each rounded |entry| is within a relative 2^-wp or so of
+    the exact one, so an entry whose N lies more than a relative 2^-(wp-4)
+    below the largest N rounds to a smaller |entry|.  Only the rest get
     mpc_abs, and usually that is the column's largest entry alone.
     """
     if len(column) == 1:
         return 0
-    norms = [mpf_add(mpf_mul(re, re), mpf_mul(im, im), wp + 8, round_down) for re, im in column]
-    top = max(norms, key=_mpf_key)
-    bound = mpf_sub(top, mpf_shift(top, 4 - wp))
-    near = [i for i, norm in enumerate(norms) if mpf_ge(norm, bound)]
+    s = max((2 * (m.bit_length() + e) for z in column for m, e in (z[:2], z[2:]) if m), default=None)
+    if s is None:
+        return 0
+    s -= wp + 8
+    norms = []
+    for zr, zre, zi, zie in column:
+        d, g = 2 * zre - s, 2 * zie - s
+        norms.append((zr * zr << d if d >= 0 else zr * zr >> -d) + (zi * zi << g if g >= 0 else zi * zi >> -g))
+    top = max(norms)
+    bound = top - (top >> wp - 4)
+    near = [i for i, norm in enumerate(norms) if norm >= bound]
     if len(near) == 1:
         return near[0]
-    return max(near, key=lambda i: _mpf_key(mpc_abs(column[i], wp, round_nearest)))
+    return max(near, key=lambda i: _mpf_key(mpc_abs(_to_mpc(column[i]), wp, round_nearest)))
 
 
 def det_mpc(rows, prec: Precision):
     """Partial-pivoted elimination determinant of a square mpc matrix.
 
-    Runs on the raw libmp tuples with the calls that mpc's operators make at
-    work_bits, rounding to nearest, so each value is rounded as the same
-    elimination on mpc values rounds it.  The determinant is the product of
-    the pivots in elimination order; rounding to nearest is symmetric in the
-    sign, so the sign of the row swaps can come last.
+    Each entry is held as integer pairs (m, e), m·2^e per part, with m odd or
+    0: libmp's mpf value in signed form.  A product of two parts is an exact
+    integer multiply, and each sum is formed and rounded as libmp's mpf_add
+    forms it at work_bits, rounding to nearest: exactly, when the exponents
+    lie within 100 bits of each other or the parts' top bits within
+    work_bits + 4, and otherwise by mpf_add's own perturbation rule; then to
+    nearest, ties to even, with trailing zeros stripped, as libmp's normalize
+    rounds.  So every value is rounded as the same elimination on mpc values
+    rounds it: a multiplier or a product as mpc_mul, a row update as mpc_sub
+    of it.  libmp still decides the pivot's inverse (mpc_mpf_div, once per
+    column but the last) and the rounded |entry| of pivot candidates whose
+    squared norms lie within a relative 2^-(work_bits-4) of the largest.
+    The determinant is the product of the pivots in elimination order;
+    rounding to nearest is symmetric in the sign, so the sign of the row
+    swaps can come last.  Raises ValueError for a non-square matrix and
+    names the first entry that is not finite.
     """
     wp = prec.work_bits
+    a = []
     with mp.workprec(wp):
-        a = [[mpc(x)._mpc_ for x in row] for row in rows]
-    mul = partial(mpc_mul, prec=wp, rnd=round_nearest)
+        for i, row in enumerate(rows):
+            a.append([])
+            for j, x in enumerate(row):
+                z = x._mpc_ if type(x) is mpc else mpc(x)._mpc_
+                (_, rm, re, _), (_, im, ie, _) = z
+                if not rm and re or not im and ie:  # a zero mantissa with an exponent: ±inf or nan
+                    raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
+                a[-1].append(_from_mpc(z, wp))
+    mul = partial(_mul_pairs, wp)
     pivots, odd = _eliminate(
-        a,
-        partial(_pivot_mpc, wp=wp),
-        mul,
-        partial(mpc_sub, prec=wp, rnd=round_nearest),
-        partial(mpc_mpf_div, fone, prec=wp, rnd=round_nearest),
-        mpc_zero,
+        a, partial(_pivot_pairs, wp), mul, partial(_update_pairs, wp), partial(_inverse_pairs, wp), _PAIR_ZERO
     )
-    det = mpc_zero if pivots is None else reduce(mul, pivots, mpc_one)
-    return mp.make_mpc(mpc_neg(det) if odd else det)
+    re, ree, im, ime = _PAIR_ZERO if pivots is None else reduce(mul, pivots, _PAIR_ONE)
+    if odd:
+        re, im = -re, -im
+    return mp.make_mpc(_to_mpc((re, ree, im, ime)))
 
 
 def exact_determinant(rows):
-    """Fraction-arithmetic Gaussian elimination determinant (exact)."""
+    """Fraction-arithmetic Gaussian elimination determinant (exact).  Raises ValueError unless square."""
     a = [[Fraction(x) for x in row] for row in rows]
     pivots, odd = _eliminate(
         a,
         lambda column: max(range(len(column)), key=lambda i: abs(column[i])),
         operator.mul,
-        operator.sub,
+        lambda x, f, t: x - f * t,
         lambda x: 1 / x,
         0,
     )
@@ -690,9 +785,6 @@ def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
 
     The result is tagged with the minimum of prec.bits and the entries' precisions.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     with mp.workprec(prec.work_bits):
         rows = [[to_mpc_any(x) for x in row] for row in matrix]
     return BigComplex.from_mpc(det_mpc(rows, prec), _tag_bits(prec, itertools.chain(*matrix)))

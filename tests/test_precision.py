@@ -3,7 +3,9 @@
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,25 @@ def test_exact_determinant_and_cofactor_agree():
     assert exact_determinant(rows) == det_cofactor(rows)
 
 
+def test_eliminations_refuse_malformed_matrices():
+    prec = Precision(bits=96)
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]], [[]]):
+        for det in (partial(det_mpc, prec=prec), exact_determinant):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                det(rows)
+    # the first entry that is not finite, in row order, is named
+    for rows, where in (
+        ([[mpf("nan")]], "(0, 0)"),
+        ([[mpf("inf")]], "(0, 0)"),
+        ([[1, 2], [mpc(3, "-inf"), mpf("nan")]], "(1, 0)"),
+        ([[1, float("inf")], [float("nan"), 4]], "(0, 1)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"matrix entry {where} is not finite")):
+            det_mpc(rows, prec)
+    assert det_mpc([], prec) == 1
+    assert exact_determinant([]) == 1
+
+
 # -- det_mpc against the elimination on mpc values, bit for bit -------------------
 
 # exactly singular, or with a zero leading entry that forces a row swap
@@ -430,24 +451,112 @@ INTEGER_MATRICES = [
 ]
 
 
+def _exact(man, exp=0):
+    """The mpf man·2^exp, not rounded."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+def _z(re, im=0):
+    """The mpc re + i·im of two mpf (or ints), neither part rounded."""
+    part = lambda x: (_exact(x) if isinstance(x, int) else x)._mpf_
+    return mp.make_mpc((part(re), part(im)))
+
+
 def _full(rng, bits, scale=0):
     """A random mpf of `bits` mantissa bits in (-2^scale, 2^scale)."""
-    return mp.make_mpf(from_man_exp(rng.choice((1, -1)) * rng.getrandbits(bits), scale - bits))
+    return _exact(rng.choice((1, -1)) * rng.getrandbits(bits), scale - bits)
 
 
 def _random_rows(rng, n, bits, scale=lambda i, j: 0):
-    return [[mpc(_full(rng, bits, scale(i, j)), _full(rng, bits, scale(i, j))) for j in range(n)] for i in range(n)]
+    return [[_z(_full(rng, bits, scale(i, j)), _full(rng, bits, scale(i, j))) for j in range(n)] for i in range(n)]
 
 
 def _assert_det_bits(rows, prec):
     assert det_mpc(rows, prec)._mpc_ == det_mpc_reference(rows, prec)._mpc_
 
 
+def _update(x, f, t):
+    """[[1, t], [f, x]] with |f| < 1, so its determinant is the one row update x - f·t."""
+    assert abs(f) < 1
+    return [[_z(1), t], [f, x]]
+
+
+def _rounding_edge_matrices(rng, wp):
+    """Matrices whose row updates, multipliers and products sit on the edges of mpf_add's rounding."""
+    sign = lambda: rng.choice((1, -1))
+    odd = lambda bits: rng.getrandbits(bits - 1) | 1 << bits - 1 | 1
+    half = _z(_exact(1, -1))
+    out = []
+    # x - f·t with f = 1/2, and f·t's real part fr·tr - fi·ti with t = (tr, 1),
+    # where the two terms' lowest bits lie `off` bits apart and their top bits
+    # delta = wp + 4 + d apart: mpf_add perturbs when off > 100 and delta > wp + 4
+    for off in (101, 102, 150, wp + 4, 2 * wp):
+        for d in (-2, -1, 0, 1, 2):
+            by = min(max(off - 4 - d, 1), wp)  # the smaller term's bits
+            big, small = sign() * odd(wp), sign() * odd(by)
+            x, y = _exact(big, -wp - 1), _exact(small, -wp - 1 - off)
+            x2, y2 = _exact(big, -wp), _exact(small, -wp - off)  # 2x and 2y
+            out.append(_update(_z(x, y), half, _z(y2, x2)))  # x above f·t, and below
+            out.append(_update(_z(0), _z(half.real, y), _z(x2, 1)))  # fr·tr above fi·ti
+            out.append(_update(_z(0), _z(half.real, x), _z(y2, 1)))  # and below
+    # fr·tr = (2^wp - 1)(2^(wp-1) + 1)·2^(-wp-1), 2·wp bits whose rounding bit
+    # is 0 with ones below it, and -fi·ti = q1·q2·2^e > 0 with its lowest bit
+    # `off` below fr·tr's and its top bit above fr·tr's lowest bit: the exact sum carries into
+    # the rounding bit and rounds up, while mpf_add's perturbation (off > 100
+    # and delta > wp + 4) rounds down; then the same with the two terms' roles
+    # swapped.  The last two have delta = wp + 4 and wp + 5.
+    lows = [(off, odd(60), odd(off - 50)) for off in (99, 100, 101, 102)]
+    lows += [(101, (1 << wp) - 1, (1 << 97 - d) - 1) for d in (0, 1)]
+    for off, q1, q2 in lows:
+        pf, pt = ((1 << wp) - 1, -wp - 1), ((1 << wp - 1) + 1, 0)
+        lf = (q1, -121 - q1.bit_length())
+        lt = (q2, -wp - 1 - off - lf[1])
+        neg = lambda part: _exact(-part[0], part[1])
+        out.append(_update(_z(0), _z(_exact(*pf), neg(lf)), _z(_exact(*pt), _exact(*lt))))
+        out.append(_update(_z(0), _z(_exact(*lf), neg(pf)), _z(_exact(*lt), _exact(*pt))))
+    # exact ties at the rounding bit, toward the even neighbour below and above,
+    # in a row update (x = ±2^wp, f·t = ∓1 or ∓3) and in a product (3·(2^(wp-1) + 1 or 3))
+    for s in (1, -1):
+        for low in (1, 3):
+            out.append(_update(_z(_exact(s, wp), _exact(-s, wp)), half, _z(-2 * s * low, 2 * s * low)))
+            out.append(_update(_z(0), _z(_exact(3 * s, -3), _exact(-3 * s, -3)), _z((1 << wp - 1) + low, 0)))
+            out.append(_update(_z(_full(rng, wp, 100)), _z(0, _exact(3 * s, -2)), _z(0, (1 << wp - 1) + low)))
+    # products and sums that round up to a power of two
+    k = wp // 2 + 10
+    for s in (1, -1):
+        out.append(_update(_z(0), _z(_exact(s * ((1 << k) + 1), -k - 1)), _z((1 << k) - 1, s)))
+        out.append(_update(_z(_exact(s, wp + 1)), half, _z(2 * s)))  # 2^(wp+1) - 1
+    # exact cancellation: x is f·t rounded as mpc_mul rounds it, in both parts or one
+    for _ in range(4):
+        f, t = _z(_full(rng, wp, -1), _full(rng, wp, -1)), _z(_full(rng, wp, 40), _full(rng, wp, 40))
+        with mp.workprec(wp):
+            ft = f * t
+        out.append(_update(ft, f, t))
+        out.append(_update(_z(ft.real, _full(rng, wp, 40)), f, t))
+    # multipliers that are 0 (zeros below a pivot) or have a zero part
+    for n in (3, 4):
+        rows = _random_rows(rng, n, wp)
+        rows[1][0] = _z(0)
+        rows[-1][0] = _z(0, _full(rng, wp))
+        rows[2][1] = _z(_full(rng, wp))
+        out.append(rows)
+    out.append([[_z(1), _z(2)], [_z(0), _z(0)]])
+    # entries of more than wp bits, some of them ties when rounded to wp bits
+    for n in (1, 2, 5):
+        out.append(_random_rows(rng, n, 3 * wp))
+        rows = _random_rows(rng, n, wp)
+        rows[0][0] = _z(_exact((1 << wp) + 1, -wp), _exact(-(1 << wp) - 3, -wp))
+        rows[-1][-1] = _z(_exact((1 << wp) + 3, 7), _exact(-(1 << wp) - 1, 7))
+        out.append(rows)
+    return out
+
+
 @pytest.mark.parametrize("bits", [96, 256, 1024])
 def test_det_mpc_bit_identical_to_reference(bits):
     # work bits 128, 288 and 1056; entries of work_bits, of twice that (an
-    # mpc entry is not rounded before its first operation), graded by row and
-    # column, and of scattered magnitudes
+    # entry is rounded to work_bits before its first operation), graded by
+    # row and column, and of scattered magnitudes; then row updates,
+    # multipliers and products on the edges of mpf_add's rounding
     prec = Precision(bits=bits)
     wp = prec.work_bits
     rng = random.Random(bits)
@@ -461,6 +570,8 @@ def test_det_mpc_bit_identical_to_reference(bits):
         for grading in gradings:
             _assert_det_bits(_random_rows(rng, n, wp, grading), prec)
         _assert_det_bits(_random_rows(rng, n, 2 * wp), prec)
+    for rows in _rounding_edge_matrices(rng, wp):
+        _assert_det_bits(rows, prec)
     for rows in INTEGER_MATRICES:
         _assert_det_bits(rows, prec)
         assert exact_determinant(rows) == det_cofactor(rows)
