@@ -195,21 +195,41 @@ def vandermonde(values):
 # -- power series kernels ----------------------------------------------------
 
 
-def _fixed_terms(zr: int, zi: int, nu: int, fbits: int):
-    """Endless terms t_0 = 1, t_k = t_{k-1} z / (k (k+nu)) as fixed-point complex integers.
+def _significant(zr: int, zi: int, fbits: int):
+    """w = (zr + i zi) 2^-fbits as (zr, zi, step): its parts stripped of their common trailing zeros.
 
-    z = (zr + i zi) 2^-fbits and each term (re, im) stands for (re + i im)
-    2^-fbits.  Each step is one integer complex multiply, a floor shift and a
-    floor division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so
-    below 2 sqrt(2) < 3 units in modulus.
+    w = (zr + i zi) 2^-step with step <= fbits, and (X 2^(fbits-step)) >> fbits
+    = X >> step exactly, so _fixed_terms multiplies by w's significant bits only.
     """
+    low = zr | zi
+    tz = min((low & -low).bit_length() - 1, fbits) if low else 0
+    return zr >> tz, zi >> tz, fbits - tz
+
+
+def _fixed_terms(z, nu: int, fbits: int):
+    """Endless terms t_0 = 1, t_k = t_{k-1} w / (k (k+nu)) as fixed-point complex integers.
+
+    z = (zr, zi, step) is w = (zr + i zi) 2^-step (_significant) and each
+    term (re, im) stands for (re + i im) 2^-fbits.  Each step is one exact
+    integer complex multiply (of three products, or of four where w is real
+    or imaginary and two of them vanish), a floor shift by step and a floor
+    division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
+    2 sqrt(2) < 3 units in modulus.
+    """
+    zr, zi, step = z
+    zs = zr + zi
+    three = zr and zi  # on a real or imaginary axis the four products are two
     tr, ti = 1 << fbits, 0
     k = 0
     while True:
         yield tr, ti
         k += 1
         d = k * (k + nu)
-        tr, ti = ((tr * zr - ti * zi) >> fbits) // d, ((tr * zi + ti * zr) >> fbits) // d
+        if three:
+            a, b = tr * zr, ti * zi
+            tr, ti = ((a - b) >> step) // d, (((tr + ti) * zs - a - b) >> step) // d
+        else:
+            tr, ti = ((tr * zr - ti * zi) >> step) // d, ((tr * zi + ti * zr) >> step) // d
 
 
 def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
@@ -223,12 +243,13 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     integer complex multiply (of three products, or of four where w is real
     or imaginary and two of them vanish), then a floor shift and a floor
     division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
-    2 sqrt(2) < 3 units in modulus.  The multiply takes w's significant
-    bits only: its fixed-point parts stripped of their common trailing
-    zeros, tz of them (at most F), and the shift is F - tz, since
-    (X 2^tz) >> F = X >> (F - tz) exactly.  The terms are the same integers
-    as with the full parts, so the budget below is unchanged; a w from
-    doubles pays full-by-short products instead of full-by-full ones.
+    2 sqrt(2) < 3 units in modulus (_fixed_terms).  The multiply takes w's
+    significant bits only: its fixed-point parts stripped of their common
+    trailing zeros, tz of them (at most F), and the shift is F - tz, since
+    (X 2^tz) >> F = X >> (F - tz) exactly (_significant).  The terms are
+    the same integers as with the full parts and four products, so the
+    budget below is unchanged; a w from doubles pays full-by-short products
+    instead of full-by-full ones.
 
     Stopping rule: after two consecutive terms with
     |t_k| < 2^-work_bits max(1, max_j<=k |partial sum_j|), decided exactly on
@@ -252,10 +273,12 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
 
     Passes: every call reads order nu of one pass over the orders lo..top at
     this w (_bessel_orders).  Given `top` >= nu, lo = 0; without it, order
-    nu is the pass with lo = top = nu.  Each order of a pass is summed
-    alone, under its own stopping rule and cap test.  Order lo runs on the
-    recurrence above; order s > lo takes floor(s / (k+s) times order s-1's
-    term) per part, as T_k(s) = T_k(s-1) s / (k+s).  Each floor adds below
+    nu is the pass with lo = top = nu.  Each order of a pass is summed once,
+    under its own stopping rule and cap test, from one shared stream of
+    terms.  Order lo runs on the recurrence above; order s > lo takes
+    floor(s / (k+s) times order s-1's term) per part, as
+    T_k(s) = T_k(s-1) s / (k+s), drawing as many terms as it needs,
+    however few the order below used.  Each floor adds below
     sqrt(2) units, and the factors s / (k+s) <= 1 do not grow the errors
     beneath, so order nu's sum of n terms is within
     (3 n + 2 + sqrt(2) (nu-lo) n) A units.  The scale is widened by
@@ -314,76 +337,49 @@ def _fixed_value(re: int, im: int, fbits: int, divisor: int, wp: int) -> mpc:
 def _bessel_orders(w, lo: int, top: int, prec: Precision):
     """Orders lo..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one pass.
 
-    _sum_order sums each order alone: order lo on the recurrence, every
-    order above on the terms the order below kept.  An order keeps its terms
-    up to its own stop.  When an order runs past them, as at the cap edge
-    where the order below is capped at 2 terms and it is not, the pass is
-    redone with every order keeping as many terms as top's limit, the
-    largest, so that no order runs past them again.  Returns, per order,
-    (value, terms), or None where the order did not stop within its cap.
+    _sum_order sums each order alone, once: order lo on _fixed_terms, every
+    order s above on order s-1's terms, floor(t s / (k+s)) per part.  The
+    orders share one stream (itertools.tee): an order that runs past where
+    the order below stopped, as at the cap edge where the order below is
+    capped at 2 terms and it is not, draws the further terms on demand.
+    Returns, per order, (value, terms), or None where the order did not stop
+    within its cap.
     """
     cap = prec.truncation_cap
     wp = prec.work_bits
     fbits = wp + cap.bit_length() + 14 + (top - lo).bit_length()
     zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
-    orders = range(lo, top + 1)
-    limits = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in orders]
-    # w's significant bits: (X 2^tz) >> F = X >> (F-tz), so the step multiplies by short integers
-    low = zr | zi
-    tz = min((low & -low).bit_length() - 1, fbits) if low else 0
-    z = zr >> tz, zi >> tz, fbits - tz
-    keep = 0
-    while True:
-        out, kept = [], None
-        for nu, limit in zip(orders, limits):
-            found, kept = _sum_order(nu, kept, z, fbits, wp, limit, keep)
-            if kept is None:
-                break
-            out.append(found)
+    terms = _fixed_terms(_significant(zr, zi, fbits), lo, fbits)
+    out = []
+    for nu in range(lo, top + 1):
+        limit = cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2
+        if nu < top:
+            terms, mine = itertools.tee(terms)
+            out.append(_sum_order(nu, mine, fbits, wp, limit))
+            terms = _next_order(terms, nu + 1)
         else:
-            return out
-        keep = limits[-1]
+            out.append(_sum_order(nu, terms, fbits, wp, limit))
+    return out
 
 
-def _sum_order(nu: int, below, z, fbits: int, wp: int, limit: int, keep: int):
-    """One order of a _bessel_orders pass: ((value, terms) or None, the terms it kept).
+def _next_order(terms, s: int):
+    """Order s's terms from order s-1's: floor(t s / (k+s)) per part, as T_k(s) = T_k(s-1) s / (k+s)."""
+    for k, (tr, ti) in enumerate(terms):
+        yield tr * s // (k + s), ti * s // (k + s)
 
-    Its terms come from the recurrence when `below` is None, else as
-    floor(t nu / (k+nu)) per part from the kept terms t of order nu-1.  The
-    recurrence multiplies by z = (zr, zi, step), w's fixed-point parts
-    stripped of their common trailing zeros, w = (zr + i zi) 2^-step with
-    step <= fbits, and shifts by step.  It sums under the stopping rule
-    within `limit` terms and keeps its terms up to its stop, and at least
-    `keep` of them; (None, None) when it needs a term the order below did
-    not keep.
+
+def _sum_order(nu: int, terms, fbits: int, wp: int, limit: int):
+    """Order nu's sum of `terms` under the stopping rule: (value, terms used), or None.
+
+    None when the rule is not met within `limit` terms.
     """
     shift = 2 * wp
-    zr, zi, step = z
-    zs = zr + zi
-    three = zr and zi  # on a real or imaginary axis the four products are two
     nu_fact = math.factorial(nu)
     peak = (nu_fact << fbits) ** 2  # max(1, max |partial sum|)^2, in squared units
     peak_bits = peak.bit_length()
-    tr, ti = 1 << fbits, 0
     sr = si = 0
     small_run = 0
-    found = None
-    kept = []
-    for k in range(max(limit, keep)):
-        if below is not None:
-            try:
-                tr, ti = below[k]
-            except IndexError:
-                return None, None
-            tr, ti = tr * nu // (k + nu), ti * nu // (k + nu)
-        elif k:
-            d = k * (k + nu)
-            if three:
-                a, b = tr * zr, ti * zi
-                tr, ti = ((a - b) >> step) // d, (((tr + ti) * zs - a - b) >> step) // d
-            else:
-                tr, ti = ((tr * zr - ti * zi) >> step) // d, ((tr * zi + ti * zr) >> step) // d
-        kept.append((tr, ti))
+    for k, (tr, ti) in enumerate(itertools.islice(terms, limit)):
         sr += tr
         si += ti
         # |s|^2 < 2^(2L+1) and peak >= 2^(peak_bits-1): square only when it may raise the peak
@@ -395,21 +391,20 @@ def _sum_order(nu: int, below, z, fbits: int, wp: int, limit: int, keep: int):
         e = 2 * (abs(tr) | abs(ti)).bit_length() + shift
         if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
             small_run += 1
-            if small_run >= 2 and found is None and k < limit:
-                found = _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
-                if k + 1 >= keep:
-                    break
+            if small_run >= 2:
+                return _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
         else:
             small_run = 0
-    return found, kept
+    return None
 
 
 def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
     """Terms t_0..t_n of sum_k nu! z^k / (k! (k+nu)!) as fixed-point complex integers.
 
-    A term (re, im) stands for (re + i im) 2^-fbits (_fixed_terms).  z is
-    truncated to the scale with to_fixed, an error below one unit, 2^-fbits,
-    per part.
+    A term (re, im) stands for (re + i im) 2^-fbits.  z is truncated to the
+    scale with to_fixed, an error below one unit, 2^-fbits, per part.  The
+    terms come from the kernel's recurrence, _fixed_terms, on z's
+    significant bits: the same integers as four products by the full parts.
 
     Error budget for |z| <= 4 (with |z|/(k (k+nu)) <= 1 for k >= 2): every
     term is off by at most 6 units from the step errors and 3 from the
@@ -423,7 +418,7 @@ def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
     """
     re, im = [], []
     zr, zi = (to_fixed(part, fbits) for part in z._mpc_)
-    for tr, ti in itertools.islice(_fixed_terms(zr, zi, nu, fbits), max(n + 1, 0)):
+    for tr, ti in itertools.islice(_fixed_terms(_significant(zr, zi, fbits), nu, fbits), max(n + 1, 0)):
         re.append(tr)
         im.append(ti)
         if -1 <= tr <= 1 and -1 <= ti <= 1:

@@ -126,6 +126,23 @@ def test_known_defect_small_bk_sector_stays_split():
     assert abs(res.value.to_mpc() - 1) < mpf(10) ** -40
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect: ls cancels near a boson-fermion coincidence")
+@pytest.mark.parametrize(
+    "bos, ferm",
+    [([1], []), ([1, Fraction(-1, 2)], []), ([1, Fraction(-1, 2)], [Fraction(3, 4)])],
+    ids=["1|1", "2|1", "2|2"],
+)
+def test_known_defect_boson_fermion_near_coincidence(bos, ferm):
+    # a bosonic 1 and a fermionic 1 + 2^-200 give two columns equal to about 200 bits, and
+    # det_mpc cancels them: 256 bits hold 85-88 against a 1024-bit rerun, tagged 256
+    vals = ev(bos, [Fraction(2**200 + 1, 2**200)] + ferm)
+    got = ls_closed_form(vals, PREC)
+    want = ls_closed_form(vals, Precision(bits=1024)).value.to_mpc()
+    assert got.branch == "generic" and got.value.bits == PREC.bits
+    with mp.workprec(1100):
+        assert abs(got.value.to_mpc() - want) < mpf(2) ** -248 * abs(want)
+
+
 def test_ls_ordinary_value():
     res = ls_closed_form(ev([BigComplex(1)], []), PREC)
     assert res.branch == "generic"

@@ -21,7 +21,7 @@ from superint import (
     sigma_decomposition_factor,
     super_diagrams,
 )
-from superint.partitions import hook_lengths, k_indices
+from superint.partitions import hook_lengths, k_indices, standard_tableaux_count
 
 from oracles import count_standard_tableaux, weyl_dimension
 
@@ -68,9 +68,12 @@ def test_sigma_examples(rows, value):
 
 
 def test_sigma_is_standard_tableaux_count():
+    # the hook-length count and the library's corner-removal count both match the oracle's
     for boxes in range(11):
         for t in partitions_of(boxes):
-            assert sigma_coefficient(t) == count_standard_tableaux(t.rows)
+            want = count_standard_tableaux(t.rows)
+            assert sigma_coefficient(t) == want, t
+            assert standard_tableaux_count(t) == want, t
 
 
 def test_sigma_empty_convention():

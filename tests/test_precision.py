@@ -1,5 +1,6 @@
 """Precision core: scalars, series kernels, determinants."""
 
+import itertools
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_fixed
 
 from superint import (
     BigComplex,
@@ -24,9 +25,17 @@ from superint import (
     vandermonde,
 )
 from superint import precision
-from superint.precision import bessel_ratio_raw, complete_homogeneous, det_mpc, exact_determinant, newton_sums
+from superint.precision import (
+    bessel_ratio_raw,
+    complete_homogeneous,
+    det_mpc,
+    exact_determinant,
+    fixed_series_terms,
+    newton_sums,
+)
 
 from oracles import (
+    _fixed_terms_reference,
     bessel_orders_interleaved_reference,
     bessel_ratio_fixed_reference,
     bessel_ratio_mpmath,
@@ -237,15 +246,18 @@ def test_bessel_ratio_chained_orders_bit_identical_to_interleaved_reference(monk
     # every order of a top pass, top 1..12, |w| 1e-3..3e5 at any phase, a fifth of them on an
     # axis, 64-1024 bits, caps 8, 16, 64 and 512; a third of the draws lie at the cap edge
     # cap^2 <= |w| < cap (cap+top), where order 0 is capped at 2 terms and the orders above it
-    # are not, so that the pass is redone keeping more terms
-    sum_order, reruns = precision._sum_order, []
+    # are not, so that they draw terms past where the order below stopped
+    bessel_orders, sum_order, passes = precision._bessel_orders, precision._sum_order, []
 
-    def counting_order(*args):
-        found, kept = sum_order(*args)
-        if kept is None:
-            reruns.append(args[0])
-        return found, kept
+    def counting_pass(w, lo, top, prec):
+        passes.append(((lo, top), []))
+        return bessel_orders(w, lo, top, prec)
 
+    def counting_order(nu, *args):
+        passes[-1][1].append(nu)
+        return sum_order(nu, *args)
+
+    monkeypatch.setattr(precision, "_bessel_orders", counting_pass)
     monkeypatch.setattr(precision, "_sum_order", counting_order)
     rng = random.Random(4018)
     cases = []
@@ -260,7 +272,7 @@ def test_bessel_ratio_chained_orders_bit_identical_to_interleaved_reference(monk
             w = mpc(size * (rng.choice((1, 1j, -1, -1j)) if rng.random() < 0.2 else mp.expjpi(mpf(rng.uniform(-1, 1)))))
         cases.append((top, w, prec))
     # at 100 working bits orders 30..32 stop at their second term, 2^-100 nu! being above their
-    # first terms, inside the pass redone because order 29 reads past order 28's 2 terms
+    # first terms, in a pass where order 29 reads past order 28's 2 terms
     cases.append((33, mpc(292), Precision(bits=68, truncation_cap=8)))
     # w with few significant bits, so the recurrence multiplies by short integers
     for _ in range(150):
@@ -277,7 +289,42 @@ def test_bessel_ratio_chained_orders_bit_identical_to_interleaved_reference(monk
             assert got == want[nu], (nu, top, w, prec)
             outcomes.add(got is None)
     assert outcomes == {True, False}
-    assert reruns
+    # one pass per case, each summing every order once, in order
+    assert len(passes) == len(cases)
+    assert all(orders == list(range(lo, top + 1)) for (lo, top), orders in passes)
+    cap_edge = [c for c in cases if c[2].truncation_cap ** 2 <= abs(c[1]) < c[2].truncation_cap * (c[2].truncation_cap + c[0])]
+    assert len(cap_edge) > 100
+
+
+def test_fixed_series_terms_bit_identical_to_four_product_reference():
+    # the grid's terms, term for term, against four products by z's full fixed-point parts:
+    # nu = 0..8, n up to 64, at scales from 64 bits to past the grid's 1024-bit ones; |z| about
+    # 1e-3..16, of the kernel's short-mantissa kinds (doubles at any phase and on both axes,
+    # integers whose trailing zeros pass the scale) or with full 256-bit parts
+    rng = random.Random(4021)
+    zs = [mpc(0)]
+    for _ in range(240):
+        size = 10 ** rng.uniform(-3, math.log10(16))
+        if rng.random() < 0.25:
+            e = math.floor(math.log2(size)) - 255
+            parts = (rng.choice((1, -1)) * (rng.getrandbits(256) | 1 << 255) for _ in "ri")
+            zs.append(mp.make_mpc(tuple(from_man_exp(man, e) for man in parts)))
+        else:
+            with mp.workprec(300):
+                zs.append(mpc(_short_mantissa_w(rng, size, 300)))
+    for z in zs:
+        fbits = rng.randrange(64, 1100)
+        zr, zi = (to_fixed(part, fbits) for part in z._mpc_)
+        for nu in range(9):
+            n = rng.randrange(-1, 65)
+            re, im = fixed_series_terms(z, nu, n, fbits)
+            got = list(zip(re, im))
+            assert len(re) == len(im) <= max(n + 1, 0), (z, nu, n)
+            assert got == list(itertools.islice(_fixed_terms_reference(zr, zi, nu, fbits), len(got))), (z, nu, fbits)
+            # the terms stop at t_n or at the first term within a unit in both parts
+            small = [-1 <= tr <= 1 and -1 <= ti <= 1 for tr, ti in got]
+            assert not any(small[:-1]), (z, nu, n)
+            assert len(got) == max(n + 1, 0) or small[-1], (z, nu, n)
 
 
 @pytest.mark.parametrize("w", [-1000, -5000, mpc(-10000, 10)])
