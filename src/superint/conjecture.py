@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
 from operator import floordiv, mul
 
@@ -113,18 +115,8 @@ def disk_radius(radius) -> Fraction:
 
 
 def sample_disk(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
-    """Uniform draw from the complex disk of the given radius (area-uniform), memoized."""
-    key = (seed, sample_index, coordinate, radius, bits)
-    z = _draws_memo.get(key)
-    if z is None:
-        u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
-        v = unit_double(seed, _coord_counter(sample_index, coordinate, 1))
-        with mp.workprec(bits):
-            r = _to_mpf_exact(radius) * mp.sqrt(mpf(u))
-            theta = 2 * mp.pi * mpf(v)
-            z = BigComplex.from_mpc(mpc(r * mp.cos(theta), r * mp.sin(theta)), bits)
-        _remember(_draws_memo, key, z, _DRAWS_CAP)
-    return z
+    """Uniform draw from the complex disk of the given radius (area-uniform), memoized (_draw)."""
+    return _draw(seed, sample_index, coordinate, radius, bits)
 
 
 # -- truncated series ----------------------------------------------------------
@@ -159,34 +151,33 @@ def _fixed_bits(K: int, prec: Precision) -> int:
 # -- per-z series tables ---------------------------------------------------------
 #
 # sample_disk ignores m and N, so every (N, m) cell of one sample draws a
-# prefix of the same z: the draws are memoized on sample_disk's arguments,
-# and j0_truncated and jm_truncated share the tables below across calls.
-# The tables are keyed on the exact value of z with K and the Precision and
-# filled on first use, so a cold call does no arithmetic the uncached one
-# would not.  Once a memo holds its cap, the oldest entry goes first.  The
-# caps hold one criterion-5 cell's 10 samples (80 z and 10 vectors at N = 8),
-# and so one perfbench grid sweep (8 z in 7 vectors).
-
-_DRAWS_CAP = _TABLES_CAP = 80
-_J0_CAP = 10
-_draws_memo: dict = {}
-_tables_memo: dict = {}
-_j0_memo: dict = {}
+# prefix of the same z: the draws are cached on sample_disk's arguments
+# (_draw), and j0_truncated and jm_truncated share the tables below
+# (_series_tables) and the J0 values (_j0_value) across calls.  Tables and
+# values are keyed on the exact value of z, as raw mpc tuples, with K and the
+# Precision, and the tables are filled on first use, so a cold call does no
+# arithmetic the uncached one would not.  Each is an lru_cache; the sizes, 80
+# draws, 80 tables and 10 J0 values, hold one criterion-5 cell's 10 samples
+# (80 z and 10 vectors at N = 8), and so one perfbench grid sweep (8 z in 7
+# vectors).
 
 
 def clear_series_memo() -> None:
     """Forget every cached draw, table and J0 value, so the next calls compute them anew."""
-    _draws_memo.clear()
-    _tables_memo.clear()
-    _j0_memo.clear()
+    _draw.cache_clear()
+    _series_tables.cache_clear()
+    _j0_value.cache_clear()
 
 
-def _remember(memo: dict, key, value, cap: int):
-    """Store value under key, first dropping the oldest entry of a full memo."""
-    if len(memo) >= cap:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
+@lru_cache(maxsize=80)
+def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
+    """sample_disk's draw, from the two stream positions of its coordinate."""
+    u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
+    v = unit_double(seed, _coord_counter(sample_index, coordinate, 1))
+    with mp.workprec(bits):
+        r = _to_mpf_exact(radius) * mp.sqrt(mpf(u))
+        theta = 2 * mp.pi * mpf(v)
+        return BigComplex.from_mpc(mpc(r * mp.cos(theta), r * mp.sin(theta)), bits)
 
 
 class _SeriesTables:
@@ -234,12 +225,10 @@ class _SeriesTables:
         return self._kernel
 
 
+@lru_cache(maxsize=80)
 def _series_tables(z, K: int, prec: Precision) -> _SeriesTables:
-    key = (z._mpc_, K, prec)
-    tables = _tables_memo.get(key)
-    if tables is None:
-        tables = _remember(_tables_memo, key, _SeriesTables(z, K, _fixed_bits(K, prec)), _TABLES_CAP)
-    return tables
+    """The tables of z, given as a raw mpc tuple, at depth K and prec."""
+    return _SeriesTables(mp.make_mpc(z), K, _fixed_bits(K, prec))
 
 
 def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -256,14 +245,17 @@ def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     if N < 1:
         raise ValueError("need at least one variable")
     _check_depth(K, prec)
-    key = (tuple(v._mpc_ for v in zs), K, prec)
-    value = _j0_memo.get(key)
-    if value is None:
-        tables = [_series_tables(v, K, prec) for v in zs]
-        with mp.workprec(prec.work_bits):
-            rows = [[t.shifted(N - i) for t in tables] for i in range(1, N + 1)]
-            value = _remember(_j0_memo, key, BigComplex.from_mpc(det_mpc(rows, prec), prec.bits), _J0_CAP)
-    return value
+    return _j0_value(tuple(v._mpc_ for v in zs), K, prec)
+
+
+@lru_cache(maxsize=10)
+def _j0_value(zs, K: int, prec: Precision) -> BigComplex:
+    """j0_truncated at z, given as a tuple of raw mpc tuples."""
+    tables = [_series_tables(v, K, prec) for v in zs]
+    N = len(tables)
+    with mp.workprec(prec.work_bits):
+        rows = [[t.shifted(N - i) for t in tables] for i in range(1, N + 1)]
+        return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
 
 
 def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -291,7 +283,7 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     if n == 0:
         return j0_truncated(z, K, prec)
     fbits = _fixed_bits(K, prec)
-    tables = [_series_tables(v, K, prec) for v in zs]
+    tables = [_series_tables(v._mpc_, K, prec) for v in zs]
     with mp.workprec(prec.work_bits):
         cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
         if m >= n:
@@ -596,17 +588,8 @@ def character_expansion_check(m: int, n: int, boxes_max: int, bos, ferm) -> bool
 
 
 def _ordered_tuples(N, K):
-    def rec(lo, left, acc):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for k in range(lo, K + 1):
-            acc.append(k)
-            yield from rec(k + 1, left - 1, acc)
-            acc.pop()
-
-    for tup in rec(0, N, []):
-        yield tuple(reversed(tup))
+    """Strictly decreasing N-tuples from 0..K."""
+    return (c[::-1] for c in combinations(range(K + 1), N))
 
 
 def rearrangement_identity_holds(N: int, K: int, zs, coeff) -> bool:
@@ -614,11 +597,9 @@ def rearrangement_identity_holds(N: int, K: int, zs, coeff) -> bool:
 
     coeff(k-tuple) must be antisymmetric under index transpositions.
     """
-    from itertools import product as iproduct
-
     zs = [Fraction(v) for v in zs]
     free = Fraction(0)
-    for ks in iproduct(range(K + 1), repeat=N):
+    for ks in product(range(K + 1), repeat=N):
         c = coeff(ks)
         if c == 0:
             continue

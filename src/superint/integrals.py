@@ -107,12 +107,7 @@ def c_constant(n: int) -> int:
     """Product of k! for k = 1 .. n-1 (empty for n <= 1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = 1
-    fact = 1
-    for k in range(1, n):
-        fact *= k
-        out *= fact
-    return out
+    return math.prod(map(math.factorial, range(1, n)))
 
 
 def _sectors_coincide(bos, ferm) -> bool:

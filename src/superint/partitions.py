@@ -160,10 +160,7 @@ def hook_lengths(t: Partition) -> list[int]:
 
 def hook_product(t: Partition) -> int:
     """Product of all hook lengths; satisfies sigma(t) * hook_product(t) = |t|!."""
-    out = 1
-    for h in hook_lengths(t):
-        out *= h
-    return out
+    return math.prod(hook_lengths(t))
 
 
 def dimension_glm(p: Partition, m: int) -> int:

@@ -97,7 +97,7 @@ class BigComplex:
     bits: int = field(default=DEFAULT_BITS, compare=False)
 
     def __post_init__(self):
-        """Round an int, float, complex, Fraction or mpc to `bits` bits."""
+        """Round an int, float, complex, Fraction or mpc to `bits` bits; refuse NaN and infinities."""
         if self.bits < 64:
             raise ValueError("precision must be at least 64 bits")
         re, im = self.re, self.im
@@ -108,6 +108,8 @@ class BigComplex:
         with mp.workprec(self.bits):
             object.__setattr__(self, "re", +_to_mpf_exact(re))
             object.__setattr__(self, "im", +_to_mpf_exact(im))
+        if not (mp.isfinite(self.re) and mp.isfinite(self.im)):
+            raise ValueError(f"non-finite value re={re!r} im={im!r}")
 
     @classmethod
     def from_mpc(cls, z, bits: int) -> "BigComplex":
@@ -134,8 +136,6 @@ class BigComplex:
             raise ValueError("precision must be at least 64 bits")
         with mp.workprec(bits):
             re, im = mpf(str(obj["re"])), mpf(str(obj.get("im", "0")))
-        if not (mp.isfinite(re) and mp.isfinite(im)):
-            raise ValueError(f"non-finite value re={obj['re']!r} im={obj.get('im', '0')!r}")
         return cls(re, im, bits)
 
     @property
@@ -284,9 +284,9 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     (3 n + 2 + sqrt(2) (nu-lo) n) A units.  The scale is widened by
     bit_length(top - lo) bits, so the bound 2^-(work_bits+12) A holds for
     every order; a single order keeps the unwidened scale.  The last pass is
-    kept: the calls for orders lo..top at one w and precision sum once.
+    kept, in _bessel_orders' lru_cache of one entry: the calls for orders
+    lo..top at one w and precision sum once.
     """
-    global _last_pass
     if nu < 0:
         raise ValueError("order must be non-negative")
     lo, top = (nu, nu) if top is None else (0, top)
@@ -297,19 +297,10 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
         with mp.workprec(wp):
             w = mpc(w)
     w = mpc_pos(w._mpc_, wp, round_nearest)  # w rounded to work_bits, as mpc(w) there rounds it
-    key = (w, lo, top, prec)
-    last = _last_pass
-    if last[0] != key:
-        last = _last_pass = key, _bessel_orders(w, lo, top, prec)
-    found = last[1][nu - lo]
+    found = _bessel_orders(w, lo, top, prec)[nu - lo]
     if found is None:
         raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
     return found
-
-
-# ((w, lo, top, prec), per-order results) of the last pass, a pure function of
-# its key: the N calls of one cluster's N kernel columns read one pass
-_last_pass = (None, None)
 
 
 def _below_edge(w, zr: int, zi: int, fbits: int, edge: int, wp: int) -> bool:
@@ -334,6 +325,9 @@ def _fixed_value(re: int, im: int, fbits: int, divisor: int, wp: int) -> mpc:
     return mp.make_mpc(z)
 
 
+# the last pass only, a pure function of its arguments: the N calls of one
+# cluster's N kernel columns read one pass
+@lru_cache(maxsize=1)
 def _bessel_orders(w, lo: int, top: int, prec: Precision):
     """Orders lo..top of bessel_ratio_raw at w (an mpc tuple at work_bits) in one pass.
 

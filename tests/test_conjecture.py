@@ -86,12 +86,32 @@ def test_draw_memo_keys_clearing_and_cap(drawn):
     assert len(drawn) == 12
     assert len({(v.re, v.im) for v in values + [z]}) == 6
     clear_series_memo()
-    assert not conjecture._draws_memo
+    assert conjecture._draw.cache_info().currsize == 0
     again = sample_disk(5, 0, 0, 2, 256)
     assert (again.re, again.im) == (z.re, z.im) and len(drawn) == 14
-    for s in range(2 * conjecture._DRAWS_CAP):
+    size = conjecture._draw.cache_info().maxsize
+    assert size == 80
+    for s in range(2 * size):
         sample_disk(5, s, 0, 2, 256)
-    assert len(conjecture._draws_memo) == conjecture._DRAWS_CAP
+    assert conjecture._draw.cache_info().currsize == size
+
+
+def test_clearing_reaches_the_caches_behind_rebound_names(drawn, monkeypatch):
+    # a tracer rebinds sample_disk and j0_truncated to pass-through wrappers;
+    # clear_series_memo must still empty the caches behind them
+    def passing(f):
+        return lambda *args, **kwargs: f(*args, **kwargs)
+
+    monkeypatch.setattr(conjecture, "sample_disk", passing(conjecture.sample_disk))
+    monkeypatch.setattr(conjecture, "j0_truncated", passing(conjecture.j0_truncated))
+    caches = (conjecture._draw, conjecture._series_tables, conjecture._j0_value)
+    z = [conjecture.sample_disk(5, 0, c, 2, PREC.bits) for c in range(3)]
+    conjecture.j0_truncated(z, 8, PREC)
+    assert [c.cache_info().currsize for c in caches] == [3, 3, 1] and len(drawn) == 6
+    clear_series_memo()
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+    conjecture.sample_disk(5, 0, 0, 2, PREC.bits)
+    assert len(drawn) == 8
 
 
 def test_verify_conjecture_draws_each_point_once(drawn):
@@ -294,8 +314,9 @@ def test_series_memo_stays_at_its_cap():
         z = [sample_disk(9, s, c, 2, PREC.bits) for c in range(3)]
         j0_truncated(z, 8, PREC)
         jm_truncated(z, 1, 8, PREC)
-    assert len(conjecture._tables_memo) == conjecture._TABLES_CAP
-    assert len(conjecture._j0_memo) == conjecture._J0_CAP
+    tables, j0 = conjecture._series_tables.cache_info(), conjecture._j0_value.cache_info()
+    assert (tables.maxsize, j0.maxsize) == (80, 10)
+    assert (tables.currsize, j0.currsize) == (tables.maxsize, j0.maxsize)
 
 
 # At N = 8 and radius 1/100 the bordered determinant cancels up to 38 bits in

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -43,6 +44,24 @@ def rel_diff(a, b):
 @pytest.mark.parametrize("n,value", [(0, 1), (1, 1), (2, 1), (3, 2), (4, 12), (5, 288)])
 def test_c_constant(n, value):
     assert c_constant(n) == value
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", ["bosonic", "fermionic", "beta"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [ls_closed_form, lambda lam, prec: bk_closed_form(lam, ev([2, 3], [5]), prec), berezinian],
+    ids=["ls", "bk", "berezinian"],
+)
+def test_non_finite_values_are_input_errors(evaluate, slot, bad):
+    # a NaN or an infinity in any slot is an input error, not a number tagged with full bits
+    parts = {"bosonic": [1, 4], "fermionic": [3], "beta": Fraction(1, 2)}
+    if slot == "beta":
+        parts["beta"] = bad
+    else:
+        parts[slot][-1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate(ev(parts["bosonic"], parts["fermionic"], parts["beta"]), PREC)
 
 
 def test_berezinian_examples():
@@ -228,7 +247,7 @@ def test_ls_confluent_requires_repeat():
 def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
     # N distinct values: N passes of the N orders, read by N^2 kernel calls
     passes, calls = [], []
-    bessel_orders, bessel_ratio_raw = precision._bessel_orders, precision.bessel_ratio_raw
+    bessel_orders, bessel_ratio_raw = precision._bessel_orders.__wrapped__, precision.bessel_ratio_raw
 
     def counting_pass(w, lo, top, prec):
         passes.append((lo, top))
@@ -238,8 +257,9 @@ def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
         calls.append(args[0])
         return bessel_ratio_raw(*args, **kwargs)
 
-    monkeypatch.setattr(precision, "_bessel_orders", counting_pass)
-    monkeypatch.setattr(precision, "_last_pass", (None, None))
+    # a pass is a miss of the one-entry cache, so the spy is cached the same way
+    precision._bessel_orders.cache_clear()
+    monkeypatch.setattr(precision, "_bessel_orders", lru_cache(maxsize=1)(counting_pass))
     monkeypatch.setattr(integrals, "bessel_ratio_raw", counting_call)
     values = ev([Fraction(1, 2), Fraction(-2, 3), 0.3 + 1.1j], [Fraction(5, 4), -0.7j], Fraction(3, 4))
     assert ls_closed_form(values, PREC).branch == "generic"
