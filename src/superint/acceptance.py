@@ -2,10 +2,12 @@
 parameterised checks the CLI runs, which share their sweeps and seeded draws
 with the criteria.
 
-Each criterion returns a CriterionResult whose detail dict is fully
-deterministic (decimal strings, no timing), so a selftest report built from
-them is byte-reproducible for a fixed seed, independent of worker count.
-Wall-clock times are carried separately for console display only.
+Each criterion is a row (index, name, check) of CRITERIA_1_12; its check
+takes (seed, prec, jobs), of which only the grid uses jobs, and returns
+(passed, detail), where detail is fully deterministic (decimal strings, no
+timing), so a selftest report built from them is byte-reproducible for a
+fixed seed, independent of worker count.  The runner times each check for
+console display only.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from mpmath import mp, mpf
@@ -53,8 +56,8 @@ class CriterionResult:
     index: int
     name: str
     passed: bool
-    detail: dict = field(default_factory=dict)
-    runtime_s: float = 0.0  # console display only, never in the canonical report
+    detail: dict
+    runtime_s: float  # console display only, never in the canonical report
 
 
 def _fraction(seed: int, counter: int, span: int = 40, positive: bool = False) -> Fraction:
@@ -107,18 +110,18 @@ def lr_sweep(m: int, n: int, max_boxes: int):
 # -- criteria ----------------------------------------------------------------
 
 
-def criterion_hook_length(seed, prec) -> CriterionResult:
+def criterion_hook_length(seed, prec, jobs):
     """sigma(t) * hook_product(t) = |t|! for every diagram with at most 12 boxes."""
     checked = 0
     for boxes in range(13):
         for t in partitions_of(boxes):
             if sigma_coefficient(t) * hook_product(t) != factorial(boxes):
-                return CriterionResult(1, "hook-length identity", False, {"failed_at": repr(t)})
+                return False, {"failed_at": repr(t)}
             checked += 1
-    return CriterionResult(1, "hook-length identity", True, {"diagrams": checked})
+    return True, {"diagrams": checked}
 
 
-def criterion_sigma_decomposition(seed, prec) -> CriterionResult:
+def criterion_sigma_decomposition(seed, prec, jobs):
     """Block decomposition of sigma_t/|t|! over all diagrams, m,n <= 3, |t| <= 10."""
     checked = 0
     for m in range(1, 4):
@@ -132,14 +135,12 @@ def criterion_sigma_decomposition(seed, prec) -> CriterionResult:
                     * sigma_decomposition_factor(sd)
                 )
                 if lhs != rhs:
-                    return CriterionResult(
-                        2, "sigma block decomposition", False, {"failed_at": repr(sd)}
-                    )
+                    return False, {"failed_at": repr(sd)}
                 checked += 1
-    return CriterionResult(2, "sigma block decomposition", True, {"diagrams": checked})
+    return True, {"diagrams": checked}
 
 
-def criterion_supercharacter(seed, prec) -> CriterionResult:
+def criterion_supercharacter(seed, prec, jobs):
     """Product form equals the signed tableaux sum, m,n <= 2, |t| <= 6, 5 samples."""
     checked = 0
     for m in (1, 2):
@@ -152,27 +153,20 @@ def criterion_supercharacter(seed, prec) -> CriterionResult:
                     want = super_schur_tableaux(assemble(sd), bos, ferm)
                     got = supercharacter_amu(sd, bos, ferm)
                     if got != want:
-                        return CriterionResult(
-                            3,
-                            "supercharacter consistency",
-                            False,
-                            {"failed_at": repr(sd), "sample": sample},
-                        )
+                        return False, {"failed_at": repr(sd), "sample": sample}
                     checked += 1
-    return CriterionResult(3, "supercharacter consistency", True, {"evaluations": checked})
+    return True, {"evaluations": checked}
 
 
-def criterion_supertrace_expansion(seed, prec) -> CriterionResult:
+def criterion_supertrace_expansion(seed, prec, jobs):
     """Powers of the supertrace expand exactly into sigma-weighted supercharacters."""
     for m in (1, 2):
         for n in (1, 2):
             base = 7000 + 100 * (10 * m + n)
             bos, ferm = _sector_draw(seed, m, n, base, base + 50)
             if not character_expansion_check(m, n, 6, bos, ferm):
-                return CriterionResult(
-                    4, "supertrace power expansion", False, {"failed_at": f"(m,n)=({m},{n})"}
-                )
-    return CriterionResult(4, "supertrace power expansion", True, {"blocks": "m,n in {1,2}, 6 boxes"})
+                return False, {"failed_at": f"(m,n)=({m},{n})"}
+    return True, {"blocks": "m,n in {1,2}, 6 boxes"}
 
 
 def _conjecture_cell(N, m, seed, prec):
@@ -188,7 +182,7 @@ def _conjecture_cell(N, m, seed, prec):
         }
 
 
-def criterion_conjecture_grid(seed, prec, jobs: int = 1) -> CriterionResult:
+def criterion_conjecture_grid(seed, prec, jobs):
     """Antisymmetric vs split series on the full desk-scale grid.
 
     N = 2..8, every m, 10 seeded samples of radius 2, depth 64; relative
@@ -196,47 +190,40 @@ def criterion_conjecture_grid(seed, prec, jobs: int = 1) -> CriterionResult:
     """
     cells = [(N, m, seed, prec) for N in range(2, 9) for m in range(1, N + 1)]
     rows = pool_map(_conjecture_cell, cells, jobs)
-    ok = all(r["pass"] and r["below_1e-40"] for r in rows)
-    return CriterionResult(5, "series identity grid", ok, {"cells": rows})
+    return all(r["pass"] and r["below_1e-40"] for r in rows), {"cells": rows}
 
 
-def criterion_lr_relation(seed, prec) -> CriterionResult:
+def criterion_lr_relation(seed, prec, jobs):
     """Exact rational recursion for the block-coupling coefficients, |p|+|q| <= 8."""
     pairs = 0
     for m, n in ((1, 1), (2, 1), (2, 2)):
         for p, q, residual in lr_sweep(m, n, 8):
             if residual:
-                return CriterionResult(
-                    6,
-                    "coefficient recursion sweep",
-                    False,
-                    {"failed_at": f"(m,n)=({m},{n}) p={p!r} q={q!r}", "residual": str(residual)},
-                )
+                return False, {"failed_at": f"(m,n)=({m},{n}) p={p!r} q={q!r}", "residual": str(residual)}
             pairs += 1
-    return CriterionResult(6, "coefficient recursion sweep", True, {"pairs": pairs})
+    return True, {"pairs": pairs}
 
 
-def criterion_partial_coefficients(seed, prec) -> CriterionResult:
+def criterion_partial_coefficients(seed, prec, jobs):
     """Closed product prefactor matches the extracted coefficients, N <= 4, k <= 4."""
     checked = 0
     for N in range(2, 5):
         for m in range(1, N):
-            km0, kn0 = m - 1, N - m - 1
-            if not partial_coefficient_check(km0 + 4, kn0 + 4, m, N):
-                return CriterionResult(
-                    7, "extreme-pattern coefficients", False, {"failed_at": f"N={N} m={m}"}
-                )
+            # four past the pattern's base indices m - 1 and N - m - 1
+            if not partial_coefficient_check(m + 3, N - m + 3, m, N):
+                return False, {"failed_at": f"N={N} m={m}"}
             checked += 1
-    return CriterionResult(7, "extreme-pattern coefficients", True, {"grids": checked})
+    return True, {"grids": checked}
 
 
-def _brute_force_points(seed, prec, m, n, count, tol_exp):
+def criterion_haar(m, n, points, seed, prec, jobs):
+    """Explicit (m|n) Haar-parametrized integration equals the closed form at `points` seeded points."""
     beta = Fraction(1, 2)
     rows = []
     ok = True
     with mp.workprec(prec.work_bits):
-        tol = mpf(2) ** tol_exp
-        for s in range(count):
+        tol = mpf(2) ** -200
+        for s in range(points):
             base = 3_000_000 + 1000 * s + 100 * (10 * m + n)
             while True:
                 a = [_fraction(seed, base + i, positive=True) for i in range(m + n)]
@@ -252,22 +239,10 @@ def _brute_force_points(seed, prec, m, n, count, tol_exp):
             rows.append({"point": s, "rel_diff": mp.nstr(rel, 8)})
             if not rel <= tol:
                 ok = False
-    return ok, rows
+    return ok, {"points": rows}
 
 
-def criterion_haar_11(seed, prec) -> CriterionResult:
-    """Explicit (1|1) Haar-parametrized integration equals the closed form."""
-    ok, rows = _brute_force_points(seed, prec, 1, 1, 10, -200)
-    return CriterionResult(8, "explicit (1|1) integration", ok, {"points": rows})
-
-
-def criterion_haar_21(seed, prec) -> CriterionResult:
-    """Explicit (2|1) Haar-parametrized integration equals the closed form."""
-    ok, rows = _brute_force_points(seed, prec, 2, 1, 5, -200)
-    return CriterionResult(9, "explicit (2|1) integration", ok, {"points": rows})
-
-
-def criterion_confluent_limits(seed, prec) -> CriterionResult:
+def criterion_confluent_limits(seed, prec, jobs):
     """Generic branch converges linearly to the confluent branch as values merge."""
     beta = Fraction(1, 2)
     x, y = Fraction(3, 5), Fraction(1, 7)
@@ -293,10 +268,10 @@ def criterion_confluent_limits(seed, prec) -> CriterionResult:
             if max(slopes) > 50 * min(slopes):
                 ok = False
             detail[key] = [mp.nstr(s, 6) for s in slopes]
-    return CriterionResult(10, "confluent limits scale linearly", ok, detail)
+    return ok, detail
 
 
-def criterion_bk_factorization(seed, prec) -> CriterionResult:
+def criterion_bk_factorization(seed, prec, jobs):
     """Two-source closed form equals its truncated diagram expansion at (1|1)."""
     beta = Fraction(1, 2)
     rows = []
@@ -314,62 +289,57 @@ def criterion_bk_factorization(seed, prec) -> CriterionResult:
             lam = SuperEigenvalues((vals[0],), (vals[1],), beta)
             mu = SuperEigenvalues((vals[2],), (vals[3],), beta)
             closed = bk_closed_form(lam, mu, prec).value.to_mpc()
-            partial, shells = bk_character_sum(
+            truncated, shells = bk_character_sum(
                 [vals[0]], [vals[1]], [vals[2]], [vals[3]], beta, 20
             )
-            partial_v = mpf(partial.numerator) / mpf(partial.denominator)
+            truncated_v = mpf(truncated.numerator) / mpf(truncated.denominator)
             tail = sum(
                 abs(mpf(shells[b].numerator) / mpf(shells[b].denominator))
                 for b in (19, 20)
                 if b in shells
             )
             bound = 100 * tail + mpf(2) ** (-(prec.bits - 48))
-            diff = abs(closed - partial_v)
+            diff = abs(closed - truncated_v)
             rows.append({"sample": s, "diff": mp.nstr(diff, 6), "bound": mp.nstr(bound, 6)})
             if not diff <= bound:
                 ok = False
-    return CriterionResult(11, "two-source factorization vs expansion", ok, {"samples": rows})
+    return ok, {"samples": rows}
 
 
-def criterion_factorial_ratio(seed, prec) -> CriterionResult:
+def criterion_factorial_ratio(seed, prec, jobs):
     """Factorial-ratio determinant identity for 50 seeded partitions, N <= 6."""
     for s in range(50):
         N = splitmix64(seed, 5000 + 3 * s) % 6 + 1
         t = seeded_partition(seed, 5001 + 3 * s, N)
         if not factorial_ratio_identity_holds(t, N):
-            return CriterionResult(
-                12, "factorial-ratio determinant identity", False, {"failed_at": f"N={N} t={t!r}"}
-            )
-    return CriterionResult(12, "factorial-ratio determinant identity", True, {"partitions": 50})
+            return False, {"failed_at": f"N={N} t={t!r}"}
+    return True, {"partitions": 50}
 
 
 CRITERIA_1_12 = [
-    criterion_hook_length,
-    criterion_sigma_decomposition,
-    criterion_supercharacter,
-    criterion_supertrace_expansion,
-    criterion_conjecture_grid,
-    criterion_lr_relation,
-    criterion_partial_coefficients,
-    criterion_haar_11,
-    criterion_haar_21,
-    criterion_confluent_limits,
-    criterion_bk_factorization,
-    criterion_factorial_ratio,
+    (1, "hook-length identity", criterion_hook_length),
+    (2, "sigma block decomposition", criterion_sigma_decomposition),
+    (3, "supercharacter consistency", criterion_supercharacter),
+    (4, "supertrace power expansion", criterion_supertrace_expansion),
+    (5, "series identity grid", criterion_conjecture_grid),
+    (6, "coefficient recursion sweep", criterion_lr_relation),
+    (7, "extreme-pattern coefficients", criterion_partial_coefficients),
+    (8, "explicit (1|1) integration", partial(criterion_haar, 1, 1, 10)),
+    (9, "explicit (2|1) integration", partial(criterion_haar, 2, 1, 5)),
+    (10, "confluent limits scale linearly", criterion_confluent_limits),
+    (11, "two-source factorization vs expansion", criterion_bk_factorization),
+    (12, "factorial-ratio determinant identity", criterion_factorial_ratio),
 ]
 
 
+def _timed(index, name, check, *args) -> CriterionResult:
+    start = time.monotonic()
+    passed, detail = check(*args)
+    return CriterionResult(index, name, passed, detail, time.monotonic() - start)
+
+
 def run_criteria_1_12(prec: Precision, seed: int, jobs: int = 1):
-    results = []
-    for fn in CRITERIA_1_12:
-        start = time.monotonic()
-        if fn is criterion_conjecture_grid:
-            res = fn(seed, prec, jobs=jobs)
-        else:
-            res = fn(seed, prec)
-        res.runtime_s = time.monotonic() - start
-        results.append(res)
-    return results
+    return [_timed(index, name, check, seed, prec, jobs) for index, name, check in CRITERIA_1_12]
 
 
 def _criterion_rows(results) -> list:
@@ -390,7 +360,7 @@ def canonical_report(results, prec: Precision, seed: int) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
-def criterion_determinism(prec: Precision, seed: int, reference: bytes) -> CriterionResult:
+def criterion_determinism(prec: Precision, seed: int, reference: bytes):
     """Reruns of the suite yield byte-identical reports, independent of workers.
 
     Each rerun starts with an empty series memo, so it recomputes every
@@ -400,27 +370,18 @@ def criterion_determinism(prec: Precision, seed: int, reference: bytes) -> Crite
     rerun_serial = canonical_report(run_criteria_1_12(prec, seed, jobs=1), prec, seed)
     clear_series_memo()
     rerun_parallel = canonical_report(run_criteria_1_12(prec, seed, jobs=2), prec, seed)
-    same = reference == rerun_serial == rerun_parallel
-    return CriterionResult(
-        13,
-        "byte-identical reports",
-        same,
-        {
-            "sha256": hashlib.sha256(reference).hexdigest(),
-            "serial_rerun_equal": reference == rerun_serial,
-            "parallel_rerun_equal": reference == rerun_parallel,
-        },
-    )
+    return reference == rerun_serial == rerun_parallel, {
+        "sha256": hashlib.sha256(reference).hexdigest(),
+        "serial_rerun_equal": reference == rerun_serial,
+        "parallel_rerun_equal": reference == rerun_parallel,
+    }
 
 
 def run_all(prec: Precision, seed: int = DEFAULT_SEED, jobs: int = 1):
     """Run the full suite; returns (results, canonical report bytes of criteria 1-12)."""
     results = run_criteria_1_12(prec, seed, jobs)
     reference = canonical_report(results, prec, seed)
-    start = time.monotonic()
-    det = criterion_determinism(prec, seed, reference)
-    det.runtime_s = time.monotonic() - start
-    results.append(det)
+    results.append(_timed(13, "byte-identical reports", criterion_determinism, prec, seed, reference))
     return results, reference
 
 
@@ -457,9 +418,12 @@ def supertrace_check(seed, m, n, max_boxes):
 
 def haar_check(seed, prec):
     """Criteria 8 and 9: explicit (1|1) and (2|1) integration against the closed form."""
-    blocks = {"block_1_1": criterion_haar_11(seed, prec), "block_2_1": criterion_haar_21(seed, prec)}
-    results = {name: {"pass": r.passed, **r.detail} for name, r in blocks.items()}
-    return all(r.passed for r in blocks.values()), {"results": results}, {}
+    results = {}
+    for _, _, check in CRITERIA_1_12[7:9]:  # the rows of criteria 8 and 9
+        m, n, _ = check.args
+        passed, detail = check(seed, prec, 1)
+        results[f"block_{m}_{n}"] = {"pass": passed, **detail}
+    return all(r["pass"] for r in results.values()), {"results": results}, {}
 
 
 def theorems_check(seed, N):

@@ -524,16 +524,12 @@ def partial_coefficient_check(k_m: int, k_N: int, m: int, N: int) -> bool:
 
     def two_term(X, Y):
         out = Fraction(0)
-        km, kn = X - kn0, Y - km0 - 1
-        if km >= km0 and kn >= kn0:
-            out += Fraction(factorial(km) * factorial(kn)) * _s_closed_product(m, N, km, kn) / (
-                factorial(km - km0) * factorial(kn - kn0)
-            )
-        km, kn = X - kn0 - 1, Y - km0
-        if km >= km0 and kn >= kn0:
-            out -= Fraction(factorial(km) * factorial(kn)) * _s_closed_product(m, N, km, kn) / (
-                factorial(km - km0) * factorial(kn - kn0)
-            )
+        for sign, dx, dy in ((1, 0, 1), (-1, 1, 0)):
+            km, kn = X - kn0 - dx, Y - km0 - dy
+            if km >= km0 and kn >= kn0:
+                out += sign * Fraction(factorial(km) * factorial(kn)) * _s_closed_product(m, N, km, kn) / (
+                    factorial(km - km0) * factorial(kn - kn0)
+                )
         return out
 
     orientation = None

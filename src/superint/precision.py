@@ -74,12 +74,13 @@ def _to_mpf_exact(x):
 
 
 def to_mpc_any(x) -> mpc:
-    """Convert any supported scalar to mpc at the ambient working precision."""
+    """Convert any supported scalar to mpc at the ambient working precision; refuse NaN and infinities."""
     if isinstance(x, Fraction):
         return mpc(mpf(x.numerator) / mpf(x.denominator))
-    if hasattr(x, "to_mpc"):
-        return x.to_mpc()
-    return mpc(x)
+    z = x.to_mpc() if hasattr(x, "to_mpc") else mpc(x)
+    if not mp.isfinite(z):
+        raise ValueError(f"non-finite value {x!r}")
+    return z
 
 
 @dataclass(frozen=True, slots=True)

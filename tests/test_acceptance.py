@@ -66,8 +66,8 @@ def test_factorial_ratio_draws_read_each_stream_position_once(monkeypatch):
     splitmix64 = conjecture.splitmix64
     monkeypatch.setattr(acceptance, "splitmix64", recording)
     monkeypatch.setattr(conjecture, "splitmix64", recording)
-    result = acceptance.criterion_factorial_ratio(DEFAULT_SEED, Precision())
-    assert result.passed
+    passed, _ = acceptance.criterion_factorial_ratio(DEFAULT_SEED, Precision(), 1)
+    assert passed
     assert len(read) == 150
     assert len(set(read)) == len(read)
 
@@ -98,7 +98,8 @@ def test_determinism_reruns_recompute_the_series_tables(monkeypatch):
     monkeypatch.setattr(acceptance, "run_criteria_1_12", run)
     conjecture.clear_series_memo()
     reference = acceptance.canonical_report(run(prec, DEFAULT_SEED), prec, DEFAULT_SEED)
-    assert acceptance.criterion_determinism(prec, DEFAULT_SEED, reference).passed
+    passed, _ = acceptance.criterion_determinism(prec, DEFAULT_SEED, reference)
+    assert passed
     assert misses[0] > 0 and misses == [misses[0]] * 3
 
 
@@ -129,6 +130,34 @@ def test_determinism_reruns_recompute_the_draws(monkeypatch):
     monkeypatch.setattr(acceptance, "run_criteria_1_12", run)
     conjecture.clear_series_memo()
     reference = acceptance.canonical_report(run(prec, DEFAULT_SEED), prec, DEFAULT_SEED)
-    assert acceptance.criterion_determinism(prec, DEFAULT_SEED, reference).passed
+    passed, _ = acceptance.criterion_determinism(prec, DEFAULT_SEED, reference)
+    assert passed
     # two parts of each of the six points, once per run
     assert misses == [12] * 3
+
+
+def test_jobs_reaches_the_grid_and_every_row_gets_the_same_arguments(monkeypatch):
+    # criterion 13 cannot see a dropped jobs: a serial rerun also equals the reference
+    from superint import acceptance
+
+    pooled, calls = [], []
+
+    def pool(fn, tasks, jobs):
+        pooled.append(jobs)
+        return [{"pass": True, "below_1e-40": True} for _ in tasks]
+
+    def recording(index, check):
+        def row(*args):
+            calls.append((index, args))
+            return check(*args) if index == 5 else (True, {})
+
+        return row
+
+    rows = [(index, name, recording(index, check)) for index, name, check in acceptance.CRITERIA_1_12]
+    monkeypatch.setattr(acceptance, "pool_map", pool)
+    monkeypatch.setattr(acceptance, "CRITERIA_1_12", rows)
+    prec = Precision()
+    results = acceptance.run_criteria_1_12(prec, DEFAULT_SEED, jobs=2)
+    assert pooled == [2]
+    assert calls == [(index, (DEFAULT_SEED, prec, 2)) for index in range(1, 13)]
+    assert [(r.index, r.passed) for r in results] == [(index, True) for index in range(1, 13)]

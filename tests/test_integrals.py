@@ -1,6 +1,7 @@
 """Closed-form integral evaluators: values, symmetries, limits, dispatch."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,13 +15,16 @@ from superint import (
     SuperEigenvalues,
     TruncationCapExceeded,
     berezinian,
+    bessel_ratio,
     bk_closed_form,
     bk_confluent,
+    brute_force_ls,
     c_constant,
     ls_closed_form,
     ls_confluent,
     nondiag_limit_bk,
     nondiag_limit_ls,
+    scaled_bessel_entry,
 )
 from superint import integrals, precision
 from superint.conjecture import bk_character_sum, ls_character_sum
@@ -62,6 +66,36 @@ def test_non_finite_values_are_input_errors(evaluate, slot, bad):
         parts[slot][-1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         evaluate(ev(parts["bosonic"], parts["fermionic"], parts["beta"]), PREC)
+
+
+# the entry points that convert plain scalars themselves, each with finite arguments
+SCALAR_ENTRY_POINTS = {
+    "bessel_ratio": (lambda w: bessel_ratio(0, w, PREC), (Fraction(1, 3),)),
+    "scaled_bessel_entry": (lambda beta, lam2: scaled_bessel_entry(0, beta, lam2, PREC), (0.5, 2)),
+    "nondiag_limit_ls": (lambda a, c, beta: nondiag_limit_ls(a, c, beta, PREC), (1, 1, 0.5)),
+    "nondiag_limit_bk": (
+        lambda a, c, y1, y2, beta: nondiag_limit_bk(a, c, (y1, y2), beta, PREC),
+        (1, 1, 2, 3, 0.5),
+    ),
+    "brute_force_ls": (
+        lambda a1, a2, b1, b2, beta: brute_force_ls(1, 1, [a1, a2], [b1, b2], beta, PREC),
+        (1, 3, 1, 2, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name,slot", [(name, i) for name, (_, args) in SCALAR_ENTRY_POINTS.items() for i in range(len(args))]
+)
+def test_non_finite_scalars_are_input_errors(name, slot, bad):
+    # a NaN or an infinity in any argument is an input error where it is converted,
+    # not a series that runs into its cap (the numerical-failure class)
+    evaluate, args = SCALAR_ENTRY_POINTS[name]
+    args = list(args)
+    args[slot] = bad
+    with pytest.raises(ValueError, match=re.escape(f"non-finite value {bad!r}")):
+        evaluate(*args)
 
 
 def test_berezinian_examples():
