@@ -47,7 +47,7 @@ from .partitions import (
     sigma_decomposition_factor,
     super_diagrams,
 )
-from .precision import DEFAULT_SEED, Precision
+from .precision import DEFAULT_SEED, Precision, to_mpf
 from .schur import super_schur_tableaux, supercharacter_amu
 
 
@@ -292,14 +292,9 @@ def criterion_bk_factorization(seed, prec, jobs):
             truncated, shells = bk_character_sum(
                 [vals[0]], [vals[1]], [vals[2]], [vals[3]], beta, 20
             )
-            truncated_v = mpf(truncated.numerator) / mpf(truncated.denominator)
-            tail = sum(
-                abs(mpf(shells[b].numerator) / mpf(shells[b].denominator))
-                for b in (19, 20)
-                if b in shells
-            )
+            tail = sum(abs(to_mpf(shells[b])) for b in (19, 20) if b in shells)
             bound = 100 * tail + mpf(2) ** (-(prec.bits - 48))
-            diff = abs(closed - truncated_v)
+            diff = abs(closed - to_mpf(truncated))
             rows.append({"sample": s, "diff": mp.nstr(diff, 6), "bound": mp.nstr(bound, 6)})
             if not diff <= bound:
                 ok = False

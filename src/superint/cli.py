@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
@@ -25,46 +25,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 PREC_BITS_ENV = "SUPERGROUP_PREC_BITS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, numeric settings, input and output."""
-
-    command: str
-    precision_bits: int = DEFAULT_BITS
-    truncation_cap: int = DEFAULT_TRUNCATION_CAP
-    seed: int = DEFAULT_SEED
-    jobs: int = 1
-    input_path: str | None = None
-    input_inline: str | None = None
-    json_out: str | None = None
-    options: dict = field(default_factory=dict)
-    precision: Precision = field(init=False)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        # built once, here, so that Precision's own checks refuse the bits and the cap
-        object.__setattr__(self, "precision", Precision(bits=self.precision_bits, truncation_cap=self.truncation_cap))
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        known = {"command", "prec_bits", "trunc_cap", "seed", "jobs", "input", "input_json", "json_out"}
-        options = {k: v for k, v in vars(args).items() if k not in known}
-        return cls(
-            command=args.command,
-            precision_bits=args.prec_bits if args.prec_bits is not None else _default_prec_bits(),
-            truncation_cap=args.trunc_cap,
-            seed=args.seed,
-            jobs=getattr(args, "jobs", 1),
-            input_path=getattr(args, "input", None),
-            input_inline=getattr(args, "input_json", None),
-            json_out=args.json_out,
-            options=options,
-        )
 
 
 def _default_prec_bits() -> int:
@@ -81,12 +41,12 @@ def _default_prec_bits() -> int:
         raise ValueError(f"{PREC_BITS_ENV} must be an integer, got {env_bits!r}") from None
 
 
-def _load_input(config: RunConfig) -> dict:
-    if config.input_inline is not None:
-        text = config.input_inline
-    elif config.input_path is not None:
+def _load_input(args) -> dict:
+    if args.input_json is not None:
+        text = args.input_json
+    elif args.input is not None:
         try:
-            with open(config.input_path, "r", encoding="utf-8") as fh:
+            with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputFormatError(f"cannot read input file: {exc}") from exc
@@ -101,25 +61,25 @@ def _load_input(config: RunConfig) -> dict:
     return doc
 
 
-def _ls_eval(config: RunConfig):
-    doc = _load_input(config)
+def _ls_eval(args, prec, options):
+    doc = _load_input(args)
     try:
         ev = SuperEigenvalues.from_json(doc)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
-    result = ls_closed_form(ev, config.precision)
+    result = ls_closed_form(ev, prec)
     return None, {"result": result.to_json()}, {"input": ev.to_json()}
 
 
-def _bk_eval(config: RunConfig):
-    doc = _load_input(config)
+def _bk_eval(args, prec, options):
+    doc = _load_input(args)
     try:
         beta = doc["beta"]
         lam = SuperEigenvalues.from_json({**doc["lambda"], "beta": beta})
         mu = SuperEigenvalues.from_json({**doc["mu"], "beta": beta})
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
-    result = bk_closed_form(lam, mu, config.precision)
+    result = bk_closed_form(lam, mu, prec)
     return None, {"result": result.to_json()}, {"input": {"lambda": lam.to_json(), "mu": mu.to_json()}}
 
 
@@ -127,9 +87,10 @@ def _bk_eval(config: RunConfig):
 class Command:
     """One subcommand: its help line, its own flags and what it runs.
 
-    `run(config)` returns (passed, report body, config echo beyond the
-    command's own flags); passed is None for an evaluator, whose report
-    carries no status.
+    `run(args, prec, options)` takes argparse's namespace, the Precision
+    and the values of the command's own flags other than its input, and
+    returns (passed, report body, config echo beyond those flags); passed is
+    None for an evaluator, whose report carries no status.
     """
 
     help: str
@@ -179,32 +140,32 @@ COMMANDS = {
             "--samples": {"type": int, "default": 10},
             "--radius": {"type": str, "default": "2"},
         },
-        lambda c: _acceptance().conjecture_check(c.seed, c.precision, c.jobs, **c.options),
+        lambda a, prec, opts: _acceptance().conjecture_check(a.seed, prec, a.jobs, **opts),
     ),
     "lr-check": Command(
         "exact coefficient recursion sweep",
         _ints(m=2, n=2, max_boxes=8),
-        lambda c: _acceptance().lr_check(**c.options),
+        lambda a, prec, opts: _acceptance().lr_check(**opts),
     ),
     "strninxi-check": Command(
         "supertrace power expansion check",
         _ints(m=2, n=2, max_boxes=6),
-        lambda c: _acceptance().supertrace_check(c.seed, **c.options),
+        lambda a, prec, opts: _acceptance().supertrace_check(a.seed, **opts),
     ),
     "appendix-e-verify": Command(
         "explicit Haar integration vs closed form",
         {},
-        lambda c: _acceptance().haar_check(c.seed, c.precision),
+        lambda a, prec, opts: _acceptance().haar_check(a.seed, prec),
     ),
     "theorems-check": Command(
         "rearrangement/determinant identity checks",
         _ints(N=5),
-        lambda c: _acceptance().theorems_check(c.seed, **c.options),
+        lambda a, prec, opts: _acceptance().theorems_check(a.seed, **opts),
     ),
     "selftest": Command(
         "run the full acceptance suite",
         {},
-        lambda c: _acceptance().selftest(c.seed, c.precision, c.jobs),
+        lambda a, prec, opts: _acceptance().selftest(a.seed, prec, a.jobs),
     ),
 }
 
@@ -223,18 +184,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(config: RunConfig) -> int:
-    """Run the command and write its report: stdout, or the --json-out file."""
-    passed, body, echo = COMMANDS[config.command].run(config)
+def _run(args) -> int:
+    """Resolve the settings, run the command and write its report: stdout, or the --json-out file.
+
+    The settings are checked in order, $SUPERGROUP_PREC_BITS, the Precision
+    (bits and cap), then --jobs, all before the command reads its input.
+    """
+    bits = args.prec_bits if args.prec_bits is not None else _default_prec_bits()
+    prec = Precision(bits=bits, truncation_cap=args.trunc_cap)
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    command = COMMANDS[args.command]
+    dests = [flag[2:].replace("-", "_") for flag in command.flags if flag not in _INPUT_FLAGS]
+    options = {dest: getattr(args, dest) for dest in dests}
+    passed, body, echo = command.run(args, prec, options)
     report = {
         "schema": "superint-report/1",
         "tool": {"name": "superint", "version": __version__},
-        "command": config.command,
+        "command": args.command,
         "config": {
-            "precision_bits": config.precision_bits,
-            "truncation_cap": config.truncation_cap,
-            "seed": config.seed,
-            **config.options,
+            "precision_bits": prec.bits,
+            "truncation_cap": prec.truncation_cap,
+            "seed": args.seed,
+            **options,
             **echo,
         },
         **body,
@@ -242,8 +214,8 @@ def _run(config: RunConfig) -> int:
     if passed is not None:
         report["status"] = "pass" if passed else "fail"
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if config.json_out:
-        with open(config.json_out, "w", encoding="utf-8") as fh:
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -259,8 +231,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     start = time.monotonic()
     try:
-        config = RunConfig.from_args(args)
-        code = _run(config)
+        code = _run(args)
     except TruncationCapExceeded as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

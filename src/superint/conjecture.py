@@ -46,13 +46,13 @@ from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
-    _to_mpf_exact,
     as_record,
     det_mpc,
     exact_determinant,
     fixed_series_terms,
     from_fixed,
     inv_factorial,
+    to_mpf,
     vandermonde,
 )
 from .schur import lr_coefficient, super_schur_tableaux, supercharacter_amu
@@ -175,7 +175,7 @@ def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> B
     u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
     v = unit_double(seed, _coord_counter(sample_index, coordinate, 1))
     with mp.workprec(bits):
-        r = _to_mpf_exact(radius) * mp.sqrt(mpf(u))
+        r = to_mpf(radius) * mp.sqrt(mpf(u))
         theta = 2 * mp.pi * mpf(v)
         return BigComplex.from_mpc(mpc(r * mp.cos(theta), r * mp.sin(theta)), bits)
 
@@ -315,7 +315,7 @@ def tail_bound(N: int, max_abs_z, K: int, prec: Precision = DEFAULT_PRECISION):
     the final power bounds the remaining geometric sums.
     """
     with mp.workprec(prec.work_bits):
-        r = _to_mpf_exact(max_abs_z)
+        r = to_mpf(max_abs_z)
         val = N * r ** (K + 1) / mp.factorial(K + 1) ** 2
         val *= mpf(K + N) ** (N * (N - 1) // 2)
         val *= (1 + 2 * r) ** (N * N)

@@ -35,7 +35,7 @@ from mpmath.libmp import (
 )
 
 from .errors import GeneratorMismatch, NonInvertibleBody, TruncationCapExceeded
-from .precision import DEFAULT_PRECISION, Precision, to_mpc_any
+from .precision import DEFAULT_PRECISION, Precision, to_mpc_any, to_mpf
 
 
 class GaussianRational:
@@ -111,8 +111,7 @@ class GaussianRational:
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def to_mpc(self) -> mpc:
-        return mpc(mp.mpf(self.re.numerator) / mp.mpf(self.re.denominator),
-                   mp.mpf(self.im.numerator) / mp.mpf(self.im.denominator))
+        return mpc(to_mpf(self.re), to_mpf(self.im))
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"

@@ -21,8 +21,8 @@ from mpmath.libmp import (
     fzero,
     from_int,
     from_man_exp,
+    from_rational,
     mpc_abs,
-    mpc_div_mpf,
     mpc_mpf_div,
     mpc_pos,
     mpf_cmp,
@@ -66,17 +66,21 @@ class Precision:
 DEFAULT_PRECISION = Precision()
 
 
-def _to_mpf_exact(x):
-    """Convert a Python number (or decimal string) to mpf at ambient precision."""
+def to_mpf(x) -> mpf:
+    """A real number (or decimal string) rounded once to the ambient precision, to nearest.
+
+    A Fraction goes through libmp's from_rational, one correctly rounded
+    division of its exact numerator by its exact denominator.
+    """
     if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
     return mpf(x)
 
 
 def to_mpc_any(x) -> mpc:
     """Convert any supported scalar to mpc at the ambient working precision; refuse NaN and infinities."""
     if isinstance(x, Fraction):
-        return mpc(mpf(x.numerator) / mpf(x.denominator))
+        return mpc(to_mpf(x))
     z = x.to_mpc() if hasattr(x, "to_mpc") else mpc(x)
     if not mp.isfinite(z):
         raise ValueError(f"non-finite value {x!r}")
@@ -107,8 +111,8 @@ class BigComplex:
                 raise ValueError("cannot combine complex re with nonzero im")
             re, im = re.real, re.imag
         with mp.workprec(self.bits):
-            object.__setattr__(self, "re", +_to_mpf_exact(re))
-            object.__setattr__(self, "im", +_to_mpf_exact(im))
+            object.__setattr__(self, "re", to_mpf(re))
+            object.__setattr__(self, "im", to_mpf(im))
         if not (mp.isfinite(self.re) and mp.isfinite(self.im)):
             raise ValueError(f"non-finite value re={re!r} im={im!r}")
 
@@ -170,11 +174,7 @@ def decimal_digits(bits: int) -> int:
     return int(math.ceil(bits * 0.30103)) + 3
 
 
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return math.factorial(n)
+factorial = math.factorial  # exact n!; ValueError for n < 0
 
 
 def inv_factorial(n: int) -> Fraction:
@@ -238,12 +238,13 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
 
     Sums T_k = nu! w^k / (k! (k+nu)!) as fixed-point complex integers at the
     scale 2^-F, F = work_bits + g with g = bit_length(cap) + 14, and divides
-    by nu! once at the end, so a high order costs no relative accuracy.  w is
-    rounded to work_bits and then truncated to the scale (exact unless a part
-    is below 2^-(g+1)).  Each term is the one before times w, an exact
-    integer complex multiply (of three products, or of four where w is real
-    or imaginary and two of them vanish), then a floor shift and a floor
-    division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
+    by nu! once at the end, so a high order costs no relative accuracy.  w,
+    an mpc or any scalar to_mpc_any takes, is rounded to work_bits (a
+    non-finite w raises ValueError) and then truncated to the scale (exact
+    unless a part is below 2^-(g+1)).  Each term is the one before times w,
+    an exact integer complex multiply (of three products, or of four where w
+    is real or imaginary and two of them vanish), then a floor shift and a
+    floor division by k (k+nu): an error in (-(1 + 1/d), 0] per part, so below
     2 sqrt(2) < 3 units in modulus (_fixed_terms).  The multiply takes w's
     significant bits only: its fixed-point parts stripped of their common
     trailing zeros, tz of them (at most F), and the shift is F - tz, since
@@ -296,8 +297,11 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
     wp = prec.work_bits
     if not isinstance(w, mpc):
         with mp.workprec(wp):
-            w = mpc(w)
+            w = to_mpc_any(w)
     w = mpc_pos(w._mpc_, wp, round_nearest)  # w rounded to work_bits, as mpc(w) there rounds it
+    (_, rm, re, _), (_, im, ie, _) = w
+    if not rm and re or not im and ie:  # a zero mantissa with an exponent: ±inf or nan
+        raise ValueError(f"non-finite argument {mp.make_mpc(w)}")
     found = _bessel_orders(w, lo, top, prec)[nu - lo]
     if found is None:
         raise TruncationCapExceeded(f"series did not converge within {prec.truncation_cap} terms")
@@ -305,25 +309,15 @@ def bessel_ratio_raw(nu: int, w, prec: Precision, top: int | None = None):
 
 
 def _below_edge(w, zr: int, zi: int, fbits: int, edge: int, wp: int) -> bool:
-    """|w| < edge, with |w| rounded to wp bits; (zr, zi) is w truncated to 2^-fbits.
+    """|w| < edge, with |w| rounded to wp bits; (zr, zi) is the finite w truncated to 2^-fbits.
 
-    A finite part of w is below 2^(L-fbits), L the larger bit length of zr
-    and zi, so |w| < 2^(L+1/2-fbits) and, rounded, below 2^(L+1-fbits):
-    when that is at most 2^(bit_length(edge)-1) <= edge, no square root is
-    taken.  Infinities and NaNs (no mantissa, nonzero exponent) take it.
+    Each part of w is below 2^(L-fbits), L the larger bit length of zr and
+    zi, so |w| < 2^(L+1/2-fbits) and, rounded, below 2^(L+1-fbits): when
+    that is at most 2^(bit_length(edge)-1) <= edge, no square root is taken.
     """
-    finite = (w[0][1] or not w[0][2]) and (w[1][1] or not w[1][2])
-    if finite and max(zr.bit_length(), zi.bit_length()) + 2 <= fbits + edge.bit_length():
+    if max(zr.bit_length(), zi.bit_length()) + 2 <= fbits + edge.bit_length():
         return True
     return mpf_lt(mpc_abs(w, wp, round_nearest), from_int(edge))
-
-
-def _fixed_value(re: int, im: int, fbits: int, divisor: int, wp: int) -> mpc:
-    """(re + i im) 2^-fbits rounded to wp bits, then divided by `divisor` at wp bits."""
-    z = (from_man_exp(re, -fbits, wp, round_nearest), from_man_exp(im, -fbits, wp, round_nearest))
-    if divisor != 1:
-        z = mpc_div_mpf(z, from_int(divisor), wp, round_nearest)
-    return mp.make_mpc(z)
 
 
 # the last pass only, a pure function of its arguments: the N calls of one
@@ -387,7 +381,8 @@ def _sum_order(nu: int, terms, fbits: int, wp: int, limit: int):
         if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
             small_run += 1
             if small_run >= 2:
-                return _fixed_value(sr, si, fbits, nu_fact, wp), k + 1
+                with mp.workprec(wp):
+                    return from_fixed(sr, si, fbits) / nu_fact, k + 1
         else:
             small_run = 0
     return None
@@ -434,8 +429,7 @@ def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     At w = x^2 this equals x^-nu I_nu(2 x); the series is a function of w only,
     so no square roots (and no branch choices) ever enter.
     """
-    with mp.workprec(prec.work_bits):
-        total, _ = bessel_ratio_raw(nu, to_mpc_any(w), prec)
+    total, _ = bessel_ratio_raw(nu, w, prec)
     return BigComplex.from_mpc(total, _tag_bits(prec, [w]))
 
 
@@ -446,8 +440,7 @@ def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
     series terms used).
     """
     with mp.workprec(prec.work_bits):
-        beta = mpc(beta)
-        lam2 = mpc(lambda_sq)
+        beta, lam2 = to_mpc_any(beta), to_mpc_any(lambda_sq)
         core, terms = bessel_ratio_raw(nu, beta * beta * lam2, prec)
         return (beta ** nu) * (lam2 ** nu) * core, terms
 
@@ -456,8 +449,7 @@ def scaled_bessel_entry(
     nu: int, beta, lambda_sq, prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
     """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2."""
-    with mp.workprec(prec.work_bits):
-        value, _ = scaled_bessel_entry_raw(nu, to_mpc_any(beta), to_mpc_any(lambda_sq), prec)
+    value, _ = scaled_bessel_entry_raw(nu, beta, lambda_sq, prec)
     return BigComplex.from_mpc(value, _tag_bits(prec, [beta, lambda_sq]))
 
 

@@ -26,7 +26,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from superint.errors import TruncationCapExceeded
-from superint.precision import BigComplex, _below_edge, _fixed_value, det_mpc, from_fixed, to_mpc_any
+from superint.precision import BigComplex, _below_edge, det_mpc, from_fixed, to_mpc_any
 
 
 def vandermonde_int(ks):
@@ -259,6 +259,8 @@ def bessel_ratio_fixed_reference(nu, w, prec):
     fbits = prec.work_bits + cap.bit_length() + 14
     with mp.workprec(prec.work_bits):
         w = mpc(w)
+        if not mp.isfinite(w):
+            raise ValueError(f"non-finite argument {w}")
         limit = cap if abs(w) < cap * (cap + nu) else 2
         zr, zi = (to_fixed(part, fbits) for part in w._mpc_)
         shift = 2 * prec.work_bits
@@ -327,7 +329,8 @@ def bessel_orders_interleaved_reference(w, top: int, prec):
             if e + 2 <= peak_bits or (e - 2 < peak_bits and (cr * cr + ci * ci) << shift < peak):
                 run += 1
                 if run >= 2:
-                    out[nu] = _fixed_value(sr, si, fbits, math.factorial(nu), wp), k + 1
+                    with mp.workprec(wp):
+                        out[nu] = from_fixed(sr, si, fbits) / math.factorial(nu), k + 1
                     state[nu] = None
                     continue
             else:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from superint import cli
+from superint import Precision, cli
 
 CLI = [sys.executable, "-m", "superint"]
 
@@ -278,6 +278,60 @@ def test_jobs_capped_at_task_count(argv, workers, monkeypatch, capsys):
     assert cli.main(["conjecture-verify", "--samples", "1", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert started == workers
+
+
+COMMON = ["--prec-bits", "128", "--trunc-cap", "64", "--seed", "7", "--jobs", "2"]
+SETTINGS = {"prec": Precision(bits=128, truncation_cap=64), "seed": 7, "jobs": 2}
+
+# each suite command: its own flags on the command line, the acceptance check
+# it runs, that check's positional settings and the flags' values as reported
+SUITES = [
+    ("conjecture-verify", ["--N", "3", "--m", "1"], "conjecture_check", ("seed", "prec", "jobs"),
+     {"N": 3, "m": 1, "samples": 10, "radius": "2"}),
+    ("lr-check", ["--max-boxes", "4"], "lr_check", (), {"m": 2, "n": 2, "max_boxes": 4}),
+    ("strninxi-check", ["--n", "1"], "supertrace_check", ("seed",), {"m": 2, "n": 1, "max_boxes": 6}),
+    ("appendix-e-verify", [], "haar_check", ("seed", "prec"), {}),
+    ("theorems-check", [], "theorems_check", ("seed",), {"N": 5}),
+    ("selftest", [], "selftest", ("seed", "prec", "jobs"), {}),
+]
+
+
+@pytest.mark.parametrize("command,argv,check,positional,flags", SUITES)
+def test_suite_config_holds_settings_own_flags_and_echo(command, argv, check, positional, flags, monkeypatch, capsys):
+    from superint import acceptance
+
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return True, {}, {"echo": check}
+
+    monkeypatch.setattr(acceptance, check, stub)
+    assert cli.main([command, *argv, *COMMON]) == 0
+    assert calls == [(tuple(SETTINGS[name] for name in positional), flags)]
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"precision_bits": 128, "truncation_cap": 64, "seed": 7, **flags, "echo": check}
+
+
+@pytest.mark.parametrize("command,document", [("ls-eval", LS_INPUT), ("bk-eval", BK_INPUT)])
+def test_evaluator_config_holds_settings_and_input_echo(command, document, capsys):
+    assert cli.main([command, "--input-json", document, *COMMON]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert set(config) == {"precision_bits", "truncation_cap", "seed", "input"}
+    assert (config["precision_bits"], config["truncation_cap"], config["seed"]) == (128, 64, 7)
+
+
+@pytest.mark.parametrize(
+    "argv,env_bits", [(["--jobs", "0"], None), (["--prec-bits", "10"], None), (["--trunc-cap", "1"], None), ([], "abc")]
+)
+@pytest.mark.parametrize("command", ["ls-eval", "bk-eval"])
+def test_bad_settings_exit_2_before_the_input_is_read(command, argv, env_bits, tmp_path, monkeypatch, capsys):
+    if env_bits is None:
+        monkeypatch.delenv(cli.PREC_BITS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.PREC_BITS_ENV, env_bits)
+    assert cli.main([command, "--input", str(tmp_path / "missing.json"), *argv]) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration:")
 
 
 # runs `python -m superint <argv>` and then prints every loaded module's name

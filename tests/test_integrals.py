@@ -380,8 +380,8 @@ def test_near_coincidence_clusters_ignore_caller_precision(monkeypatch):
     seen = []
     original = integrals._clusters
 
-    def spy(sectors, prec):
-        out = original(sectors, prec)
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
         seen.append([len(c) for sector in out for c in sector])
         return out
 

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from superint import (
     BigComplex,
     Precision,
     TruncationCapExceeded,
+    GaussianRational,
     bessel_ratio,
     determinant,
     factorial,
@@ -32,6 +33,8 @@ from superint.precision import (
     exact_determinant,
     fixed_series_terms,
     newton_sums,
+    scaled_bessel_entry_raw,
+    to_mpc_any,
 )
 
 from oracles import (
@@ -54,11 +57,51 @@ HALF_R1_QUARTER = "0.565159103992485027207696027609863307328899622"
 
 
 def test_factorial_basics():
+    assert factorial is math.factorial
     assert factorial(0) == 1
     assert factorial(1) == 1
     assert factorial(5) == 120
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+# a 150-bit numerator over a 140-bit denominator: rounding both and then their
+# quotient, as mpf(p) / mpf(q) does, lands one unit in the last place off at 64 bits
+WIDE = Fraction(528017554261265468033251111199440290693464061, 809744672490065275014015283334575476661237)
+
+
+def test_fraction_conversions_round_once():
+    rng = random.Random(24)
+    wide = [WIDE, -WIDE] + [Fraction(rng.getrandbits(150) | 1, rng.getrandbits(140) | 1) for _ in range(60)]
+    for bits in (64, 100, 256):
+        for x in wide:
+            want = from_rational(x.numerator, x.denominator, bits, round_nearest)
+            assert BigComplex(x, bits=bits).re._mpf_ == want
+            assert BigComplex(0, x, bits=bits).im._mpf_ == want
+            with mp.workprec(bits):
+                assert to_mpc_any(x)._mpc_ == (want, mpf(0)._mpf_)
+                assert GaussianRational(x, x).to_mpc()._mpc_ == (want, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan), mpc(1, math.nan), mpc(0, -math.inf)])
+def test_raw_kernels_refuse_non_finite_arguments(bad):
+    # each raised TruncationCapExceeded, the numerical-failure class, on an input error
+    with pytest.raises(ValueError, match="non-finite"):
+        bessel_ratio_raw(0, bad, PREC)
+    with pytest.raises(ValueError, match="non-finite"):
+        bessel_ratio_raw(1, bad, PREC, top=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        scaled_bessel_entry_raw(0, 0.5, bad, PREC)
+
+
+def test_raw_kernels_take_fractions():
+    # mpc() refuses a Fraction; the raw kernels convert it as to_mpc_any does
+    w, half = Fraction(1, 3), Fraction(1, 2)
+    with mp.workprec(PREC.work_bits):
+        w_mpc, half_mpc = to_mpc_any(w), to_mpc_any(half)
+    assert bessel_ratio_raw(0, w, PREC) == bessel_ratio_raw(0, w_mpc, PREC)
+    assert bessel_ratio_raw(1, w, PREC, top=2) == bessel_ratio_raw(1, w_mpc, PREC, top=2)
+    assert scaled_bessel_entry_raw(1, half, w, PREC) == scaled_bessel_entry_raw(1, half_mpc, w_mpc, PREC)
 
 
 def test_vandermonde_examples():
@@ -175,11 +218,13 @@ def test_bessel_ratio_bit_identical_to_mpmath_reference(bits):
 
 
 def _exact_outcome(kernel, nu, w, prec):
-    """(value parts, terms used) exactly, or None when the kernel hits the cap."""
+    """(value parts, terms used) exactly, None when the kernel hits the cap, or ValueError when it refuses w."""
     try:
         value, terms = kernel(nu, w, prec)
     except TruncationCapExceeded:
         return None
+    except ValueError:
+        return ValueError
     return value._mpc_, terms
 
 
@@ -227,7 +272,7 @@ def test_bessel_ratio_single_order_bit_identical_to_fixed_reference():
         w = _short_mantissa_w(rng, 10 ** rng.uniform(-3, math.log10(3e5)), prec.work_bits)
         cases.append((rng.randrange(13), w, prec))
     # w = 0, either side of the cap boundary cap (cap+nu), 1e100000, where the sum raises at once,
-    # and non-finite w
+    # and non-finite w, which both refuse
     for cap in (8, 64, 512):
         prec = Precision(truncation_cap=cap)
         for nu in (0, 5, 12):
