@@ -153,13 +153,18 @@ def _fixed_bits(K: int, prec: Precision) -> int:
 # sample_disk ignores m and N, so every (N, m) cell of one sample draws a
 # prefix of the same z: the draws are cached on sample_disk's arguments
 # (_draw), and j0_truncated and jm_truncated share the tables below
-# (_series_tables) and the J0 values (_j0_value) across calls.  Tables and
-# values are keyed on the exact value of z, as raw mpc tuples, with K and the
-# Precision, and the tables are filled on first use, so a cold call does no
-# arithmetic the uncached one would not.  Each is an lru_cache; the sizes, 80
-# draws, 80 tables and 10 J0 values, hold one criterion-5 cell's 10 samples
-# (80 z and 10 vectors at N = 8), and so one perfbench grid sweep (8 z in 7
-# vectors).
+# (_series_tables) and the J0 values (_j0_value) across calls.  A table also
+# holds jm_truncated's coupled entries against each small-block z, keyed on
+# that z's raw mpc tuple, so one entry is one dot product per ordered (big z,
+# small z) pair, and a table that is evicted takes its entries along.  Tables
+# and values are keyed on the exact value of z, as raw mpc tuples, with K and
+# the Precision, and the tables are filled on first use, so a cold call does
+# no arithmetic the uncached one would not.  Each is an lru_cache; the sizes,
+# 100 draws, 100 tables and 10 J0 values, hold one verify_conjecture call at
+# N <= 10 with 10 samples (100 z and 10 vectors at N = 10), so every m of it
+# reuses the draws and tables of the first, and one perfbench grid sweep (8 z
+# in 7 vectors).  A call that touches more z than that, at every m, misses on
+# every z, since the access is cyclic and the caches are LRU.
 
 
 def clear_series_memo() -> None:
@@ -169,7 +174,7 @@ def clear_series_memo() -> None:
     _j0_value.cache_clear()
 
 
-@lru_cache(maxsize=80)
+@lru_cache(maxsize=100)
 def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
     """sample_disk's draw, from the two stream positions of its coordinate."""
     u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
@@ -181,15 +186,16 @@ def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> B
 
 
 class _SeriesTables:
-    """The fixed-K series of one z: the weights, the shifted Bessel sums and the kernel sums."""
+    """The fixed-K series of one z: the weights, the shifted Bessel sums, the kernel sums and the coupled entries."""
 
-    __slots__ = ("z", "K", "fbits", "_weights", "_shifted", "_kernel")
+    __slots__ = ("z", "K", "fbits", "_weights", "_shifted", "_kernel", "_coupled")
 
     def __init__(self, z, K: int, fbits: int):
         self.z, self.K, self.fbits = z, K, fbits
         self._weights = None
         self._shifted = {}
         self._kernel = ([], [])
+        self._coupled = {}
 
     def weights(self):
         """The s = 0 terms z^k / (k!)^2, k <= K, as fixed-point (re, im) lists."""
@@ -224,8 +230,30 @@ class _SeriesTables:
                 sums.extend(sum(map(floordiv, part, range(k + 1, k + 1 + n))) for k in range(have, length))
         return self._kernel
 
+    def coupled(self, small: _SeriesTables):
+        """The double series sum_k w_k(z) s_k(small.z), this z's weights against small's kernel sums.
 
-@lru_cache(maxsize=80)
+        A fixed-point sum at 2 fbits (_coupled_entry), rounded to the ambient
+        precision, work_bits, and memoized on small.z's raw mpc tuple; small
+        must share this table's K and Precision.
+        """
+        key = small.z._mpc_
+        value = self._coupled.get(key)
+        if value is None:
+            weights = self.weights()
+            value = self._coupled[key] = _coupled_entry(weights, small.kernel(len(weights[0])), self.fbits)
+        return value
+
+
+def _coupled_entry(weights, kernel, fbits: int):
+    """sum_k w_k s_k over the (re, im) fixed-point lists at fbits, rounded from 2 fbits; stops at the weights' end."""
+    (br, bi), (sr, si) = weights, kernel
+    re = sum(map(mul, br, sr)) - sum(map(mul, bi, si))
+    im = sum(map(mul, br, si)) + sum(map(mul, bi, sr))
+    return from_fixed(re, im, 2 * fbits)
+
+
+@lru_cache(maxsize=100)
 def _series_tables(z, K: int, prec: Precision) -> _SeriesTables:
     """The tables of z, given as a raw mpc tuple, at depth K and prec."""
     return _SeriesTables(mp.make_mpc(z), K, _fixed_bits(K, prec))
@@ -271,8 +299,10 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     each is the shifted Bessel sum of j0_truncated's rows, so it keeps full
     relative accuracy; a power k^d would multiply the absolute error of the
     small tail weights by up to K^d.  The weights, the kernel sums and the
-    coupled entries are fixed-point integer sums (_fixed_bits); the weights,
-    the kernel sums and the moment columns come from the per-z tables.
+    coupled entries are fixed-point integer sums (_fixed_bits); all three and
+    the moment columns come from the per-z tables, the coupled entries from
+    the big-block z's table (_SeriesTables.coupled), so every (N, m) cell
+    that meets the same ordered pair of z reuses its entry.
     """
     zs = [as_record(v, prec.bits).to_mpc() for v in z]
     N = len(zs)
@@ -282,7 +312,6 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     n = N - m
     if n == 0:
         return j0_truncated(z, K, prec)
-    fbits = _fixed_bits(K, prec)
     tables = [_series_tables(v._mpc_, K, prec) for v in zs]
     with mp.workprec(prec.work_bits):
         cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
@@ -291,17 +320,7 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
         else:
             big, small = tables[m:], tables[:m]
         ns, dd = len(small), len(big) - len(small)
-        wb = [t.weights() for t in big]
-        s_tab = [t.kernel(max(len(re) for re, _ in wb)) for t in small]
-        rows = []
-        for (br, bi), t in zip(wb, big):
-            row = []
-            for sr, si in s_tab:
-                re = sum(map(mul, br, sr)) - sum(map(mul, bi, si))
-                im = sum(map(mul, br, si)) + sum(map(mul, bi, sr))
-                row.append(from_fixed(re, im, 2 * fbits))
-            row.extend(t.shifted(d) for d in range(dd))
-            rows.append(row)
+        rows = [[t.coupled(u) for u in small] + [t.shifted(d) for d in range(dd)] for t in big]
         eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
         return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)
 

@@ -181,6 +181,14 @@ def test_conjecture_verify_pass_and_exit_codes():
     assert out.returncode == 3
 
 
+def test_conjecture_verify_every_m_report():
+    # without --m the report holds every block size m of one N, which share the draws and series tables
+    out = run_cli("conjecture-verify", "--N", "4", "--samples", "3")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["status"] == "pass"
+    assert sha256(out.stdout) == "a3baccb5584a3a3557d2d53d7257e5fa0c19319707f1b8edc6d978b7a3f57901"
+
+
 def test_conjecture_verify_jobs_do_not_change_report(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

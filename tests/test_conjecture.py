@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from mpmath import mp, mpf
@@ -90,7 +91,7 @@ def test_draw_memo_keys_clearing_and_cap(drawn):
     again = sample_disk(5, 0, 0, 2, 256)
     assert (again.re, again.im) == (z.re, z.im) and len(drawn) == 14
     size = conjecture._draw.cache_info().maxsize
-    assert size == 80
+    assert size == 100
     for s in range(2 * size):
         sample_disk(5, s, 0, 2, 256)
     assert conjecture._draw.cache_info().currsize == size
@@ -315,8 +316,48 @@ def test_series_memo_stays_at_its_cap():
         j0_truncated(z, 8, PREC)
         jm_truncated(z, 1, 8, PREC)
     tables, j0 = conjecture._series_tables.cache_info(), conjecture._j0_value.cache_info()
-    assert (tables.maxsize, j0.maxsize) == (80, 10)
+    assert (tables.maxsize, j0.maxsize) == (100, 10)
     assert (tables.currsize, j0.currsize) == (tables.maxsize, j0.maxsize)
+
+
+def test_memo_holds_every_m_of_one_call_at_the_largest_N():
+    # verify_conjecture allows N <= 10; at 10 samples every m of N = 10 reads
+    # the same 100 z, which the draw and table caches must hold, or the cyclic
+    # access makes an LRU cache miss on every z of every m
+    clear_series_memo()
+    for m in range(1, 11):
+        assert verify_conjecture(10, m).passed
+    assert conjecture._draw.cache_info().misses == 100
+    assert conjecture._series_tables.cache_info().misses == 100
+
+
+def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):
+    # one sample's cells, N = 2..8 and every m, meet each ordered (big z,
+    # small z) pair in many cells; the big z's table computes its entry once
+    # (m = N is J0 and has no small block)
+    computed, entry = [], conjecture._coupled_entry
+
+    def counting(*args):
+        computed.append(args)
+        return entry(*args)
+
+    monkeypatch.setattr(conjecture, "_coupled_entry", counting)
+    z = [sample_disk(4001, 0, c, 2, PREC.bits) for c in range(8)]
+    cells = [(N, m) for N in range(2, 9) for m in range(1, N + 1)]
+    random.Random(7).shuffle(cells)
+    pairs = set()
+    for N, m in cells:
+        big, small = (range(m), range(m, N)) if 2 * m >= N else (range(m, N), range(m))
+        pairs.update(product(big, small))
+    clear_series_memo()
+    warm = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    assert len(computed) == len(pairs) <= 56
+    again = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    assert len(computed) == len(pairs)
+    for (N, m), a, b in zip(cells, warm, again):
+        clear_series_memo()
+        cold = jm_truncated(z[:N], m, 64, PREC)
+        assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
 
 
 # At N = 8 and radius 1/100 the bordered determinant cancels up to 38 bits in
