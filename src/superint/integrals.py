@@ -4,7 +4,9 @@ Every determinant entry is computed through the squared eigenvalues only, so
 complex inputs never require a branch choice.  Clusters of close or repeated
 values inside a sector take Newton divided-difference columns, so nothing is
 divided by their differences; a bosonic value coinciding with a fermionic one
-makes the integral vanish identically.
+makes the integral vanish identically.  Both closed forms take their entries
+from one builder (_entries) and their value and record from one tail
+(_result); with no eigenvalues at all, the U(0|0) integral is 1.
 """
 
 from __future__ import annotations
@@ -172,64 +174,81 @@ def _cluster_denominator(clusters):
     return (-1) ** sum(len(c) * (len(c) - 1) // 2 for c in clusters) * den
 
 
-def _mass_at_zero_beta(m: int, n: int):
-    """The integral at beta = 0, where the closed form's beta^power < 0 meets a zero determinant.
+# -- the closed forms' shared core -----------------------------------------------
 
-    The integrand is then 1, so the value is the measure's total mass: 1 for an
-    ordinary group (m n = 0), 0 for a supergroup.
+
+def _entries(requests, sides, top, prec: Precision):
+    """A determinant's entries, in request order, and the largest series term count used.
+
+    A request is (nu, w), the kernel R(nu, w) read from the pass over orders
+    0..top at w (top None: order nu alone), or (parts, a, b), a newton_sums
+    request over `sides`.  The kernel is summed request by request, so a run
+    of orders at one w reads one pass; the Newton requests share one
+    newton_sums call, in which each sum reads only its own parts' sides.
     """
-    return mpc(0 if m * n else 1)
+    kernel = [bessel_ratio_raw(*r, prec, top=top) if len(r) == 2 else None for r in requests]
+    sums, terms = newton_sums(sides, [r for r in requests if len(r) == 3], prec)
+    sums = iter(sums)
+    return [next(sums) if k is None else k[0] for k in kernel], max([terms] + [k[1] for k in kernel if k])
+
+
+def _result(copies: int, dets, den, beta, sectors, terms_used: int, prec: Precision) -> IntegralResult:
+    """(C_m C_n beta^p)^copies prod(dets) / den as a result record, p = ((m+n) - (m-n)^2) / 2.
+
+    `copies` counts the U(m|n) groups integrated over, (m, n) are the sizes of
+    sectors[0] and sectors[1], and the branch is "confluent" when some sector
+    repeats a value.  Where beta = 0 meets a negative power, the closed form is
+    0/0; the integrand is then 1, so the value is the measure's total mass: 1
+    for an ordinary group (m n = 0), 0 for a supergroup.  The product runs
+    left to right from C beta^p, so each rounding is the one the pinned
+    digests hold.  Run at work_bits.
+    """
+    m, n = len(sectors[0]), len(sectors[1])
+    power = copies * ((m + n) - (m - n) ** 2) // 2
+    if beta or power >= 0:
+        value = math.prod(dets, start=mpc((c_constant(m) * c_constant(n)) ** copies) * beta ** power) / den
+    else:
+        value = mpc(0 if m * n else 1)
+    branch = "confluent" if any(len(set(v)) < len(v) for v in sectors) else "generic"
+    diag = {"warnings": [], "terms_used": terms_used}
+    return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
 
 
 # -- the one-source integral -----------------------------------------------------
 
 
 def _ls_value(ev: SuperEigenvalues, prec: Precision):
-    m, n = ev.m, ev.n
-    N = m + n
-    if N == 0:
-        raise ValueError("need at least one eigenvalue")
+    N = ev.m + ev.n
     bos, ferm, beta = ev.values(prec.bits)
     if _sectors_coincide(bos, ferm):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
     with mp.workprec(prec.work_bits):
         bclusters, fclusters = _clusters((bos, ferm), prec)
-        terms_used = 0
-        cols = []
-        orders = range(N - 1, -1, -1)
-        for xs in bclusters + fclusters:
-            w = beta * beta * xs[0]  # one pass sums R(nu, w) for all N orders
-            kernel = [bessel_ratio_raw(nu, w, prec, top=N - 1) for nu in orders]
-            # column j > 1 is f_nu[x_1..x_j]: f_nu(x) = beta^nu x^nu R(nu, beta^2 x) = beta^-nu
-            # sum_(q>=nu) (beta^2 x)^q / ((q-nu)! q!), so it is beta^(2j-2-nu)
-            # sum_(q>=q0) h_(q-j+1)(beta^2 x_1..) / ((q-nu)! q!), q0 = max(nu, j-1)
-            keys = [(j, nu, max(nu, j - 1)) for j in range(2, len(xs) + 1) for nu in orders]
-            sums, terms = newton_sums([[beta * beta * x for x in xs]], [
-                ([(0, j, q0 - j + 1)], q0 - nu, q0) for j, nu, q0 in keys], prec)
-            terms_used = max([terms_used, terms] + [t for _, t in kernel])
-            # at beta = 0 a sum under a negative beta power is exactly 0
-            col = [beta ** nu * xs[0] ** nu * v for nu, (v, _) in zip(orders, kernel)] + [
-                beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
-                for (j, nu, q0), v in zip(keys, sums)
-            ]
-            cols += [col[k : k + N] for k in range(0, len(col), N)]
-        num = det_mpc([list(row) for row in zip(*cols)], prec)
+        clusters, c = bclusters + fclusters, beta * beta
+        # column (s, j) holds f_nu[x_1..x_j] over cluster s, nu = N-1..0: f_nu(x) = beta^nu x^nu R(nu, c x)
+        # = beta^-nu sum_(q>=nu) (c x)^q / ((q-nu)! q!), so for j > 1 it is beta^(2j-2-nu)
+        # sum_(q>=q0) h_(q-j+1)(c x_1..c x_j) / ((q-nu)! q!), q0 = max(nu, j-1)
+        keys = [(s, j, nu, max(nu, j - 1)) for s, xs in enumerate(clusters)
+                for j in range(1, len(xs) + 1) for nu in range(N - 1, -1, -1)]
+        requests = [(nu, c * clusters[s][0]) if j == 1 else ([(s, j, q0 - j + 1)], q0 - nu, q0)
+                    for s, j, nu, q0 in keys]
+        values, terms = _entries(requests, [[c * x for x in xs] for xs in clusters], N - 1, prec)
+        # at beta = 0 a sum under a negative beta power is exactly 0
+        col = [beta ** nu * clusters[s][0] ** nu * v if j == 1 else
+               beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
+               for (s, j, nu, q0), v in zip(keys, values)]
+        rows = [list(row) for row in zip(*(col[k * N : k * N + N] for k in range(N)))]
+        num = det_mpc(rows, prec) if N else mpc(1)
         den = _cluster_denominator(bclusters) * _cluster_denominator(fclusters)
-        power = ((m + n) - (m - n) ** 2) // 2
-        if beta or power >= 0:
-            value = mpc(c_constant(m) * c_constant(n)) * beta ** power * num / den
-        else:
-            value = _mass_at_zero_beta(m, n)
-    branch = "confluent" if len(set(bos)) + len(set(ferm)) < N else "generic"
-    diag = {"warnings": [], "terms_used": terms_used}
-    return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
+        return _result(1, [num], den, beta, (bos, ferm), terms, prec)
 
 
 def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
     """One-source integral over the unitary supergroup in closed determinant form.
 
     Clusters of close or repeated values inside a sector take Newton
-    columns; a boson-fermion coincidence returns the vanishing branch.
+    columns; a boson-fermion coincidence returns the vanishing branch.  With
+    no values at all, the U(0|0) integral is 1.
     """
     return _ls_value(ev, prec)
 
@@ -244,32 +263,6 @@ def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> I
 # -- the two-source integral -----------------------------------------------------
 
 
-def _bk_sector_det(lclusters, mclusters, beta, prec):
-    """One sector's determinant and terms used: rows (x_1..x_j) of first-set clusters, columns (y_1..y_k).
-
-    Entries are divided differences of R(0, c x y), c = beta^2: the kernel at j = k = 1, else
-    c^(j-1) sum_p h_(p-j+1)(c x_1..c x_j) h_(p-k+1)(y_1..y_k) / (p!)^2 from p0 = max(j, k) - 1.
-    """
-    size = sum(map(len, lclusters))
-    if size != sum(map(len, mclusters)):
-        raise ValueError("sector sizes must agree")
-    if size == 0:
-        return mpc(1), 0
-    c = beta * beta
-    keys = [(a, b, j, k, max(j, k) - 1) for a, xs in enumerate(lclusters) for j in range(1, len(xs) + 1)
-            for b, ys in enumerate(mclusters) for k in range(1, len(ys) + 1)]
-    kernel = {(a, b): bessel_ratio_raw(0, c * xs[0] * ys[0], prec)
-              for a, xs in enumerate(lclusters) for b, ys in enumerate(mclusters)}
-    nl = len(lclusters)
-    sums, terms = newton_sums([[c * x for x in xs] for xs in lclusters] + mclusters, [
-        ([(a, j, p0 - j + 1), (nl + b, k, p0 - k + 1)], p0, p0) for a, b, j, k, p0 in keys if p0], prec)
-    sums = iter(sums)
-    entries = [c ** (j - 1) * next(sums) / math.factorial(p0) ** 2 if p0 else kernel[a, b][0]
-               for a, b, j, k, p0 in keys]
-    terms = max([terms] + [t for _, t in kernel.values()])
-    return det_mpc([entries[i : i + size] for i in range(0, size * size, size)], prec), terms
-
-
 def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
     if lam.m != mu.m or lam.n != mu.n:
         raise ValueError("the two eigenvalue sets must share (m, n)")
@@ -277,23 +270,28 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
     mu_b, mu_f, mu_beta = mu.values(prec.bits)
     if beta != mu_beta:
         raise ValueError("the two eigenvalue sets must share beta")
-    m, n = lam.m, lam.n
     if _sectors_coincide(lam_b, lam_f) or _sectors_coincide(mu_b, mu_f):
         return IntegralResult(BigComplex(0, 0, prec.bits), "vanishing")
     with mp.workprec(prec.work_bits):
         lb, lf, mb, mf = _clusters((lam_b, lam_f, mu_b, mu_f), prec)
-        det_b, terms_b = _bk_sector_det(lb, mb, beta, prec)
-        det_f, terms_f = _bk_sector_det(lf, mf, beta, prec)
+        c, dets, terms = beta * beta, [], 0
+        for xss, yss, size in ((lb, mb, lam.m), (lf, mf, lam.n)):
+            # rows (x_1..x_j) of first-set clusters, columns (y_1..y_k): divided differences of R(0, c x y),
+            # the kernel at j = k = 1, else c^(j-1) sum_p h_(p-j+1)(c x_1..c x_j) h_(p-k+1)(y_1..y_k) / (p!)^2
+            # from p0 = max(j, k) - 1
+            keys = [(a, j, b, k, max(j, k) - 1) for a, xs in enumerate(xss) for j in range(1, len(xs) + 1)
+                    for b, ys in enumerate(yss) for k in range(1, len(ys) + 1)]
+            requests = [([(a, j, p0 - j + 1), (len(xss) + b, k, p0 - k + 1)], p0, p0) if p0
+                        else (0, c * xss[a][0] * yss[b][0]) for a, j, b, k, p0 in keys]
+            values, t = _entries(requests, [[c * x for x in xs] for xs in xss] + yss, None, prec)
+            entries = [c ** (j - 1) * v / math.factorial(p0) ** 2 if p0 else v
+                       for (_, j, _, _, p0), v in zip(keys, values)]
+            rows = [entries[i * size : i * size + size] for i in range(size)]
+            dets.append(det_mpc(rows, prec) if size else mpc(1))
+            terms = max(terms, t)
         ber_l = _cluster_denominator(lb) * _cluster_denominator(lf) / _cross_product(lam_b, lam_f)
         ber_m = _cluster_denominator(mb) * _cluster_denominator(mf) / _cross_product(mu_b, mu_f)
-        power = (m + n) - (m - n) ** 2
-        if beta or power >= 0:
-            value = mpc(c_constant(m) ** 2 * c_constant(n) ** 2) * beta ** power * det_b * det_f / (ber_l * ber_m)
-        else:
-            value = _mass_at_zero_beta(m, n)
-    branch = "confluent" if any(len(set(v)) < len(v) for v in (lam_b, lam_f, mu_b, mu_f)) else "generic"
-    diag = {"warnings": [], "terms_used": max(terms_b, terms_f)}
-    return IntegralResult(BigComplex.from_mpc(value, prec.bits), branch, diag)
+        return _result(2, dets, ber_l * ber_m, beta, (lam_b, lam_f, mu_b, mu_f), terms, prec)
 
 
 def bk_closed_form(

@@ -161,3 +161,38 @@ def test_jobs_reaches_the_grid_and_every_row_gets_the_same_arguments(monkeypatch
     assert pooled == [2]
     assert calls == [(index, (DEFAULT_SEED, prec, 2)) for index in range(1, 13)]
     assert [(r.index, r.passed) for r in results] == [(index, True) for index in range(1, 13)]
+
+
+def test_conjecture_grid_fails_on_a_planted_jm_error(monkeypatch):
+    # criterion 5's tolerance is the only line between a wrong Jm and a pass: a relative error of
+    # 2^-180 in one sample lies above the 2^-208 rounding floor at 256 bits and below 1e-40
+    from mpmath import mp, mpf
+
+    from superint import acceptance, conjecture
+    from superint.precision import BigComplex
+
+    prec = Precision()
+    assert conjecture.verify_conjecture(3, 1, prec=prec).passed
+    assert acceptance.criterion_conjecture_grid(DEFAULT_SEED, prec, 1)[0]
+    jm_truncated = conjecture.jm_truncated
+
+    def plant():
+        calls = []
+
+        def planted(z, m, K, prec):
+            value = jm_truncated(z, m, K, prec)
+            calls.append(z)
+            if len(calls) > 1:
+                return value
+            with mp.workprec(prec.work_bits):
+                return BigComplex.from_mpc(value.to_mpc() * (1 + mpf(2) ** -180), value.bits)
+
+        monkeypatch.setattr(conjecture, "jm_truncated", planted)
+
+    plant()
+    assert not conjecture.verify_conjecture(3, 1, prec=prec).passed
+    plant()
+    passed, detail = acceptance.criterion_conjecture_grid(DEFAULT_SEED, prec, 1)
+    assert not passed
+    failed = [row for row in detail["cells"] if not row["pass"]]
+    assert [(row["N"], row["m"], row["below_1e-40"]) for row in failed] == [(2, 1, True)]

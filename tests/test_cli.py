@@ -94,6 +94,21 @@ def test_bk_eval_clustered_values():
         assert abs(got - want) <= abs(want) * mpf(2) ** -(256 - 8)
 
 
+
+@pytest.mark.parametrize(
+    "command,document",
+    [
+        ("ls-eval", {"beta": {"re": "0.5"}, "bosonic": [], "fermionic": []}),
+        ("bk-eval", {"beta": {"re": "0.5"}, "lambda": {"bosonic": [], "fermionic": []}, "mu": {}}),
+    ],
+)
+def test_empty_eigenvalue_sets_print_one(command, document, capsys):
+    # the U(0|0) integral is 1: ls-eval exited 2 ("need at least one eigenvalue")
+    assert cli.main([command, "--input-json", json.dumps(document)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["branch"] == "generic"
+    assert result["value"] == {"bits": 256, "im": "0.0", "re": "1.0"}
+
 def test_corrupted_input_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -136,10 +136,11 @@ def test_zero_beta_with_repeats_is_zero():
 SMALL_VALUES = [Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(5, 11), Fraction(7, 13)]
 
 
-@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 3, 1), (4, 0, 1), (1, 4, 0), (4, 1, 0), (1, 0, 1), (1, 1, 0)])
+@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 3, 1), (4, 0, 1), (1, 4, 0), (4, 1, 0), (1, 0, 1), (1, 1, 0), (0, 0, 1)])
 def test_ls_zero_beta_is_the_measure_mass(m, n, mass):
     # at beta = 0 the integrand is 1; where the beta power is negative the closed
-    # form is 0/0 (it raised ZeroDivisionError), and the value is its limit
+    # form is 0/0 (it raised ZeroDivisionError), and the value is its limit.
+    # (0|0) is the one-point group U(0|0), 1 at every beta: it raised ValueError
     bos, ferm = SMALL_VALUES[:m], SMALL_VALUES[m : m + n]
     res = ls_closed_form(ev(bos, ferm, BigComplex(0)), PREC)
     assert res.branch == "generic" and res.value.to_mpc() == mass
@@ -147,7 +148,7 @@ def test_ls_zero_beta_is_the_measure_mass(m, n, mass):
     assert abs(near - mass) < mpf(2) ** -250
 
 
-@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 2, 1), (3, 0, 1), (1, 4, 0), (1, 1, 0)])
+@pytest.mark.parametrize("m,n,mass", [(2, 0, 1), (0, 2, 1), (3, 0, 1), (1, 4, 0), (1, 1, 0), (0, 0, 1)])
 def test_bk_zero_beta_is_the_measure_mass(m, n, mass):
     lam = ev(SMALL_VALUES[:m], SMALL_VALUES[m : m + n], BigComplex(0))
     mu = ev([3 * v for v in lam.bosonic], [3 * v for v in lam.fermionic], BigComplex(0))
@@ -156,6 +157,7 @@ def test_bk_zero_beta_is_the_measure_mass(m, n, mass):
     small = Fraction(1, 10**12)
     near = bk_closed_form(ev(lam.bosonic, lam.fermionic, small), ev(mu.bosonic, mu.fermionic, small), PREC)
     assert abs(near.value.to_mpc() - mass) < mpf(10) ** -20
+
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: R(nu, w) cancellation on the negative real axis")
@@ -300,6 +302,37 @@ def test_ls_sums_one_kernel_pass_per_cluster(monkeypatch):
     assert passes == [(0, 4)] * 5
     assert sorted(calls) == sorted(list(range(5)) * 5)
 
+
+
+def test_bk_sums_one_kernel_call_per_cluster_pair(monkeypatch):
+    # distinct values: one order-0 kernel call at c x y per pair of a first-set and a second-set
+    # value, sector by sector in matrix order, and one determinant per non-empty sector
+    calls, sizes = [], []
+    bessel_ratio_raw, det_mpc = precision.bessel_ratio_raw, precision.det_mpc
+
+    def counting_call(*args, **kwargs):
+        calls.append(args[:2])
+        return bessel_ratio_raw(*args, **kwargs)
+
+    def counting_det(rows, prec):
+        sizes.append(len(rows))
+        return det_mpc(rows, prec)
+
+    monkeypatch.setattr(integrals, "bessel_ratio_raw", counting_call)
+    monkeypatch.setattr(integrals, "det_mpc", counting_det)
+    lam = ev([Fraction(1, 2), Fraction(-2, 3), 0.3 + 1.1j], [Fraction(5, 4), -0.7j])
+    mu = ev([Fraction(1, 3), 0.2j, Fraction(7, 5)], [Fraction(-1, 4), 0.9])
+    for m in (3, 0):  # (3|2), then (0|2): the empty sector makes no kernel and no det_mpc call
+        calls.clear()
+        sizes.clear()
+        first, second = ev(lam.bosonic[:m], lam.fermionic), ev(mu.bosonic[:m], mu.fermionic)
+        assert bk_closed_form(first, second, PREC).branch == "generic"
+        (lb, lf, beta), (mb, mf, _) = first.values(PREC.bits), second.values(PREC.bits)
+        with mp.workprec(PREC.work_bits):
+            c = beta * beta
+            want = [(0, c * x * y) for xs, ys in ((lb, mb), (lf, mf)) for x in xs for y in ys]
+        assert calls == want
+        assert sizes == [n for n in (m, 2) if n]
 
 def test_confluent_entry_points_check_before_summing(monkeypatch):
     # no repeat: ValueError before any kernel series; a boson-fermion
