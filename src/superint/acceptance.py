@@ -29,14 +29,13 @@ from .conjecture import (
     bk_character_sum,
     character_expansion_check,
     clear_series_memo,
-    disk_radius,
     factorial_ratio_identity_holds,
     lr_relation_check,
     partial_coefficient_check,
     seeded_partition,
     splitmix64,
     theorem_c_checks,
-    verify_conjecture,
+    verify_cells,
 )
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
 from .partitions import (
@@ -79,21 +78,6 @@ def _sector_draw(seed: int, m: int, n: int, bos_counter: int, ferm_counter: int)
     bos = [_nonzero_fraction(seed, bos_counter + i) for i in range(m)]
     ferm = [_nonzero_fraction(seed, ferm_counter + i) for i in range(n)]
     return bos, ferm
-
-
-def pool_map(fn, tasks, jobs: int) -> list:
-    """[fn(*task) for task in tasks], on up to `jobs` worker processes, results in task order.
-
-    Never starts more workers than there are tasks, and none for a single one.
-    """
-    tasks = list(tasks)
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    import concurrent.futures  # here, so importing the suites does not load multiprocessing
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
 
 
 def lr_sweep(m: int, n: int, max_boxes: int):
@@ -169,27 +153,25 @@ def criterion_supertrace_expansion(seed, prec, jobs):
     return True, {"blocks": "m,n in {1,2}, 6 boxes"}
 
 
-def _conjecture_cell(N, m, seed, prec):
-    report = verify_conjecture(N, m, 10, 2, seed, prec, 64)
-    with mp.workprec(prec.work_bits):
-        return {
-            "N": N,
-            "m": m,
-            "pass": report.passed,
-            "max_rel_diff": mp.nstr(mpf(report.max_rel_diff), 10),
-            "tolerance": mp.nstr(mpf(report.tolerance), 10),
-            "below_1e-40": bool(report.max_rel_diff < mpf(10) ** -40),
-        }
-
-
 def criterion_conjecture_grid(seed, prec, jobs):
     """Antisymmetric vs split series on the full desk-scale grid.
 
     N = 2..8, every m, 10 seeded samples of radius 2, depth 64; relative
     differences must stay below the computed tail bound and below 1e-40.
     """
-    cells = [(N, m, seed, prec) for N in range(2, 9) for m in range(1, N + 1)]
-    rows = pool_map(_conjecture_cell, cells, jobs)
+    cells = [(N, m) for N in range(2, 9) for m in range(1, N + 1)]
+    with mp.workprec(prec.work_bits):
+        rows = [
+            {
+                "N": r.N,
+                "m": r.m,
+                "pass": r.passed,
+                "max_rel_diff": mp.nstr(mpf(r.max_rel_diff), 10),
+                "tolerance": mp.nstr(mpf(r.tolerance), 10),
+                "below_1e-40": bool(r.max_rel_diff < mpf(10) ** -40),
+            }
+            for r in verify_cells(cells, 10, 2, seed, prec, 64, jobs)
+        ]
     return all(r["pass"] and r["below_1e-40"] for r in rows), {"cells": rows}
 
 
@@ -391,9 +373,7 @@ def conjecture_check(seed, prec, jobs, N, m, samples, radius):
     ms = [m] if m is not None else list(range(1, N + 1))
     if not ms:
         raise ValueError("N must be at least 1")
-    radius = disk_radius(radius)
-    tasks = [(N, k, samples, radius, seed, prec, 64) for k in ms]
-    reports = [r.to_json() for r in pool_map(verify_conjecture, tasks, jobs)]
+    reports = [r.to_json() for r in verify_cells([(N, k) for k in ms], samples, radius, seed, prec, 64, jobs)]
     return all(r["pass"] for r in reports), {"results": reports}, {"m": ms, "depth": 64}
 
 

@@ -184,8 +184,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    """Resolve the settings, run the command and write its report: stdout, or the --json-out file.
+def _run(args) -> tuple:
+    """Resolve the settings and run the command: (exit code, report text), which main writes.
 
     The settings are checked in order, $SUPERGROUP_PREC_BITS, the Precision
     (bits and cap), then --jobs, all before the command reads its input.
@@ -214,12 +214,7 @@ def _run(args) -> int:
     if passed is not None:
         report["status"] = "pass" if passed else "fail"
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return EXIT_MISMATCH if passed is False else EXIT_PASS
+    return EXIT_MISMATCH if passed is False else EXIT_PASS, payload
 
 
 def main(argv=None) -> int:
@@ -231,7 +226,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     start = time.monotonic()
     try:
-        code = _run(args)
+        code, payload = _run(args)
     except TruncationCapExceeded as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -244,6 +239,15 @@ def main(argv=None) -> int:
     except SuperintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    try:
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wall-time: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

@@ -159,12 +159,10 @@ def _fixed_bits(K: int, prec: Precision) -> int:
 # small z) pair, and a table that is evicted takes its entries along.  Tables
 # and values are keyed on the exact value of z, as raw mpc tuples, with K and
 # the Precision, and the tables are filled on first use, so a cold call does
-# no arithmetic the uncached one would not.  Each is an lru_cache; the sizes,
-# 100 draws, 100 tables and 10 J0 values, hold one verify_conjecture call at
-# N <= 10 with 10 samples (100 z and 10 vectors at N = 10), so every m of it
-# reuses the draws and tables of the first, and one perfbench grid sweep (8 z
-# in 7 vectors).  A call that touches more z than that, at every m, misses on
-# every z, since the access is cyclic and the caches are LRU.
+# no arithmetic the uncached one would not.  Each is an lru_cache that holds
+# one sample: its at most 10 draws and tables (N <= 10) and one J0 value per
+# N.  verify_cells walks the samples outside the cells, so no sample is read
+# again once the next one starts, whatever the sample count.
 
 
 def clear_series_memo() -> None:
@@ -174,7 +172,7 @@ def clear_series_memo() -> None:
     _j0_value.cache_clear()
 
 
-@lru_cache(maxsize=100)
+@lru_cache(maxsize=10)
 def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> BigComplex:
     """sample_disk's draw, from the two stream positions of its coordinate."""
     u = unit_double(seed, _coord_counter(sample_index, coordinate, 0))
@@ -253,7 +251,7 @@ def _coupled_entry(weights, kernel, fbits: int):
     return from_fixed(re, im, 2 * fbits)
 
 
-@lru_cache(maxsize=100)
+@lru_cache(maxsize=10)
 def _series_tables(z, K: int, prec: Precision) -> _SeriesTables:
     """The tables of z, given as a raw mpc tuple, at depth K and prec."""
     return _SeriesTables(mp.make_mpc(z), K, _fixed_bits(K, prec))
@@ -407,46 +405,68 @@ def verify_conjecture(
     """Compare the two truncated series on seeded samples from the complex disk.
 
     The radius is read by disk_radius: a number or numeric string in 0..4.
+    One cell of verify_cells.
     """
-    if not 1 <= N <= 10:
-        raise ValueError("N must lie in 1..10")
-    if not 1 <= m <= N:
-        raise ValueError("m must lie in 1..N")
+    return verify_cells([(N, m)], sample_count, radius, seed, prec, K)[0]
+
+
+def verify_cells(cells, sample_count=10, radius=2, seed=42, prec=DEFAULT_PRECISION, K=64, jobs=1) -> list:
+    """verify_conjecture at every (N, m) of cells, one ConjectureReport each, in cells' order.
+
+    Walks the samples outside the cells: a sample's z are drawn once, at the
+    largest N, and every cell reads their prefix before the next sample
+    starts.  Samples go to up to `jobs` worker processes; the reports do
+    not depend on the worker count.
+    """
+    for N, m in cells:
+        if not 1 <= N <= 10:
+            raise ValueError("N must lie in 1..10")
+        if not 1 <= m <= N:
+            raise ValueError("m must lie in 1..N")
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     radius = disk_radius(radius)
-    report = ConjectureReport(
-        N=N,
-        m=m,
-        seed=seed,
-        precision_bits=prec.bits,
-        truncation_depth=K,
-        radius=str(radius),
-    )
-    bound = tail_bound(N, radius, K, prec)
-    report.tail_bound = bound
+    tasks = [(cells, seed, s, radius, prec, K) for s in range(sample_count)]
+    samples = pool_map(_sample_values, tasks, jobs)
+    reports = []
     with mp.workprec(prec.work_bits):
         rounding_floor = mpf(2) ** (-(prec.bits - 48))
-        max_rel = mpf(0)
-        tolerance = mpf(0)
-        passed = True
-        for s in range(sample_count):
-            z = [sample_disk(seed, s, c, radius, prec.bits) for c in range(N)]
-            j0 = j0_truncated(z, K, prec)
-            jm = jm_truncated(z, m, K, prec)
-            adiff = abs(j0.to_mpc() - jm.to_mpc())
-            scale = max(abs(j0.to_mpc()), mpf(2) ** (-prec.bits))
-            rdiff = adiff / scale
-            tol = 2 * bound / scale + rounding_floor
-            tolerance = max(tolerance, tol)
-            max_rel = max(max_rel, rdiff)
-            if rdiff > tol:
-                passed = False
-            report.samples.append(ConjectureSample(z, j0, jm, adiff, rdiff))
-        report.max_rel_diff = max_rel
-        report.tolerance = tolerance
-        report.passed = passed
-    return report
+        for i, (N, m) in enumerate(cells):
+            bound = tail_bound(N, radius, K, prec)
+            report = ConjectureReport(N, m, seed, prec.bits, K, str(radius), tail_bound=bound)
+            tolerances = []
+            for z, values in samples:
+                j0, jm = values[i]
+                adiff = abs(j0.to_mpc() - jm.to_mpc())
+                scale = max(abs(j0.to_mpc()), mpf(2) ** (-prec.bits))
+                report.samples.append(ConjectureSample(z[:N], j0, jm, adiff, adiff / scale))
+                tolerances.append(2 * bound / scale + rounding_floor)
+            report.max_rel_diff = max(s.rel_diff for s in report.samples)
+            report.tolerance = max(tolerances)
+            report.passed = all(s.rel_diff <= tol for s, tol in zip(report.samples, tolerances))
+            reports.append(report)
+    return reports
+
+
+def _sample_values(cells, seed, s, radius, prec, K):
+    """Sample s: its z at the largest N of cells, and (J0, Jm) at every cell."""
+    z = [sample_disk(seed, s, c, radius, prec.bits) for c in range(max(N for N, _ in cells))]
+    return z, [(j0_truncated(z[:N], K, prec), jm_truncated(z[:N], m, K, prec)) for N, m in cells]
+
+
+def pool_map(fn, tasks, jobs: int) -> list:
+    """[fn(*task) for task in tasks], on up to `jobs` worker processes, results in task order.
+
+    Never starts more workers than there are tasks, and none for a single one.
+    """
+    tasks = list(tasks)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    import concurrent.futures  # here, so importing this module does not load multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 # -- exact coefficient machinery ----------------------------------------------

@@ -47,12 +47,12 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
     m = len(values)
     if len(p) > m:
         raise ValueError("shape has more rows than variables")
-    if not len(p):
-        return 1
-    ks = k_indices(p, m)
-    sign = -1 if m * (m - 1) // 2 % 2 else 1
     exact = all(isinstance(v, (int, Fraction)) for v in values)
     bits = _tag_bits(prec, values)
+    if not len(p):
+        return 1 if exact else BigComplex(1, bits=bits)
+    ks = k_indices(p, m)
+    sign = -1 if m * (m - 1) // 2 % 2 else 1
     with mp.workprec(bits + prec.guard_bits):
         table = complete_homogeneous(values if exact else [to_mpc_any(v) for v in values], ks[0])
         rows = [[table[j][k - j] if k >= j else 0 for j in range(m)] for k in ks]

@@ -138,13 +138,14 @@ def test_determinism_reruns_recompute_the_draws(monkeypatch):
 
 def test_jobs_reaches_the_grid_and_every_row_gets_the_same_arguments(monkeypatch):
     # criterion 13 cannot see a dropped jobs: a serial rerun also equals the reference
-    from superint import acceptance
+    from superint import acceptance, conjecture
 
     pooled, calls = [], []
+    pool_map = conjecture.pool_map
 
     def pool(fn, tasks, jobs):
         pooled.append(jobs)
-        return [{"pass": True, "below_1e-40": True} for _ in tasks]
+        return pool_map(fn, tasks, 1)
 
     def recording(index, check):
         def row(*args):
@@ -154,13 +155,54 @@ def test_jobs_reaches_the_grid_and_every_row_gets_the_same_arguments(monkeypatch
         return row
 
     rows = [(index, name, recording(index, check)) for index, name, check in acceptance.CRITERIA_1_12]
-    monkeypatch.setattr(acceptance, "pool_map", pool)
+    monkeypatch.setattr(conjecture, "pool_map", pool)
     monkeypatch.setattr(acceptance, "CRITERIA_1_12", rows)
     prec = Precision()
     results = acceptance.run_criteria_1_12(prec, DEFAULT_SEED, jobs=2)
     assert pooled == [2]
     assert calls == [(index, (DEFAULT_SEED, prec, 2)) for index in range(1, 13)]
     assert [(r.index, r.passed) for r in results] == [(index, True) for index in range(1, 13)]
+
+
+def test_grid_pools_samples_and_each_task_draws_its_z_once(monkeypatch):
+    # criterion 5's pool tasks are its 10 samples, not its 35 (N, m) cells; each
+    # task draws its sample's 8 z, at the largest N, once for every cell
+    import concurrent.futures
+
+    from superint import acceptance, conjecture
+
+    started, tasks, drawn = [], [], []
+
+    class RecordingExecutor:
+        """Records the worker count and the tasks it is given and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            tasks.extend(zip(*iterables))
+            return map(fn, *iterables)
+
+    def counting(seed, counter):
+        drawn.append(counter)
+        return unit_double(seed, counter)
+
+    unit_double = conjecture.unit_double
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(conjecture, "unit_double", counting)
+    conjecture.clear_series_memo()
+    assert acceptance.criterion_conjecture_grid(DEFAULT_SEED, Precision(), 2)[0]
+    assert started == [2]
+    assert [task[2] for task in tasks] == list(range(10))
+    # the sample index sits above bit 21 of a draw's stream position
+    assert len(set(drawn)) == len(drawn) == 10 * 8 * 2
+    assert [counter >> 21 for counter in drawn] == [s for s in range(10) for _ in range(16)]
 
 
 def test_conjecture_grid_fails_on_a_planted_jm_error(monkeypatch):

@@ -212,6 +212,28 @@ def test_conjecture_verify_jobs_do_not_change_report(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_every_m_at_the_largest_N_draws_and_tabulates_each_sample_once(capsys):
+    # one sample past 10 used to evict every draw and table of 100-entry caches
+    # between block sizes: 1100, 1100 and 110 misses at 11 samples, not 110, 110 and 11
+    from superint import conjecture
+
+    conjecture.clear_series_memo()
+    assert cli.main(["conjecture-verify", "--N", "10", "--samples", "11"]) == 0
+    assert sha256(capsys.readouterr().out) == "c48a1a44458ec869c9f584244daf17b89d9aae3123dc3e1a8e4be678c1d3ff2f"
+    caches = (conjecture._draw, conjecture._series_tables, conjecture._j0_value)
+    assert [c.cache_info().misses for c in caches] == [110, 110, 11]
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    assert cli.main(["lr-check", "--max-boxes", "1", "--json-out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write report: ")
+    assert captured.err.strip().count("\n") == 0
+    assert not path.exists()
+
+
 def test_lr_check():
     out = run_cli("lr-check", "--max-boxes", "4", "--m", "1", "--n", "1")
     assert out.returncode == 0
@@ -271,8 +293,8 @@ def test_out_of_domain_check_arguments_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv,workers",
     [
-        (["--N", "2", "--jobs", "500"], [2]),  # two block sizes: two workers, not 500
-        (["--N", "2", "--m", "1", "--jobs", "4"], []),  # one task runs in this process
+        (["--N", "2", "--samples", "2", "--jobs", "500"], [2]),  # two samples: two workers, not 500
+        (["--N", "2", "--samples", "1", "--jobs", "4"], []),  # every m of one sample runs in this process
     ],
 )
 def test_jobs_capped_at_task_count(argv, workers, monkeypatch, capsys):
@@ -298,7 +320,7 @@ def test_jobs_capped_at_task_count(argv, workers, monkeypatch, capsys):
     for mod in [concurrent.futures, *package]:
         if hasattr(mod, "ProcessPoolExecutor"):
             monkeypatch.setattr(mod, "ProcessPoolExecutor", RecordingExecutor)
-    assert cli.main(["conjecture-verify", "--samples", "1", *argv]) == 0
+    assert cli.main(["conjecture-verify", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert started == workers
 

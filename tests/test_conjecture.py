@@ -91,7 +91,7 @@ def test_draw_memo_keys_clearing_and_cap(drawn):
     again = sample_disk(5, 0, 0, 2, 256)
     assert (again.re, again.im) == (z.re, z.im) and len(drawn) == 14
     size = conjecture._draw.cache_info().maxsize
-    assert size == 100
+    assert size == 10
     for s in range(2 * size):
         sample_disk(5, s, 0, 2, 256)
     assert conjecture._draw.cache_info().currsize == size
@@ -316,19 +316,19 @@ def test_series_memo_stays_at_its_cap():
         j0_truncated(z, 8, PREC)
         jm_truncated(z, 1, 8, PREC)
     tables, j0 = conjecture._series_tables.cache_info(), conjecture._j0_value.cache_info()
-    assert (tables.maxsize, j0.maxsize) == (100, 10)
+    assert (tables.maxsize, j0.maxsize) == (10, 10)
     assert (tables.currsize, j0.currsize) == (tables.maxsize, j0.maxsize)
 
 
 def test_memo_holds_every_m_of_one_call_at_the_largest_N():
-    # verify_conjecture allows N <= 10; at 10 samples every m of N = 10 reads
-    # the same 100 z, which the draw and table caches must hold, or the cyclic
-    # access makes an LRU cache miss on every z of every m
+    # verify_conjecture allows N <= 10; every m of N = 10 reads each sample's
+    # 10 z and one J0 vector, all before the next sample, so the caches, which
+    # hold one sample, miss once per z and once per J0
     clear_series_memo()
-    for m in range(1, 11):
-        assert verify_conjecture(10, m).passed
-    assert conjecture._draw.cache_info().misses == 100
-    assert conjecture._series_tables.cache_info().misses == 100
+    reports = conjecture.verify_cells([(10, m) for m in range(1, 11)])
+    assert [(r.m, r.passed) for r in reports] == [(m, True) for m in range(1, 11)]
+    caches = (conjecture._draw, conjecture._series_tables, conjecture._j0_value)
+    assert [c.cache_info().misses for c in caches] == [100, 100, 10]
 
 
 def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):

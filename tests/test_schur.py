@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from superint import (
     BigComplex,
@@ -64,6 +64,16 @@ def test_schur_bialternant_examples():
     assert schur_bialternant(P(), z) == 1
     assert schur_bialternant(P((1,)), z) == z[0] + z[1]
     assert schur_bialternant(P((2, 1)), z) == z[0] * z[1] * (z[0] + z[1])
+
+
+def test_schur_bialternant_empty_shape_is_tagged_like_the_rest():
+    # exact inputs give the exact 1; inexact ones a record with the bits a non-empty shape carries
+    assert schur_bialternant(P(), [Fraction(2), 3]) == 1
+    for values, bits in (([mpc(1, 2), 0.5], PREC.bits), ([BigComplex(1, 2, bits=128), 0.5], 128)):
+        for p in (P(), P((1,))):
+            value = schur_bialternant(p, values, PREC)
+            assert isinstance(value, BigComplex) and value.bits == bits, (p, values)
+    assert schur_bialternant(P(), [mpc(1, 2), 0.5], PREC) == BigComplex(1, bits=PREC.bits)
 
 
 def test_schur_bialternant_exact_matches_tableaux():
