@@ -63,12 +63,24 @@ def measure_order(m: int, n: int):
     return list(range(2 * m * n))
 
 
+def _newton_steps(g: int) -> int:
+    """Newton steps that make a body-seeded root exact over g generators: floor(log2 g).
+
+    Seeded at the body, the error is soul of degree >= 2 and each step squares
+    it, so after k steps it lies in degree >= 2^(k+1), which vanishes once
+    2^(k+1) > g.
+    """
+    return g.bit_length() - 1
+
+
 def _newton_eigen_pair(M, prec: Precision):
     """Both eigenvalues of a 2x2 even-entry matrix with distinct diagonal bodies.
 
-    Solves the characteristic quadratic by Newton iteration seeded at each
-    diagonal body; nilpotent corrections converge in a few exact steps, so no
-    square root of an algebra element is ever formed.
+    The body of M must be diagonal, so its diagonal bodies are the body
+    eigenvalues.  Solves the characteristic quadratic by Newton iteration
+    seeded at each diagonal body; nilpotent corrections converge in
+    `_newton_steps(g)` exact steps, so no square root of an algebra element is
+    ever formed.
     """
     trace = M[0][0] + M[1][1]
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
@@ -76,10 +88,9 @@ def _newton_eigen_pair(M, prec: Precision):
     bodies = [M[0][0].body, M[1][1].body]
     if bodies[0] == bodies[1]:
         raise NonInvertibleBody("coinciding diagonal bodies: eigenvalues not separated")
-    # soul accuracy doubles per step, so log2(g) + 2 steps saturate the algebra;
-    # with inexact coefficients the residual never becomes exactly zero,
-    # hence a fixed iteration count rather than a residual test
-    steps = max(3, g.bit_length() + 2)
+    # with inexact coefficients the residual is rounding noise, never exactly
+    # zero, so the count is fixed; exact inputs can stop at a zero residual
+    steps = _newton_steps(g)
     eigen = []
     for body in bodies:
         x = GrassmannElement.scalar(g, body)

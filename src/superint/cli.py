@@ -217,6 +217,21 @@ def _run(args) -> tuple:
     return EXIT_MISMATCH if passed is False else EXIT_PASS, payload
 
 
+def _report_path_error(path: str):
+    """Why --json-out cannot take a report, found before the command runs, or None.
+
+    Only looks: an existing report is not opened, so a run that then fails
+    leaves it whole.  The write at the end can still fail; main reports that
+    too.
+    """
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        return f"directory {directory!r} is missing or not writable"
+    if os.path.isdir(path):
+        return f"{path!r} is a directory"
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -224,6 +239,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return exc.code if exc.code is not None else EXIT_USAGE
+    if args.json_out and (problem := _report_path_error(args.json_out)):
+        print(f"cannot write report: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     start = time.monotonic()
     try:
         code, payload = _run(args)

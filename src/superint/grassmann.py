@@ -27,9 +27,12 @@ from mpmath.libmp import (
     mpc_div_mpf,
     mpc_mul,
     mpc_zero,
+    mpf_abs,
+    mpf_add,
     mpf_div,
     mpf_gt,
     mpf_lt,
+    mpf_mul,
     mpf_shift,
     round_nearest,
 )
@@ -385,8 +388,12 @@ class BesselSeries:
         times the largest partial-sum magnitude seen so far (two, so that a
         single small term cannot end the sum early).  Raises
         TruncationCapExceeded when the rule is not met within the cap.
-        Runs on raw libmp tuples with the calls mpc's operators make, so the
-        sum is the one mpc arithmetic at work_bits gives.
+        Runs on raw libmp tuples with the calls mpc's operators make
+        (mpc_add, mpc_abs, mpc_mul, mpc_div_mpf), so the sum is the one mpc
+        arithmetic at work_bits gives.  When the body's imaginary part is
+        exactly zero every imaginary part stays an exact zero, and those calls
+        reduce to mpf_add, mpf_abs, mpf_mul and mpf_div on the real parts, so
+        a real body is summed with them, to the same bits.
         """
         key = (self.nu, body, prec)
         if key in self.sums:
@@ -395,26 +402,32 @@ class BesselSeries:
         wp = prec.work_bits
         with mp.workprec(wp):
             b = to_mpc_any(body)._mpc_
-        term = (mpf_div(fone, from_int(math.factorial(nu)), wp, round_nearest), fzero)
-        total = mpc_zero
+        first = mpf_div(fone, from_int(math.factorial(nu)), wp, round_nearest)
+        real = b[1] == fzero
+        if real:
+            add, absolute, mul, div = mpf_add, mpf_abs, mpf_mul, mpf_div
+            b, term, total = b[0], first, fzero
+        else:
+            add, absolute, mul, div = mpc_add, mpc_abs, mpc_mul, mpc_div_mpf
+            term, total = (first, fzero), mpc_zero
         max_mag = fone
         bound = mpf_shift(max_mag, -wp)  # 2^-(bits+guard) max_mag, exact
         small_run = 0
         for k in range(prec.truncation_cap):
-            total = mpc_add(total, term, wp, round_nearest)
-            mag = mpc_abs(total, wp, round_nearest)
+            total = add(total, term, wp, round_nearest)
+            mag = absolute(total, wp, round_nearest)
             if mpf_gt(mag, max_mag):
                 max_mag = mag
                 bound = mpf_shift(max_mag, -wp)
-            if mpf_lt(mpc_abs(term, wp, round_nearest), bound):
+            if mpf_lt(absolute(term, wp, round_nearest), bound):
                 small_run += 1
                 if small_run >= 2:
-                    self.sums[key] = value = mp.make_mpc(total)
+                    self.sums[key] = value = mp.make_mpc((total, fzero) if real else total)
                     return value
             else:
                 small_run = 0
-            term = mpc_mul(term, b, wp, round_nearest)
-            term = mpc_div_mpf(term, from_int((k + 1) * (k + 1 + nu)), wp, round_nearest)
+            term = mul(term, b, wp, round_nearest)
+            term = div(term, from_int((k + 1) * (k + 1 + nu)), wp, round_nearest)
         raise TruncationCapExceeded(
             f"series did not converge within {prec.truncation_cap} terms"
         )

@@ -9,6 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from superint import (
     BigComplex,
+    GaussianRational,
     GrassmannElement,
     Precision,
     SuperEigenvalues,
@@ -18,6 +19,7 @@ from superint import (
     ls_closed_form,
     nondiag_limit_ls,
 )
+from superint import bruteforce
 from superint.bruteforce import measure_factor, measure_order, odd_parameter_matrix
 from superint.errors import NonInvertibleBody
 
@@ -41,6 +43,36 @@ def test_measure_factor_shapes():
 def test_measure_order():
     assert measure_order(1, 1) == [0, 1]
     assert measure_order(2, 1) == [0, 1, 2, 3]
+
+
+def test_newton_eigen_pair_is_exact_at_the_nilpotency_bound(monkeypatch):
+    # seeded at the body, k steps leave error in soul degree >= 2^(k+1), so
+    # floor(log2 g) steps are exact and one step fewer is not
+    assert [bruteforce._newton_steps(g) for g in (2, 4, 6, 8, 16)] == [1, 2, 2, 3, 4]
+    # exact entries over g = 4, diagonal body 3/2, -2/9; the diagonal souls square
+    # to the top monomial and the off-diagonal product reaches it too
+    g = 4
+    th = [GrassmannElement.generator(g, i) for i in range(g)]
+    one = GrassmannElement.scalar(g, 1)
+    s01, s23 = th[0] * th[1], th[2] * th[3]
+    M = [
+        [one * Fraction(3, 2) + s01 * Fraction(2, 5) + s23 * GaussianRational(Fraction(-3, 4), 1), th[0] * th[2] * Fraction(1, 3)],
+        [th[1] * th[3] * Fraction(5, 7), one * Fraction(-2, 9) + s01 * Fraction(1, 6) - s23],
+    ]
+    trace = M[0][0] + M[1][1]
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+
+    def residual(x):
+        return x * x - trace * x + det
+
+    eigen = bruteforce._newton_eigen_pair(M, PREC)
+    assert [x.body for x in eigen] == [Fraction(3, 2), Fraction(-2, 9)]
+    assert all(residual(x).is_zero for x in eigen)
+    assert eigen[0] + eigen[1] == trace and eigen[0] * eigen[1] == det
+    monkeypatch.setattr(bruteforce, "_newton_steps", lambda g: g.bit_length() - 2)
+    short = bruteforce._newton_eigen_pair(M, PREC)
+    # what one step fewer misses lies in the top monomial alone
+    assert all(set(residual(x).terms) == {0b1111} for x in short)
 
 
 def test_zero_sources_give_zero_volume():

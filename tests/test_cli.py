@@ -234,6 +234,41 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_report_path_is_refused_before_any_check(where, tmp_path, monkeypatch, capsys):
+    # the whole selftest would run first if the path were only tried at the end
+    from superint import acceptance
+
+    calls = []
+    monkeypatch.setattr(acceptance, "_timed", lambda *args: calls.append(args))
+    path = tmp_path / "missing" / "out.json" if where == "missing directory" else tmp_path
+    assert cli.main(["selftest", "--jobs", "2", "--json-out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write report: ")
+    assert captured.err.strip().count("\n") == 0
+    assert calls == []
+
+
+def test_existing_report_is_kept_when_the_run_fails(tmp_path, capsys):
+    report = tmp_path / "out.json"
+    report.write_text("earlier report\n")
+    assert cli.main(["ls-eval", "--input-json", '{"m": 1}', "--json-out", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert report.read_text() == "earlier report\n"
+
+
+def test_report_write_failure_after_the_run_exits_2(tmp_path, monkeypatch, capsys):
+    # the early look can pass and the write still fail; that too exits 2
+    monkeypatch.setattr(cli, "_report_path_error", lambda path: None)
+    path = tmp_path / "missing" / "out.json"
+    assert cli.main(["lr-check", "--max-boxes", "1", "--json-out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write report: ")
+    assert not path.exists()
+
+
 def test_lr_check():
     out = run_cli("lr-check", "--max-boxes", "4", "--m", "1", "--n", "1")
     assert out.returncode == 0

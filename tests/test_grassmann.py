@@ -1,5 +1,6 @@
 """Grassmann algebra, Berezin calculus, even-element calculus, supermatrices."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -252,6 +253,26 @@ def test_analytic_eval_bessel_second_order_soul(nu, body):
         diff = out - ref
         assert set(out.terms) == {0, 0b0011, 0b1100, 0b1111}
         assert all(abs(mpc(c)) < mpf(2) ** -200 for c in diff.terms.values())
+
+
+def test_bessel_series_values_bit_pinned():
+    # every bit of R(nu, body) at nu 0..5 and 64..1024 bits on positive, negative,
+    # zero, complex and imaginary bodies; the sha256 was taken when every body was
+    # summed in mpc, so the real-body mpf path must give mpc's bits
+    bodies = [
+        Fraction(7, 3),
+        Fraction(-45, 2),
+        Fraction(0),
+        GaussianRational(Fraction(5, 4), Fraction(-3, 2)),
+        GaussianRational(0, Fraction(9, 2)),
+    ]
+    out = []
+    for bits in (64, 128, 256, 512, 1024):
+        prec = Precision(bits=bits)
+        for nu in range(6):
+            for body in bodies:
+                out.append(BesselSeries(nu).eval_at(body, prec)._mpc_)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "f8efcdf9cbbe9a635b651f2a14f82b77ed0ad2eb2b9918cdcf622f2362d2d880"
 
 
 def test_gaussian_rational_hash_agrees_with_equality():
