@@ -483,9 +483,12 @@ def g_coefficient(p: Partition, q: Partition, m: int, n: int) -> Fraction:
     """Split-series coefficient for the block pair (p, q)."""
     ka = k_indices(p, m)
     kb = k_indices(q, n)
-    den = math.prod(factorial(k) ** 2 for k in ka + kb)
-    den *= math.prod(ki + kj + 1 for ki in ka for kj in kb)
-    return Fraction(vandermonde(ka) * vandermonde(kb), den)
+    return Fraction(vandermonde(ka) * vandermonde(kb), _split_denominator(ka, kb))
+
+
+def _split_denominator(ka, kb) -> int:
+    """prod (k!)^2 over both index blocks times prod (k_a + k_b + 1) over their pairs."""
+    return math.prod(factorial(k) ** 2 for k in ka + kb) * math.prod(ki + kj + 1 for ki in ka for kj in kb)
 
 
 def lr_relation_check(p: Partition, q: Partition, m: int, n: int):
@@ -537,8 +540,7 @@ def _s_general(m: int, N: int, k_m: int, k_N: int) -> Fraction:
     km0, kn0 = m - 1, N - m - 1
     ka = list(range(km0)) + [k_m]
     kb = list(range(kn0)) + [k_N]
-    den = math.prod(factorial(k) ** 2 for k in ka + kb)
-    return Fraction(1, den * math.prod(ki + kj + 1 for ki in ka for kj in kb))
+    return Fraction(1, _split_denominator(ka, kb))
 
 
 def partial_coefficient_check(k_m: int, k_N: int, m: int, N: int) -> bool:

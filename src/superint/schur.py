@@ -61,58 +61,52 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
         return BigComplex.from_mpc(sign * det_mpc(rows, prec), bits)
 
 
+def _neighbours(cells, step):
+    """For each cell (i, j) of the walk, the walk positions of (i, j + step) and (i - 1, j), None if absent."""
+    pos = {c: k for k, c in enumerate(cells)}
+    return [(pos.get((i, j + step)), pos.get((i - 1, j))) for i, j in cells]
+
+
 def super_schur_tableaux(t: Partition, bos, ferm):
     """Signed (m|n)-semistandard tableaux sum for the supercharacter.
 
     Letters are ordered bosonic first, then fermionic.  Along a row entries
-    weakly increase and a repeat must be bosonic is forbidden (fermionic
-    letters are strict along rows); down a column entries weakly increase and
-    a repeat must be fermionic (bosonic letters are strict down columns).
-    Each fermionic occurrence contributes a factor (-value), which implements
-    the supertrace sign.  Non-hook shapes give 0 automatically (no fillings).
+    weakly increase and a repeat must be bosonic (fermionic letters are
+    strict along rows); down a column entries weakly increase and a repeat
+    must be fermionic (bosonic letters are strict down columns).  Each
+    fermionic occurrence contributes a factor (-value), which implements the
+    supertrace sign.  Non-hook shapes give 0 automatically (no fillings).
+
+    The cells are filled in reading order and each filling's product is
+    carried down the walk from 1.  The products are added one at a time in
+    the order the fillings are met; a sum taken per subtree would round
+    multiprecision inputs differently.
     """
     bos = list(bos)
-    ferm = list(ferm)
-    m, n = len(bos), len(ferm)
-    if not len(t):
-        return 1
-
-    shape = t.rows
+    m = len(bos)
+    weights = bos + [-v for v in ferm]
+    cells = _neighbours([(i, j) for i, length in enumerate(t.rows) for j in range(length)], -1)
+    filled = []
     total = 0
 
-    def fill_row(i, prev_row, rows_acc):
+    def rec(term):
         nonlocal total
-        length = shape[i]
+        k = len(filled)
+        if k == len(cells):
+            total = total + term
+            return
+        left, up = cells[k]
+        lo = 0
+        if left is not None:
+            lo = filled[left] + (filled[left] >= m)  # equal neighbours in a row must be bosonic
+        if up is not None:
+            lo = max(lo, filled[up] + (filled[up] < m))  # equal neighbours in a column must be fermionic
+        for v in range(lo, len(weights)):
+            filled.append(v)
+            rec(term * weights[v])
+            filled.pop()
 
-        def rec(j, row):
-            nonlocal total
-            if j == length:
-                if i + 1 == len(shape):
-                    term = 1
-                    for r in rows_acc + [row]:
-                        for v in r:
-                            term = term * (bos[v] if v < m else -ferm[v - m])
-                    total = total + term
-                else:
-                    fill_row(i + 1, list(row), rows_acc + [list(row)])
-                return
-            lo = 0
-            if j:
-                left = row[j - 1]
-                # equal neighbors in a row must be bosonic
-                lo = left if left < m else left + 1
-            if prev_row is not None and j < len(prev_row):
-                up = prev_row[j]
-                # equal neighbors in a column must be fermionic
-                lo = max(lo, up if up >= m else up + 1)
-            for v in range(lo, m + n):
-                row.append(v)
-                rec(j + 1, row)
-                row.pop()
-
-        rec(0, [])
-
-    fill_row(0, None, [])
+    rec(1)
     return total
 
 
@@ -143,52 +137,41 @@ def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PR
 
 
 def _lr_fillings(r: Partition, mu: Partition, nu: Partition) -> int:
-    """Count lattice-word semistandard fillings of the skew shape r/mu with weight nu."""
-    rows = r.rows
-    inner = [mu.row(i + 1) for i in range(len(rows))]
-    nrows = len(rows)
-    letters = len(nu.rows)
-    counts = [0] * (letters + 1)
-    grid = [[None] * rows[i] for i in range(nrows)]
-    # cells in reverse reading order: rows top to bottom, each row right to left
-    cells = [
-        (i, j)
-        for i in range(nrows)
-        for j in range(rows[i] - 1, inner[i] - 1, -1)
-    ]
-    total = 0
+    """Count lattice-word semistandard fillings of the skew shape r/mu with weight nu.
 
-    def rec(idx):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        i, j = cells[idx]
-        for v in range(1, letters + 1):
-            if counts[v] >= nu.rows[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue  # reverse reading word must stay a lattice word
-            if j + 1 < rows[i] and grid[i][j + 1] is not None and v > grid[i][j + 1]:
-                continue  # weakly increasing along the row
-            if i > 0 and j >= inner[i - 1] and v <= grid[i - 1][j]:
-                continue  # strictly increasing down the column (box above not in mu)
-            grid[i][j] = v
-            counts[v] += 1
-            rec(idx + 1)
-            counts[v] -= 1
-            grid[i][j] = None
+    The cells are filled in reverse reading order (rows top to bottom, each
+    row right to left), with letters 0 .. len(nu) - 1.
+    """
+    cells = _neighbours(
+        [(i, j) for i, length in enumerate(r.rows) for j in range(length - 1, mu.row(i + 1) - 1, -1)], 1
+    )
+    weight = nu.rows
+    counts = [0] * len(weight)
+    filled = []
 
-    rec(0)
-    return total
+    def rec():
+        k = len(filled)
+        if k == len(cells):
+            return 1
+        right, up = cells[k]
+        lo = 0 if up is None else filled[up] + 1  # strictly increasing down a column
+        hi = len(weight) if right is None else filled[right] + 1  # weakly increasing along a row
+        total = 0
+        for v in range(lo, hi):
+            # the reverse reading word must stay a lattice word of weight nu
+            if counts[v] < weight[v] and (v == 0 or counts[v] < counts[v - 1]):
+                filled.append(v)
+                counts[v] += 1
+                total += rec()
+                counts[v] -= 1
+                filled.pop()
+        return total
+
+    return rec()
 
 
 def lr_coefficient(r: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of S_r in S_mu * S_nu, by lattice-word tableau enumeration."""
-    if mu.size + nu.size != r.size:
+    if mu.size + nu.size != r.size or not r.contains(mu):
         return 0
-    if not r.contains(mu):
-        return 0
-    if nu.size == 0:
-        return 1 if r == mu else 0
     return _lr_fillings(r, mu, nu)

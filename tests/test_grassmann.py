@@ -319,6 +319,56 @@ def test_supertrace_and_sdet_identity():
     assert superdeterminant(d) == scalar(g, Fraction(5, 3))
 
 
+def _even_2x2_det(rows):
+    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+
+
+def _small_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+
+
+def _random_even(rng, g, body):
+    i, j = rng.sample(range(g), 2)
+    return scalar(g, body) + gen(g, i) * gen(g, j) * _small_fraction(rng)
+
+
+def _random_odd(rng, g):
+    i, j = rng.sample(range(g), 2)
+    return gen(g, i) * _small_fraction(rng) + gen(g, j) * _small_fraction(rng)
+
+
+def _random_supermatrix_22(rng, g, odd=True):
+    """A (2|2) supermatrix with even souls on the diagonal blocks and an invertible fermion-block body."""
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if (i < 2) == (j < 2):
+                body = rng.randint(2, 6) if i == j else rng.randint(-1, 1)
+                rows[i][j] = _random_even(rng, g, Fraction(body))
+            else:
+                rows[i][j] = _random_odd(rng, g) if odd else scalar(g, 0)
+    return SuperMatrixSym(2, 2, rows)
+
+
+def test_sdet_block_diagonal_2_2():
+    # with no odd blocks sdet = det(A)/det(D); a (2|2) matrix takes the adjugate
+    # inverse of D and the cofactor determinant of a 2 x 2 block
+    rng = random.Random(61)
+    g = 4
+    for _ in range(5):
+        M = _random_supermatrix_22(rng, g, odd=False)
+        assert superdeterminant(M) * _even_2x2_det(M.block("ff")) == _even_2x2_det(M.block("bb"))
+
+
+def test_sdet_is_multiplicative_2_2():
+    # sdet(MN) = sdet(M) sdet(N) for (2|2) matrices with odd off-diagonal blocks
+    rng = random.Random(67)
+    g = 6
+    for _ in range(3):
+        M, N = _random_supermatrix_22(rng, g), _random_supermatrix_22(rng, g)
+        assert superdeterminant(M @ N) == superdeterminant(M) * superdeterminant(N)
+
+
 def _generic_1p1(g=4):
     a = scalar(g, Fraction(5)) + gen(g, 0) * gen(g, 1)
     b = scalar(g, Fraction(2)) - gen(g, 2) * gen(g, 3) * Fraction(1, 3)

@@ -68,7 +68,7 @@ def test_sigma_examples(rows, value):
 
 
 def test_sigma_is_standard_tableaux_count():
-    # the hook-length count and the library's corner-removal count both match the oracle's
+    # the hook-length count, and standard_tableaux_count that returns it, match the oracle's count
     for boxes in range(11):
         for t in partitions_of(boxes):
             want = count_standard_tableaux(t.rows)

@@ -1,5 +1,6 @@
 """Characters: Schur functions, super-Schur tableaux sums, coefficient counts."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -140,6 +141,28 @@ def test_super_schur_vanishes_outside_hook():
     # (1|1) hook requires t_2 <= 1
     assert super_schur_tableaux(P((2, 2)), a, b) == 0
     assert super_schur_tableaux(P((3, 3, 1)), a, b) == 0
+
+
+def test_super_schur_tableaux_mpc_bits_pinned():
+    # every bit of the tableau sum on 256-bit complex values, for each shape of
+    # at most 7 boxes at (1|1), (2|1), (1|2) and (2|2): the fillings' products
+    # must be summed one at a time in the order the walk meets them, since a
+    # sum taken per subtree rounds differently
+    rng = random.Random(2901)
+    out = []
+    with mp.workprec(256):
+
+        def draw():
+            return mpc(*(mpf(rng.getrandbits(256) - 2**255) / 2**254 for _ in range(2)))
+
+        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            bos = [draw() for _ in range(m)]
+            ferm = [draw() for _ in range(n)]
+            for boxes in range(8):
+                for t in partitions_of(boxes):
+                    value = super_schur_tableaux(t, bos, ferm)
+                    out.append(value._mpc_ if isinstance(value, mpc) else value)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "d9c8be734d15f34aafd7d9bde6b6092b367c5117a03d204dba1d3c1d391bdacb"
 
 
 def test_supercharacter_examples():
