@@ -418,6 +418,8 @@ def verify_cells(cells, sample_count=10, radius=2, seed=42, prec=DEFAULT_PRECISI
     starts.  Samples go to up to `jobs` worker processes; the reports do
     not depend on the worker count.
     """
+    if not cells:
+        raise ValueError("cells must hold at least one (N, m)")
     for N, m in cells:
         if not 1 <= N <= 10:
             raise ValueError("N must lie in 1..10")

@@ -7,8 +7,10 @@ bitmap basis-blade representation of Dorst, Fontijne & Mann, *Geometric
 Algebra for Computer Science*): the monomial reads in ascending generator
 order, and every sign in the algebra is the parity of a count of set bits.
 
-Coefficients may be exact (int, Fraction) or multiprecision complex; all
-operations are coefficient-ring agnostic.
+Coefficients may be exact (int, Fraction, GaussianRational) or
+multiprecision (mpf, mpc); all operations are coefficient-ring agnostic.
+Each coefficient type is false at zero and has conjugate(), which the one
+zero rule and the conjugation use.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
+    def __bool__(self):
+        return bool(self.re or self.im)
+
     def __eq__(self, other):
         o = self._lift(other)
         if o is None:
@@ -123,14 +128,6 @@ class GaussianRational:
 I_EXACT = GaussianRational(0, 1)
 
 
-def _conj_scalar(c):
-    if isinstance(c, (int, Fraction)):
-        return c
-    if isinstance(c, GaussianRational):
-        return c.conjugate()
-    return mpc(c).conjugate()
-
-
 def _product_sign(left: int, right: int) -> int:
     """Sign of sorting the concatenated monomials left, right into ascending order.
 
@@ -149,12 +146,8 @@ def _indices(mono: int) -> tuple:
 
 
 def _accumulate(terms: dict, mono: int, coeff):
-    """Add coeff into terms[mono], dropping the key when the sum is zero."""
-    acc = terms.get(mono, 0) + coeff
-    if _is_zero_scalar(acc):
-        terms.pop(mono, None)
-    else:
-        terms[mono] = acc
+    """Add coeff into terms[mono]; the element constructor drops a zero sum."""
+    terms[mono] = terms.get(mono, 0) + coeff
 
 
 class GrassmannElement:
@@ -166,12 +159,8 @@ class GrassmannElement:
         if generator_count % 2:
             raise ValueError("generator count must be even (conjugate pairs)")
         object.__setattr__(self, "generator_count", generator_count)
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            if _is_zero_scalar(coeff):
-                continue
-            clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
+        # the one zero rule: a coefficient's truth value, which for mpc is one tuple compare
+        object.__setattr__(self, "terms", {m: c for m, c in (terms or {}).items() if c})
 
     def __setattr__(self, *_):
         raise AttributeError("GrassmannElement is immutable")
@@ -267,7 +256,7 @@ class GrassmannElement:
             k = mono.bit_count()
             pairs = (mono & (mono >> 1) & unstarred).bit_count()
             sign = -1 if (k * (k - 1) // 2 + pairs) & 1 else 1
-            _accumulate(terms, starred, sign * _conj_scalar(coeff))
+            _accumulate(terms, starred, sign * coeff.conjugate())
         return GrassmannElement(self.generator_count, terms)
 
     def __eq__(self, other):
@@ -293,13 +282,6 @@ class GrassmannElement:
             name = "".join(f"a{i // 2}{'*' if i % 2 else ''}" for i in mono) or "1"
             bits.append(f"({coeff})*{name}")
         return " + ".join(bits)
-
-
-def _is_zero_scalar(c) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.re == 0 and c.im == 0
-    # truth value, not c == 0: for mpc that is one tuple compare, not a coercion
-    return not c
 
 
 def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
@@ -331,25 +313,32 @@ def _require_even(w: GrassmannElement):
         raise ValueError("element is not purely even")
 
 
+def _soul_series(soul: GrassmannElement, first, coeffs) -> GrassmannElement:
+    """first + sum_(j>=1) coeffs(j) soul^j, added in j order.
+
+    The powers of an even soul vanish past j = g/2, so the sum stops there or
+    at the first zero power; coeffs(j) is called only for a nonzero power.
+    """
+    g = soul.generator_count
+    out = GrassmannElement.scalar(g, first)
+    power = GrassmannElement.scalar(g, 1)
+    for j in range(1, g // 2 + 1):
+        power = power * soul
+        if power.is_zero:
+            break
+        out = out + power * coeffs(j)
+    return out
+
+
 def even_inverse(w: GrassmannElement) -> GrassmannElement:
     """Exact inverse of an even element via the terminating geometric series around the body."""
     _require_even(w)
     body = w.body
-    if _is_zero_scalar(body):
+    if not body:
         raise NonInvertibleBody("even element has zero body")
-    g = w.generator_count
     inv_body = _scalar_inverse(body)
-    s = w.soul() * inv_body  # w = body (1 + s)
-    out = GrassmannElement.scalar(g, 1)
-    power = GrassmannElement.scalar(g, 1)
-    k = 0
-    while True:
-        power = power * s
-        k += 1
-        if power.is_zero:
-            break
-        out = out + ((-1) ** k) * power
-    return out * inv_body
+    # w = body (1 + s), s = soul / body
+    return _soul_series(w.soul() * inv_body, 1, lambda k: (-1) ** k) * inv_body
 
 
 def _scalar_inverse(c):
@@ -364,10 +353,9 @@ def _scalar_inverse(c):
 class BesselSeries:
     """The even Bessel kernel R(nu, w) = sum_k w^k/(k!(k+nu)!) as a series.
 
-    Termwise d/dw R(nu, w) = R(nu+1, w), so the derivative is the next order.
-    `sums` is a dict shared by the series and its derivatives: each R(s, body)
-    at one precision is summed once into it; pass one dict to share sums
-    between series.
+    Termwise d/dw R(nu, w) = R(nu+1, w), so the j-th derivative is the series
+    of order nu + j.  `sums` holds each R(s, body) at one precision, summed
+    once; pass one dict to share sums between series of several orders.
 
     The Haar oracle sums the kernel here, in mpc on its own term recurrence,
     rather than with `precision.bessel_ratio_raw`: the closed forms it is
@@ -377,9 +365,6 @@ class BesselSeries:
 
     nu: int
     sums: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def derivative(self) -> "BesselSeries":
-        return BesselSeries(self.nu + 1, self.sums)
 
     def eval_at(self, body, prec: Precision):
         """Sum on the term recurrence t_(k+1) = t_k w/((k+1)(k+1+nu)), t_0 = 1/nu!.
@@ -444,23 +429,13 @@ def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISI
     mpmath precision.
     """
     _require_even(w)
-    g = w.generator_count
     body = w.body
-    soul = w.soul()
+
+    def coeff(j):
+        return BesselSeries(series.nu + j, series.sums).eval_at(body, prec) / math.factorial(j)
+
     with mp.workprec(prec.work_bits):
-        out = GrassmannElement.scalar(g, series.eval_at(body, prec))
-        power = GrassmannElement.scalar(g, 1)
-        deriv = series
-        jfact = 1
-        for j in range(1, g // 2 + 1):
-            power = power * soul
-            if power.is_zero:
-                break
-            deriv = deriv.derivative()
-            jfact *= j
-            coeff = deriv.eval_at(body, prec) / jfact
-            out = out + power * coeff
-    return out
+        return _soul_series(w.soul(), series.eval_at(body, prec), coeff)
 
 
 # -- block supermatrices --------------------------------------------------------

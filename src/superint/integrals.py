@@ -177,15 +177,17 @@ def _cluster_denominator(clusters):
 # -- the closed forms' shared core -----------------------------------------------
 
 
-def _entries(requests, sides, top, prec: Precision):
+def _entries(requests, sides, prec: Precision):
     """A determinant's entries, in request order, and the largest series term count used.
 
     A request is (nu, w), the kernel R(nu, w) read from the pass over orders
-    0..top at w (top None: order nu alone), or (parts, a, b), a newton_sums
-    request over `sides`.  The kernel is summed request by request, so a run
-    of orders at one w reads one pass; the Newton requests share one
-    newton_sums call, in which each sum reads only its own parts' sides.
+    0..top at w, top the largest kernel order requested, or (parts, a, b), a
+    newton_sums request over `sides`.  The kernel is summed request by
+    request, so a run of orders at one w reads one pass; the Newton requests
+    share one newton_sums call, in which each sum reads only its own parts'
+    sides.
     """
+    top = max((r[0] for r in requests if len(r) == 2), default=0)
     kernel = [bessel_ratio_raw(*r, prec, top=top) if len(r) == 2 else None for r in requests]
     sums, terms = newton_sums(sides, [r for r in requests if len(r) == 3], prec)
     sums = iter(sums)
@@ -232,7 +234,7 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision):
                 for j in range(1, len(xs) + 1) for nu in range(N - 1, -1, -1)]
         requests = [(nu, c * clusters[s][0]) if j == 1 else ([(s, j, q0 - j + 1)], q0 - nu, q0)
                     for s, j, nu, q0 in keys]
-        values, terms = _entries(requests, [[c * x for x in xs] for xs in clusters], N - 1, prec)
+        values, terms = _entries(requests, [[c * x for x in xs] for xs in clusters], prec)
         # at beta = 0 a sum under a negative beta power is exactly 0
         col = [beta ** nu * clusters[s][0] ** nu * v if j == 1 else
                beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
@@ -283,7 +285,7 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
                     for b, ys in enumerate(yss) for k in range(1, len(ys) + 1)]
             requests = [([(a, j, p0 - j + 1), (len(xss) + b, k, p0 - k + 1)], p0, p0) if p0
                         else (0, c * xss[a][0] * yss[b][0]) for a, j, b, k, p0 in keys]
-            values, t = _entries(requests, [[c * x for x in xs] for xs in xss] + yss, None, prec)
+            values, t = _entries(requests, [[c * x for x in xs] for xs in xss] + yss, prec)
             entries = [c ** (j - 1) * v / math.factorial(p0) ** 2 if p0 else v
                        for (_, j, _, _, p0), v in zip(keys, values)]
             rows = [entries[i * size : i * size + size] for i in range(size)]

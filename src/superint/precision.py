@@ -152,9 +152,9 @@ class BigComplex:
 
 
 def json_int(value, name: str) -> int:
-    """An integer field of an input document; a value int() would change is refused."""
+    """An integer field of an input document; a boolean, or a value int() would change, is refused."""
     out = int(value)
-    if out != value:
+    if isinstance(value, bool) or out != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return out
 

@@ -154,11 +154,13 @@ def test_low_precision_scalar_exits_2(bits):
         ("ls-eval", {"m": 1.9}),
         ("ls-eval", {"beta": {"re": "0.5", "bits": 300.7}}),
         ("bk-eval", {"mu": {"n": 1.5, "bosonic": [{"re": "0.4"}], "fermionic": [{"re": "0.9"}]}}),
+        ("ls-eval", {"m": True}),
     ],
 )
 def test_malformed_eigenvalue_document_exits_2(command, change):
     # a scalar that is not an object, a sector that is not a list, and bits,
-    # m or n that are no integer (int() would truncate 1.9 and 300.7)
+    # m or n that are no integer (int() would truncate 1.9 and 300.7, and
+    # int(True) == True would read true as 1)
     doc = json.loads(LS_INPUT if command == "ls-eval" else BK_INPUT)
     assert_input_error(run_cli(command, "--input-json", json.dumps({**doc, **change})))
 

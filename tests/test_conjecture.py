@@ -331,6 +331,11 @@ def test_memo_holds_every_m_of_one_call_at_the_largest_N():
     assert [c.cache_info().misses for c in caches] == [100, 100, 10]
 
 
+def test_verify_cells_refuses_an_empty_cell_list():
+    with pytest.raises(ValueError, match="at least one"):
+        conjecture.verify_cells([])
+
+
 def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):
     # one sample's cells, N = 2..8 and every m, meet each ordered (big z,
     # small z) pair in many cells; the big z's table computes its entry once

@@ -275,6 +275,49 @@ def test_bessel_series_values_bit_pinned():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == "f8efcdf9cbbe9a635b651f2a14f82b77ed0ad2eb2b9918cdcf622f2362d2d880"
 
 
+def test_soul_series_values_bit_pinned():
+    # every bit and the term order of even_inverse and analytic_eval on seeded
+    # complex elements whose souls hold every even monomial, so each power up to
+    # g/2 is nonzero; the sha256 was taken when each function had its own loop
+    rng = random.Random(71)
+    out = []
+    for bits in (64, 128, 256, 512, 1024):
+        prec = Precision(bits=bits)
+        for g in (2, 4, 6):
+            with mp.workprec(prec.work_bits):
+                w = GrassmannElement(g, {
+                    mono: mpc(mpf(rng.randint(1, 60)) / rng.randint(1, 13), mpf(rng.randint(-30, 30)) / rng.randint(1, 11))
+                    for mono in range(1 << g) if mono.bit_count() % 2 == 0
+                })
+                results = [even_inverse(w)]
+            results += [analytic_eval(BesselSeries(nu), w, prec) for nu in (0, 2)]
+            out += [[(mono, c._mpc_) for mono, c in x.terms.items()] for x in results]
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "291435a726a0669a3ebb8fe1bbcce084514ea73e3de08ab7bf028455b098c8c8"
+
+
+def test_even_inverse_forms_no_power_past_half_the_generators(monkeypatch):
+    # at g = 4 the soul s = (a0 a1 + a2 a3) / 2 has s^2 != 0 and s^3 = 0 by degree:
+    # soul/body, the powers s and s^2, their two signed terms and the final /body
+    # make 6 products; s^3 is never formed
+    g = 4
+    w = scalar(g, 2) + gen(g, 0) * gen(g, 1) + gen(g, 2) * gen(g, 3)
+    calls = []
+    mul = GrassmannElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    inv = even_inverse(w)
+    monkeypatch.undo()
+    assert len(calls) == 6
+    s = (w - 2) * Fraction(1, 2)
+    assert not (s * s).is_zero
+    assert inv == (1 - s + s * s) * Fraction(1, 2)
+    assert w * inv == scalar(g, 1)
+
+
 def test_gaussian_rational_hash_agrees_with_equality():
     # equal values must hash alike, or sets and dicts keep both copies
     assert GaussianRational(1) == 1 and hash(GaussianRational(1)) == hash(1)

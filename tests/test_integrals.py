@@ -602,6 +602,22 @@ def test_nondiag_limit_ls_zero_coefficient():
     assert nondiag_limit_ls(Fraction(1, 2), 0, BETA, PREC).is_zero
 
 
+def test_nondiag_limit_bk_against_probe():
+    # the bk_closed_form twin of the ls probe: the first set's sector values merge
+    # while the second set stays at mu = (4/9 | 1/4)
+    a = Fraction(9, 16)
+    mu = ev([Fraction(4, 9)], [Fraction(1, 4)])
+    lim = nondiag_limit_bk(a, 1, (Fraction(4, 9), Fraction(1, 4)), BETA, PREC)
+    for e in (5, 6, 7):
+        eps = Fraction(1, 10**e)
+        c = Fraction(1, 10 ** (2 * e))
+        up = bk_closed_form(ev([BigComplex(a + c / -eps)], [BigComplex(a + eps + c / -eps)]), mu, PREC).value
+        dn = bk_closed_form(ev([BigComplex(a - c / -eps)], [BigComplex(a + eps - c / -eps)]), mu, PREC).value
+        with mp.workprec(PREC.work_bits):
+            slope = (up.to_mpc() - dn.to_mpc()) / (2 * mpf(c.numerator) / c.denominator)
+            assert abs(slope - lim.to_mpc()) < abs(lim.to_mpc()) * 100 * mpf(10) ** -e
+
+
 def test_nondiag_limit_bk_against_bessel_reference():
     from mpmath import besseli, sqrt
 

@@ -202,8 +202,9 @@ def test_super_diagram_json_round_trip():
     doc = sd.to_json()
     assert doc == {"m": 2, "n": 1, "p": [3, 1], "q": [2]}
     assert SuperDiagram.from_json(doc) == sd
-    # a count or row that int() would truncate is refused, not rounded down
-    for bad in ({"m": 1.9}, {"n": 1.5}, {"p": [2.5, 1]}, {"q": [2.0, 0.5]}, {"m": "2"}):
+    # a count or row that int() would truncate is refused, not rounded down, and
+    # so is a boolean, which int() would read as 0 or 1
+    for bad in ({"m": 1.9}, {"n": 1.5}, {"p": [2.5, 1]}, {"q": [2.0, 0.5]}, {"m": "2"}, {"n": True}, {"q": [True]}):
         with pytest.raises(ValueError):
             SuperDiagram.from_json({**doc, **bad})
     assert SuperDiagram.from_json({**doc, "m": 2.0, "p": [3.0, 1]}) == sd
