@@ -3,7 +3,10 @@
 Factorizes U = U_o U_g into an ordinary block-diagonal part and the
 exponential of the odd block, integrates the ordinary groups in closed form,
 and performs the remaining Berezin integral over the odd parameters exactly.
-Supported block shapes: (1,1) and (2,1), with their invariant-measure
+One loop treats both sectors: each sector's diagonal block of the twisted
+source product gives its eigenvalues, which feed one U(k) factor written for
+any k.  The eigenvalue rule and the measure below cover k <= 2, so the
+supported block shapes are (1,1) and (2,1), with their invariant-measure
 correction factors
 
     T(1,1) = 1,
@@ -19,6 +22,8 @@ unchanged for (2,1).
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -28,6 +33,7 @@ from .grassmann import (
     BesselSeries,
     GrassmannElement,
     SuperMatrixSym,
+    _even_matrix_det,
     analytic_eval,
     berezin_integrate,
     even_inverse,
@@ -83,7 +89,7 @@ def _newton_eigen_pair(M, prec: Precision):
     ever formed.
     """
     trace = M[0][0] + M[1][1]
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    det = _even_matrix_det(M)
     g = trace.generator_count
     bodies = [M[0][0].body, M[1][1].body]
     if bodies[0] == bodies[1]:
@@ -105,37 +111,31 @@ def _newton_eigen_pair(M, prec: Precision):
 
 
 def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
-    """Closed-form one-source integral of an ordinary unitary group, on even arguments.
+    """Closed-form one-source integral of U(k), k = len(eigen), on even arguments.
 
-    eigen are the squared eigenvalues, even elements; the k x k determinant of
-    lambda^(k-i) I_(k-i)(2 beta lambda) entries over the squared-eigenvalue
-    series, divided by their Vandermonde.  Supports k in {1, 2}.
+    eigen are the squared eigenvalues x_j, even elements with distinct bodies:
+    C_k beta^((k-k^2)/2) det[beta^nu x_j^nu R(nu, beta^2 x_j)] / Delta(x), with
+    nu = k-1-i in row i, C_k = prod_(j<k) j! and Delta(x) = prod_(i<j) (x_i - x_j).
+    At k = 1 the constant and Delta are 1.
     """
     k = len(eigen)
-    # R(s, body) by order and body: both entries at one eigenvalue share R(1), R(2)
+    # R(s, body) by order and body: the entries at one eigenvalue share their orders
     sums = {}
 
     def entry(nu, x):
         # beta^nu x^nu R(nu, beta^2 x) via the even-series calculus
-        w = x * (beta * beta)
-        core = analytic_eval(BesselSeries(nu, sums), w, prec)
-        out = core
+        out = analytic_eval(BesselSeries(nu, sums), x * (beta * beta), prec)
         for _ in range(nu):
             out = out * x
-        if nu:
-            out = out * (beta ** nu)
-        return out
+        return out * (beta ** nu) if nu else out
 
+    num = _even_matrix_det([[entry(k - 1 - i, x) for x in eigen] for i in range(k)])
     if k == 1:
-        return entry(0, eigen[0])
-    if k == 2:
-        e11, e12 = entry(1, eigen[0]), entry(1, eigen[1])
-        e01, e02 = entry(0, eigen[0]), entry(0, eigen[1])
-        num = e11 * e02 - e12 * e01
-        den = even_inverse(eigen[0] - eigen[1])
-        # prefactor C_2 beta^((2-4)/2) = 1/beta
-        return num * den * (1 / beta)
-    raise ValueError("ordinary factor implemented for 1 and 2 eigenvalues")
+        return num
+    # no int start: a product from 1 would be one more algebra product
+    delta = functools.reduce(operator.mul, [x - y for i, x in enumerate(eigen) for y in eigen[i + 1 :]])
+    c_k = math.prod(math.factorial(j) for j in range(k))
+    return num * even_inverse(delta) * (c_k / beta ** ((k * k - k) // 2))
 
 
 @functools.lru_cache(maxsize=2)
@@ -151,27 +151,23 @@ def _odd_block(m: int, n: int):
     return alphas, u_g, u_g.adjoint()
 
 
-def _integrate_odd(
-    alphas, a_twist: SuperMatrixSym, b_twist: SuperMatrixSym, beta, prec: Precision
-) -> GrassmannElement:
+def _integrate_odd(alphas, blocks, beta, prec: Precision) -> GrassmannElement:
     """Berezin integral over the odd parameters alphas for the twisted sources.
 
-    a_twist = u_g A and b_twist = B u_g^dagger; the boson and fermion blocks
-    of their product feed the ordinary-group integrals.  Any generators
-    beyond the odd parameters survive into the returned element.
+    blocks yields, for the boson then the fermion sector, the sector's
+    diagonal blocks of u_g A and of B u_g^dagger, a pair of row lists.  The
+    eigenvalues of their product (its one entry at k = 1, `_newton_eigen_pair`
+    at k = 2) feed the sector's U(k) factor, at beta for the bosons and -beta
+    for the fermions.  Any generators beyond the odd parameters survive into
+    the returned element.
     """
-    m, n = a_twist.m, a_twist.n
-    mb = matmul_rows(a_twist.block("bb"), b_twist.block("bb"))
-    mf = matmul_rows(a_twist.block("ff"), b_twist.block("ff"))
-    if m == 1:
-        bos_eigen = [mb[0][0]]
-    else:
-        bos_eigen = _newton_eigen_pair(mb, prec)
-    ferm_eigen = [mf[0][0]]
-    bos_factor = _ordinary_ls_factor(bos_eigen, beta, prec)
-    # fermion block integrand carries exp(-beta tr(...)): even series, same value
-    ferm_factor = _ordinary_ls_factor(ferm_eigen, -beta, prec)
-    integrand = measure_factor(m, n, alphas) * bos_factor * ferm_factor
+    m, n = len(alphas), len(alphas[0])
+    integrand = measure_factor(m, n, alphas)
+    # the fermion integrand carries exp(-beta tr(...)): an even series, same value at -beta
+    for sector_beta, (a_block, b_block) in zip((beta, -beta), blocks):
+        M = matmul_rows(a_block, b_block)
+        eigen = [M[0][0]] if len(M) == 1 else _newton_eigen_pair(M, prec)
+        integrand = integrand * _ordinary_ls_factor(eigen, sector_beta, prec)
     return berezin_integrate(integrand, measure_order(m, n))
 
 
@@ -194,16 +190,12 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         a_vals = [to_mpc_any(v) for v in a_diag]
         b_vals = [to_mpc_any(v) for v in b_diag]
         alphas, u_g, u_g_adjoint = _odd_block(m, n)
-        # diagonal sources: u_g A scales column j of u_g by a_j, B u_g^dagger row j by b_j
-        a_rows = [[e * a for e, a in zip(row, a_vals)] for row in u_g.entries]
-        b_rows = [[e * b for e in row] for row, b in zip(u_g_adjoint.entries, b_vals)]
-        reduced = _integrate_odd(
-            alphas,
-            SuperMatrixSym(m, n, a_rows),
-            SuperMatrixSym(m, n, b_rows),
-            beta_v,
-            prec,
-        )
+        # diagonal sources: u_g A scales column j of u_g by a_j, B u_g^dagger row i by b_i;
+        # only each sector's diagonal block is formed
+        sectors = (range(m), range(m, size))
+        a_blocks = [[[u_g.entries[i][j] * a_vals[j] for j in s] for i in s] for s in sectors]
+        b_blocks = [[[u_g_adjoint.entries[i][j] * b_vals[i] for j in s] for i in s] for s in sectors]
+        reduced = _integrate_odd(alphas, zip(a_blocks, b_blocks), beta_v, prec)
         if not reduced.soul().is_zero:
             raise RuntimeError("odd directions did not integrate out")
         return BigComplex.from_mpc(mpc(reduced.body), prec.bits)
@@ -224,4 +216,6 @@ def brute_force_ls_supermatrix_11(
     with mp.workprec(prec.work_bits):
         alphas = [[GrassmannElement.generator(g, 0)]]
         u_g = exp_odd_block(alphas)
-        return _integrate_odd(alphas, u_g @ a_mat, b_mat @ u_g.adjoint(), to_mpc_any(beta), prec)
+        a_twist, b_twist = u_g @ a_mat, b_mat @ u_g.adjoint()
+        blocks = [(a_twist.block(s), b_twist.block(s)) for s in ("bb", "ff")]
+        return _integrate_odd(alphas, blocks, to_mpc_any(beta), prec)

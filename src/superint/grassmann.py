@@ -552,55 +552,36 @@ def supertrace(M: SuperMatrixSym) -> GrassmannElement:
     return acc
 
 
+def _cofactor(rows, r: int, c: int) -> GrassmannElement:
+    """(-1)^(r+c) times the determinant of rows without row r and column c."""
+    minor = _even_matrix_det([row[:c] + row[c + 1 :] for row in rows[:r] + rows[r + 1 :]])
+    return -minor if (r + c) % 2 else minor
+
+
 def _even_matrix_det(rows) -> GrassmannElement:
-    """Cofactor determinant of a small matrix with even (commuting) entries."""
+    """Cofactor determinant of a small matrix with even (commuting) entries.
+
+    Expands along the first row and sums left to right from its first term,
+    so a 2x2 determinant is M00 M11 - M01 M10.
+    """
     k = len(rows)
     if k == 0:
         raise ValueError("empty matrix")
     if k == 1:
         return rows[0][0]
-    g = rows[0][0].generator_count
-    acc = GrassmannElement.scalar(g, 0)
-    for j in range(k):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _even_matrix_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    terms = [rows[0][j] * _cofactor(rows, 0, j) for j in range(k)]
+    return sum(terms[1:], terms[0])
 
 
 def superdeterminant(M: SuperMatrixSym) -> GrassmannElement:
     """det(A - B D^-1 C) / det(D) in block form; needs det(D) with invertible body."""
-    m, n = M.m, M.n
     A, B, C, D = M.block("bb"), M.block("bf"), M.block("fb"), M.block("ff")
-    det_d = _even_matrix_det(D)
-    inv_det_d = even_inverse(det_d)
+    inv_det_d = even_inverse(_even_matrix_det(D))
     # D^-1 by the adjugate
-    if n == 1:
-        Dinv = [[inv_det_d]]
-    else:
-        Dinv = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [D[r][c] for c in range(n) if c != i] for r in range(n) if r != j
-                ]
-                cof = _even_matrix_det(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof * inv_det_d)
-            Dinv.append(row)
-    # A - B Dinv C
-    top = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = A[i][j]
-            for r in range(n):
-                for s in range(n):
-                    acc = acc - B[i][r] * Dinv[r][s] * C[s][j]
-            row.append(acc)
-        top.append(row)
+    n = M.n
+    Dinv = [[inv_det_d]] if n == 1 else [[_cofactor(D, j, i) * inv_det_d for j in range(n)] for i in range(n)]
+    bdc = matmul_rows(matmul_rows(B, Dinv), C)
+    top = [[a - x for a, x in zip(row_a, row_x)] for row_a, row_x in zip(A, bdc)]
     return _even_matrix_det(top) * inv_det_d
 
 

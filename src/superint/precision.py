@@ -152,9 +152,16 @@ class BigComplex:
 
 
 def json_int(value, name: str) -> int:
-    """An integer field of an input document; a boolean, or a value int() would change, is refused."""
-    out = int(value)
-    if isinstance(value, bool) or out != value:
+    """An integer field of an input document.
+
+    A boolean, a value int() refuses (null, a list, an object, NaN, an
+    infinity) or one int() would change raises ValueError naming the field.
+    """
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if isinstance(value, bool) or out is None or out != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return out
 

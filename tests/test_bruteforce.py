@@ -22,6 +22,7 @@ from superint import (
 from superint import bruteforce
 from superint.bruteforce import measure_factor, measure_order, odd_parameter_matrix
 from superint.errors import NonInvertibleBody
+from superint.precision import to_mpc_any
 
 PREC = Precision()
 BETA = BigComplex(Fraction(1, 2))
@@ -73,6 +74,21 @@ def test_newton_eigen_pair_is_exact_at_the_nilpotency_bound(monkeypatch):
     short = bruteforce._newton_eigen_pair(M, PREC)
     # what one step fewer misses lies in the top monomial alone
     assert all(set(residual(x).terms) == {0b1111} for x in short)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(-7, 5)], ids=str)
+def test_ordinary_factor_matches_closed_form_beyond_two(k, beta):
+    # U(3) and U(4) on soul-free eigenvalues: the Haar side's C_k = prod_(j<k) j!,
+    # beta power and Vandermonde against the closed form at (k|0), which shares none of its code
+    xs = [Fraction(7, 10), Fraction(-2, 5), Fraction(3, 2), Fraction(5, 4)][:k]
+    with mp.workprec(PREC.work_bits):
+        eigen = [GrassmannElement.scalar(2, to_mpc_any(x)) for x in xs]
+        got = bruteforce._ordinary_ls_factor(eigen, to_mpc_any(beta), PREC)
+    assert set(got.terms) == {0}
+    want = ls_closed_form(SuperEigenvalues(tuple(xs), (), BigComplex(beta)), PREC).value.to_mpc()
+    with mp.workprec(400):
+        assert abs(got.body - want) <= abs(want) * mpf(2) ** -200
 
 
 def test_zero_sources_give_zero_volume():

@@ -198,6 +198,22 @@ def test_known_defect_boson_fermion_near_coincidence(bos, ferm):
         assert abs(got.value.to_mpc() - want) < mpf(2) ** -248 * abs(want)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect: R(nu, w) is only absolutely accurate near its zeros")
+def test_known_defect_relative_accuracy_near_a_kernel_zero():
+    # x = -j01^2 at 256 bits puts w = x/4 next to the first zero of R(0, w) = J0(2 sqrt(-w)):
+    # the sum is about 1.2e-77 against partial sums near 1, so the stopping rule's
+    # absolute bound leaves it right to about 2^-52 relative, tagged 256 bits
+    with mp.workprec(256):
+        x = -mp.besseljzero(0, 1) ** 2
+    try:
+        res = ls_closed_form(ev([BigComplex(x, bits=256)], [], Fraction(1, 2)), Precision(256))
+    except TruncationCapExceeded:
+        return
+    with mp.workprec(3000):
+        want = mp.hyp0f1(1, x / 4)
+        assert abs(res.value.to_mpc() - want) <= mpf(2) ** -248 * abs(want)
+
+
 def test_ls_ordinary_value():
     res = ls_closed_form(ev([BigComplex(1)], []), PREC)
     assert res.branch == "generic"

@@ -208,3 +208,7 @@ def test_super_diagram_json_round_trip():
         with pytest.raises(ValueError):
             SuperDiagram.from_json({**doc, **bad})
     assert SuperDiagram.from_json({**doc, "m": 2.0, "p": [3.0, 1]}) == sd
+    # null, a list or an infinity is a ValueError naming the field, not a TypeError
+    for key, bad in (("m", None), ("n", [1]), ("p", [float("inf")]), ("q", [None])):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+            SuperDiagram.from_json({**doc, key: bad})

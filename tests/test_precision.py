@@ -749,6 +749,16 @@ def test_bigcomplex_json_round_trip():
         assert abs(x.to_mpc() - y.to_mpc()) < mpf(2) ** -180
 
 
+@pytest.mark.parametrize(
+    "value", [None, [], [2], {}, {"m": 2}, math.inf, -math.inf, math.nan], ids=repr
+)
+def test_json_int_refuses_every_non_integer_with_value_error(value):
+    # int() raises TypeError on null, a list or an object and OverflowError on an
+    # infinity; a caller that catches ValueError for a bad document must see each
+    with pytest.raises(ValueError, match=r"^m must be an integer, got "):
+        precision.json_int(value, "m")
+
+
 def test_precision_validation():
     with pytest.raises(ValueError):
         Precision(bits=32)
