@@ -5,9 +5,9 @@ exponential of the odd block, integrates the ordinary groups in closed form,
 and performs the remaining Berezin integral over the odd parameters exactly.
 One loop treats both sectors: each sector's diagonal block of the twisted
 source product gives its eigenvalues, which feed one U(k) factor written for
-any k.  The eigenvalue rule and the measure below cover k <= 2, so the
-supported block shapes are (1,1) and (2,1), with their invariant-measure
-correction factors
+any k, with no power of beta, since the closed form's powers cancel.  The
+eigenvalue rule and the measure below cover k <= 2, so the supported block
+shapes are (1,1) and (2,1), with their invariant-measure correction factors
 
     T(1,1) = 1,
     T(2,1) = 1 - (a11 a11* + a21 a21*) / 3.
@@ -114,28 +114,29 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     """Closed-form one-source integral of U(k), k = len(eigen), on even arguments.
 
     eigen are the squared eigenvalues x_j, even elements with distinct bodies:
-    C_k beta^((k-k^2)/2) det[beta^nu x_j^nu R(nu, beta^2 x_j)] / Delta(x), with
-    nu = k-1-i in row i, C_k = prod_(j<k) j! and Delta(x) = prod_(i<j) (x_i - x_j).
-    At k = 1 the constant and Delta are 1.
+    C_k det[x_j^nu R(nu, beta^2 x_j)] / Delta(x), with nu = k-1-i in row i,
+    C_k = prod_(j<k) j! and Delta(x) = prod_(i<j) (x_i - x_j).  The closed
+    form's beta^nu in row nu and its prefactor beta^((k-k^2)/2) cancel, so
+    neither is formed, and at beta = 0 the factor is the group's mass, 1.  At
+    k = 1 the constant and Delta are 1.
     """
     k = len(eigen)
     # R(s, body) by order and body: the entries at one eigenvalue share their orders
     sums = {}
 
     def entry(nu, x):
-        # beta^nu x^nu R(nu, beta^2 x) via the even-series calculus
+        # x^nu R(nu, beta^2 x) via the even-series calculus
         out = analytic_eval(BesselSeries(nu, sums), x * (beta * beta), prec)
         for _ in range(nu):
             out = out * x
-        return out * (beta ** nu) if nu else out
+        return out
 
     num = _even_matrix_det([[entry(k - 1 - i, x) for x in eigen] for i in range(k)])
     if k == 1:
         return num
     # no int start: a product from 1 would be one more algebra product
     delta = functools.reduce(operator.mul, [x - y for i, x in enumerate(eigen) for y in eigen[i + 1 :]])
-    c_k = math.prod(math.factorial(j) for j in range(k))
-    return num * even_inverse(delta) * (c_k / beta ** ((k * k - k) // 2))
+    return num * even_inverse(delta) * math.prod(math.factorial(j) for j in range(k))
 
 
 @functools.lru_cache(maxsize=2)
@@ -176,7 +177,10 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
 
     a_diag and b_diag hold the m+n diagonal entries of the two source
     supermatrices.  For (2, 1) the two boson products a_i b_i must differ,
-    else the intermediate eigenvalue formulas are singular.
+    else the intermediate eigenvalue formulas are singular.  beta may be 0:
+    each U(k) factor is then its group's mass, 1, and the value 0.  At small
+    nonzero |beta| the (2, 1) value falls as beta^4 while the intermediate
+    terms do not, so it loses about 4 log2(1/|beta|) of its bits.
     """
     if (m, n) not in ((1, 1), (2, 1)):
         raise ValueError("supported block shapes: (1,1) and (2,1)")

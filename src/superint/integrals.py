@@ -219,7 +219,13 @@ def _result(copies: int, dets, den, beta, sectors, terms_used: int, prec: Precis
 # -- the one-source integral -----------------------------------------------------
 
 
-def _ls_value(ev: SuperEigenvalues, prec: Precision):
+def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
+    """One-source integral over the unitary supergroup in closed determinant form.
+
+    Clusters of close or repeated values inside a sector take Newton
+    columns; a boson-fermion coincidence returns the vanishing branch.  With
+    no values at all, the U(0|0) integral is 1.
+    """
     N = ev.m + ev.n
     bos, ferm, beta = ev.values(prec.bits)
     if _sectors_coincide(bos, ferm):
@@ -245,27 +251,20 @@ def _ls_value(ev: SuperEigenvalues, prec: Precision):
         return _result(1, [num], den, beta, (bos, ferm), terms, prec)
 
 
-def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
-    """One-source integral over the unitary supergroup in closed determinant form.
-
-    Clusters of close or repeated values inside a sector take Newton
-    columns; a boson-fermion coincidence returns the vanishing branch.  With
-    no values at all, the U(0|0) integral is 1.
-    """
-    return _ls_value(ev, prec)
-
-
 def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
     """Confluent limit; requires an exact repeat in a sector."""
     bos, ferm, _ = ev.values(prec.bits)
     _require_repeat((bos, ferm))
-    return _ls_value(ev, prec)
+    return ls_closed_form(ev, prec)
 
 
 # -- the two-source integral -----------------------------------------------------
 
 
-def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
+def bk_closed_form(
+    lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
+) -> IntegralResult:
+    """Two-source integral over two independent supergroup copies, closed form."""
     if lam.m != mu.m or lam.n != mu.n:
         raise ValueError("the two eigenvalue sets must share (m, n)")
     lam_b, lam_f, beta = lam.values(prec.bits)
@@ -296,13 +295,6 @@ def _bk_value(lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision):
         return _result(2, dets, ber_l * ber_m, beta, (lam_b, lam_f, mu_b, mu_f), terms, prec)
 
 
-def bk_closed_form(
-    lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
-) -> IntegralResult:
-    """Two-source integral over two independent supergroup copies, closed form."""
-    return _bk_value(lam, mu, prec)
-
-
 def bk_confluent(
     lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
 ) -> IntegralResult:
@@ -310,14 +302,14 @@ def bk_confluent(
     lam_b, lam_f, _ = lam.values(prec.bits)
     mu_b, mu_f, _ = mu.values(prec.bits)
     _require_repeat((lam_b, lam_f), (mu_b, mu_f))
-    return _bk_value(lam, mu, prec)
+    return bk_closed_form(lam, mu, prec)
 
 
 # -- (1+1)-dimensional non-diagonalizable limits ----------------------------------
 
 
 def nondiag_limit_ls(
-    a, alpha_beta_coeff, beta=None, prec: Precision = DEFAULT_PRECISION
+    a, alpha_beta_coeff, beta=Fraction(1, 2), prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
     """Limit of the (1|1) one-source integral when the two sector values merge.
 
@@ -331,8 +323,6 @@ def nondiag_limit_ls(
 
     where R_s is the even Bessel kernel at beta^2 a.
     """
-    if beta is None:
-        beta = Fraction(1, 2)
     with mp.workprec(prec.work_bits):
         av = to_mpc_any(a)
         bv = to_mpc_any(beta)
@@ -344,7 +334,7 @@ def nondiag_limit_ls(
 
 
 def nondiag_limit_bk(
-    a, alpha_beta_coeff, mu_sq_pair, beta=None, prec: Precision = DEFAULT_PRECISION
+    a, alpha_beta_coeff, mu_sq_pair, beta=Fraction(1, 2), prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
     """Limit of the (1|1) two-source integral when the first set's values merge.
 
@@ -354,8 +344,6 @@ def nondiag_limit_bk(
         beta^2 (mu1^2 - mu2^2) c [g1' g2 + g1 g2'](a),
         g_j(x) = R(0, beta^2 mu_j^2 x).
     """
-    if beta is None:
-        beta = Fraction(1, 2)
     with mp.workprec(prec.work_bits):
         av = to_mpc_any(a)
         bv = to_mpc_any(beta)

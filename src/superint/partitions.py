@@ -78,9 +78,6 @@ class Partition:
         return f"Partition{self.rows}"
 
 
-EMPTY = Partition()
-
-
 def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
     """All partitions of n, optionally with a bounded row count."""
     max_rows = n if max_rows is None else max_rows

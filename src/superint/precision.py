@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
-from functools import cmp_to_key, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -25,7 +25,6 @@ from mpmath.libmp import (
     mpc_abs,
     mpc_mpf_div,
     mpc_pos,
-    mpf_cmp,
     mpf_lt,
     round_ceiling,
     round_nearest,
@@ -569,8 +568,6 @@ def newton_sums(sides, sums, prec: Precision):
 
 # -- determinants ------------------------------------------------------------
 
-_mpf_key = cmp_to_key(mpf_cmp)
-
 
 def _eliminate(a, pivot, mul, update, inv, zero):
     """Partial-pivoted elimination of the square matrix `a` (overwritten), in the arithmetic given.
@@ -614,27 +611,25 @@ _PAIR_ONE = (1, 0, 0, 0)
 
 
 def _add(am, ae, bm, be, wp):
-    """am·2^ae + bm·2^be rounded as mpf_add rounds it at wp bits, to nearest.
+    """am·2^ae + bm·2^be rounded at wp bits, to nearest, as mpf_add rounds it except at its exact ties.
 
-    am and bm are odd or 0.  When their exponents lie within 100 bits of
-    each other, or their top bits within wp + 4, the sum is exact; otherwise
-    it is mpf_add's perturbation, the larger term shifted up by wp + 4 bits
-    plus the smaller one's sign.  Either is rounded to nearest at wp bits,
-    ties to even, and stripped of trailing zeros, as libmp's normalize
-    rounds it.
+    am and bm are odd or 0.  The sum is exact unless the terms' exponents lie
+    more than 100 bits apart and their top bits more than wp + 4; then the
+    smaller term is dropped and the larger one rounded alone.  mpf_add there
+    rounds the larger term perturbed by the smaller one's sign, which gives
+    the same value except where the larger term is an exact tie at wp bits:
+    that tie goes to even here, toward the smaller term's sign in mpf_add.
+    Either sum is rounded to nearest at wp bits, ties to even, and stripped
+    of trailing zeros, as libmp's normalize rounds it.
     """
-    if am and bm:
-        off = ae - be
-        if off > 100 and am.bit_length() - bm.bit_length() + off > wp + 4:
-            am, ae = (am << wp + 4) + (1 if bm > 0 else -1), ae - wp - 4
-        elif off < -100 and bm.bit_length() - am.bit_length() - off > wp + 4:
-            am, ae = (bm << wp + 4) + (1 if am > 0 else -1), be - wp - 4
-        elif off >= 0:
-            am, ae = (am << off) + bm, be
-        else:
-            am += bm << -off
-    elif bm:
+    if ae < be:
+        am, ae, bm, be = bm, be, am, ae
+    if not am:
         am, ae = bm, be
+    elif bm:
+        off = ae - be
+        if off <= 100 or am.bit_length() - bm.bit_length() + off <= wp + 4:
+            am, ae = (am << off) + bm, be
     if not am:
         return 0, 0
     # on a signed am the floor shifts see the same half bit, sticky bits and
@@ -685,32 +680,23 @@ def _inverse_pairs(wp, z):
 
 
 def _pivot_pairs(wp, column):
-    """The first index of the largest |entry| rounded to wp bits: max(range(...), key=abs)'s pick.
+    """The first index of the largest |entry|², each floored to an integer at one scale for the column.
 
-    Each |entry|² is floored to an integer N at one scale 2^s for the whole
-    column, with the column's largest part squared at wp + 7 or wp + 8 bits,
-    so N is below |entry|²/2^s by less than 2 and the largest N is at least
-    2^(wp+6) - 2.  Each rounded |entry| is within a relative 2^-wp or so of
-    the exact one, so an entry whose N lies more than a relative 2^-(wp-4)
-    below the largest N rounds to a smaller |entry|.  Only the rest get
-    mpc_abs, and usually that is the column's largest entry alone.
+    Each |entry|² is floored to an integer N at one scale 2^s, with the
+    column's largest part squared at wp + 7 or wp + 8 bits, so N is below
+    |entry|²/2^s by less than 2 and the largest N is at least 2^(wp+6) - 2.
+    Entries of equal |entry|, a conjugate pair say, give equal N, and the
+    first of them is the pivot.  Where two |entry| lie within a relative
+    2^-(wp-4) or so of each other, this pick may differ from the largest
+    |entry| rounded to wp bits; either pivot is a largest one to that
+    accuracy.
     """
-    if len(column) == 1:
-        return 0
-    s = max((2 * (m.bit_length() + e) for z in column for m, e in (z[:2], z[2:]) if m), default=None)
-    if s is None:
-        return 0
-    s -= wp + 8
+    s = max((2 * (m.bit_length() + e) for z in column for m, e in (z[:2], z[2:]) if m), default=0) - wp - 8
     norms = []
     for zr, zre, zi, zie in column:
         d, g = 2 * zre - s, 2 * zie - s
         norms.append((zr * zr << d if d >= 0 else zr * zr >> -d) + (zi * zi << g if g >= 0 else zi * zi >> -g))
-    top = max(norms)
-    bound = top - (top >> wp - 4)
-    near = [i for i, norm in enumerate(norms) if norm >= bound]
-    if len(near) == 1:
-        return near[0]
-    return max(near, key=lambda i: _mpf_key(mpc_abs(_to_mpc(column[i]), wp, round_nearest)))
+    return norms.index(max(norms))
 
 
 def det_mpc(rows, prec: Precision):
@@ -718,20 +704,23 @@ def det_mpc(rows, prec: Precision):
 
     Each entry is held as integer pairs (m, e), m·2^e per part, with m odd or
     0: libmp's mpf value in signed form.  A product of two parts is an exact
-    integer multiply, and each sum is formed and rounded as libmp's mpf_add
-    forms it at work_bits, rounding to nearest: exactly, when the exponents
-    lie within 100 bits of each other or the parts' top bits within
-    work_bits + 4, and otherwise by mpf_add's own perturbation rule; then to
-    nearest, ties to even, with trailing zeros stripped, as libmp's normalize
-    rounds.  So every value is rounded as the same elimination on mpc values
-    rounds it: a multiplier or a product as mpc_mul, a row update as mpc_sub
-    of it.  libmp still decides the pivot's inverse (mpc_mpf_div, once per
-    column but the last) and the rounded |entry| of pivot candidates whose
-    squared norms lie within a relative 2^-(work_bits-4) of the largest.
-    The determinant is the product of the pivots in elimination order;
-    rounding to nearest is symmetric in the sign, so the sign of the row
-    swaps can come last.  Raises ValueError for a non-square matrix and
-    names the first entry that is not finite.
+    integer multiply, and each sum is formed and rounded by _add at
+    work_bits: exactly, unless the parts' exponents lie more than 100 bits
+    apart and their top bits more than work_bits + 4, where the smaller part
+    is dropped; then to nearest, ties to even, with trailing zeros stripped,
+    as libmp's normalize rounds.  So every value is rounded as the same
+    elimination on mpc values rounds it, a multiplier or a product as
+    mpc_mul, a row update as mpc_sub of it, except at an exact tie of a sum
+    whose smaller part is dropped, which mpf_add breaks toward that part's
+    sign, and at the pivot: the first largest |entry|² floored at one scale
+    (_pivot_pairs), which may differ from the mpc elimination's pick where
+    two candidates lie within a relative 2^-(work_bits-4) or so.  libmp
+    decides only the pivot's inverse (mpc_mpf_div, once per column but
+    the last) and the conversions of the entries and the result.  The
+    determinant is the product of the pivots in elimination order; rounding
+    to nearest is symmetric in the sign, so the sign of the row swaps can
+    come last.  Raises ValueError for a non-square matrix and names the first
+    entry that is not finite.
     """
     wp = prec.work_bits
     a = []

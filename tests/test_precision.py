@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_add, round_nearest, to_fixed
 
 from superint import (
     BigComplex,
@@ -693,10 +693,19 @@ def _near_tie_columns(rng, wp):
 
 
 @pytest.mark.parametrize("bits", [96, 256, 1024])
-def test_det_mpc_near_tie_pivots_bit_identical_to_reference(bits):
+def test_det_mpc_near_tie_pivots_match_a_wider_determinant(bits):
+    # a near tie may pivot on either candidate; each pick must leave the value
+    # within 2^-(work_bits - 8) relative of mpmath's determinant at 8 work_bits
     prec = Precision(bits=bits)
     wp = prec.work_bits
     rng = random.Random(7 * bits)
+
+    def check(rows):
+        got = det_mpc(rows, prec)
+        with mp.workprec(8 * wp):
+            want = mp.det(mp.matrix(rows))
+            assert abs(got - want) <= abs(want) * mpf(2) ** -(wp - 8)
+
     for trial in range(4):
         with mp.workprec(4 * wp):
             columns = _near_tie_columns(rng, wp)
@@ -705,13 +714,49 @@ def test_det_mpc_near_tie_pivots_bit_identical_to_reference(bits):
             rows = _random_rows(rng, n, wp)
             for i, v in enumerate(column):
                 rows[i][0] = v
-            _assert_det_bits(rows, prec)
+            check(rows)
             # the same column one step later: zeros below the first pivot leave it as it is
             rows = _random_rows(rng, n + 1, wp)
             for i, v in enumerate(column):
                 rows[i + 1][0] = 0
                 rows[i + 1][1] = v
-            _assert_det_bits(rows, prec)
+            check(rows)
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_pivot_takes_the_first_of_equal_norms(bits):
+    # conjugate pairs and swapped parts have equal exact norms: the first of them is the pivot
+    wp = Precision(bits=bits).work_bits
+    rng = random.Random(11 * bits)
+    for _ in range(4):
+        x, y = _full(rng, wp), _full(rng, wp)
+        for column, first in [
+            ([mpc(x, y), mpc(x, -y)], 0),
+            ([mpc(x, -y), mpc(x, y)], 0),
+            ([mpc(x, y), mpc(y, x), mpc(-x, y)], 0),
+            ([mpc(x / 2, y / 2), mpc(-x, -y), mpc(x, -y)], 1),
+        ]:
+            pairs = [precision._from_mpc(z._mpc_, wp) for z in column]
+            assert precision._pivot_pairs(wp, pairs) == first
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_add_drops_a_distant_term_and_breaks_a_tie_to_even(bits):
+    # a product 3 (2^(wp-1) + 1) or 3 (2^(wp-1) + 3) of two odd parts has wp + 1 bits and sits
+    # on an exact tie at wp bits; a second term more than 100 exponents and wp + 4 top bits
+    # below it is dropped, so the tie goes to even whatever that term's sign, where
+    # libmp's mpf_add rounds it toward the small term's sign
+    wp = Precision(bits=bits).work_bits
+    for low in (1, 3):
+        big = 3 * ((1 << wp - 1) + low)
+        down, up = big >> 1, (big >> 1) + 1  # its neighbours at wp bits, in units of 2
+        even = from_man_exp(up if down & 1 else down, 1)
+        for small in (1, -1, 2**60 + 1, -(2**60) - 1):
+            be = -150 - small.bit_length()
+            assert from_man_exp(*precision._add(big, 0, small, be, wp)) == even
+            assert from_man_exp(*precision._add(small, be, big, 0, wp)) == even
+            libmp = mpf_add(from_man_exp(big, 0), from_man_exp(small, be), wp, round_nearest)
+            assert libmp == from_man_exp(up if small > 0 else down, 1)
 
 
 def test_bigcomplex_is_a_record_without_arithmetic():
