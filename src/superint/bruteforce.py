@@ -21,6 +21,7 @@ unchanged for (2,1).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -180,7 +181,11 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     else the intermediate eigenvalue formulas are singular.  beta may be 0:
     each U(k) factor is then its group's mass, 1, and the value 0.  At small
     nonzero |beta| the (2, 1) value falls as beta^4 while the intermediate
-    terms do not, so it loses about 4 log2(1/|beta|) of its bits.
+    terms do not, so it cancels about loss = 4 log2(1/|beta|) bits; when
+    loss > guard_bits - 8 the integral runs with guard_bits + ceil(loss) + 16
+    guard bits and is rounded to prec.bits as ever.  The kernel sums come
+    from `BesselSeries`, mpmath's series, which `prec.truncation_cap` does
+    not bound.
     """
     if (m, n) not in ((1, 1), (2, 1)):
         raise ValueError("supported block shapes: (1,1) and (2,1)")
@@ -189,6 +194,11 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     b_diag = list(b_diag)
     if len(a_diag) != size or len(b_diag) != size:
         raise ValueError("need m+n diagonal values per source")
+    with mp.workprec(prec.work_bits):
+        beta_v = to_mpc_any(beta)
+        loss = -4 * float(mp.log(abs(beta_v), 2)) if beta_v else 0
+    if loss > prec.guard_bits - 8:
+        prec = dataclasses.replace(prec, guard_bits=prec.guard_bits + math.ceil(loss) + 16)
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
         a_vals = [to_mpc_any(v) for v in a_diag]

@@ -20,26 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc
-from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_div_mpf,
-    mpc_mul,
-    mpc_zero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_gt,
-    mpf_lt,
-    mpf_mul,
-    mpf_shift,
-    round_nearest,
-)
 
-from .errors import GeneratorMismatch, NonInvertibleBody, TruncationCapExceeded
+from .errors import GeneratorMismatch, NonInvertibleBody
 from .precision import DEFAULT_PRECISION, Precision, to_mpc_any, to_mpf
 
 
@@ -128,8 +110,8 @@ class GaussianRational:
 I_EXACT = GaussianRational(0, 1)
 
 
-def _product_sign(left: int, right: int) -> int:
-    """Sign of sorting the concatenated monomials left, right into ascending order.
+def _reorder_is_odd(left: int, right: int) -> bool:
+    """Whether sorting the concatenated monomials left, right into ascending order is odd.
 
     Each generator of right moves past every higher generator of left.
     """
@@ -138,7 +120,7 @@ def _product_sign(left: int, right: int) -> int:
     while left:
         swaps += (left & right).bit_count()
         left >>= 1
-    return -1 if swaps & 1 else 1
+    return bool(swaps & 1)
 
 
 def _indices(mono: int) -> tuple:
@@ -146,8 +128,11 @@ def _indices(mono: int) -> tuple:
 
 
 def _accumulate(terms: dict, mono: int, coeff):
-    """Add coeff into terms[mono]; the element constructor drops a zero sum."""
-    terms[mono] = terms.get(mono, 0) + coeff
+    """Add coeff into terms[mono], or store it there as it is when mono is new.
+
+    The element constructor drops a zero sum.
+    """
+    terms[mono] = terms[mono] + coeff if mono in terms else coeff
 
 
 class GrassmannElement:
@@ -236,7 +221,8 @@ class GrassmannElement:
             for mr, cr in other.terms.items():
                 if ml & mr:
                     continue
-                _accumulate(terms, ml | mr, _product_sign(ml, mr) * cl * cr)
+                c = cl * cr
+                _accumulate(terms, ml | mr, -c if _reorder_is_odd(ml, mr) else c)
         return GrassmannElement(self.generator_count, terms)
 
     def __rmul__(self, other):
@@ -357,8 +343,8 @@ class BesselSeries:
     of order nu + j.  `sums` holds each R(s, body) at one precision, summed
     once; pass one dict to share sums between series of several orders.
 
-    The Haar oracle sums the kernel here, in mpc on its own term recurrence,
-    rather than with `precision.bessel_ratio_raw`: the closed forms it is
+    The Haar oracle takes the kernel from mpmath's hypergeometric series
+    rather than from `precision.bessel_ratio_raw`: the closed forms it is
     compared with sum with that kernel, so a fault there would show on both
     sides of the comparison and cancel.
     """
@@ -367,55 +353,18 @@ class BesselSeries:
     sums: dict = field(default_factory=dict, compare=False, repr=False)
 
     def eval_at(self, body, prec: Precision):
-        """Sum on the term recurrence t_(k+1) = t_k w/((k+1)(k+1+nu)), t_0 = 1/nu!.
+        """R(nu, body) = 0F1(; nu+1; body) / nu! as an mpc at prec.work_bits.
 
-        Stops once two consecutive term magnitudes drop below 2^-(bits+guard)
-        times the largest partial-sum magnitude seen so far (two, so that a
-        single small term cannot end the sum early).  Raises
-        TruncationCapExceeded when the rule is not met within the cap.
-        Runs on raw libmp tuples with the calls mpc's operators make
-        (mpc_add, mpc_abs, mpc_mul, mpc_div_mpf), so the sum is the one mpc
-        arithmetic at work_bits gives.  When the body's imaginary part is
-        exactly zero every imaginary part stays an exact zero, and those calls
-        reduce to mpf_add, mpf_abs, mpf_mul and mpf_div on the real parts, so
-        a real body is summed with them, to the same bits.
+        mpmath sums the series term by term, raising its own precision until
+        the cancellation it measures is covered, so `prec.truncation_cap` does
+        not bound it.
         """
         key = (self.nu, body, prec)
-        if key in self.sums:
-            return self.sums[key]
-        nu = self.nu
-        wp = prec.work_bits
-        with mp.workprec(wp):
-            b = to_mpc_any(body)._mpc_
-        first = mpf_div(fone, from_int(math.factorial(nu)), wp, round_nearest)
-        real = b[1] == fzero
-        if real:
-            add, absolute, mul, div = mpf_add, mpf_abs, mpf_mul, mpf_div
-            b, term, total = b[0], first, fzero
-        else:
-            add, absolute, mul, div = mpc_add, mpc_abs, mpc_mul, mpc_div_mpf
-            term, total = (first, fzero), mpc_zero
-        max_mag = fone
-        bound = mpf_shift(max_mag, -wp)  # 2^-(bits+guard) max_mag, exact
-        small_run = 0
-        for k in range(prec.truncation_cap):
-            total = add(total, term, wp, round_nearest)
-            mag = absolute(total, wp, round_nearest)
-            if mpf_gt(mag, max_mag):
-                max_mag = mag
-                bound = mpf_shift(max_mag, -wp)
-            if mpf_lt(absolute(term, wp, round_nearest), bound):
-                small_run += 1
-                if small_run >= 2:
-                    self.sums[key] = value = mp.make_mpc((total, fzero) if real else total)
-                    return value
-            else:
-                small_run = 0
-            term = mul(term, b, wp, round_nearest)
-            term = div(term, from_int((k + 1) * (k + 1 + nu)), wp, round_nearest)
-        raise TruncationCapExceeded(
-            f"series did not converge within {prec.truncation_cap} terms"
-        )
+        if key not in self.sums:
+            with mp.workprec(prec.work_bits):
+                w = to_mpc_any(body)
+                self.sums[key] = mp.hyp0f1(self.nu + 1, w, force_series=True) / math.factorial(self.nu)
+        return self.sums[key]
 
 
 def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
@@ -423,8 +372,7 @@ def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISI
 
     `w` must be even and `series` is a `BesselSeries`.  The soul
     expansion terminates by nilpotency; the j-th derivative at the body is
-    R(nu+j, body) by the order shift, summed adaptively on its own recurrence
-    under the precision's truncation rules.
+    R(nu+j, body) by the order shift, each from `BesselSeries.eval_at`.
     The soul products are rounded at prec.work_bits, whatever the caller's
     mpmath precision.
     """

@@ -1,8 +1,10 @@
 """Explicit Haar-parametrized integration against the closed determinant form."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -19,7 +21,7 @@ from superint import (
     ls_closed_form,
     nondiag_limit_ls,
 )
-from superint import bruteforce
+from superint import bruteforce, grassmann, precision
 from superint.bruteforce import measure_factor, measure_order, odd_parameter_matrix
 from superint.errors import NonInvertibleBody
 from superint.precision import to_mpc_any
@@ -138,11 +140,11 @@ def test_brute_force_at_zero_beta_is_the_closed_forms_zero(m):
     assert bf.is_zero and bf == ls_closed_form(ev, PREC).value
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="known defect: the (2|1) Haar oracle loses about 4 log2(1/|beta|) bits")
 def test_known_defect_haar_oracle_loses_bits_at_small_beta():
-    # the (2|1) value falls as beta^4 while the oracle's terms stay of order 1, so the
-    # loss grows as 4 log2(1/|beta|): today 2^-29.5 relative at beta = 2^-60, and at
-    # 2^-100 it returns 4.83e-86 with a 256-bit tag where the value is -1.3356e-125
+    # the (2|1) value falls as beta^4 while the oracle's terms stay of order 1, so it
+    # cancels 4 log2(1/|beta|) bits, which brute_force_ls now adds to its guard bits;
+    # without them it was off by 2^-29.5 relative at beta = 2^-60, and at 2^-100 it
+    # returned 4.83e-86 with a 256-bit tag where the value is -1.3356e-125
     a, b = SMALL_BETA_SOURCES
     for e in (60, 100):
         beta = BigComplex(Fraction(1, 2**e))
@@ -151,6 +153,23 @@ def test_known_defect_haar_oracle_loses_bits_at_small_beta():
         want = ls_closed_form(ev, Precision(bits=1024)).value.to_mpc()
         with mp.workprec(1100):
             assert abs(bf - want) <= abs(want) * mpf(2) ** -200, e
+
+
+def test_haar_oracle_takes_no_kernel_from_precision(monkeypatch):
+    # the oracle checks the closed forms, which sum R(nu, w) in precision.py, so it
+    # must give its values with that kernel unavailable and import no libmp arithmetic
+    points = [(m, 1, *(v[2 - m :] for v in SMALL_BETA_SOURCES)) for m in (1, 2)]
+    want = [brute_force_ls(m, n, a, b, BETA, PREC) for m, n, a, b in points]
+
+    def unavailable(*args):
+        raise AssertionError("the Haar oracle called precision's kernel")
+
+    monkeypatch.setattr(precision, "_bessel_orders", unavailable)
+    assert [brute_force_ls(m, n, a, b, BETA, PREC) for m, n, a, b in points] == want
+    tree = ast.parse(Path(grassmann.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name and name.startswith("mpmath.libmp") for name in imported)
 
 
 def test_brute_force_2_1_rejects_coinciding_products():
@@ -234,4 +253,10 @@ def test_supermatrix_oracle_terms_bit_pinned():
     out = brute_force_ls_supermatrix_11(A, B, BETA, PREC)
     terms = sorted((mono, c._mpc_) for mono, c in out.terms.items())
     assert set(dict(terms)) == {0, 0b1100}
-    assert hashlib.sha256(repr(terms).encode()).hexdigest() == "b914f888e7c7a7bea5ed0415a6a319ae314e9937dd33e3fdab251efd55df60d4"
+    # the same sources at 512 bits agree to 2^-250 relative in each coefficient
+    wide = brute_force_ls_supermatrix_11(A, B, BETA, Precision(bits=512))
+    assert set(wide.terms) == set(out.terms)
+    with mp.workprec(600):
+        for mono, c in out.terms.items():
+            assert abs(c - wide.terms[mono]) <= abs(wide.terms[mono]) * mpf(2) ** -250, mono
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == "ee3b49750784ec038e0636fc04a03b44e17c9d75a5881bfad2923f27ebc86364"
