@@ -21,7 +21,6 @@ unchanged for (2,1).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -198,7 +197,7 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         beta_v = to_mpc_any(beta)
         loss = -4 * float(mp.log(abs(beta_v), 2)) if beta_v else 0
     if loss > prec.guard_bits - 8:
-        prec = dataclasses.replace(prec, guard_bits=prec.guard_bits + math.ceil(loss) + 16)
+        prec = Precision(prec.bits, prec.guard_bits + math.ceil(loss) + 16, prec.truncation_cap)
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
         a_vals = [to_mpc_any(v) for v in a_diag]

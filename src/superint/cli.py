@@ -12,12 +12,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
-from .precision import DEFAULT_BITS, DEFAULT_SEED, DEFAULT_TRUNCATION_CAP, Precision
+from .precision import DEFAULT_BITS, DEFAULT_SEED, DEFAULT_TRUNCATION_CAP, Precision, Slotted
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -77,14 +76,15 @@ def _bk_eval(args, prec, options):
         beta = doc["beta"]
         lam = SuperEigenvalues.from_json({**doc["lambda"], "beta": beta})
         mu = SuperEigenvalues.from_json({**doc["mu"], "beta": beta})
+        if (lam.m, lam.n) != (mu.m, mu.n):
+            raise ValueError("the two eigenvalue sets must share (m, n)")
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFormatError(f"bad eigenvalue document: {exc}") from exc
     result = bk_closed_form(lam, mu, prec)
     return None, {"result": result.to_json()}, {"input": {"lambda": lam.to_json(), "mu": mu.to_json()}}
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Slotted):
     """One subcommand: its help line, its own flags and what it runs.
 
     `run(args, prec, options)` takes argparse's namespace, the Precision
@@ -93,9 +93,12 @@ class Command:
     None for an evaluator, whose report carries no status.
     """
 
-    help: str
-    flags: dict
-    run: object
+    __slots__ = ("help", "flags", "run")
+
+    def __init__(self, help: str, flags: dict, run):
+        object.__setattr__(self, "help", help)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "run", run)
 
 
 _INPUT_FLAGS = {

@@ -12,7 +12,6 @@ from one builder (_entries) and their value and record from one tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,6 +23,7 @@ from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
+    Slotted,
     _log2_abs,
     as_record,
     bessel_ratio_raw,
@@ -35,22 +35,20 @@ from .precision import (
 )
 
 
-@dataclass(frozen=True)
-class SuperEigenvalues:
+class SuperEigenvalues(Slotted):
     """Squared eigenvalues split into bosonic and fermionic sectors, plus the coupling.
 
     Each entry is a BigComplex record, which keeps its own bits, or a plain
     int, float, complex or Fraction, which is rounded at the bits of the
-    evaluation that reads it.
+    evaluation that reads it.  The sectors are kept as tuples.
     """
 
-    bosonic: tuple
-    fermionic: tuple
-    beta: object
+    __slots__ = ("bosonic", "fermionic", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bosonic", tuple(self.bosonic))
-        object.__setattr__(self, "fermionic", tuple(self.fermionic))
+    def __init__(self, bosonic, fermionic, beta):
+        object.__setattr__(self, "bosonic", tuple(bosonic))
+        object.__setattr__(self, "fermionic", tuple(fermionic))
+        object.__setattr__(self, "beta", beta)
 
     def values(self, bits: int):
         """(bosonic, fermionic, beta) as mpc, plain entries rounded to `bits` bits."""
@@ -90,11 +88,21 @@ class SuperEigenvalues:
         return cls(tuple(bos), tuple(ferm), BigComplex.from_json(obj["beta"]))
 
 
-@dataclass
-class IntegralResult:
-    value: BigComplex
-    branch: str  # "generic" | "confluent" | "vanishing"
-    diagnostics: dict = field(default_factory=dict)
+class IntegralResult(Slotted):
+    """A closed form's value, its branch and its diagnostics; mutable, so not hashable.
+
+    branch is "generic", "confluent" or "vanishing"; each result gets its
+    own diagnostics dict unless one is passed.
+    """
+
+    __slots__ = ("value", "branch", "diagnostics")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, value: BigComplex, branch: str, diagnostics: dict | None = None):
+        self.value = value
+        self.branch = branch
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self) -> dict:
         return {

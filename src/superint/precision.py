@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 import operator
 from functools import lru_cache, partial, reduce
@@ -34,6 +33,10 @@ from mpmath.libmp import (
 from .errors import TruncationCapExceeded
 
 DEFAULT_BITS = 256
+# the most bits a Precision or a record may ask for, a bound on input and not a
+# setting: past it one field of an input document could keep a process busy
+# for minutes (a 3e6-bit record takes seconds to parse, an evaluation far longer)
+MAX_BITS = 65536
 DEFAULT_GUARD_BITS = 32
 DEFAULT_TRUNCATION_CAP = 512
 # seed of the verification suites' draws; here, beside the other defaults, so
@@ -41,21 +44,70 @@ DEFAULT_TRUNCATION_CAP = 512
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class Precision:
+def _check_bits(bits: int) -> int:
+    """`bits` if it lies in 64..MAX_BITS, else ValueError."""
+    if bits < 64:
+        raise ValueError("precision must be at least 64 bits")
+    if bits > MAX_BITS:
+        raise ValueError(f"precision must be at most {MAX_BITS} bits")
+    return bits
+
+
+class Slotted:
+    """Base of the slotted value classes on the evaluator path, in place of dataclasses.
+
+    A subclass names its fields in __slots__ and sets each once in its
+    __init__ with object.__setattr__.  Instances are immutable, compare and
+    hash by _key (every field unless the subclass sets its own), print as
+    Name(field=value, ...) and pickle by calling the constructor with every
+    field: a raising __setattr__ would break the restore of slot state.
+    _fields and _key are operator.attrgetter objects, which read the fields
+    in C and take the instance as their argument: a Precision is hashed at
+    every memo lookup of a kernel.  Hand-written, not dataclasses: an
+    ls-eval or bk-eval process would import dataclasses for these classes
+    alone, and inspect, ast and dis with it.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = operator.attrgetter(*cls.__slots__)
+        if "_key" not in vars(cls):
+            cls._key = cls._fields
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class Precision(Slotted):
     """Working precision: mantissa bits, guard bits for stopping rules, series cap."""
 
-    bits: int = DEFAULT_BITS
-    guard_bits: int = DEFAULT_GUARD_BITS
-    truncation_cap: int = DEFAULT_TRUNCATION_CAP
+    __slots__ = ("bits", "guard_bits", "truncation_cap")
 
-    def __post_init__(self):
-        if self.bits < 64:
-            raise ValueError("precision must be at least 64 bits")
-        if self.guard_bits < 0:
+    def __init__(
+        self, bits: int = DEFAULT_BITS, guard_bits: int = DEFAULT_GUARD_BITS, truncation_cap: int = DEFAULT_TRUNCATION_CAP
+    ):
+        _check_bits(bits)
+        if guard_bits < 0:
             raise ValueError("guard_bits must be non-negative")
-        if self.truncation_cap < 8:
+        if truncation_cap < 8:
             raise ValueError("truncation_cap must be at least 8")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "guard_bits", guard_bits)
+        object.__setattr__(self, "truncation_cap", truncation_cap)
 
     @property
     def work_bits(self) -> int:
@@ -86,8 +138,7 @@ def to_mpc_any(x) -> mpc:
     return z
 
 
-@dataclass(frozen=True, slots=True)
-class BigComplex:
+class BigComplex(Slotted):
     """A complex value tagged with its mantissa bits: the record of the JSON/API boundary.
 
     The library computes on mpc at an explicit Precision; a record only
@@ -96,24 +147,23 @@ class BigComplex:
     not compared.
     """
 
-    re: mpf = 0
-    im: mpf = 0
-    bits: int = field(default=DEFAULT_BITS, compare=False)
+    __slots__ = ("re", "im", "bits")
+    _key = operator.attrgetter("re", "im")
 
-    def __post_init__(self):
+    def __init__(self, re=0, im=0, bits: int = DEFAULT_BITS):
         """Round an int, float, complex, Fraction or mpc to `bits` bits; refuse NaN and infinities."""
-        if self.bits < 64:
-            raise ValueError("precision must be at least 64 bits")
-        re, im = self.re, self.im
+        _check_bits(bits)
         if isinstance(re, (complex, mpc)):
             if im != 0:
                 raise ValueError("cannot combine complex re with nonzero im")
             re, im = re.real, re.imag
-        with mp.workprec(self.bits):
-            object.__setattr__(self, "re", to_mpf(re))
-            object.__setattr__(self, "im", to_mpf(im))
-        if not (mp.isfinite(self.re) and mp.isfinite(self.im)):
+        with mp.workprec(bits):
+            x, y = to_mpf(re), to_mpf(im)
+        if not (mp.isfinite(x) and mp.isfinite(y)):
             raise ValueError(f"non-finite value re={re!r} im={im!r}")
+        object.__setattr__(self, "re", x)
+        object.__setattr__(self, "im", y)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_mpc(cls, z, bits: int) -> "BigComplex":
@@ -135,9 +185,8 @@ class BigComplex:
     def from_json(cls, obj: dict) -> "BigComplex":
         if not isinstance(obj, dict):
             raise ValueError(f"a scalar must be an object with re and im, got {obj!r}")
-        bits = json_int(obj.get("bits", DEFAULT_BITS), "bits")
-        if bits < 64:
-            raise ValueError("precision must be at least 64 bits")
+        # checked before the digits are parsed, which takes time growing with bits
+        bits = _check_bits(json_int(obj.get("bits", DEFAULT_BITS), "bits"))
         with mp.workprec(bits):
             re, im = mpf(str(obj["re"])), mpf(str(obj.get("im", "0")))
         return cls(re, im, bits)

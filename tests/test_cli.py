@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from superint import Precision, cli
+from superint.precision import MAX_BITS
 
 CLI = [sys.executable, "-m", "superint"]
 
@@ -163,6 +165,26 @@ def test_malformed_eigenvalue_document_exits_2(command, change):
     # int(True) == True would read true as 1)
     doc = json.loads(LS_INPUT if command == "ls-eval" else BK_INPUT)
     assert_input_error(run_cli(command, "--input-json", json.dumps({**doc, **change})))
+
+
+def test_bk_eval_sets_of_different_shapes_are_an_input_error(capsys):
+    # the shapes were first compared by bk_closed_form, whose ValueError read as a bad flag
+    doc = {"beta": {"re": "0.5"}, "lambda": {"bosonic": [{"re": "0.3"}]}, "mu": {"bosonic": [{"re": "0.4"}, {"re": "0.5"}]}}
+    assert cli.main(["bk-eval", "--input-json", json.dumps(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: bad eigenvalue document: the two eigenvalue sets must share (m, n)\n"
+
+
+@pytest.mark.parametrize("where", ["beta", "bosonic"])
+def test_bits_above_the_bound_are_an_input_error_at_once(where, capsys):
+    # refused before the digits are parsed; a 1e8-bit beta kept ls-eval busy for minutes
+    doc = json.loads(LS_INPUT)
+    (doc["beta"] if where == "beta" else doc["bosonic"][0])["bits"] = MAX_BITS + 1
+    start = time.perf_counter()
+    assert cli.main(["ls-eval", "--input-json", json.dumps(doc)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"input error: bad eigenvalue document: precision must be at most {MAX_BITS} bits\n"
 
 
 def test_truncation_cap_exits_3():
@@ -404,7 +426,15 @@ def test_evaluator_config_holds_settings_and_input_echo(command, document, capsy
 
 
 @pytest.mark.parametrize(
-    "argv,env_bits", [(["--jobs", "0"], None), (["--prec-bits", "10"], None), (["--trunc-cap", "1"], None), ([], "abc")]
+    "argv,env_bits",
+    [
+        (["--jobs", "0"], None),
+        (["--prec-bits", "10"], None),
+        (["--trunc-cap", "1"], None),
+        ([], "abc"),
+        (["--prec-bits", str(MAX_BITS + 1)], None),
+        ([], str(MAX_BITS + 1)),
+    ],
 )
 @pytest.mark.parametrize("command", ["ls-eval", "bk-eval"])
 def test_bad_settings_exit_2_before_the_input_is_read(command, argv, env_bits, tmp_path, monkeypatch, capsys):
@@ -444,7 +474,8 @@ def test_evaluator_process_imports_no_verification_code(argv, tmp_path):
     # none of acceptance, conjecture, grassmann, bruteforce, schur, partitions
     package = {name for name in loaded if name.startswith("superint")}
     assert package == {"superint", "superint.cli", "superint.errors", "superint.integrals", "superint.precision"}
-    assert "multiprocessing" not in loaded
+    # nor multiprocessing, nor dataclasses with the inspect, ast and dis it imports
+    assert not {"multiprocessing", "dataclasses", "inspect"} & loaded
 
 
 def test_env_var_precision_override():

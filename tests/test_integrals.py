@@ -1,5 +1,6 @@
 """Closed-form integral evaluators: values, symmetries, limits, dispatch."""
 
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -673,6 +674,28 @@ def test_eigenvalue_json_round_trip():
     back = SuperEigenvalues.from_json(doc)
     assert back.m == 2 and back.n == 1
     assert rel_diff(back.bosonic[0], BigComplex(lam.bosonic[0])) < mpf(2) ** -200
+
+
+def test_super_eigenvalues_is_an_immutable_value():
+    a = SuperEigenvalues([Fraction(1, 3)], [Fraction(1, 5)], BETA)
+    assert (a.bosonic, a.fermionic) == ((Fraction(1, 3),), (Fraction(1, 5),))  # lists become tuples
+    same = SuperEigenvalues((Fraction(1, 3),), (Fraction(1, 5),), BigComplex(Fraction(1, 2), bits=128))
+    assert a == same and hash(a) == hash(same)
+    assert a != SuperEigenvalues((Fraction(1, 3),), (Fraction(1, 5),), BigComplex(Fraction(1, 3)))
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.beta = BETA
+
+
+def test_integral_results_hold_their_own_diagnostics():
+    a, b = integrals.IntegralResult(BigComplex(1), "generic"), integrals.IntegralResult(BigComplex(1), "generic")
+    assert a == b and a.diagnostics is not b.diagnostics
+    a.diagnostics["terms_used"] = 3
+    assert b.diagnostics == {} and a != b
+    a.branch = "confluent"  # a result stays mutable, so it has no hash
+    assert a.branch == "confluent"
+    with pytest.raises(TypeError):
+        hash(b)
 
 
 def test_integral_result_json():

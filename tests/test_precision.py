@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import time
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -809,3 +810,41 @@ def test_precision_validation():
         Precision(bits=32)
     with pytest.raises(ValueError):
         Precision(truncation_cap=4)
+
+
+@pytest.mark.parametrize("bits", [precision.MAX_BITS + 1, 10**8])
+def test_bits_above_the_bound_are_refused_at_once(bits):
+    # a 3e6-bit record took 8 s to parse, and an ls-eval with a 1e8-bit beta ran for
+    # minutes; the JSON record is refused before its digits are read
+    start = time.perf_counter()
+    for make in (
+        lambda: Precision(bits),
+        lambda: BigComplex(1, bits=bits),
+        lambda: BigComplex.from_json({"re": "1." + "3" * 40, "bits": bits}),
+    ):
+        with pytest.raises(ValueError, match=f"^precision must be at most {precision.MAX_BITS} bits$"):
+            make()
+    assert time.perf_counter() - start < 1
+    top = precision.MAX_BITS
+    assert Precision(top).bits == BigComplex(1, bits=top).bits == BigComplex.from_json({"re": "1", "bits": top}).bits
+
+
+def test_precision_is_an_immutable_value():
+    p = Precision(128, 16, 64)  # positional order: bits, guard_bits, truncation_cap
+    assert (p.bits, p.guard_bits, p.truncation_cap, p.work_bits) == (128, 16, 64, 144)
+    same = Precision(bits=128, guard_bits=16, truncation_cap=64)
+    assert p == same and hash(p) == hash(same)
+    assert p != Precision(128, 16, 65) and p != (128, 16, 64)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert repr(Precision()) == "Precision(bits=256, guard_bits=32, truncation_cap=512)"
+    with pytest.raises(AttributeError):
+        p.bits = 256
+
+    # a cache key: an equal Precision finds the entry
+    @lru_cache(maxsize=None)
+    def work_bits(prec):
+        return prec.work_bits
+
+    work_bits(p)
+    work_bits(same)
+    assert work_bits.cache_info().hits == 1
