@@ -16,9 +16,9 @@ The package has five layers:
 
 Each public name is looked up in its submodule when it is used, so a process
 loads only the layers it touches: an `ls-eval` or `bk-eval` run imports
-errors, precision, integrals and cli.  Their records are plain slotted
-classes, so neither that run nor `import superint` loads dataclasses and
-the inspect, ast and dis it imports; the verification modules keep theirs.
+errors, precision, integrals and cli.  Every value class in the package
+is a slotted class on one base, precision.Slotted, so no module of it loads
+dataclasses and the inspect, ast and dis it imports.
 """
 
 import importlib

@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -46,17 +45,14 @@ from .partitions import (
     sigma_decomposition_factor,
     super_diagrams,
 )
-from .precision import DEFAULT_SEED, Precision, to_mpf
+from .precision import DEFAULT_SEED, Precision, Slotted, to_mpf
 from .schur import super_schur_tableaux, supercharacter_amu
 
 
-@dataclass
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: dict
-    runtime_s: float  # console display only, never in the canonical report
+class CriterionResult(Slotted):
+    """One criterion's outcome; runtime_s is for console display only, never in the canonical report."""
+
+    __slots__ = ("index", "name", "passed", "detail", "runtime_s")
 
 
 def _fraction(seed: int, counter: int, span: int = 40, positive: bool = False) -> Fraction:

@@ -95,11 +95,6 @@ class Command(Slotted):
 
     __slots__ = ("help", "flags", "run")
 
-    def __init__(self, help: str, flags: dict, run):
-        object.__setattr__(self, "help", help)
-        object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "run", run)
-
 
 _INPUT_FLAGS = {
     "--input": {"type": str, "default": None, "help": "path to the input document"},

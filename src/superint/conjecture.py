@@ -21,7 +21,6 @@ Both reductions are covered by brute-force multi-loop oracles in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -46,6 +45,7 @@ from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
     Precision,
+    Slotted,
     as_record,
     det_mpc,
     exact_determinant,
@@ -339,30 +339,19 @@ def tail_bound(N: int, max_abs_z, K: int, prec: Precision = DEFAULT_PRECISION):
         return val
 
 
-@dataclass
-class ConjectureSample:
-    z: list
-    j0: BigComplex
-    jm: BigComplex
-    abs_diff: object
-    rel_diff: object
+class ConjectureSample(Slotted):
+    """One sample's z, its J0 and Jm records and their absolute and relative differences."""
+
+    __slots__ = ("z", "j0", "jm", "abs_diff", "rel_diff")
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(Slotted):
     """Outcome of one seeded antisymmetric-vs-split series comparison."""
 
-    N: int
-    m: int
-    seed: int
-    precision_bits: int
-    truncation_depth: int
-    radius: str
-    samples: list = field(default_factory=list)
-    max_rel_diff: object = None
-    tail_bound: object = None
-    tolerance: object = None
-    passed: bool = False
+    __slots__ = (
+        "N", "m", "seed", "precision_bits", "truncation_depth", "radius",
+        "samples", "max_rel_diff", "tail_bound", "tolerance", "passed"
+    )
 
     def to_json(self) -> dict:
         def fmt(x):
@@ -435,18 +424,20 @@ def verify_cells(cells, sample_count=10, radius=2, seed=42, prec=DEFAULT_PRECISI
         rounding_floor = mpf(2) ** (-(prec.bits - 48))
         for i, (N, m) in enumerate(cells):
             bound = tail_bound(N, radius, K, prec)
-            report = ConjectureReport(N, m, seed, prec.bits, K, str(radius), tail_bound=bound)
-            tolerances = []
+            cell_samples, tolerances = [], []
             for z, values in samples:
                 j0, jm = values[i]
                 adiff = abs(j0.to_mpc() - jm.to_mpc())
                 scale = max(abs(j0.to_mpc()), mpf(2) ** (-prec.bits))
-                report.samples.append(ConjectureSample(z[:N], j0, jm, adiff, adiff / scale))
+                cell_samples.append(ConjectureSample(z[:N], j0, jm, adiff, adiff / scale))
                 tolerances.append(2 * bound / scale + rounding_floor)
-            report.max_rel_diff = max(s.rel_diff for s in report.samples)
-            report.tolerance = max(tolerances)
-            report.passed = all(s.rel_diff <= tol for s, tol in zip(report.samples, tolerances))
-            reports.append(report)
+            max_rel_diff = max(s.rel_diff for s in cell_samples)
+            passed = all(s.rel_diff <= tol for s, tol in zip(cell_samples, tolerances))
+            reports.append(
+                ConjectureReport(
+                    N, m, seed, prec.bits, K, str(radius), cell_samples, max_rel_diff, bound, max(tolerances), passed
+                )
+            )
     return reports
 
 

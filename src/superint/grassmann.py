@@ -16,26 +16,22 @@ zero rule and the conjugation use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
 from fractions import Fraction
 
 from mpmath import mp, mpc
 
 from .errors import GeneratorMismatch, NonInvertibleBody
-from .precision import DEFAULT_PRECISION, Precision, to_mpc_any, to_mpf
+from .precision import DEFAULT_PRECISION, Precision, Slotted, to_mpc_any, to_mpf
 
 
-class GaussianRational:
+class GaussianRational(Slotted):
     """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaussianRational is immutable")
+        super().__init__(Fraction(re), Fraction(im))
 
     def _lift(self, other):
         if isinstance(other, GaussianRational):
@@ -135,7 +131,7 @@ def _accumulate(terms: dict, mono: int, coeff):
     terms[mono] = terms[mono] + coeff if mono in terms else coeff
 
 
-class GrassmannElement:
+class GrassmannElement(Slotted):
     """Multivector in a finite Grassmann algebra with a fixed generator count."""
 
     __slots__ = ("generator_count", "terms")
@@ -143,12 +139,11 @@ class GrassmannElement:
     def __init__(self, generator_count: int, terms: dict | None = None):
         if generator_count % 2:
             raise ValueError("generator count must be even (conjugate pairs)")
+        # set here, not by Slotted.__init__, whose call would add about 3% to a
+        # (2|1) Haar point, which builds about 200 elements
         object.__setattr__(self, "generator_count", generator_count)
         # the one zero rule: a coefficient's truth value, which for mpc is one tuple compare
         object.__setattr__(self, "terms", {m: c for m, c in (terms or {}).items() if c})
-
-    def __setattr__(self, *_):
-        raise AttributeError("GrassmannElement is immutable")
 
     # -- constructors --------------------------------------------------------
 
@@ -335,8 +330,7 @@ def _scalar_inverse(c):
     return 1 / mpc(c)
 
 
-@dataclass(frozen=True)
-class BesselSeries:
+class BesselSeries(Slotted):
     """The even Bessel kernel R(nu, w) = sum_k w^k/(k!(k+nu)!) as a series.
 
     Termwise d/dw R(nu, w) = R(nu+1, w), so the j-th derivative is the series
@@ -347,10 +341,14 @@ class BesselSeries:
     rather than from `precision.bessel_ratio_raw`: the closed forms it is
     compared with sum with that kernel, so a fault there would show on both
     sides of the comparison and cancel.
+    Two series are equal when their orders are; `sums` is not compared.
     """
 
-    nu: int
-    sums: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("nu", "sums")
+    _key = operator.attrgetter("nu")
+
+    def __init__(self, nu: int, sums: dict | None = None):
+        super().__init__(nu, {} if sums is None else sums)
 
     def eval_at(self, body, prec: Precision):
         """R(nu, body) = 0F1(; nu+1; body) / nu! as an mpc at prec.work_bits.
@@ -360,11 +358,12 @@ class BesselSeries:
         not bound it.
         """
         key = (self.nu, body, prec)
-        if key not in self.sums:
+        value = self.sums.get(key)
+        if value is None:
             with mp.workprec(prec.work_bits):
                 w = to_mpc_any(body)
-                self.sums[key] = mp.hyp0f1(self.nu + 1, w, force_series=True) / math.factorial(self.nu)
-        return self.sums[key]
+                value = self.sums[key] = mp.hyp0f1(self.nu + 1, w, force_series=True) / math.factorial(self.nu)
+        return value
 
 
 def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
@@ -389,28 +388,25 @@ def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISI
 # -- block supermatrices --------------------------------------------------------
 
 
-class SuperMatrixSym:
+class SuperMatrixSym(Slotted):
     """(m+n) x (m+n) matrix over the algebra with block-consistent parity."""
 
-    __slots__ = ("m", "n", "entries", "generator_count")
+    __slots__ = ("m", "n", "entries")
 
     def __init__(self, m: int, n: int, entries):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != m + n or any(len(r) != m + n for r in rows):
             raise ValueError("entries must form an (m+n) x (m+n) matrix")
-        g = rows[0][0].generator_count
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "generator_count", g)
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 want = (i < m) != (j < m)
                 if any(mono.bit_count() & 1 != want for mono in e.terms):
                     raise ValueError(f"entry ({i},{j}) has wrong parity")
+        super().__init__(m, n, rows)
 
-    def __setattr__(self, *_):
-        raise AttributeError("SuperMatrixSym is immutable")
+    @property
+    def generator_count(self) -> int:
+        return self.entries[0][0].generator_count
 
     @classmethod
     def identity(cls, m: int, n: int, g: int) -> "SuperMatrixSym":
@@ -468,18 +464,6 @@ class SuperMatrixSym:
         if which == "ff":
             return [[self.entries[m + i][m + j] for j in range(n)] for i in range(n)]
         raise ValueError(which)
-
-    def is_identity(self) -> bool:
-        size = self.m + self.n
-        for i in range(size):
-            for j in range(size):
-                e = self.entries[i][j]
-                if i == j:
-                    if not (e - 1).is_zero:
-                        return False
-                elif not e.is_zero:
-                    return False
-        return True
 
 
 def matmul_rows(a, b):

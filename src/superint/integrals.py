@@ -46,9 +46,7 @@ class SuperEigenvalues(Slotted):
     __slots__ = ("bosonic", "fermionic", "beta")
 
     def __init__(self, bosonic, fermionic, beta):
-        object.__setattr__(self, "bosonic", tuple(bosonic))
-        object.__setattr__(self, "fermionic", tuple(fermionic))
-        object.__setattr__(self, "beta", beta)
+        super().__init__(tuple(bosonic), tuple(fermionic), beta)
 
     def values(self, bits: int):
         """(bosonic, fermionic, beta) as mpc, plain entries rounded to `bits` bits."""
@@ -100,9 +98,7 @@ class IntegralResult(Slotted):
     __hash__ = None
 
     def __init__(self, value: BigComplex, branch: str, diagnostics: dict | None = None):
-        self.value = value
-        self.branch = branch
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        super().__init__(value, branch, {} if diagnostics is None else diagnostics)
 
     def to_json(self) -> dict:
         return {

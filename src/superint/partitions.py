@@ -6,16 +6,15 @@ Everything here is exact integer / rational combinatorics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
 from .errors import NotCovariant, TooManyRows
-from .precision import json_int, vandermonde
+from .precision import Slotted, json_int, vandermonde
 
 
-class Partition:
+class Partition(Slotted):
     """Weakly decreasing non-negative integer rows with trailing zeros stripped."""
 
     __slots__ = ("rows",)
@@ -29,10 +28,7 @@ class Partition:
                 raise ValueError(f"rows must be weakly decreasing: {rows}")
         if rows and rows[-1] < 0:
             raise ValueError("rows must be non-negative")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Partition is immutable")
+        super().__init__(rows)
 
     @property
     def size(self) -> int:
@@ -72,6 +68,7 @@ class Partition:
         return NotImplemented
 
     def __hash__(self):
+        # as the tuple's, which compares equal
         return hash(self.rows)
 
     def __repr__(self):
@@ -152,22 +149,19 @@ def dimension_glm(p: Partition, m: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class SuperDiagram:
+class SuperDiagram(Slotted):
     """Non-degenerate covariant diagram of Gl(m|n): the m x n block plus p and q^T."""
 
-    m: int
-    n: int
-    p: Partition
-    q: Partition
+    __slots__ = ("m", "n", "p", "q")
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, p: Partition, q: Partition):
+        if m < 1 or n < 1:
             raise ValueError("block dimensions must be positive")
-        if len(self.p) > self.m:
-            raise TooManyRows(f"p has more than m={self.m} rows")
-        if len(self.q) > self.n:
-            raise TooManyRows(f"q has more than n={self.n} rows")
+        if len(p) > m:
+            raise TooManyRows(f"p has more than m={m} rows")
+        if len(q) > n:
+            raise TooManyRows(f"q has more than n={n} rows")
+        super().__init__(m, n, p, q)
 
     @property
     def boxes(self) -> int:

@@ -54,26 +54,37 @@ def _check_bits(bits: int) -> int:
 
 
 class Slotted:
-    """Base of the slotted value classes on the evaluator path, in place of dataclasses.
+    """Base of every value class in the package, in place of dataclasses.
 
-    A subclass names its fields in __slots__ and sets each once in its
-    __init__ with object.__setattr__.  Instances are immutable, compare and
-    hash by _key (every field unless the subclass sets its own), print as
-    Name(field=value, ...) and pickle by calling the constructor with every
-    field: a raising __setattr__ would break the restore of slot state.
-    _fields and _key are operator.attrgetter objects, which read the fields
-    in C and take the instance as their argument: a Precision is hashed at
-    every memo lookup of a kernel.  Hand-written, not dataclasses: an
-    ls-eval or bk-eval process would import dataclasses for these classes
+    A subclass names its fields in __slots__; the constructor here sets them
+    in that order, and a subclass that checks its arguments calls it after
+    its checks.  Instances are immutable, compare and hash by _key (every
+    field unless the subclass sets its own), print as Name(field=value, ...)
+    and pickle and copy by calling the constructor with every field: a
+    raising __setattr__ would break the restore of slot state.  _fields and
+    _key take the instance as their argument and are operator.attrgetter
+    objects where they can be, which read the fields in C: a Precision is
+    hashed at every memo lookup of a kernel.  Hand-written, not dataclasses:
+    an ls-eval or bk-eval process would import dataclasses for these classes
     alone, and inspect, ast and dis with it.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = operator.attrgetter(*cls.__slots__)
+        get = operator.attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the bare value, not a 1-tuple; a
+        # staticmethod, so the function is not bound when read from an instance
+        fields = get if len(cls.__slots__) > 1 else staticmethod(lambda self: (get(self),))
+        cls._fields = fields
         if "_key" not in vars(cls):
-            cls._key = cls._fields
+            cls._key = fields
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,9 +116,7 @@ class Precision(Slotted):
             raise ValueError("guard_bits must be non-negative")
         if truncation_cap < 8:
             raise ValueError("truncation_cap must be at least 8")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "guard_bits", guard_bits)
-        object.__setattr__(self, "truncation_cap", truncation_cap)
+        super().__init__(bits, guard_bits, truncation_cap)
 
     @property
     def work_bits(self) -> int:
@@ -161,9 +170,7 @@ class BigComplex(Slotted):
             x, y = to_mpf(re), to_mpf(im)
         if not (mp.isfinite(x) and mp.isfinite(y)):
             raise ValueError(f"non-finite value re={re!r} im={im!r}")
-        object.__setattr__(self, "re", x)
-        object.__setattr__(self, "im", y)
-        object.__setattr__(self, "bits", bits)
+        super().__init__(x, y, bits)
 
     @classmethod
     def from_mpc(cls, z, bits: int) -> "BigComplex":

@@ -4,12 +4,14 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import superint
 from superint import Precision, cli
 from superint.precision import MAX_BITS
 
@@ -476,6 +478,32 @@ def test_evaluator_process_imports_no_verification_code(argv, tmp_path):
     assert package == {"superint", "superint.cli", "superint.errors", "superint.integrals", "superint.precision"}
     # nor multiprocessing, nor dataclasses with the inspect, ast and dis it imports
     assert not {"multiprocessing", "dataclasses", "inspect"} & loaded
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    # every value class is a Slotted class: importing all of superint, the
+    # verification modules included, loads neither dataclasses nor the inspect
+    # it imports; the submodules are listed here, as pkgutil imports inspect
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    modules = sorted(m.name for m in pkgutil.iter_modules(superint.__path__) if m.name != "__main__")
+    assert {"acceptance", "bruteforce", "conjecture", "grassmann", "partitions", "schur"} <= set(modules)
+    probe = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module("superint." + name)
+print(" ".join(sys.modules))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *modules],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert {f"superint.{name}" for name in modules} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_env_var_precision_override():

@@ -1,11 +1,15 @@
 """The package namespace: the public names, resolved on use from their submodules."""
 
+import copy
 import importlib
+import pickle
+from fractions import Fraction
 
 import pytest
 
 import superint
-from superint import integrals
+from superint import acceptance, cli, integrals
+from superint.precision import Slotted
 
 # every public name of the package, by defining submodule
 PUBLIC = {
@@ -68,3 +72,57 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         superint.no_such_name
     assert not hasattr(superint, "no_such_name")
+
+
+def _values():
+    """One instance of every value class in the package, by class name."""
+    P, GR, GE = superint.Partition, superint.GaussianRational, superint.GrassmannElement
+    prec = superint.Precision(128, 16, 64)
+    series = superint.BesselSeries(1)
+    series.eval_at(Fraction(1, 3), prec)
+    odd = GE.generator(4, 0) * GR(Fraction(1, 3), -2)
+    lam = superint.SuperEigenvalues((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2))
+    report = superint.verify_conjecture(2, 1, sample_count=2, K=16)
+    values = [
+        P((2, 1)),
+        superint.SuperDiagram(2, 1, P((2, 1)), P((1,))),
+        GR(Fraction(1, 3), -2),
+        odd * GE.generator(4, 1) + GE.scalar(4, 1),
+        superint.exp_odd_block([[odd], [GE.generator(4, 2)]]),
+        series,
+        report.samples[0],
+        report,
+        acceptance.CriterionResult(5, "name", True, {"cells": 35}, 0.25),
+        prec,
+        superint.BigComplex(Fraction(22, 7), Fraction(-1, 3), bits=192),
+        lam,
+        superint.ls_closed_form(lam, prec),
+        cli.COMMANDS["ls-eval"],
+    ]
+    return {type(v).__name__: v for v in values}
+
+
+VALUES = _values()
+
+
+def test_every_value_class_has_a_round_trip_case():
+    subclasses = {cls for cls in Slotted.__subclasses__() if cls.__module__.startswith("superint.")}
+    assert {type(v) for v in VALUES.values()} == subclasses
+    assert {cls.__name__ for cls in subclasses} >= {"Partition", "ConjectureSample", "Command"}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_round_trips_to_an_equal_object(name):
+    value = VALUES[name]
+    # a Command's run may be a lambda, which pickle cannot send
+    copies = [copy.copy, copy.deepcopy] + ([] if name == "Command" else [lambda v: pickle.loads(pickle.dumps(v))])
+    for make in copies:
+        back = make(value)
+        assert type(back) is type(value) and back == value and repr(back) == repr(value)
+
+
+def test_value_reprs_and_partition_tuple_equality():
+    P = superint.Partition
+    assert P((2, 1)) == (2, 1) and hash(P((2, 1))) == hash((2, 1))
+    sd = superint.SuperDiagram(1, 1, P((1,)), P())
+    assert repr(sd) == "SuperDiagram(m=1, n=1, p=Partition(1,), q=Partition())"
