@@ -72,7 +72,6 @@ _EXPORTS = {
         "supercharacter_amu",
     ),
     "grassmann": (
-        "BesselSeries",
         "GaussianRational",
         "GrassmannElement",
         "SuperMatrixSym",

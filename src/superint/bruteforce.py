@@ -30,7 +30,6 @@ from mpmath import mp, mpc
 
 from .errors import NonInvertibleBody
 from .grassmann import (
-    BesselSeries,
     GrassmannElement,
     SuperMatrixSym,
     _even_matrix_det,
@@ -121,12 +120,10 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     k = 1 the constant and Delta are 1.
     """
     k = len(eigen)
-    # R(s, body) by order and body: the entries at one eigenvalue share their orders
-    sums = {}
 
     def entry(nu, x):
         # x^nu R(nu, beta^2 x) via the even-series calculus
-        out = analytic_eval(BesselSeries(nu, sums), x * (beta * beta), prec)
+        out = analytic_eval(nu, x * (beta * beta), prec)
         for _ in range(nu):
             out = out * x
         return out
@@ -182,9 +179,9 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     nonzero |beta| the (2, 1) value falls as beta^4 while the intermediate
     terms do not, so it cancels about loss = 4 log2(1/|beta|) bits; when
     loss > guard_bits - 8 the integral runs with guard_bits + ceil(loss) + 16
-    guard bits and is rounded to prec.bits as ever.  The kernel sums come
-    from `BesselSeries`, mpmath's series, which `prec.truncation_cap` does
-    not bound.
+    guard bits and is rounded to prec.bits as ever.  The kernel values come
+    from mpmath's series (`grassmann._bessel_kernel`), which
+    `prec.truncation_cap` does not bound.
     """
     if (m, n) not in ((1, 1), (2, 1)):
         raise ValueError("supported block shapes: (1,1) and (2,1)")

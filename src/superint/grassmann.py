@@ -15,8 +15,8 @@ zero rule and the conjugation use.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from fractions import Fraction
 
 from mpmath import mp, mpc
@@ -197,8 +197,6 @@ class GrassmannElement(Slotted):
         )
 
     def __sub__(self, other):
-        if not isinstance(other, GrassmannElement):
-            other = GrassmannElement.scalar(self.generator_count, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -274,6 +272,8 @@ def berezin_integrate(x: GrassmannElement, order) -> GrassmannElement:
     order = list(order)
     if len(set(order)) != len(order):
         raise ValueError("integration generators must be distinct")
+    if not all(0 <= gen < x.generator_count for gen in order):
+        raise ValueError("generator index out of range")
     current = x
     for gen in reversed(order):
         bit = 1 << gen
@@ -330,59 +330,38 @@ def _scalar_inverse(c):
     return 1 / mpc(c)
 
 
-class BesselSeries(Slotted):
-    """The even Bessel kernel R(nu, w) = sum_k w^k/(k!(k+nu)!) as a series.
-
-    Termwise d/dw R(nu, w) = R(nu+1, w), so the j-th derivative is the series
-    of order nu + j.  `sums` holds each R(s, body) at one precision, summed
-    once; pass one dict to share sums between series of several orders.
+@functools.lru_cache(maxsize=16)
+def _bessel_kernel(nu: int, body, prec: Precision):
+    """R(nu, body) = sum_k body^k/(k!(k+nu)!) = 0F1(; nu+1; body) / nu! as an mpc at prec.work_bits.
 
     The Haar oracle takes the kernel from mpmath's hypergeometric series
     rather than from `precision.bessel_ratio_raw`: the closed forms it is
     compared with sum with that kernel, so a fault there would show on both
-    sides of the comparison and cancel.
-    Two series are equal when their orders are; `sums` is not compared.
+    sides of the comparison and cancel.  mpmath sums the series term by term,
+    raising its own precision until the cancellation it measures is covered,
+    so `prec.truncation_cap` does not bound it.  One U(k) factor reads at
+    most 8 (nu, body) pairs, so the cache holds a factor's entries.
     """
-
-    __slots__ = ("nu", "sums")
-    _key = operator.attrgetter("nu")
-
-    def __init__(self, nu: int, sums: dict | None = None):
-        super().__init__(nu, {} if sums is None else sums)
-
-    def eval_at(self, body, prec: Precision):
-        """R(nu, body) = 0F1(; nu+1; body) / nu! as an mpc at prec.work_bits.
-
-        mpmath sums the series term by term, raising its own precision until
-        the cancellation it measures is covered, so `prec.truncation_cap` does
-        not bound it.
-        """
-        key = (self.nu, body, prec)
-        value = self.sums.get(key)
-        if value is None:
-            with mp.workprec(prec.work_bits):
-                w = to_mpc_any(body)
-                value = self.sums[key] = mp.hyp0f1(self.nu + 1, w, force_series=True) / math.factorial(self.nu)
-        return value
+    with mp.workprec(prec.work_bits):
+        return mp.hyp0f1(nu + 1, to_mpc_any(body), force_series=True) / math.factorial(nu)
 
 
-def analytic_eval(series, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
-    """f(body + soul) = sum_j f^(j)(body) soul^j / j!, exact in the soul.
+def analytic_eval(nu: int, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
+    """R(nu, body + soul) = sum_j R^(j)(nu, body) soul^j / j!, exact in the soul.
 
-    `w` must be even and `series` is a `BesselSeries`.  The soul
-    expansion terminates by nilpotency; the j-th derivative at the body is
-    R(nu+j, body) by the order shift, each from `BesselSeries.eval_at`.
-    The soul products are rounded at prec.work_bits, whatever the caller's
-    mpmath precision.
+    `w` must be even.  The soul expansion terminates by nilpotency; termwise
+    d/dw R(nu, w) = R(nu+1, w), so the j-th derivative at the body is
+    R(nu+j, body), each from `_bessel_kernel`.  The soul products are rounded
+    at prec.work_bits, whatever the caller's mpmath precision.
     """
     _require_even(w)
     body = w.body
 
     def coeff(j):
-        return BesselSeries(series.nu + j, series.sums).eval_at(body, prec) / math.factorial(j)
+        return _bessel_kernel(nu + j, body, prec) / math.factorial(j)
 
     with mp.workprec(prec.work_bits):
-        return _soul_series(w.soul(), series.eval_at(body, prec), coeff)
+        return _soul_series(w.soul(), _bessel_kernel(nu, body, prec), coeff)
 
 
 # -- block supermatrices --------------------------------------------------------
@@ -454,16 +433,12 @@ class SuperMatrixSym(Slotted):
         return SuperMatrixSym(self.m, self.n, rows)
 
     def block(self, which: str):
-        m, n = self.m, self.n
-        if which == "bb":
-            return [[self.entries[i][j] for j in range(m)] for i in range(m)]
-        if which == "bf":
-            return [[self.entries[i][m + j] for j in range(n)] for i in range(m)]
-        if which == "fb":
-            return [[self.entries[m + i][j] for j in range(m)] for i in range(n)]
-        if which == "ff":
-            return [[self.entries[m + i][m + j] for j in range(n)] for i in range(n)]
-        raise ValueError(which)
+        """The block named by its row and column sectors, "bb", "bf", "fb" or "ff"."""
+        if which not in ("bb", "bf", "fb", "ff"):
+            raise ValueError(which)
+        sectors = {"b": range(self.m), "f": range(self.m, self.m + self.n)}
+        rows, cols = sectors[which[0]], sectors[which[1]]
+        return [[self.entries[i][j] for j in cols] for i in rows]
 
 
 def matmul_rows(a, b):

@@ -21,7 +21,7 @@ from superint import (
     ls_closed_form,
     nondiag_limit_ls,
 )
-from superint import bruteforce, grassmann, precision
+from superint import acceptance, bruteforce, grassmann, precision
 from superint.bruteforce import measure_factor, measure_order, odd_parameter_matrix
 from superint.errors import NonInvertibleBody
 from superint.precision import to_mpc_any
@@ -165,11 +165,30 @@ def test_haar_oracle_takes_no_kernel_from_precision(monkeypatch):
         raise AssertionError("the Haar oracle called precision's kernel")
 
     monkeypatch.setattr(precision, "_bessel_orders", unavailable)
+    grassmann._bessel_kernel.cache_clear()
     assert [brute_force_ls(m, n, a, b, BETA, PREC) for m, n, a, b in points] == want
     tree = ast.parse(Path(grassmann.__file__).read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
     assert not any(name and name.startswith("mpmath.libmp") for name in imported)
+
+
+@pytest.mark.parametrize("row,most", [(7, 40), (8, 49)])
+def test_haar_criteria_call_the_kernel_no_more_than_measured(monkeypatch, row, most):
+    # criteria 8 and 9 at seed 42 made 40 and 49 mp.hyp0f1 calls with one memo per
+    # U(k) factor; a memo that misses changes no value, so only this count sees it
+    _, _, check = acceptance.CRITERIA_1_12[row]
+    calls = []
+    real = mp.hyp0f1
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "hyp0f1", counting)
+    grassmann._bessel_kernel.cache_clear()
+    assert check(42, Precision(), 1)[0]
+    assert len(calls) <= most
 
 
 def test_brute_force_2_1_rejects_coinciding_products():

@@ -773,19 +773,6 @@ def test_bigcomplex_is_a_record_without_arithmetic():
         x.bits = 64
 
 
-def test_records_and_reports_pickle_round_trip():
-    from superint import SuperEigenvalues, ls_closed_form, verify_conjecture
-
-    x = BigComplex(Fraction(22, 7), Fraction(-1, 3), bits=192)
-    y = pickle.loads(pickle.dumps(x))
-    assert (y.re, y.im, y.bits) == (x.re, x.im, 192)
-    res = ls_closed_form(SuperEigenvalues((Fraction(1, 3),), (Fraction(1, 5),), Fraction(1, 2)), PREC)
-    back = pickle.loads(pickle.dumps(res))
-    assert back.to_json() == res.to_json() and back.value.bits == res.value.bits
-    rep = verify_conjecture(2, 1, sample_count=2, K=16)
-    assert pickle.loads(pickle.dumps(rep)).to_json() == rep.to_json()
-
-
 def test_bigcomplex_json_round_trip():
     x = BigComplex(Fraction(22, 7), Fraction(-1, 3), bits=192)
     doc = x.to_json()
