@@ -16,7 +16,7 @@ import time
 from . import __version__
 from .errors import InputFormatError, SuperintError, TruncationCapExceeded
 from .integrals import SuperEigenvalues, bk_closed_form, ls_closed_form
-from .precision import DEFAULT_BITS, DEFAULT_SEED, DEFAULT_TRUNCATION_CAP, Precision, Slotted
+from .precision import DEFAULT_BITS, DEFAULT_GUARD_BITS, DEFAULT_SEED, DEFAULT_TRUNCATION_CAP, Precision, Slotted
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -107,7 +107,11 @@ _COMMON_FLAGS = {
         "default": None,
         "help": f"working precision in bits (default: ${PREC_BITS_ENV}, else {DEFAULT_BITS})",
     },
-    "--trunc-cap": {"type": int, "default": DEFAULT_TRUNCATION_CAP},
+    "--trunc-cap": {
+        "type": int,
+        "default": None,
+        "help": f"series term cap (default: the larger of {DEFAULT_TRUNCATION_CAP} and (bits + {DEFAULT_GUARD_BITS}) // 8)",
+    },
     "--seed": {"type": int, "default": DEFAULT_SEED},
     "--jobs": {"type": int, "default": 1},
     "--json-out": {"type": str, "default": None, "help": "report path (default: stdout)"},

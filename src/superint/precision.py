@@ -12,11 +12,13 @@ import itertools
 import math
 from fractions import Fraction
 import operator
+import re
 from functools import lru_cache, partial, reduce
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
     fone,
+    ften,
     fzero,
     from_int,
     from_man_exp,
@@ -25,6 +27,8 @@ from mpmath.libmp import (
     mpc_mpf_div,
     mpc_pos,
     mpf_lt,
+    mpf_mul,
+    mpf_pow_int,
     round_ceiling,
     round_nearest,
     to_fixed,
@@ -104,16 +108,22 @@ class Slotted:
 
 
 class Precision(Slotted):
-    """Working precision: mantissa bits, guard bits for stopping rules, series cap."""
+    """Working precision: mantissa bits, guard bits for stopping rules, series cap.
+
+    Without a cap, the cap is max(DEFAULT_TRUNCATION_CAP, work_bits // 8): a
+    kernel sum at |w| <= 100 needs fewer terms at every accepted precision
+    (1435 of 2052 at 16384 bits, 4457 of 8196 at 65536), and every precision
+    up to 4071 bits keeps the cap of 512.
+    """
 
     __slots__ = ("bits", "guard_bits", "truncation_cap")
 
-    def __init__(
-        self, bits: int = DEFAULT_BITS, guard_bits: int = DEFAULT_GUARD_BITS, truncation_cap: int = DEFAULT_TRUNCATION_CAP
-    ):
+    def __init__(self, bits: int = DEFAULT_BITS, guard_bits: int = DEFAULT_GUARD_BITS, truncation_cap: int | None = None):
         _check_bits(bits)
         if guard_bits < 0:
             raise ValueError("guard_bits must be non-negative")
+        if truncation_cap is None:
+            truncation_cap = max(DEFAULT_TRUNCATION_CAP, (bits + guard_bits) // 8)
         if truncation_cap < 8:
             raise ValueError("truncation_cap must be at least 8")
         super().__init__(bits, guard_bits, truncation_cap)
@@ -194,9 +204,7 @@ class BigComplex(Slotted):
             raise ValueError(f"a scalar must be an object with re and im, got {obj!r}")
         # checked before the digits are parsed, which takes time growing with bits
         bits = _check_bits(json_int(obj.get("bits", DEFAULT_BITS), "bits"))
-        with mp.workprec(bits):
-            re, im = mpf(str(obj["re"])), mpf(str(obj.get("im", "0")))
-        return cls(re, im, bits)
+        return cls(read_decimal(str(obj["re"]), bits), read_decimal(str(obj.get("im", "0")), bits), bits)
 
     @property
     def is_zero(self) -> bool:
@@ -204,6 +212,57 @@ class BigComplex(Slotted):
 
     def __repr__(self):
         return f"BigComplex({mp.nstr(self.re, 12)}, {mp.nstr(self.im, 12)}, bits={self.bits})"
+
+
+# the longest number string a record reads: a MAX_BITS record writes about
+# 26,400 characters at most (fixed notation puts up to a third of its 19,732
+# digits again as leading zeros), and 40000 characters read in milliseconds
+MAX_NUMBER_CHARS = 40000
+# a decimal literal, as mpmath's from_str splits it: sign, digits, fraction, exponent
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:e([+-]?\d+))?")
+
+
+def _digits_to_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length: int() on pieces of at most 512.
+
+    int() refuses a string of more than sys.get_int_max_str_digits() digits
+    (4300 by default, never below 640).
+    """
+    if len(digits) <= 512:
+        return int(digits or "0")
+    half = len(digits) // 2
+    return _digits_to_int(digits[:half]) * 10 ** (len(digits) - half) + _digits_to_int(digits[half:])
+
+
+def read_decimal(text: str, bits: int) -> mpf:
+    """A number string rounded to `bits` bits as mpf(text) at that precision rounds it.
+
+    A string longer than MAX_NUMBER_CHARS is refused (ValueError) before it
+    is read.  A decimal literal is split as mpmath's from_str splits it and
+    rounded as from_str rounds it, but its digits are read by
+    _digits_to_int, so a record of any accepted precision reads back what it
+    wrote: from 14,275 bits on it writes more digits than int() takes.
+    Any other string (inf, nan, p/q), and a literal with no digits but
+    zeros after its point (".0", "+.0e5"), goes to mpf, which refuses the
+    latter.
+    """
+    if len(text) > MAX_NUMBER_CHARS:
+        raise ValueError(f"a number string may have at most {MAX_NUMBER_CHARS} characters, got {len(text)}")
+    match = _DECIMAL.fullmatch(text.strip().lower())
+    sign, whole, fraction, exp = match.groups("") if match else ("",) * 4
+    fraction = fraction.rstrip("0")
+    if not whole + fraction:  # not a decimal literal, or one with no digits left (".0"), which from_str refuses
+        with mp.workprec(bits):
+            return mpf(text)
+    man = _digits_to_int(whole + fraction) * (-1 if sign == "-" else 1)
+    exp = int(exp or 0) - len(fraction)
+    if abs(exp) > 400:  # from_str's cutoff: a power of ten rounded at 10 bits more, not an exact one
+        value = mpf_mul(from_int(man, bits + 10), mpf_pow_int(ften, exp, bits + 10), bits, round_nearest)
+    elif exp >= 0:
+        value = from_int(man * 10**exp, bits, round_nearest)
+    else:
+        value = from_rational(man, 10**-exp, bits, round_nearest)
+    return mp.make_mpf(value)
 
 
 def json_int(value, name: str) -> int:
@@ -262,7 +321,8 @@ def _significant(zr: int, zi: int, fbits: int):
     """w = (zr + i zi) 2^-fbits as (zr, zi, step): its parts stripped of their common trailing zeros.
 
     w = (zr + i zi) 2^-step with step <= fbits, and (X 2^(fbits-step)) >> fbits
-    = X >> step exactly, so _fixed_terms multiplies by w's significant bits only.
+    = X >> step exactly, so a multiply by w takes its significant bits only:
+    in _fixed_terms' steps and in newton_sums' Horner steps.
     """
     low = zr | zi
     tz = min((low & -low).bit_length() - 1, fbits) if low else 0
@@ -573,6 +633,13 @@ def newton_sums(sides, sums, prec: Precision):
     entries, summed by Horner's rule; n = _newton_count(log2 |z|, sum (j - 1),
     largest o) leaves a tail below one unit.
 
+    One plan per key, the parts' sides and which of them are tabled, serves
+    every sum of that key: z rounded at F bits, log2 |z| and z's fixed-point
+    parts stripped of their common trailing zeros (_significant), tz of
+    them.  A Horner step multiplies by those short parts and shifts by
+    F - tz: (X 2^tz) >> F = X >> (F - tz) exactly, so the integers are
+    those of the full parts.
+
     Error budget, in units of 2^-F, with B = 1 for a power: the table's floors
     leave h_d within sqrt(2) (d+1) B of the polynomial of V, and dividing and
     truncating V moves it by at most 2 sqrt(2) d B more; a product of two
@@ -589,15 +656,16 @@ def newton_sums(sides, sums, prec: Precision):
     tabled = {side for parts, _, _ in sums for side, j, _ in parts if j > 1}
     scales = {side: max(mp.make_mpf(mpc_abs(u._mpc_, 8, round_ceiling)) for u in sides[side]) or mpf(1)
               for side in tabled}
-    plans, zs = [], {}
+    plans, keyed = [], {}
     for parts, _, _ in sums:
         key = tuple((side, j > 1) for side, j, _ in parts)
-        if key not in zs:
+        if key not in keyed:
             with mp.workprec(fbits):
-                zs[key] = math.prod((scales[s] if table else sides[s][0] for s, table in key), start=mpc(1))
+                z = math.prod((scales[s] if table else sides[s][0] for s, table in key), start=mpc(1))
+            keyed[key] = _log2_abs(z), _significant(*(to_fixed(part, fbits) for part in z._mpc_), fbits)
+        log_z, z = keyed[key]
         P, O = sum(j - 1 for _, j, _ in parts), max(o for _, _, o in parts)
-        n = _newton_count(_log2_abs(zs[key]), P, O, fbits, cap)
-        plans.append((n, [to_fixed(part, fbits) for part in zs[key]._mpc_]))
+        plans.append((_newton_count(log_z, P, O, fbits, cap), z))
 
     def mul(x, y):
         return (x[0] * y[0] - x[1] * y[1]) >> fbits, (x[0] * y[1] + x[1] * y[0]) >> fbits
@@ -610,13 +678,13 @@ def newton_sums(sides, sums, prec: Precision):
         tables[side] = complete_homogeneous(
             fixed, top, (1 << fbits, 0), mul, lambda x, y: (x[0] + y[0], x[1] + y[1]))
     out = []
-    for (parts, a, b), (n, (zr, zi)) in zip(sums, plans):
+    for (parts, a, b), (n, (zr, zi, step)) in zip(sums, plans):
         rows = [tables[side][j - 1][o : o + n] for side, j, o in parts if j > 1]
         terms = [reduce(mul, t) for t in zip(*rows)] if rows else [(1 << fbits, 0)] * n
         sr, si = terms[-1]
         for i in range(n - 1, 0, -1):
             d, (tr, ti) = (a + i) * (b + i), terms[i - 1]
-            sr, si = tr + ((sr * zr - si * zi) >> fbits) // d, ti + ((sr * zi + si * zr) >> fbits) // d
+            sr, si = tr + ((sr * zr - si * zi) >> step) // d, ti + ((sr * zi + si * zr) >> step) // d
         pref = math.prod(scales[side] ** o if j > 1 else sides[side][0] ** o for side, j, o in parts)
         out.append(from_fixed(sr, si, fbits) * pref)
     return out, max((n for n, _ in plans), default=0)

@@ -10,10 +10,11 @@ import sys
 import time
 
 import pytest
+from mpmath import mp, mpf
 
 import superint
-from superint import Precision, cli
-from superint.precision import MAX_BITS
+from superint import BigComplex, Precision, cli
+from superint.precision import MAX_BITS, read_decimal
 
 CLI = [sys.executable, "-m", "superint"]
 
@@ -210,6 +211,37 @@ def test_huge_argument_exits_3():
     out = run_cli("ls-eval", "--input-json", json.dumps(doc))
     assert out.returncode == 3
     assert "did not converge within 512 terms" in out.stderr
+
+
+def test_default_cap_grows_with_the_bits(capsys):
+    # I0(1) at 16384 bits takes 881 terms; a fixed default cap of 512 exited 3
+    assert cli.main(["ls-eval", "--prec-bits", "16384", "--input-json", LS_INPUT]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["truncation_cap"] == (16384 + 32) // 8
+    assert report["result"]["terms_used"] == 881
+    got = read_decimal(report["result"]["value"]["re"], 16384)  # mpf(str) reads at most 4300 digits
+    with mp.workprec(16384 + 64):
+        assert abs(got - mp.besseli(0, 1)) <= mpf(2) ** -(16384 - 8)
+    # an explicit cap still wins
+    assert cli.main(["ls-eval", "--prec-bits", "16384", "--trunc-cap", "512", "--input-json", LS_INPUT]) == 3
+
+
+def test_a_record_of_the_most_bits_reads_back(capsys):
+    # its 19732 digits passed the 4300 that int() reads from a string; the echo
+    # prints the record as read, at its own bits
+    with mp.workprec(MAX_BITS):
+        value = BigComplex(mp.sqrt(2) - 1, -mp.pi, bits=MAX_BITS).to_json()
+    doc = {"beta": {"re": "0.5"}, "bosonic": [value], "fermionic": []}
+    assert cli.main(["ls-eval", "--prec-bits", "64", "--input-json", json.dumps(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["input"]["bosonic"] == [value]
+
+
+def test_an_over_long_number_string_exits_2_at_once(capsys):
+    doc = {"beta": {"re": "0.5"}, "bosonic": [{"re": "1." + "3" * 10**6}], "fermionic": []}
+    start = time.perf_counter()
+    assert cli.main(["ls-eval", "--input-json", json.dumps(doc)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "at most 40000 characters" in capsys.readouterr().err
 
 
 def test_conjecture_verify_pass_and_exit_codes():

@@ -1,5 +1,6 @@
 """Precision core: scalars, series kernels, determinants."""
 
+import hashlib
 import itertools
 import math
 import pickle
@@ -443,34 +444,103 @@ def test_complete_homogeneous_is_the_newton_column_of_powers(values, data):
             assert (table[j - 1][k - j + 1] if k >= j - 1 else 0) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_newton_sums_within_their_error_budget(data):
-    # one or two sides of dyadic nodes (exact in mpc) with repeats, against the
-    # exact sum; the budget plus the final roundings at work_bits
-    fractions = st.builds(lambda num, k: Fraction(num, 2**k), st.integers(-60, 60), st.integers(0, 4))
+def _abs_at_least(u):
+    """|u| for a real u; for a complex one, a float at least |u| and within two ulps of it."""
+    if not u.im:
+        return abs(u.re)
+    t = abs(complex(u.re, u.im))
+    while Fraction(t) ** 2 < u.re**2 + u.im**2:
+        t = math.nextafter(t, math.inf)
+    return Fraction(t)
+
+
+def _check_newton_sum_budget(data, imaginary):
+    """One newton_sums call on one or two sides of Gaussian-dyadic nodes (exact in mpc) with repeats,
+    against the exact sum: within the budget plus the final roundings at work_bits.
+
+    `imaginary` draws the nodes' imaginary parts; without it every node, so
+    every z, is real.
+    """
+    dyadic = st.builds(lambda num, k: Fraction(num, 2**k), st.integers(-60, 60), st.integers(0, 4))
+    node = st.builds(GaussianRational, dyadic, dyadic if imaginary else st.just(0))
     sides = []
     for _ in range(data.draw(st.integers(1, 2))):
-        values = data.draw(st.lists(fractions, min_size=1, max_size=3))
+        values = data.draw(st.lists(node, min_size=1, max_size=3))
         sides.append(values + data.draw(st.lists(st.sampled_from(values), max_size=2)))
     parts = [(s, data.draw(st.integers(1, len(side))), data.draw(st.integers(0, 3))) for s, side in enumerate(sides)]
     a, b = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     with mp.workprec(PREC.work_bits):
-        (got,), n = newton_sums([[mpc(u.numerator) / u.denominator for u in side] for side in sides], [(parts, a, b)], PREC)
-    tables = [complete_homogeneous(side, n + 3 + 40) for side in sides]
-    top = [max(abs(u) for u in side) * (1 + Fraction(1, 2**7)) or 1 for side in sides]
-    exact = bound = Fraction(0)
+        (got,), n = newton_sums([[u.to_mpc() for u in side] for side in sides], [(parts, a, b)], PREC)
+    tables = [complete_homogeneous(side, n + 3 + 40, GaussianRational(1)) for side in sides]
+    # s, max |u| rounded up to 8 bits, is at most (1 + 2^-7) max |u|
+    top = [max(_abs_at_least(u) for u in side) * (1 + Fraction(1, 2**7)) or 1 for side in sides]
+    exact, bound = GaussianRational(0), Fraction(0)
     weight = Fraction(1)
     for i in range(n + 40):
         if i:
             weight /= (a + i) * (b + i)
-        exact += weight * math.prod(tables[s][j - 1][o + i] for s, j, o in parts)
+        exact += math.prod((tables[s][j - 1][o + i] for s, j, o in parts), start=GaussianRational(weight))
         if i < n:
             bound += weight * math.prod(top[s] ** (o + i) * math.comb(o + i + j - 1, j - 1) for s, j, o in parts)
     with mp.workprec(1000):
-        err = abs(got - mpf(exact.numerator) / exact.denominator)
-        scale = abs(mpf(exact.numerator) / exact.denominator) * 4 + mpf(bound.numerator) / bound.denominator
+        want = exact.to_mpc()
+        err = abs(got - want)
+        scale = abs(want) * 4 + mpf(bound.numerator) / bound.denominator
         assert err <= scale * mpf(2) ** -PREC.work_bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_newton_sums_within_their_error_budget(data):
+    _check_newton_sum_budget(data, imaginary=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_newton_sums_on_complex_nodes_within_their_error_budget(data):
+    # complex z: the Horner steps and table products multiply both parts
+    _check_newton_sum_budget(data, imaginary=True)
+
+
+def _newton_pin_values():
+    """newton_sums' values and term counts over seeded calls, as one repr string.
+
+    Every call mixes one-table, two-table, power-times-table and power sums
+    over two sides of clustered nodes (near pairs and exact repeats), on the
+    real axis, the imaginary axis and off both, at 128 to 1024 bits.
+    """
+    rng = random.Random(3701)
+    out = []
+    for bits in (128, 256, 512, 1024):
+        prec = Precision(bits=bits)
+        for axis in ("real", "imaginary", "complex"):
+            for _ in range(3):
+                sides = []
+                for _ in range(2):
+                    size = 10 ** rng.uniform(-2, 1.5)
+                    x, y = rng.uniform(-size, size), rng.uniform(-size, size)
+                    base = {"real": (x, 0), "imaginary": (0, y), "complex": (x, y)}[axis]
+                    near = [(base[0] * (1 + rng.uniform(-1, 1) * 10 ** -rng.randint(2, 9)),
+                             base[1] * (1 + rng.uniform(-1, 1) * 10 ** -rng.randint(2, 9))) for _ in range(2)]
+                    sides.append([mpc(*u) for u in [base] + near + [base]])
+                parts = [(s, rng.randint(2, 4), rng.randint(0, 5)) for s in (0, 1)]
+                sums = [
+                    ([parts[0]], rng.randint(0, 4), rng.randint(0, 4)),
+                    (parts, rng.randint(0, 4), rng.randint(0, 4)),
+                    ([(0, 1, rng.randint(0, 5)), parts[1]], rng.randint(0, 4), rng.randint(0, 4)),
+                    ([(1, 1, rng.randint(0, 5))], rng.randint(0, 4), rng.randint(0, 4)),
+                ]
+                with mp.workprec(prec.work_bits):
+                    values, n = newton_sums(sides, sums, prec)
+                out.append((bits, [v._mpc_ for v in values], n))
+    return repr(out)
+
+
+def test_newton_sums_values_bit_pinned():
+    # the integers of every table, product and Horner step, the term counts and the
+    # roundings of the prefactors; computed before the Horner steps took z's significant bits
+    digest = hashlib.sha256(_newton_pin_values().encode()).hexdigest()
+    assert digest == "e3a5ed58a2c1355c05a435f973f4c8ee935805a3a0cc1e02cd11d2b71f969459"
 
 
 def test_determinant_examples():
@@ -797,6 +867,65 @@ def test_precision_validation():
         Precision(bits=32)
     with pytest.raises(ValueError):
         Precision(truncation_cap=4)
+
+
+@pytest.mark.parametrize(
+    "bits, guard_bits, cap, want",
+    [(256, 32, None, 512), (4071, 32, None, 512), (4072, 32, None, 513), (16384, 32, None, 2052),
+     (65536, 32, None, 8196), (4000, 800, None, 600), (16384, 32, 64, 64)],
+)
+def test_default_cap_grows_with_the_work_bits(bits, guard_bits, cap, want):
+    # max(512, work_bits // 8); an explicit cap wins
+    assert Precision(bits, guard_bits, cap).truncation_cap == want
+
+
+@pytest.mark.parametrize("bits", [64, 16384, precision.MAX_BITS])
+def test_records_round_trip_at_any_bits(bits):
+    # above about 14,270 bits a record writes more than the 4300 digits int() reads
+    # from a string; the values cover fixed notation with leading zeros and exponents
+    rng = random.Random(bits)
+    for exp in (0, -3, -(precision.decimal_digits(bits) // 3) * 10 // 3, 5000, -5000):
+        sign = rng.choice((1, -1))
+        x = BigComplex(mpf(sign * (rng.getrandbits(bits) | 1 << (bits - 1))) * mpf(2) ** (exp - bits),
+                       mpf(rng.getrandbits(bits)) * mpf(2) ** -bits, bits)
+        doc = x.to_json()
+        y = BigComplex.from_json(doc)
+        assert (y.re._mpf_, y.im._mpf_, y.bits) == (x.re._mpf_, x.im._mpf_, bits)
+        assert y.to_json() == doc
+
+
+def test_number_strings_read_as_mpf_reads_them():
+    # the same splitting and rounding as mpmath's from_str, exponents past 400 included;
+    # a string mpf refuses, as one with no digits but zeros after its point, is refused too
+    rng = random.Random(37)
+    texts = ["0", "-0", "1.", ".5", "+1.5e-3", "1e500", "-1e-500", "12.3400", "1E5", " 7.25 ", "inf", "-inf", "nan", "1/3",
+             ".0", "-.00", "+.0e5", ".", ".e5", "1e", "--1"]
+    for _ in range(300):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 200)))
+        k = rng.randint(0, len(digits))
+        text = rng.choice(("", "-", "+")) + digits[:k] + "." + digits[k:]
+        texts.append(text + (f"e{rng.randint(-900, 900)}" if rng.random() < 0.6 else ""))
+    for bits in (64, 256, 1024):
+        for text in texts:
+            try:
+                with mp.workprec(bits):
+                    want = mpf(text)._mpf_
+            except ValueError:
+                with pytest.raises(ValueError):
+                    precision.read_decimal(text, bits)
+                continue
+            assert precision.read_decimal(text, bits)._mpf_ == want, (text, bits)
+
+
+def test_an_over_long_number_string_is_refused_at_once():
+    start = time.perf_counter()
+    for text in ("1" * (precision.MAX_NUMBER_CHARS + 1), "0." + "3" * 10**7):
+        with pytest.raises(ValueError, match=f"^a number string may have at most {precision.MAX_NUMBER_CHARS} characters"):
+            BigComplex.from_json({"re": text, "bits": 64})
+    assert time.perf_counter() - start < 0.5
+    with mp.workprec(64):
+        third = mpf(1) / 3
+    assert BigComplex.from_json({"re": "0." + "3" * (precision.MAX_NUMBER_CHARS - 2), "bits": 64}).re == third
 
 
 @pytest.mark.parametrize("bits", [precision.MAX_BITS + 1, 10**8])
