@@ -599,16 +599,35 @@ def complete_homogeneous(values, degree, one=1, mul=operator.mul, add=operator.a
     return table
 
 
+# 2 log2 n at index n, for every _newton_count; it grows as the counts read it
+_TWO_LOG2_N = [0.0]
+
+
+@lru_cache(maxsize=256)
+def _newton_logs(P: int, O: int):
+    """(P log2(O+1), [0, then P log2((O+n+1) / (O+n)) at index n]): log2 b_0, and a list that _newton_count grows."""
+    return P * math.log2(O + 1), [0.0]
+
+
 @lru_cache(maxsize=1024)
 def _newton_count(log_z: float, P: int, O: int, fbits: int, cap: int) -> int:
     """Terms of a newton_sums sum: the first n with b_(n-1) below 2^-fbits and b_(i+1) <= b_i / 2 after.
 
     b_i = |z|^i (O+i+1)^P / (i!)^2 bounds term i, so the dropped tail is below
-    b_(n-1).  TruncationCapExceeded when n would pass the cap.
+    b_(n-1).  TruncationCapExceeded when n would pass the cap.  Most sums miss
+    this cache, whose key holds log2 |z|; the logs that do not depend on z are
+    kept, in _TWO_LOG2_N and per (P, O) by _newton_logs, so a miss costs no
+    log2 where (P, O) has been seen.  Each step is log_z - 2 log2 n +
+    P log2(...), in that order, so every float and count is the one that
+    fresh logs give.
     """
-    log_bound = P * math.log2(O + 1)
+    log_bound, logs = _newton_logs(P, O)
     for n in range(1, cap + 1):
-        step = log_z - 2 * math.log2(n) + P * math.log2((O + n + 1) / (O + n))
+        if n == len(logs):
+            logs.append(P * math.log2((O + n + 1) / (O + n)))
+        if n == len(_TWO_LOG2_N):
+            _TWO_LOG2_N.append(2 * math.log2(n))
+        step = log_z - _TWO_LOG2_N[n] + logs[n]
         if step <= -1 and log_bound < -fbits:
             return n
         log_bound += step

@@ -3,7 +3,9 @@
 The tableaux-based evaluators work over any commutative coefficient ring
 (exact Fractions, ints, or multiprecision complex values); the bialternant
 is evaluated in its Newton form, which divides by nothing, so coinciding
-arguments need no special case.
+arguments need no special case.  Exact inputs with a Fraction among them
+are put over one common denominator D: both sums run on the integer
+numerators and divide once, by D to the number of boxes, at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .partitions import Partition, SuperDiagram, k_indices
+from .partitions import Partition, SuperDiagram, is_covariant, k_indices
 from .precision import (
     DEFAULT_PRECISION,
     BigComplex,
@@ -24,6 +26,18 @@ from .precision import (
     exact_determinant,
     to_mpc_any,
 )
+
+
+def _over_common_denominator(values):
+    """(numerators, D): exact values with a Fraction among them as integers over D, the lcm of their denominators.
+
+    Values of any other kind, ints alone or with an inexact value among them,
+    come back as they are, with D None.
+    """
+    if not any(isinstance(v, Fraction) for v in values) or not all(isinstance(v, (int, Fraction)) for v in values):
+        return values, None
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def schur_tableaux(p: Partition, values):
@@ -41,7 +55,9 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
     Column j of the alternant, replaced by its divided difference over
     a_1..a_j, is h_(k_i-j+1)(a_1..a_j): nothing is divided.  Exact inputs (int,
     Fraction) give the exact value; others a record on mpc, tagged with
-    prec.bits or the fewer bits of an input record.
+    prec.bits or the fewer bits of an input record.  Exact values a_i = A_i / D
+    over their common denominator put D^(j - k_i) on entry (i, j), so the
+    table is built on the integers A_i and the determinant divided by D^|p|.
     """
     values = list(values)
     m = len(values)
@@ -53,11 +69,12 @@ def schur_bialternant(p: Partition, values, prec: Precision = DEFAULT_PRECISION)
         return 1 if exact else BigComplex(1, bits=bits)
     ks = k_indices(p, m)
     sign = -1 if m * (m - 1) // 2 % 2 else 1
+    numerators, D = _over_common_denominator(values)
     with mp.workprec(bits + prec.guard_bits):
-        table = complete_homogeneous(values if exact else [to_mpc_any(v) for v in values], ks[0])
+        table = complete_homogeneous(numerators if exact else [to_mpc_any(v) for v in values], ks[0])
         rows = [[table[j][k - j] if k >= j else 0 for j in range(m)] for k in ks]
         if exact:
-            return sign * exact_determinant(rows)
+            return sign * exact_determinant(rows) / (D or 1) ** p.size
         return BigComplex.from_mpc(sign * det_mpc(rows, prec), bits)
 
 
@@ -80,11 +97,15 @@ def super_schur_tableaux(t: Partition, bos, ferm):
     The cells are filled in reading order and each filling's product is
     carried down the walk from 1.  The products are added one at a time in
     the order the fillings are met; a sum taken per subtree would round
-    multiprecision inputs differently.
+    multiprecision inputs differently.  Exact values with a Fraction among
+    them are walked as integers over their common denominator D, and the
+    sum, homogeneous of degree |t|, is divided by D^|t| once; the empty shape
+    and a shape with no fillings give the ints 1 and 0 whatever the inputs.
     """
-    bos = list(bos)
+    bos, ferm = list(bos), list(ferm)
     m = len(bos)
-    weights = bos + [-v for v in ferm]
+    values, D = _over_common_denominator(bos + ferm)
+    weights = values[:m] + [-v for v in values[m:]]
     cells = _neighbours([(i, j) for i, length in enumerate(t.rows) for j in range(length)], -1)
     filled = []
     total = 0
@@ -107,7 +128,9 @@ def super_schur_tableaux(t: Partition, bos, ferm):
             filled.pop()
 
     rec(1)
-    return total
+    # summed on the values themselves, the ints 1 and 0 of the empty shape and of a shape
+    # with no fillings stay ints; inside the hook every letter, so every Fraction, fills a cell
+    return total if D is None or not t.size or not is_covariant(t, m, len(ferm)) else Fraction(total, D ** t.size)
 
 
 def supercharacter_amu(sd: SuperDiagram, bos, ferm, prec: Precision = DEFAULT_PRECISION):

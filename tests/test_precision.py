@@ -543,6 +543,26 @@ def test_newton_sums_values_bit_pinned():
     assert digest == "e3a5ed58a2c1355c05a435f973f4c8ee935805a3a0cc1e02cd11d2b71f969459"
 
 
+def test_newton_count_takes_no_log2_for_a_new_z_at_a_seen_p_and_o(monkeypatch):
+    # the logs that do not depend on z are kept per (P, O): a second sum with a
+    # new log2 |z|, no larger than the first's, misses the count's own cache
+    # and reads every log from the table
+    def clear():
+        precision._newton_count.cache_clear()
+        precision._newton_logs.cache_clear()
+
+    clear()
+    first = precision._newton_count(-3.25, 4, 2, 300, 512)
+    calls = []
+    log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
+    second = precision._newton_count(-3.5 - 2**-40, 4, 2, 300, 512)
+    assert calls == [] and 1 < second <= first
+    monkeypatch.undo()
+    clear()
+    assert precision._newton_count(-3.5 - 2**-40, 4, 2, 300, 512) == second
+
+
 def test_determinant_examples():
     one = BigComplex(1)
     assert determinant([[one]]).to_mpc() == 1

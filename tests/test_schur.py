@@ -234,6 +234,75 @@ def test_covariant_tableaux_nonzero_iff_hook():
                 assert val == 0
 
 
+# pairwise coprime denominators: their lcm, the common denominator of a
+# (2|2) input, is far above any one of them
+_PRIMES = (1000003, 1000033, 1000037, 1000039)
+
+
+def _exact_input_sets(rng, k):
+    """Four seeded inputs of k exact values: ints, Fractions, mixed, and zeros with negatives."""
+    ints = [rng.randint(-99, 99) for _ in range(k)]
+    fractions = [Fraction(rng.randint(-(10**9), 10**9), p) for p in _PRIMES[:k]]
+    mixed = [f if i % 2 else v for i, (v, f) in enumerate(zip(ints, fractions))]
+    signed = [Fraction(0), -rng.randint(1, 99), 0, Fraction(-rng.randint(1, 10**9), _PRIMES[3])][:k]
+    return ints, fractions, mixed, signed
+
+
+def test_exact_character_values_and_types_pinned():
+    # every exact output of the tableau sum, the bialternant and the
+    # supercharacter at (m|n) <= (2|2) up to 6 boxes, with its type; the
+    # tableau sum gives ints for int inputs, and for the empty shape and
+    # shapes with no fillings whatever the inputs.  Computed before the sums
+    # ran over a common denominator
+    rng = random.Random(3801)
+    out = []
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for values in _exact_input_sets(rng, m + n):
+            bos, ferm = values[:m], values[m:]
+            for boxes in range(7):
+                for t in partitions_of(boxes):
+                    out.append(super_schur_tableaux(t, bos, ferm))
+                    out.extend(schur_bialternant(t, side) for side in (bos, ferm) if len(t) <= len(side))
+            for sd in super_diagrams(m, n, 6):
+                out.append(super_schur_tableaux(assemble(sd), bos, ferm))
+                out.append(supercharacter_amu(sd, bos, ferm))
+    typed = [(repr(v), type(v).__name__) for v in out]
+    assert hashlib.sha256(repr(typed).encode()).hexdigest() == "d03626e9029d8f9889d1e78150774e0698146f99d4d40aae3694730094a02c5b"
+
+
+class _CountedFraction(Fraction):
+    """A Fraction that counts each operation done on it; its results are counted Fractions too."""
+
+    ops = 0
+
+
+def _counted(name):
+    def op(self, *other):
+        _CountedFraction.ops += 1
+        return _CountedFraction(getattr(Fraction, name)(self, *other))
+
+    return op
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__", "__pos__", "__abs__"):
+    setattr(_CountedFraction, _name, _counted(_name))
+
+
+def test_exact_tableau_sum_does_no_fraction_arithmetic_per_filling():
+    # (4, 1, 1) has 72 fillings at (2|2), and a walk on the values themselves
+    # does one operation per node; summed over one common denominator, the
+    # values' own arithmetic is bounded by their number
+    rng = random.Random(3802)
+    plain = [Fraction(rng.randint(-40, 40) or 1, rng.randint(2, 38)) for _ in range(4)]
+    t = P((4, 1, 1))
+    want = super_schur_tableaux(t, plain[:2], plain[2:])
+    counted = [_CountedFraction(v) for v in plain]
+    _CountedFraction.ops = 0
+    assert super_schur_tableaux(t, counted[:2], counted[2:]) == want
+    assert _CountedFraction.ops <= len(plain)
+
+
 @pytest.mark.parametrize(
     "r,mu,nu,value",
     [
