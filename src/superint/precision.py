@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 import operator
 import re
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
@@ -48,8 +48,26 @@ DEFAULT_TRUNCATION_CAP = 512
 DEFAULT_SEED = 42
 
 
-def _check_bits(bits: int) -> int:
-    """`bits` if it lies in 64..MAX_BITS, else ValueError."""
+def json_int(value, name: str) -> int:
+    """An integer field of an input document.
+
+    A boolean, a value int() refuses (null, a list, an object, NaN, an
+    infinity) or one int() would change raises ValueError naming the field.
+    """
+    if type(value) is int:
+        return value
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if isinstance(value, bool) or out is None or out != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def _check_bits(bits) -> int:
+    """`bits` as an int (json_int) if it lies in 64..MAX_BITS, else ValueError."""
+    bits = json_int(bits, "bits")
     if bits < 64:
         raise ValueError("precision must be at least 64 bits")
     if bits > MAX_BITS:
@@ -119,11 +137,12 @@ class Precision(Slotted):
     __slots__ = ("bits", "guard_bits", "truncation_cap")
 
     def __init__(self, bits: int = DEFAULT_BITS, guard_bits: int = DEFAULT_GUARD_BITS, truncation_cap: int | None = None):
-        _check_bits(bits)
+        bits, guard_bits = _check_bits(bits), json_int(guard_bits, "guard_bits")
         if guard_bits < 0:
             raise ValueError("guard_bits must be non-negative")
         if truncation_cap is None:
             truncation_cap = max(DEFAULT_TRUNCATION_CAP, (bits + guard_bits) // 8)
+        truncation_cap = json_int(truncation_cap, "truncation_cap")
         if truncation_cap < 8:
             raise ValueError("truncation_cap must be at least 8")
         super().__init__(bits, guard_bits, truncation_cap)
@@ -171,7 +190,7 @@ class BigComplex(Slotted):
 
     def __init__(self, re=0, im=0, bits: int = DEFAULT_BITS):
         """Round an int, float, complex, Fraction or mpc to `bits` bits; refuse NaN and infinities."""
-        _check_bits(bits)
+        bits = _check_bits(bits)
         if isinstance(re, (complex, mpc)):
             if im != 0:
                 raise ValueError("cannot combine complex re with nonzero im")
@@ -203,7 +222,7 @@ class BigComplex(Slotted):
         if not isinstance(obj, dict):
             raise ValueError(f"a scalar must be an object with re and im, got {obj!r}")
         # checked before the digits are parsed, which takes time growing with bits
-        bits = _check_bits(json_int(obj.get("bits", DEFAULT_BITS), "bits"))
+        bits = _check_bits(obj.get("bits", DEFAULT_BITS))
         return cls(read_decimal(str(obj["re"]), bits), read_decimal(str(obj.get("im", "0")), bits), bits)
 
     @property
@@ -263,21 +282,6 @@ def read_decimal(text: str, bits: int) -> mpf:
     else:
         value = from_rational(man, 10**-exp, bits, round_nearest)
     return mp.make_mpf(value)
-
-
-def json_int(value, name: str) -> int:
-    """An integer field of an input document.
-
-    A boolean, a value int() refuses (null, a list, an object, NaN, an
-    infinity) or one int() would change raises ValueError naming the field.
-    """
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if isinstance(value, bool) or out is None or out != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return out
 
 
 def as_record(v, bits: int) -> BigComplex:
@@ -599,35 +603,18 @@ def complete_homogeneous(values, degree, one=1, mul=operator.mul, add=operator.a
     return table
 
 
-# 2 log2 n at index n, for every _newton_count; it grows as the counts read it
-_TWO_LOG2_N = [0.0]
-
-
-@lru_cache(maxsize=256)
-def _newton_logs(P: int, O: int):
-    """(P log2(O+1), [0, then P log2((O+n+1) / (O+n)) at index n]): log2 b_0, and a list that _newton_count grows."""
-    return P * math.log2(O + 1), [0.0]
-
-
 @lru_cache(maxsize=1024)
 def _newton_count(log_z: float, P: int, O: int, fbits: int, cap: int) -> int:
     """Terms of a newton_sums sum: the first n with b_(n-1) below 2^-fbits and b_(i+1) <= b_i / 2 after.
 
     b_i = |z|^i (O+i+1)^P / (i!)^2 bounds term i, so the dropped tail is below
-    b_(n-1).  TruncationCapExceeded when n would pass the cap.  Most sums miss
-    this cache, whose key holds log2 |z|; the logs that do not depend on z are
-    kept, in _TWO_LOG2_N and per (P, O) by _newton_logs, so a miss costs no
-    log2 where (P, O) has been seen.  Each step is log_z - 2 log2 n +
-    P log2(...), in that order, so every float and count is the one that
-    fresh logs give.
+    b_(n-1): log2 b_0 = P log2(O+1), and each step adds
+    log2 |z| - 2 log2 n + P log2((O+n+1) / (O+n)).  TruncationCapExceeded
+    when n would pass the cap.
     """
-    log_bound, logs = _newton_logs(P, O)
+    log_bound = P * math.log2(O + 1)
     for n in range(1, cap + 1):
-        if n == len(logs):
-            logs.append(P * math.log2((O + n + 1) / (O + n)))
-        if n == len(_TWO_LOG2_N):
-            _TWO_LOG2_N.append(2 * math.log2(n))
-        step = log_z - _TWO_LOG2_N[n] + logs[n]
+        step = log_z - 2 * math.log2(n) + P * math.log2((O + n + 1) / (O + n))
         if step <= -1 and log_bound < -fbits:
             return n
         log_bound += step
@@ -710,41 +697,6 @@ def newton_sums(sides, sums, prec: Precision):
 
 
 # -- determinants ------------------------------------------------------------
-
-
-def _eliminate(a, pivot, mul, update, inv, zero):
-    """Partial-pivoted elimination of the square matrix `a` (overwritten), in the arithmetic given.
-
-    pivot(column) picks the pivot's index among the candidates a[c][c],
-    a[c+1][c], ...; inv(x) is 1/x, and a multiplier f = mul(a[r][c], inv(pivot))
-    equal to `zero` leaves its row as it is.  update(x, f, t) is x - f*t, the
-    row update, which starts at column c + 1: the entries below a pivot are
-    never read again, and the last pivot is never inverted.  Returns (pivots,
-    odd): the diagonal in elimination order, or None once a column holds only
-    zero candidates, and whether the row swaps were odd in number.  Raises
-    ValueError unless `a` is square.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    odd = False
-    for c in range(n):
-        p = c + pivot([a[r][c] for r in range(c, n)])
-        if a[p][c] == zero:
-            return None, odd
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            odd = not odd
-        top = a[c]
-        below = a[c + 1 :]
-        if below:
-            scale = inv(top[c])
-            tail = top[c + 1 :]
-        for row in below:
-            f = mul(row[c], scale)
-            if f != zero:
-                row[c + 1 :] = map(update, row[c + 1 :], itertools.repeat(f), tail)
-    return [a[c][c] for c in range(n)], odd
 
 
 # det_mpc's entries are (re, re_exp, im, im_exp): each part m·2^e with m odd or
@@ -857,13 +809,15 @@ def det_mpc(rows, prec: Precision):
     whose smaller part is dropped, which mpf_add breaks toward that part's
     sign, and at the pivot: the first largest |entry|² floored at one scale
     (_pivot_pairs), which may differ from the mpc elimination's pick where
-    two candidates lie within a relative 2^-(work_bits-4) or so.  libmp
-    decides only the pivot's inverse (mpc_mpf_div, once per column but
-    the last) and the conversions of the entries and the result.  The
-    determinant is the product of the pivots in elimination order; rounding
-    to nearest is symmetric in the sign, so the sign of the row swaps can
-    come last.  Raises ValueError for a non-square matrix and names the first
-    entry that is not finite.
+    two candidates lie within a relative 2^-(work_bits-4) or so.  A zero
+    multiplier leaves its row as it is, and a row update starts at the
+    column after the pivot's: the entries below a pivot are never read
+    again.  libmp decides only the pivot's inverse (mpc_mpf_div, once per
+    column but the last) and the conversions of the entries and the result.
+    The determinant is the product of the pivots in elimination order, 0 once
+    a column holds only zero candidates; rounding to nearest is symmetric in
+    the sign, so the sign of the row swaps can come last.  Raises ValueError
+    for a non-square matrix and names the first entry that is not finite.
     """
     wp = prec.work_bits
     a = []
@@ -876,29 +830,62 @@ def det_mpc(rows, prec: Precision):
                 if not rm and re or not im and ie:  # a zero mantissa with an exponent: ±inf or nan
                     raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
                 a[-1].append(_from_mpc(z, wp))
-    mul = partial(_mul_pairs, wp)
-    pivots, odd = _eliminate(
-        a, partial(_pivot_pairs, wp), mul, partial(_update_pairs, wp), partial(_inverse_pairs, wp), _PAIR_ZERO
-    )
-    re, ree, im, ime = _PAIR_ZERO if pivots is None else reduce(mul, pivots, _PAIR_ONE)
-    if odd:
-        re, im = -re, -im
-    return mp.make_mpc(_to_mpc((re, ree, im, ime)))
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    det, odd = _PAIR_ONE, False
+    for c in range(n):
+        p = c + _pivot_pairs(wp, [row[c] for row in a[c:]])
+        if a[p][c] == _PAIR_ZERO:
+            return mpc(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            odd = not odd
+        top = a[c]
+        det = _mul_pairs(wp, det, top[c])
+        scale = _inverse_pairs(wp, top[c]) if c + 1 < n else None
+        for row in a[c + 1 :]:
+            f = _mul_pairs(wp, row[c], scale)
+            if f != _PAIR_ZERO:
+                row[c + 1 :] = [_update_pairs(wp, x, f, t) for x, t in zip(row[c + 1 :], top[c + 1 :])]
+    re, ree, im, ime = det
+    return mp.make_mpc(_to_mpc((-re, ree, -im, ime) if odd else det))
 
 
 def exact_determinant(rows):
-    """Fraction-arithmetic Gaussian elimination determinant (exact).  Raises ValueError unless square."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots, odd = _eliminate(
-        a,
-        lambda column: max(range(len(column)), key=lambda i: abs(column[i])),
-        operator.mul,
-        lambda x, f, t: x - f * t,
-        lambda x: 1 / x,
-        0,
-    )
-    det = Fraction(0) if pivots is None else math.prod(pivots, start=Fraction(1))
-    return -det if odd else det
+    """Fraction-free (Bareiss) elimination determinant, exact; always a Fraction.
+
+    Column c's pivot p is its first nonzero candidate, swapped up, and the
+    row it swaps with is negated; each entry x below and right of it becomes
+    (x p - a_rc t) // q, t the pivot row's entry and q the previous pivot (1
+    at first), a division that is exact (Sylvester's identity), so the last
+    pivot is the determinant.  The work is on ints: an int matrix as it is,
+    so no Fraction is made but the result, and any other matrix read by
+    Fraction(x) and put over the lcm d of its denominators, its determinant
+    divided by d^n once at the end.  Fraction(0) once a column holds only
+    zeros, Fraction(1) for the 0×0 matrix.  Raises ValueError unless square.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    a, d = [list(row) for row in rows], 1
+    if not all(isinstance(x, int) for row in a for x in row):
+        a = [[Fraction(x) for x in row] for row in a]
+        d = math.lcm(*(x.denominator for row in a for x in row))
+        a = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    q = 1
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:  # a swap, and the row swapped down negated: the determinant is unchanged
+            a[c], a[p] = a[p], [-x for x in a[c]]
+        top = a[c]
+        for row in a[c + 1 :]:
+            t = row[c]
+            row[c + 1 :] = [(x * top[c] - t * y) // q for x, y in zip(row[c + 1 :], top[c + 1 :])]
+        q = top[c]
+    return Fraction(q, d**n)
 
 
 def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:

@@ -543,26 +543,6 @@ def test_newton_sums_values_bit_pinned():
     assert digest == "e3a5ed58a2c1355c05a435f973f4c8ee935805a3a0cc1e02cd11d2b71f969459"
 
 
-def test_newton_count_takes_no_log2_for_a_new_z_at_a_seen_p_and_o(monkeypatch):
-    # the logs that do not depend on z are kept per (P, O): a second sum with a
-    # new log2 |z|, no larger than the first's, misses the count's own cache
-    # and reads every log from the table
-    def clear():
-        precision._newton_count.cache_clear()
-        precision._newton_logs.cache_clear()
-
-    clear()
-    first = precision._newton_count(-3.25, 4, 2, 300, 512)
-    calls = []
-    log2 = math.log2
-    monkeypatch.setattr(math, "log2", lambda x: calls.append(x) or log2(x))
-    second = precision._newton_count(-3.5 - 2**-40, 4, 2, 300, 512)
-    assert calls == [] and 1 < second <= first
-    monkeypatch.undo()
-    clear()
-    assert precision._newton_count(-3.5 - 2**-40, 4, 2, 300, 512) == second
-
-
 def test_determinant_examples():
     one = BigComplex(1)
     assert determinant([[one]]).to_mpc() == 1
@@ -596,9 +576,43 @@ def test_determinant_zero_matrix_and_zero_pivot():
 
 
 def test_exact_determinant_and_cofactor_agree():
+    # ints, Fractions and mixes of both, singular matrices, a zero leading entry
+    # that forces a row swap, 1x1 and 0x0; the result is a Fraction on every input
     rng = random.Random(3)
-    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)]
-    assert exact_determinant(rows) == det_cofactor(rows)
+
+    def entry(kind):
+        frac = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return {"int": rng.randint(-9, 9), "fraction": frac, "mixed": rng.choice((rng.randint(-9, 9), frac))}[kind]
+
+    cases = [[[entry(kind) for _ in range(n)] for _ in range(n)] for kind in ("int", "fraction", "mixed")
+             for n in (1, 2, 3, 4, 5) for _ in range(4)]
+    cases += [
+        [], [[0]], [[7]], [[Fraction(-2, 3)]],
+        [[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 0], [0, 0]], [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+        [[0, 1], [1, 0]], [[0, 2, 3], [4, 5, 6], [7, 8, 10]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[Fraction(0), Fraction(1, 2)], [3, Fraction(5, 7)]], [[0, 1, 2], [0, 3, 4], [5, 6, 7]],
+    ]
+    for rows in cases:
+        det = exact_determinant(rows)
+        assert type(det) is Fraction and det == det_cofactor(rows), rows
+
+
+def test_exact_determinant_of_ints_builds_only_the_result_fraction(monkeypatch):
+    # fraction-free elimination stays on ints: one Fraction, the result, on any int matrix
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(precision, "Fraction", Counting)
+    rng = random.Random(5)
+    for rows in ([[rng.randint(-50, 50) for _ in range(6)] for _ in range(6)], [[0, 3, 1], [2, 0, 5], [1, 4, 0]],
+                 [[1, 2], [2, 4]], [[4]], []):
+        made.clear()
+        det = exact_determinant(rows)
+        assert len(made) <= 1 and det == det_cofactor(rows)
 
 
 def test_eliminations_refuse_malformed_matrices():
@@ -883,10 +897,32 @@ def test_json_int_refuses_every_non_integer_with_value_error(value):
 
 
 def test_precision_validation():
-    with pytest.raises(ValueError):
-        Precision(bits=32)
-    with pytest.raises(ValueError):
-        Precision(truncation_cap=4)
+    # a setting is an integer, or ValueError names it: a float, a bool or a string
+    # would be stored and fail later, inside a kernel or in from_json
+    for build, field in [
+        (lambda: Precision(bits=32), "precision"),
+        (lambda: Precision(truncation_cap=4), "truncation_cap"),
+        (lambda: Precision(bits=256.5), "bits"),
+        (lambda: Precision(bits=True), "bits"),
+        (lambda: Precision(bits="256"), "bits"),
+        (lambda: Precision(guard_bits=2.5), "guard_bits"),
+        (lambda: Precision(guard_bits=True), "guard_bits"),
+        (lambda: Precision(guard_bits="32"), "guard_bits"),
+        (lambda: Precision(truncation_cap=100.5), "truncation_cap"),
+        (lambda: Precision(truncation_cap=True), "truncation_cap"),
+        (lambda: Precision(truncation_cap="100"), "truncation_cap"),
+        (lambda: BigComplex(1, bits=100.5), "bits"),
+        (lambda: BigComplex(1, bits=True), "bits"),
+        (lambda: BigComplex(1, bits="100"), "bits"),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            build()
+    # an integral float is taken, and stored as the int
+    assert Precision(256.0) == Precision(256) and hash(Precision(256.0)) == hash(Precision(256))
+    prec = Precision(256.0, 32.0, 600.0)
+    assert [type(v) for v in (prec.bits, prec.guard_bits, prec.truncation_cap)] == [int] * 3
+    x = BigComplex(1, bits=100.0)
+    assert BigComplex.from_json(x.to_json()).to_json() == x.to_json() == {"re": "1.0", "im": "0.0", "bits": 100}
 
 
 @pytest.mark.parametrize(
