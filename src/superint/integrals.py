@@ -242,11 +242,12 @@ def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) ->
         # sum_(q>=q0) h_(q-j+1)(c x_1..c x_j) / ((q-nu)! q!), q0 = max(nu, j-1)
         keys = [(s, j, nu, max(nu, j - 1)) for s, xs in enumerate(clusters)
                 for j in range(1, len(xs) + 1) for nu in range(N - 1, -1, -1)]
-        requests = [(nu, c * clusters[s][0]) if j == 1 else ([(s, j, q0 - j + 1)], q0 - nu, q0)
-                    for s, j, nu, q0 in keys]
-        values, terms = _entries(requests, [[c * x for x in xs] for xs in clusters], prec)
+        sides = [[c * x for x in xs] for xs in clusters]
+        requests = [(nu, sides[s][0]) if j == 1 else ([(s, j, q0 - j + 1)], q0 - nu, q0) for s, j, nu, q0 in keys]
+        values, terms = _entries(requests, sides, prec)
+        beta_pow = [beta ** nu for nu in range(N)]
         # at beta = 0 a sum under a negative beta power is exactly 0
-        col = [beta ** nu * clusters[s][0] ** nu * v if j == 1 else
+        col = [beta_pow[nu] * clusters[s][0] ** nu * v if j == 1 else
                beta ** (2 * j - 2 - nu) * v / (math.factorial(q0 - nu) * math.factorial(q0)) if v else v
                for (s, j, nu, q0), v in zip(keys, values)]
         rows = [list(row) for row in zip(*(col[k * N : k * N + N] for k in range(N)))]
@@ -286,10 +287,12 @@ def bk_closed_form(
             # from p0 = max(j, k) - 1
             keys = [(a, j, b, k, max(j, k) - 1) for a, xs in enumerate(xss) for j in range(1, len(xs) + 1)
                     for b, ys in enumerate(yss) for k in range(1, len(ys) + 1)]
+            sides = [[c * x for x in xs] for xs in xss] + yss
             requests = [([(a, j, p0 - j + 1), (len(xss) + b, k, p0 - k + 1)], p0, p0) if p0
-                        else (0, c * xss[a][0] * yss[b][0]) for a, j, b, k, p0 in keys]
-            values, t = _entries(requests, [[c * x for x in xs] for xs in xss] + yss, prec)
-            entries = [c ** (j - 1) * v / math.factorial(p0) ** 2 if p0 else v
+                        else (0, sides[a][0] * yss[b][0]) for a, j, b, k, p0 in keys]
+            values, t = _entries(requests, sides, prec)
+            c_pow = [c ** i for i in range(max(map(len, xss), default=0))]
+            entries = [c_pow[j - 1] * v / math.factorial(p0) ** 2 if p0 else v
                        for (_, j, _, _, p0), v in zip(keys, values)]
             rows = [entries[i * size : i * size + size] for i in range(size)]
             dets.append(det_mpc(rows, prec) if size else mpc(1))

@@ -24,6 +24,7 @@ from mpmath.libmp import (
     from_man_exp,
     from_rational,
     mpc_abs,
+    mpc_div_mpf,
     mpc_mpf_div,
     mpc_pos,
     mpf_lt,
@@ -155,15 +156,18 @@ class Precision(Slotted):
 DEFAULT_PRECISION = Precision()
 
 
-def to_mpf(x) -> mpf:
-    """A real number (or decimal string) rounded once to the ambient precision, to nearest.
+def to_mpf(x, prec: int | None = None) -> mpf:
+    """A real number (or decimal string) rounded once to `prec` bits, to nearest.
 
-    A Fraction goes through libmp's from_rational, one correctly rounded
-    division of its exact numerator by its exact denominator.
+    Without `prec`, the ambient precision.  The precision is passed to libmp
+    and mpf, never set on mpmath's context.  A Fraction goes through libmp's
+    from_rational, one correctly rounded division of its exact numerator by
+    its exact denominator.
     """
+    prec = prec or mp.prec
     if isinstance(x, Fraction):
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, mp.prec, round_nearest))
-    return mpf(x)
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
+    return mpf(x, prec=prec)
 
 
 def to_mpc_any(x) -> mpc:
@@ -181,8 +185,9 @@ class BigComplex(Slotted):
 
     The library computes on mpc at an explicit Precision; a record only
     carries a value in (the constructor, from_mpc, from_json) and out
-    (to_mpc, to_json).  Two records are equal when their values are; bits is
-    not compared.
+    (to_mpc, to_json).  The constructor rounds each part at `bits` through
+    to_mpf and never reads or sets the caller's mpmath context.  Two records
+    are equal when their values are; bits is not compared.
     """
 
     __slots__ = ("re", "im", "bits")
@@ -195,8 +200,7 @@ class BigComplex(Slotted):
             if im != 0:
                 raise ValueError("cannot combine complex re with nonzero im")
             re, im = re.real, re.imag
-        with mp.workprec(bits):
-            x, y = to_mpf(re), to_mpf(im)
+        x, y = to_mpf(re, bits), to_mpf(im, bits)
         if not (mp.isfinite(x) and mp.isfinite(y)):
             raise ValueError(f"non-finite value re={re!r} im={im!r}")
         super().__init__(x, y, bits)
@@ -486,7 +490,11 @@ def _next_order(terms, s: int):
 def _sum_order(nu: int, terms, fbits: int, wp: int, limit: int):
     """Order nu's sum of `terms` under the stopping rule: (value, terms used), or None.
 
-    None when the rule is not met within `limit` terms.
+    None when the rule is not met within `limit` terms.  The fixed-point sum
+    is rounded to wp bits (from_fixed) and, for nu >= 2, divided by the exact
+    nu! (from_int, as mpc / int converts it: nu! can be wider than wp) with one
+    more rounding at wp, all by libmp at an explicit precision; for nu <= 1 the
+    division by 1 would return the rounded sum unchanged, so none is made.
     """
     shift = 2 * wp
     nu_fact = math.factorial(nu)
@@ -507,8 +515,10 @@ def _sum_order(nu: int, terms, fbits: int, wp: int, limit: int):
         if e + 2 <= peak_bits or (e - 2 < peak_bits and (tr * tr + ti * ti) << shift < peak):
             small_run += 1
             if small_run >= 2:
-                with mp.workprec(wp):
-                    return from_fixed(sr, si, fbits) / nu_fact, k + 1
+                z = from_fixed(sr, si, fbits, wp)
+                if nu > 1:
+                    z = mp.make_mpc(mpc_div_mpf(z._mpc_, from_int(nu_fact), wp, round_nearest))
+                return z, k + 1
         else:
             small_run = 0
     return None
@@ -542,11 +552,14 @@ def fixed_series_terms(z: mpc, nu: int, n: int, fbits: int):
     return re, im
 
 
-def from_fixed(re: int, im: int, fbits: int) -> mpc:
-    """The fixed-point complex (re + i im) 2^-fbits, rounded to the ambient precision."""
-    return mp.make_mpc(
-        (from_man_exp(re, -fbits, mp.prec, round_nearest), from_man_exp(im, -fbits, mp.prec, round_nearest))
-    )
+def from_fixed(re: int, im: int, fbits: int, prec: int | None = None) -> mpc:
+    """The fixed-point complex (re + i im) 2^-fbits, rounded to `prec` bits, to nearest.
+
+    Without `prec`, the ambient precision; the rounding is libmp's
+    from_man_exp at that precision, so no context is entered.
+    """
+    prec = prec or mp.prec
+    return mp.make_mpc((from_man_exp(re, -fbits, prec, round_nearest), from_man_exp(im, -fbits, prec, round_nearest)))
 
 
 def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -637,7 +650,11 @@ def newton_sums(sides, sums, prec: Precision):
     g = bit_length(cap) + 14.  Then S = prod c^o sum_(i<n) z^i w_i T_i, with
     c = s or u_1, z the product of the parts' c and T_i that of their table
     entries, summed by Horner's rule; n = _newton_count(log2 |z|, sum (j - 1),
-    largest o) leaves a tail below one unit.
+    largest o) leaves a tail below one unit.  A sum of one table reads its
+    table row as it is; the rows of two are multiplied term by term.  Each
+    power c^o is formed once per call, and the prefactor prod c^o is the
+    product of the parts' powers; S, the powers and the prefactor are
+    rounded at work_bits whatever the caller's context.
 
     One plan per key, the parts' sides and which of them are tabled, serves
     every sum of that key: z rounded at F bits, log2 |z| and z's fixed-point
@@ -683,16 +700,21 @@ def newton_sums(sides, sums, prec: Precision):
             fixed = [tuple(to_fixed(part, fbits) for part in (u / s)._mpc_) for u in sides[side]]
         tables[side] = complete_homogeneous(
             fixed, top, (1 << fbits, 0), mul, lambda x, y: (x[0] + y[0], x[1] + y[1]))
-    out = []
-    for (parts, a, b), (n, (zr, zi, step)) in zip(sums, plans):
-        rows = [tables[side][j - 1][o : o + n] for side, j, o in parts if j > 1]
-        terms = [reduce(mul, t) for t in zip(*rows)] if rows else [(1 << fbits, 0)] * n
-        sr, si = terms[-1]
-        for i in range(n - 1, 0, -1):
-            d, (tr, ti) = (a + i) * (b + i), terms[i - 1]
-            sr, si = tr + ((sr * zr - si * zi) >> step) // d, ti + ((sr * zi + si * zr) >> step) // d
-        pref = math.prod(scales[side] ** o if j > 1 else sides[side][0] ** o for side, j, o in parts)
-        out.append(from_fixed(sr, si, fbits) * pref)
+    out, powers = [], {}
+    with mp.workprec(prec.work_bits):  # the sums' and prefactors' roundings, whatever the caller's context
+        for (parts, a, b), (n, (zr, zi, step)) in zip(sums, plans):
+            rows = [tables[side][j - 1][o : o + n] for side, j, o in parts if j > 1]
+            # one table's row is read as it is, two are multiplied term by term; with none every term is 1
+            terms = rows[0] if len(rows) == 1 else list(map(mul, *rows)) if rows else [(1 << fbits, 0)] * n
+            sr, si = terms[-1]
+            for i in range(n - 1, 0, -1):
+                d, (tr, ti) = (a + i) * (b + i), terms[i - 1]
+                sr, si = tr + ((sr * zr - si * zi) >> step) // d, ti + ((sr * zi + si * zr) >> step) // d
+            keys = [(side, j > 1, o) for side, j, o in parts]
+            for side, table, o in keys:
+                if (side, table, o) not in powers:
+                    powers[side, table, o] = scales[side] ** o if table else sides[side][0] ** o
+            out.append(from_fixed(sr, si, fbits) * reduce(operator.mul, map(powers.get, keys)))
     return out, max((n for n, _ in plans), default=0)
 
 

@@ -444,6 +444,26 @@ def test_near_coincidence_clusters_ignore_caller_precision(monkeypatch):
     assert [(v.re, v.im) for v in got] == [(v.re, v.im) for v in want]
 
 
+def test_closed_forms_ignore_caller_precision():
+    # (3|2) with a repeated bosonic value, so both Newton and kernel columns are read;
+    # records and plain numbers are built first, and plain ones are rounded inside the call
+    lam = ev([BigComplex(Fraction(3, 10)), Fraction(3, 10), complex(-1.5, 0.75)],
+             [BigComplex(Fraction(-2, 7)), 2.25])
+    mu = ev([Fraction(1, 3), BigComplex(-2), complex(0.5, 1.25)], [Fraction(5, 4), BigComplex(Fraction(-1, 9))])
+
+    def compute():
+        precision._bessel_orders.cache_clear()
+        results = ls_closed_form(lam, PREC), bk_closed_form(lam, mu, PREC)
+        return [(r.value.re._mpf_, r.value.im._mpf_, r.value.bits, r.branch, r.diagnostics["terms_used"])
+                for r in results]
+
+    want = compute()
+    assert [row[3] for row in want] == ["confluent", "confluent"]
+    for bits in (10, 3000):
+        with mp.workprec(bits):
+            assert compute() == want
+
+
 def assert_near_reference(value, reference, prec):
     with mp.workprec(4000):
         assert abs(value.to_mpc() - reference) <= abs(reference) * mpf(2) ** -(prec.bits - 8)

@@ -886,6 +886,81 @@ def test_bigcomplex_json_round_trip():
         assert abs(x.to_mpc() - y.to_mpc()) < mpf(2) ** -180
 
 
+def _at_ambient_precisions(compute):
+    """compute() at the caller's default context, then under ambient precisions of 10 and 3000 bits."""
+    out = [compute()]
+    for bits in (10, 3000):
+        with mp.workprec(bits):
+            out.append(compute())
+    return out
+
+
+def _raw(value):
+    """A result as exact data: raw libmp tuples for mpc and records, bits, and term counts as they are."""
+    if isinstance(value, (list, tuple)):
+        return [_raw(v) for v in value]
+    if isinstance(value, mpc):
+        return value._mpc_
+    if isinstance(value, BigComplex):
+        return value.re._mpf_, value.im._mpf_, value.bits
+    return value
+
+
+def test_kernel_sums_records_and_newton_sums_ignore_caller_precision():
+    # every input is built at the default context, before an ambient precision is set
+    w = BigComplex(Fraction(-37, 7), Fraction(5, 3), bits=300).to_mpc()
+
+    def kernel(nu, prec, top=None):
+        def compute():
+            precision._bessel_orders.cache_clear()  # sum again, not read the last pass back
+            return bessel_ratio_raw(nu, w, prec, top)
+        return compute
+
+    def every_order():
+        precision._bessel_orders.cache_clear()
+        return [bessel_ratio_raw(nu, w, PREC, top=12) for nu in range(13)]
+
+    assert math.factorial(60).bit_length() > Precision(64).work_bits  # nu! wider than the work bits
+    records = [1, -3.75, complex(0.1, -2.5), Fraction(-22, 7), BigComplex(Fraction(1, 3), 2, bits=300).to_mpc(),
+               "0.1234567890123456789012345678901234567890123456789e-3"]
+    sides = [[BigComplex(Fraction(k, 5), Fraction(1 - k, 7), bits=300).to_mpc() for k in (1, 2, 2, 4)],
+             [BigComplex(Fraction(3, k + 2), Fraction(-k, 3), bits=300).to_mpc() for k in (0, 1, 3)]]
+    one_table, two_tables = [([(0, 3, 1)], 1, 2)], [([(0, 4, 0), (1, 2, 1)], 0, 3)]
+    cases = [
+        kernel(3, PREC),
+        every_order,
+        kernel(60, Precision(64)),
+        lambda: [BigComplex(x, bits=200) for x in records],
+        lambda: newton_sums(sides, one_table, PREC),
+        lambda: newton_sums(sides, two_tables, PREC),
+    ]
+    for compute in cases:
+        want, *got = (_raw(v) for v in _at_ambient_precisions(compute))
+        assert got == [want, want]
+    precision._bessel_orders.cache_clear()
+
+
+def test_kernel_sums_and_records_enter_no_precision_context(monkeypatch):
+    w = BigComplex(Fraction(9, 4), Fraction(-1, 3)).to_mpc()
+    records = [7, 0.3, complex(1, 2), Fraction(1, 3), w, "2.5e-7"]
+    entered = []
+    workprec = mp.workprec
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        return workprec(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "workprec", spy)
+    precision._bessel_orders.cache_clear()
+    bessel_ratio_raw(4, w, PREC, top=5)  # orders 0..5, each order sum rounded and divided
+    for x in records:
+        BigComplex(x, bits=128)
+    assert entered == []
+    bessel_ratio_raw(0, Fraction(1, 3), PREC)  # a w that is not an mpc is converted in a context: the spy sees it
+    assert entered == [(PREC.work_bits,)]
+    precision._bessel_orders.cache_clear()
+
+
 @pytest.mark.parametrize(
     "value", [None, [], [2], {}, {"m": 2}, math.inf, -math.inf, math.nan], ids=repr
 )
