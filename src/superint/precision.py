@@ -651,10 +651,9 @@ def newton_sums(sides, sums, prec: Precision):
     c = s or u_1, z the product of the parts' c and T_i that of their table
     entries, summed by Horner's rule; n = _newton_count(log2 |z|, sum (j - 1),
     largest o) leaves a tail below one unit.  A sum of one table reads its
-    table row as it is; the rows of two are multiplied term by term.  Each
-    power c^o is formed once per call, and the prefactor prod c^o is the
-    product of the parts' powers; S, the powers and the prefactor are
-    rounded at work_bits whatever the caller's context.
+    table row as it is; the rows of two are multiplied term by term.  S and
+    the prefactor prod c^o are rounded at work_bits whatever the caller's
+    context.
 
     One plan per key, the parts' sides and which of them are tabled, serves
     every sum of that key: z rounded at F bits, log2 |z| and z's fixed-point
@@ -700,21 +699,18 @@ def newton_sums(sides, sums, prec: Precision):
             fixed = [tuple(to_fixed(part, fbits) for part in (u / s)._mpc_) for u in sides[side]]
         tables[side] = complete_homogeneous(
             fixed, top, (1 << fbits, 0), mul, lambda x, y: (x[0] + y[0], x[1] + y[1]))
-    out, powers = [], {}
+    out = []
     with mp.workprec(prec.work_bits):  # the sums' and prefactors' roundings, whatever the caller's context
         for (parts, a, b), (n, (zr, zi, step)) in zip(sums, plans):
             rows = [tables[side][j - 1][o : o + n] for side, j, o in parts if j > 1]
-            # one table's row is read as it is, two are multiplied term by term; with none every term is 1
-            terms = rows[0] if len(rows) == 1 else list(map(mul, *rows)) if rows else [(1 << fbits, 0)] * n
+            # one table's row is read as it is; with none every term is 1
+            terms = rows[0] if len(rows) == 1 else [reduce(mul, t) for t in zip(*rows)] if rows else [(1 << fbits, 0)] * n
             sr, si = terms[-1]
             for i in range(n - 1, 0, -1):
                 d, (tr, ti) = (a + i) * (b + i), terms[i - 1]
                 sr, si = tr + ((sr * zr - si * zi) >> step) // d, ti + ((sr * zi + si * zr) >> step) // d
-            keys = [(side, j > 1, o) for side, j, o in parts]
-            for side, table, o in keys:
-                if (side, table, o) not in powers:
-                    powers[side, table, o] = scales[side] ** o if table else sides[side][0] ** o
-            out.append(from_fixed(sr, si, fbits) * reduce(operator.mul, map(powers.get, keys)))
+            pref = math.prod(scales[side] ** o if j > 1 else sides[side][0] ** o for side, j, o in parts)
+            out.append(from_fixed(sr, si, fbits) * pref)
     return out, max((n for n, _ in plans), default=0)
 
 

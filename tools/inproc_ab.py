@@ -9,9 +9,9 @@ imports its side's src/ and perfbench/workloads.py without writing bytecode,
 draws the workload's ops as perfbench/run.py does, prepares them, runs the
 workload's warm-up and then times --passes whole passes over the ops, in raw
 seconds (not scaled to perfbench's reference computation).  The ops are the
-stream run.py times in --seconds (default 20) for a workload that always
-runs its whole stream (eval), else one pass over the workload's mix; --ops
-sets their number.  An op that raises counts as done, as in run.py.
+stream a 20 s run.py run times for a workload that always runs its whole
+stream (eval), else one pass over the workload's mix.  An op that raises
+counts as done, as in run.py.
 
 Prints one JSON document: every process's pass times, each side's median
 and quartiles over all its passes (statistics.quantiles, inclusive), the
@@ -30,7 +30,7 @@ import sys
 import time
 
 
-def child(root: str, workload: str, seed: int, passes: int, seconds: int, ops: int | None) -> None:
+def child(root: str, workload: str, seed: int, passes: int) -> None:
     """One side's process, run in its checkout: print its op count and pass times as JSON."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.dont_write_bytecode = True
@@ -38,8 +38,7 @@ def child(root: str, workload: str, seed: int, passes: int, seconds: int, ops: i
     import workloads
 
     load = workloads.make(workload, root)
-    if ops is None:
-        ops = load.stream_ops(seconds) if load.whole_stream else load.pass_ops
+    ops = load.stream_ops(20) if load.whole_stream else load.pass_ops
     stream = load.specs(seed)
     specs = [next(stream) for _ in range(ops)]
     for spec in specs:
@@ -61,7 +60,7 @@ def run_side(root: str, args) -> dict:
     """One process of one side: {"ops": ..., "times": [...]}."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.path.join(root, "src") + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    job = [root, args.workload, args.seed, args.passes, args.seconds, args.ops]
+    job = [root, args.workload, args.seed, args.passes]
     cmd = [sys.executable, os.path.abspath(__file__), "--child", json.dumps(job)]
     out = subprocess.run(cmd, env=env, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -85,8 +84,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--procs", type=int, default=5)
     parser.add_argument("--passes", type=int, default=3)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--ops", type=int, default=None)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent_dir), "change": os.path.abspath(args.change_dir)}
     runs = {"parent": [], "change": []}
