@@ -155,6 +155,38 @@ def test_known_defect_haar_oracle_loses_bits_at_small_beta():
             assert abs(bf - want) <= abs(want) * mpf(2) ** -200, e
 
 
+def test_brute_force_bit_pinned_at_escalated_small_beta():
+    # every bit of the (2|1) values at beta = 2^-60 and 2^-100, where brute_force_ls
+    # escalates its guard bits; a point at the default working precision runs first,
+    # so the odd block's coefficients must be converted at each point's own precision
+    a, b = SMALL_BETA_SOURCES
+    brute_force_ls(2, 1, a, b, BETA, PREC)
+    out = []
+    for e in (60, 100):
+        v = brute_force_ls(2, 1, a, b, BigComplex(Fraction(1, 2**e)), PREC)
+        out.append((v.re._mpf_, v.im._mpf_))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == "d6aa1ea3c99979efbc767d7db8722ff4cc2c81acea8c41a586fec0eeb56b74e1"
+
+
+@pytest.mark.parametrize("m,products", [(1, 14), (2, 101)])
+def test_haar_point_grassmann_product_count(monkeypatch, m, products):
+    # the Grassmann products of one point after its shape's odd block is built; a
+    # change of the count is a change of the oracle's work, which the values do not show
+    a, b = (v[2 - m :] for v in SMALL_BETA_SOURCES)
+    brute_force_ls(m, 1, a, b, BETA, PREC)
+    calls = []
+    mul = GrassmannElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+    brute_force_ls(m, 1, a, b, BETA, PREC)
+    monkeypatch.undo()
+    assert len(calls) == products
+
+
 def test_haar_oracle_takes_no_kernel_from_precision(monkeypatch):
     # the oracle checks the closed forms, which sum R(nu, w) in precision.py, so it
     # must give its values with that kernel unavailable and import no libmp arithmetic
