@@ -55,10 +55,7 @@ def measure_factor(m: int, n: int, alphas) -> GrassmannElement:
     if (m, n) == (1, 1):
         return one
     if (m, n) == (2, 1):
-        acc = GrassmannElement.scalar(g, 0)
-        for i in range(2):
-            al = alphas[i][0]
-            acc = acc + al * al.conjugate()
+        acc = sum((al * al.conjugate() for (al,) in alphas), GrassmannElement.scalar(g, 0))
         return one - acc * Fraction(1, 3)
     raise ValueError(f"unsupported block shape ({m}, {n})")
 
@@ -103,8 +100,7 @@ def _newton_eigen_pair(M, prec: Precision):
             p = x * x - trace * x + det
             if p.is_zero:
                 break
-            dp = 2 * x - trace
-            x = x - p * even_inverse(dp)
+            x = x - p * even_inverse(2 * x - trace)
         eigen.append(x)
     return eigen
 
@@ -117,36 +113,45 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     C_k = prod_(j<k) j! and Delta(x) = prod_(i<j) (x_i - x_j).  The closed
     form's beta^nu in row nu and its prefactor beta^((k-k^2)/2) cancel, so
     neither is formed, and at beta = 0 the factor is the group's mass, 1.  At
-    k = 1 the constant and Delta are 1.
+    k = 1 the constant and Delta are 1.  Each x_j beta^2 is formed once and
+    its k orders come from one `analytic_eval` call; C_k is 1 for k <= 2 and
+    is then not multiplied in.
     """
     k = len(eigen)
-
-    def entry(nu, x):
-        # x^nu R(nu, beta^2 x) via the even-series calculus
-        out = analytic_eval(nu, x * (beta * beta), prec)
-        for _ in range(nu):
-            out = out * x
-        return out
-
-    num = _even_matrix_det([[entry(k - 1 - i, x) for x in eigen] for i in range(k)])
+    # column j: x_j^nu R(nu, beta^2 x_j) for nu = 0..k-1, x_j^nu taken one product at a time
+    cols = [
+        [functools.reduce(operator.mul, [x] * nu, v) for nu, v in enumerate(analytic_eval(range(k), x * (beta * beta), prec))]
+        for x in eigen
+    ]
+    num = _even_matrix_det([[col[k - 1 - i] for col in cols] for i in range(k)])
     if k == 1:
         return num
     # no int start: a product from 1 would be one more algebra product
     delta = functools.reduce(operator.mul, [x - y for i, x in enumerate(eigen) for y in eigen[i + 1 :]])
-    return num * even_inverse(delta) * math.prod(math.factorial(j) for j in range(k))
+    out = num * even_inverse(delta)
+    return out * math.prod(math.factorial(j) for j in range(k)) if k > 2 else out
 
 
-@functools.lru_cache(maxsize=2)
-def _odd_block(m: int, n: int):
-    """The odd generators, exp of the odd block and its adjoint for one shape.
+@functools.lru_cache(maxsize=8)
+def _odd_block(m: int, n: int, work_bits: int):
+    """The odd generators and u_g's and u_g^dagger's entries for one shape at one working precision.
 
-    They depend on (m, n) alone, their elements are exact and immutable and
-    callers only read them, so every point of a shape shares one build;
-    brute_force_ls admits two shapes.
+    u_g = exp of the odd block has exact entries, whose coefficients are ints
+    and GaussianRationals; each GaussianRational is converted here by its
+    to_mpc() at work_bits, which is what its product with an mpc did inside
+    every point, and the ints are kept.  The elements are immutable and callers only read them, so every
+    point of a shape and precision shares one build; brute_force_ls admits two
+    shapes, and small beta raises its precision.
     """
     alphas = odd_parameter_matrix(m, n)
     u_g = exp_odd_block(alphas)
-    return alphas, u_g, u_g.adjoint()
+    with mp.workprec(work_bits):
+        rows = [
+            [[GrassmannElement(e.generator_count, {mo: c if isinstance(c, int) else c.to_mpc() for mo, c in e.terms.items()}) for e in row]
+             for row in M.entries]
+            for M in (u_g, u_g.adjoint())
+        ]
+    return alphas, *rows
 
 
 def _integrate_odd(alphas, blocks, beta, prec: Precision) -> GrassmannElement:
@@ -199,12 +204,12 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         beta_v = to_mpc_any(beta)
         a_vals = [to_mpc_any(v) for v in a_diag]
         b_vals = [to_mpc_any(v) for v in b_diag]
-        alphas, u_g, u_g_adjoint = _odd_block(m, n)
+        alphas, u_g, u_g_adjoint = _odd_block(m, n, prec.work_bits)
         # diagonal sources: u_g A scales column j of u_g by a_j, B u_g^dagger row i by b_i;
         # only each sector's diagonal block is formed
         sectors = (range(m), range(m, size))
-        a_blocks = [[[u_g.entries[i][j] * a_vals[j] for j in s] for i in s] for s in sectors]
-        b_blocks = [[[u_g_adjoint.entries[i][j] * b_vals[i] for j in s] for i in s] for s in sectors]
+        a_blocks = [[[u_g[i][j] * a_vals[j] for j in s] for i in s] for s in sectors]
+        b_blocks = [[[u_g_adjoint[i][j] * b_vals[i] for j in s] for i in s] for s in sectors]
         reduced = _integrate_odd(alphas, zip(a_blocks, b_blocks), beta_v, prec)
         if not reduced.soul().is_zero:
             raise RuntimeError("odd directions did not integrate out")

@@ -197,7 +197,14 @@ class GrassmannElement(Slotted):
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        # term by term, so -other is never built
+        if not isinstance(other, GrassmannElement):
+            other = GrassmannElement.scalar(self.generator_count, other)
+        self._check(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            terms[m] = terms[m] - c if m in terms else -c
+        return GrassmannElement(self.generator_count, terms)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -294,32 +301,40 @@ def _require_even(w: GrassmannElement):
         raise ValueError("element is not purely even")
 
 
-def _soul_series(soul: GrassmannElement, first, coeffs) -> GrassmannElement:
-    """first + sum_(j>=1) coeffs(j) soul^j, added in j order.
+def _soul_series(soul: GrassmannElement) -> list:
+    """The nonzero powers soul, soul^2, ... of an even soul, in order.
 
-    The powers of an even soul vanish past j = g/2, so the sum stops there or
-    at the first zero power; coeffs(j) is called only for a nonzero power.
+    The powers vanish past j = g/2, so the list stops there or before the
+    first zero power.  The first power is formed as 1 * soul, as a series
+    from the unit does.  even_inverse and analytic_eval sum their series
+    f(b + s) = sum_j f^(j)(b) s^j / j! over these powers; analytic_eval
+    shares one list between all its orders.
     """
-    g = soul.generator_count
-    out = GrassmannElement.scalar(g, first)
-    power = GrassmannElement.scalar(g, 1)
-    for j in range(1, g // 2 + 1):
+    powers = []
+    power = GrassmannElement.scalar(soul.generator_count, 1)
+    for _ in range(soul.generator_count // 2):
         power = power * soul
         if power.is_zero:
             break
-        out = out + power * coeffs(j)
-    return out
+        powers.append(power)
+    return powers
 
 
 def even_inverse(w: GrassmannElement) -> GrassmannElement:
-    """Exact inverse of an even element via the terminating geometric series around the body."""
+    """Exact inverse of an even element via the terminating geometric series around the body.
+
+    With s = soul / body, 1/w = (1 - s + s^2 - ...) / body; each power is
+    added or subtracted in j order, never multiplied by (-1)^j.
+    """
     _require_even(w)
     body = w.body
     if not body:
         raise NonInvertibleBody("even element has zero body")
     inv_body = _scalar_inverse(body)
-    # w = body (1 + s), s = soul / body
-    return _soul_series(w.soul() * inv_body, 1, lambda k: (-1) ** k) * inv_body
+    out = GrassmannElement.scalar(w.generator_count, 1)
+    for j, power in enumerate(_soul_series(w.soul() * inv_body), 1):
+        out = out - power if j % 2 else out + power
+    return out * inv_body
 
 
 def _scalar_inverse(c):
@@ -346,22 +361,28 @@ def _bessel_kernel(nu: int, body, prec: Precision):
         return mp.hyp0f1(nu + 1, to_mpc_any(body), force_series=True) / math.factorial(nu)
 
 
-def analytic_eval(nu: int, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> GrassmannElement:
-    """R(nu, body + soul) = sum_j R^(j)(nu, body) soul^j / j!, exact in the soul.
+def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> list:
+    """[R(nu, body + soul) for nu in orders], each sum_j R^(j)(nu, body) soul^j / j!, exact in the soul.
 
     `w` must be even.  The soul expansion terminates by nilpotency; termwise
     d/dw R(nu, w) = R(nu+1, w), so the j-th derivative at the body is
-    R(nu+j, body), each from `_bessel_kernel`.  The soul products are rounded
-    at prec.work_bits, whatever the caller's mpmath precision.
+    R(nu+j, body), each from `_bessel_kernel`.  One list of soul powers
+    (`_soul_series`) serves every order, and each order's terms are added
+    in j order, so an element equals the one a single order's series gives,
+    term for term.  The soul products are rounded at prec.work_bits,
+    whatever the caller's mpmath precision.
     """
     _require_even(w)
     body = w.body
-
-    def coeff(j):
-        return _bessel_kernel(nu + j, body, prec) / math.factorial(j)
-
     with mp.workprec(prec.work_bits):
-        return _soul_series(w.soul(), _bessel_kernel(nu, body, prec), coeff)
+        powers = _soul_series(w.soul())
+        return [
+            sum(
+                (s * (_bessel_kernel(nu + j, body, prec) / math.factorial(j)) for j, s in enumerate(powers, 1)),
+                GrassmannElement.scalar(w.generator_count, _bessel_kernel(nu, body, prec)),
+            )
+            for nu in orders
+        ]
 
 
 # -- block supermatrices --------------------------------------------------------
@@ -485,8 +506,7 @@ def superdeterminant(M: SuperMatrixSym) -> GrassmannElement:
     A, B, C, D = M.block("bb"), M.block("bf"), M.block("fb"), M.block("ff")
     inv_det_d = even_inverse(_even_matrix_det(D))
     # D^-1 by the adjugate
-    n = M.n
-    Dinv = [[inv_det_d]] if n == 1 else [[_cofactor(D, j, i) * inv_det_d for j in range(n)] for i in range(n)]
+    Dinv = [[inv_det_d]] if M.n == 1 else [[_cofactor(D, j, i) * inv_det_d for j in range(M.n)] for i in range(M.n)]
     bdc = matmul_rows(matmul_rows(B, Dinv), C)
     top = [[a - x for a, x in zip(row_a, row_x)] for row_a, row_x in zip(A, bdc)]
     return _even_matrix_det(top) * inv_det_d
@@ -503,13 +523,12 @@ def exp_odd_block(alphas) -> SuperMatrixSym:
     g = alphas[0][0].generator_count
     size = m + n
     zero = GrassmannElement.scalar(g, 0)
-    i_unit = I_EXACT
     omega_rows = [[zero for _ in range(size)] for _ in range(size)]
     for a in range(m):
         for b in range(n):
             al = alphas[a][b]
-            omega_rows[a][m + b] = al * i_unit
-            omega_rows[m + b][a] = al.conjugate() * i_unit
+            omega_rows[a][m + b] = al * I_EXACT
+            omega_rows[m + b][a] = al.conjugate() * I_EXACT
     omega = SuperMatrixSym(m, n, omega_rows)
     out = SuperMatrixSym.identity(m, n, g)
     power = SuperMatrixSym.identity(m, n, g)

@@ -168,7 +168,7 @@ def test_brute_force_bit_pinned_at_escalated_small_beta():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == "d6aa1ea3c99979efbc767d7db8722ff4cc2c81acea8c41a586fec0eeb56b74e1"
 
 
-@pytest.mark.parametrize("m,products", [(1, 14), (2, 101)])
+@pytest.mark.parametrize("m,products", [(1, 14), (2, 84)], ids=["1|1", "2|1"])
 def test_haar_point_grassmann_product_count(monkeypatch, m, products):
     # the Grassmann products of one point after its shape's odd block is built; a
     # change of the count is a change of the oracle's work, which the values do not show

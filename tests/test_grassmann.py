@@ -183,7 +183,7 @@ def test_even_element_body_soul():
         with pytest.raises(ValueError, match="not purely even"):
             even_inverse(bad)
         with pytest.raises(ValueError, match="not purely even"):
-            analytic_eval(0, bad, PREC)
+            analytic_eval((0,), bad, PREC)
 
 
 def test_even_inverse_examples():
@@ -223,7 +223,7 @@ def test_exact_complex_body_inverts():
 def test_analytic_eval_trivial():
     g = 2
     zero = scalar(g, 0)
-    assert analytic_eval(0, zero, PREC) == scalar(g, mpc(1))
+    assert analytic_eval((0,), zero, PREC) == [scalar(g, mpc(1))]
 
 
 def test_analytic_eval_bessel_soul_structure():
@@ -231,9 +231,8 @@ def test_analytic_eval_bessel_soul_structure():
     g = 2
     x = Fraction(3, 7)
     arg = scalar(g, x) + gen(g, 0).conjugate() * gen(g, 0) * x
-    out = analytic_eval(0, arg, PREC)
-    d0 = analytic_eval(0, scalar(g, x), PREC).body
-    d1 = analytic_eval(1, scalar(g, x), PREC).body
+    (out,) = analytic_eval((0,), arg, PREC)
+    d0, d1 = (v.body for v in analytic_eval((0, 1), scalar(g, x), PREC))
     with mp.workprec(300):
         expect_soul = gen(g, 0).conjugate() * gen(g, 0) * (x * d1)
         assert abs(mpc(out.body) - mpc(d0)) < mpf(2) ** -250
@@ -250,7 +249,7 @@ def test_analytic_eval_bessel_second_order_soul(nu, body):
     g = 4
     s = gen(g, 0) * gen(g, 1) * Fraction(2, 5) + gen(g, 2) * gen(g, 3) * GaussianRational(Fraction(-3, 4), 1)
     assert not (s * s).is_zero
-    out = analytic_eval(nu, scalar(g, body) + s, PREC)
+    (out,) = analytic_eval((nu,), scalar(g, body) + s, PREC)
     with mp.workprec(400):
         b = GaussianRational(body).to_mpc() if isinstance(body, Fraction) else body.to_mpc()
 
@@ -326,14 +325,43 @@ def test_analytic_eval_values_bit_pinned():
     # series is even_inverse's, the kernel sums are test_bessel_series_matches_the_library_kernel's
     out = []
     for prec, w in _soul_series_points():
-        out += [[(mono, c._mpc_) for mono, c in analytic_eval(nu, w, prec).terms.items()] for nu in (0, 2)]
+        out += [[(mono, c._mpc_) for mono, c in v.terms.items()] for v in analytic_eval((0, 2), w, prec)]
     assert hashlib.sha256(repr(out).encode()).hexdigest() == "9abecf92f5c91fe072fd4b7299b5c8244bae60fac26bad32d0b63e6cac02b50e"
+
+
+def test_analytic_eval_orders_share_one_soul_chain(monkeypatch):
+    # one call over orders (0, 1, 2) gives what three one-order calls give, every
+    # term's bits in the same term order, from one chain of soul powers: full souls
+    # at g = 4 and 6, a body-only argument and a soul whose square vanishes
+    full = [w for prec, w in _soul_series_points() if prec.bits == 256 and w.generator_count > 2]
+    with mp.workprec(PREC.work_bits):
+        body = mpc(mpf(7) / 3, mpf(-2) / 5)
+        square_free = scalar(4, body) + gen(4, 0) * gen(4, 1) * mpc(mpf(3) / 7, 1)
+        points = [(w, w.generator_count // 2) for w in full] + [(scalar(6, body), 0), (square_free, 1)]
+    assert [w.generator_count for w, _ in points] == [4, 6, 6, 4]
+    for w, powers in points:
+        alone = [analytic_eval((nu,), w, PREC)[0] for nu in (0, 1, 2)]
+        calls = []
+        mul = GrassmannElement.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(GrassmannElement, "__mul__", counted)
+        together = analytic_eval((0, 1, 2), w, PREC)
+        monkeypatch.undo()
+        assert len(together) == 3
+        for got, want in zip(together, alone):
+            assert [(m, c._mpc_) for m, c in got.terms.items()] == [(m, c._mpc_) for m, c in want.terms.items()]
+        # the chain once, up to its first zero power or s^(g/2), then one product per power and order
+        assert len(calls) == min(powers + 1, w.generator_count // 2) + 3 * powers
 
 
 def test_even_inverse_forms_no_power_past_half_the_generators(monkeypatch):
     # at g = 4 the soul s = (a0 a1 + a2 a3) / 2 has s^2 != 0 and s^3 = 0 by degree:
-    # soul/body, the powers s and s^2, their two signed terms and the final /body
-    # make 6 products; s^3 is never formed
+    # soul/body, the powers s (as 1 * s) and s^2 and the final /body make 4
+    # products; the signed terms are added and subtracted, and s^3 is never formed
     g = 4
     w = scalar(g, 2) + gen(g, 0) * gen(g, 1) + gen(g, 2) * gen(g, 3)
     calls = []
@@ -346,7 +374,7 @@ def test_even_inverse_forms_no_power_past_half_the_generators(monkeypatch):
     monkeypatch.setattr(GrassmannElement, "__mul__", counted)
     inv = even_inverse(w)
     monkeypatch.undo()
-    assert len(calls) == 6
+    assert len(calls) == 4
     s = (w - 2) * Fraction(1, 2)
     assert not (s * s).is_zero
     assert inv == (1 - s + s * s) * Fraction(1, 2)
