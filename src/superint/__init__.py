@@ -43,10 +43,6 @@ _EXPORTS = {
     "precision": (
         "BigComplex",
         "Precision",
-        "bessel_ratio",
-        "determinant",
-        "factorial",
-        "scaled_bessel_entry",
         "vandermonde",
     ),
     "partitions": (
@@ -67,7 +63,6 @@ _EXPORTS = {
     "schur": (
         "lr_coefficient",
         "schur_bialternant",
-        "schur_tableaux",
         "super_schur_tableaux",
         "supercharacter_amu",
     ),
@@ -88,10 +83,8 @@ _EXPORTS = {
         "SuperEigenvalues",
         "berezinian",
         "bk_closed_form",
-        "bk_confluent",
         "c_constant",
         "ls_closed_form",
-        "ls_confluent",
         "nondiag_limit_bk",
         "nondiag_limit_ls",
     ),

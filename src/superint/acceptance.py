@@ -57,9 +57,7 @@ class CriterionResult(Slotted):
 
 def _fraction(seed: int, counter: int, span: int = 40, positive: bool = False) -> Fraction:
     v = splitmix64(seed, counter)
-    num = (v % (2 * span + 1)) - span
-    if positive:
-        num = (v % span) + 1
+    num = (v % span) + 1 if positive else (v % (2 * span + 1)) - span
     den = ((v >> 32) % 37) + 2
     return Fraction(num, den)
 

@@ -43,6 +43,7 @@ from .partitions import (
 )
 from .precision import (
     DEFAULT_PRECISION,
+    DEFAULT_SEED,
     BigComplex,
     Precision,
     Slotted,
@@ -387,7 +388,7 @@ def verify_conjecture(
     m: int,
     sample_count: int = 10,
     radius=2,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
     prec: Precision = DEFAULT_PRECISION,
     K: int = 64,
 ) -> ConjectureReport:
@@ -399,7 +400,7 @@ def verify_conjecture(
     return verify_cells([(N, m)], sample_count, radius, seed, prec, K)[0]
 
 
-def verify_cells(cells, sample_count=10, radius=2, seed=42, prec=DEFAULT_PRECISION, K=64, jobs=1) -> list:
+def verify_cells(cells, sample_count=10, radius=2, seed=DEFAULT_SEED, prec=DEFAULT_PRECISION, K=64, jobs=1) -> list:
     """verify_conjecture at every (N, m) of cells, one ConjectureReport each, in cells' order.
 
     Walks the samples outside the cells: a sample's z are drawn once, at the

@@ -257,7 +257,10 @@ def ls_closed_form(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) ->
 
 
 def ls_confluent(ev: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION) -> IntegralResult:
-    """Confluent limit; requires an exact repeat in a sector."""
+    """Confluent limit; requires an exact repeat in a sector.
+
+    Kept only because perfbench/spans.py traces this name; nothing in the package calls it.
+    """
     bos, ferm, _ = ev.values(prec.bits)
     _require_repeat((bos, ferm))
     return ls_closed_form(ev, prec)
@@ -305,7 +308,10 @@ def bk_closed_form(
 def bk_confluent(
     lam: SuperEigenvalues, mu: SuperEigenvalues, prec: Precision = DEFAULT_PRECISION
 ) -> IntegralResult:
-    """Confluent limit of the two-source integral; requires an exact repeat."""
+    """Confluent limit of the two-source integral; requires an exact repeat.
+
+    Kept only because perfbench/spans.py traces this name; nothing in the package calls it.
+    """
     lam_b, lam_f, _ = lam.values(prec.bits)
     mu_b, mu_f, _ = mu.values(prec.bits)
     _require_repeat((lam_b, lam_f), (mu_b, mu_f))

@@ -42,12 +42,6 @@ class Partition(Slotted):
         """Row length with zero padding beyond the last row (1-based index)."""
         return self.rows[i - 1] if 1 <= i <= len(self.rows) else 0
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
     def conjugate(self) -> "Partition":
         if not self.rows:
             return Partition()
@@ -120,7 +114,8 @@ def standard_tableaux_count(t: Partition) -> int:
     """Number of standard fillings of the shape: sigma_coefficient, by the hook-length formula.
 
     Its own function rather than an alias of sigma_coefficient: a tracer that
-    patches module attributes by name would wrap an alias twice.
+    patches module attributes by name would wrap an alias twice.  Kept only
+    because perfbench/spans.py traces this name; nothing in the package calls it.
     """
     return sigma_coefficient(t)
 

@@ -303,9 +303,6 @@ def decimal_digits(bits: int) -> int:
     return int(math.ceil(bits * 0.30103)) + 3
 
 
-factorial = math.factorial  # exact n!; ValueError for n < 0
-
-
 def inv_factorial(n: int) -> Fraction:
     """1/n! extended by 0 for negative n (the standard determinant convention)."""
     if n < 0:
@@ -566,7 +563,8 @@ def bessel_ratio(nu: int, w, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """The even Bessel kernel: sum_k w^k / (k! (k+nu)!).
 
     At w = x^2 this equals x^-nu I_nu(2 x); the series is a function of w only,
-    so no square roots (and no branch choices) ever enter.
+    so no square roots (and no branch choices) ever enter.  Kept only because
+    perfbench/spans.py traces this name; nothing in the package calls it.
     """
     total, _ = bessel_ratio_raw(nu, w, prec)
     return BigComplex.from_mpc(total, _tag_bits(prec, [w]))
@@ -576,7 +574,8 @@ def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
     """lambda^nu I_nu(2 beta lambda) through lambda^2 only, for nu >= 0.
 
     This is beta^nu (lambda^2)^nu R(nu, beta^2 lambda^2).  Returns (value,
-    series terms used).
+    series terms used).  Kept only because perfbench/spans.py traces this
+    name; nothing in the package calls it but scaled_bessel_entry.
     """
     with mp.workprec(prec.work_bits):
         beta, lam2 = to_mpc_any(beta), to_mpc_any(lambda_sq)
@@ -587,7 +586,10 @@ def scaled_bessel_entry_raw(nu: int, beta, lambda_sq, prec: Precision):
 def scaled_bessel_entry(
     nu: int, beta, lambda_sq, prec: Precision = DEFAULT_PRECISION
 ) -> BigComplex:
-    """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2."""
+    """Determinant entry lambda^nu I_nu(2 beta lambda), evaluated via lambda^2.
+
+    Kept only because perfbench/spans.py traces this name; nothing in the package calls it.
+    """
     value, _ = scaled_bessel_entry_raw(nu, beta, lambda_sq, prec)
     return BigComplex.from_mpc(value, _tag_bits(prec, [beta, lambda_sq]))
 
@@ -910,6 +912,7 @@ def determinant(matrix, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Determinant of a square matrix of records or plain numbers, through det_mpc.
 
     The result is tagged with the minimum of prec.bits and the entries' precisions.
+    Kept only because perfbench/spans.py traces this name; nothing in the package calls it.
     """
     with mp.workprec(prec.work_bits):
         rows = [[to_mpc_any(x) for x in row] for row in matrix]

@@ -44,7 +44,8 @@ def schur_tableaux(p: Partition, values):
     """Semistandard-tableaux monomial sum; exact for exact inputs.
 
     The super-Schur sum with no fermionic letters.  Returns 0 whenever the
-    shape has more rows than there are variables.
+    shape has more rows than there are variables.  Kept only because
+    perfbench/spans.py traces this name; nothing in the package calls it.
     """
     return super_schur_tableaux(p, values, ())
 

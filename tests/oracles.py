@@ -26,7 +26,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_fixed
 
 from superint.errors import TruncationCapExceeded
-from superint.precision import BigComplex, _below_edge, det_mpc, from_fixed, to_mpc_any
+from superint.precision import BigComplex, det_mpc, from_fixed, to_mpc_any
 
 
 def vandermonde_int(ks):
@@ -296,7 +296,10 @@ def bessel_orders_interleaved_reference(w, top: int, prec):
     zr, zi = to_fixed(w[0], fbits), to_fixed(w[1], fbits)
     zs = zr + zi
     three = zr and zi
-    limit = [cap if _below_edge(w, zr, zi, fbits, cap * (cap + nu), wp) else 2 for nu in range(top + 1)]
+    # each order's cap edge decided as bessel_ratio_fixed_reference decides it: |w| at work_bits
+    with mp.workprec(wp):
+        size = abs(mp.make_mpc(w))
+    limit = [cap if size < cap * (cap + nu) else 2 for nu in range(top + 1)]
     # per order: partial sum (re, im), peak = max(1, max |partial sum|)^2 in squared
     # units and its bit length, and the run of small terms; None once it stopped
     state = [[0, 0, p, p.bit_length(), 0] for p in ((math.factorial(nu) << fbits) ** 2 for nu in range(top + 1))]

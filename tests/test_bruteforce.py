@@ -233,6 +233,10 @@ def test_brute_force_2_1_rejects_coinciding_products():
 def test_brute_force_unsupported_shape():
     with pytest.raises(ValueError):
         brute_force_ls(2, 2, [1] * 4, [1] * 4, BETA, PREC)
+    # a supported shape with a diagonal of the wrong length, in either source
+    for a, b in (([1, 3], [1, 2, 5]), ([1, 3, 4], [1, 2, 5, 7]), ([1, 3], [1, 2])):
+        with pytest.raises(ValueError, match=r"need m\+n diagonal values"):
+            brute_force_ls(2, 1, a, b, BETA, PREC)
 
 
 def test_supermatrix_oracle_reproduces_nondiag_limit():

@@ -131,7 +131,7 @@ def _as_mpf(fr: Fraction):
 
 
 def test_j0_single_variable_is_bessel_kernel():
-    from superint import bessel_ratio
+    from superint.precision import bessel_ratio
 
     z = BigComplex(Fraction(1, 3))
     a = j0_truncated([z], 40, PREC)
@@ -239,6 +239,12 @@ def test_negative_depth_is_rejected():
     for m in range(1, 4):
         with pytest.raises(ValueError):
             jm_truncated(zs, m, -1, PREC)
+    # and at a valid depth: no variables, or a block outside 1..N
+    with pytest.raises(ValueError, match="at least one variable"):
+        j0_truncated([], 8, PREC)
+    for m in (-1, 0, 4):
+        with pytest.raises(ValueError, match="1 <= m <= N"):
+            jm_truncated(zs, m, 8, PREC)
 
 
 @pytest.mark.parametrize("seed", [42, 4001])

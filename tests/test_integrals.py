@@ -16,18 +16,16 @@ from superint import (
     SuperEigenvalues,
     TruncationCapExceeded,
     berezinian,
-    bessel_ratio,
     bk_closed_form,
-    bk_confluent,
     brute_force_ls,
     c_constant,
     ls_closed_form,
-    ls_confluent,
     nondiag_limit_bk,
     nondiag_limit_ls,
-    scaled_bessel_entry,
 )
 from superint import integrals, precision
+from superint.integrals import bk_confluent, ls_confluent
+from superint.precision import bessel_ratio, scaled_bessel_entry
 from superint.conjecture import bk_character_sum, ls_character_sum
 
 from oracles import bk_division_reference, ls_division_reference
@@ -49,6 +47,22 @@ def rel_diff(a, b):
 @pytest.mark.parametrize("n,value", [(0, 1), (1, 1), (2, 1), (3, 2), (4, 12), (5, 288)])
 def test_c_constant(n, value):
     assert c_constant(n) == value
+
+
+def test_c_constant_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="non-negative"):
+        c_constant(-1)
+
+
+def test_bk_refuses_sets_of_different_shapes_or_beta():
+    # the CLI refuses different shapes before it calls bk_closed_form, so only a
+    # library call reaches these checks
+    lam = ev([Fraction(1, 2)], [Fraction(1, 3)])
+    for mu in (ev([Fraction(1, 2), Fraction(1, 4)], [Fraction(1, 3)]), ev([Fraction(1, 2)], [])):
+        with pytest.raises(ValueError, match=r"share \(m, n\)"):
+            bk_closed_form(lam, mu, PREC)
+    with pytest.raises(ValueError, match="share beta"):
+        bk_closed_form(lam, ev([Fraction(1, 2)], [Fraction(1, 3)], Fraction(1, 3)), PREC)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

@@ -2,8 +2,11 @@
 
 import copy
 import importlib
+import importlib.util
 import pickle
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,19 +19,16 @@ PUBLIC = {
     "errors": """BosonFermionCoincidence GeneratorMismatch
         InputFormatError NonInvertibleBody NotCovariant SuperintError TooManyRows
         TruncationCapExceeded""",
-    "precision": """BigComplex Precision bessel_ratio determinant factorial
-        scaled_bessel_entry vandermonde""",
+    "precision": "BigComplex Precision vandermonde",
     "partitions": """Partition SuperDiagram assemble decompose_superdiagram
         dimension_glm hook_product is_covariant k_indices norm_alpha partitions_of
         sigma_coefficient sigma_decomposition_factor super_diagrams""",
-    "schur": """lr_coefficient schur_bialternant schur_tableaux super_schur_tableaux
-        supercharacter_amu""",
+    "schur": "lr_coefficient schur_bialternant super_schur_tableaux supercharacter_amu",
     "grassmann": """GaussianRational GrassmannElement SuperMatrixSym analytic_eval
         berezin_integrate even_inverse exp_odd_block superdeterminant supertrace""",
     "bruteforce": "brute_force_ls brute_force_ls_supermatrix_11",
     "integrals": """IntegralResult SuperEigenvalues berezinian bk_closed_form
-        bk_confluent c_constant ls_closed_form ls_confluent nondiag_limit_bk
-        nondiag_limit_ls""",
+        c_constant ls_closed_form nondiag_limit_bk nondiag_limit_ls""",
     "conjecture": """ConjectureReport character_expansion_check f_coefficient
         g_coefficient j0_truncated jm_truncated lr_relation_check
         partial_coefficient_check theorem_c_checks verify_conjecture""",
@@ -71,6 +71,28 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         superint.no_such_name
     assert not hasattr(superint, "no_such_name")
+
+
+def test_every_traced_name_resolves_in_its_module(monkeypatch):
+    # The benchmark's tracer looks each LAYERS entry up by name when it installs,
+    # so a renamed or deleted one stops every traced run. Loading spans.py by
+    # path installs nothing; dataclasses reads its module from sys.modules.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    traced = set()
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module(f"superint.{layer}")
+        for qual in names:
+            if "." in qual:
+                cls_name, attr = qual.split(".")
+                assert attr in vars(getattr(module, cls_name)), f"{layer}.{qual}"
+            else:
+                assert callable(getattr(module, qual, None)), f"{layer}.{qual}"
+            traced.add(f"{layer}.{qual}")
+    assert set(spans.PROBES) <= traced
 
 
 def _values():

@@ -21,20 +21,20 @@ from superint import (
     Precision,
     TruncationCapExceeded,
     GaussianRational,
-    bessel_ratio,
-    determinant,
-    factorial,
-    scaled_bessel_entry,
     vandermonde,
 )
 from superint import precision
 from superint.precision import (
+    bessel_ratio,
     bessel_ratio_raw,
     complete_homogeneous,
     det_mpc,
+    determinant,
     exact_determinant,
     fixed_series_terms,
+    inv_factorial,
     newton_sums,
+    scaled_bessel_entry,
     scaled_bessel_entry_raw,
     to_mpc_any,
 )
@@ -59,12 +59,10 @@ HALF_R1_QUARTER = "0.565159103992485027207696027609863307328899622"
 
 
 def test_factorial_basics():
-    assert factorial is math.factorial
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(5) == 120
-    with pytest.raises(ValueError):
-        factorial(-1)
+    # the module's one factorial: 1/n! exactly, extended by 0 for negative n
+    assert inv_factorial(0) == inv_factorial(1) == 1
+    assert inv_factorial(5) == Fraction(1, 120)
+    assert inv_factorial(-1) == 0 and type(inv_factorial(-1)) is Fraction
 
 
 # a 150-bit numerator over a 140-bit denominator: rounding both and then their
@@ -190,6 +188,15 @@ def test_bessel_ratio_cap_boundary_matches_reference(nu):
         want = _kernel_outcome(bessel_ratio_mpmath, nu, w, prec)
         assert _kernel_outcome(bessel_ratio_raw, nu, w, prec) == want, w
     assert _kernel_outcome(bessel_ratio_raw, 100, edge * 10**6, prec)[2] == 2
+
+
+def test_newton_sums_past_their_cap_raise():
+    # a power sum at z = 100 takes 90 terms at 256 bits; both caps have 7 bits, so
+    # the fixed-point scale, and with it the count, is the same under either
+    sides, sums = [[mpc(100)]], [([(0, 1, 0)], 0, 0)]
+    assert newton_sums(sides, sums, Precision(truncation_cap=90))[1] == 90
+    with pytest.raises(TruncationCapExceeded, match="within 89 terms"):
+        newton_sums(sides, sums, Precision(truncation_cap=89))
 
 
 def test_bessel_ratio_huge_argument_raises_at_once():

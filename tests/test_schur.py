@@ -20,11 +20,11 @@ from superint import (
     lr_coefficient,
     partitions_of,
     schur_bialternant,
-    schur_tableaux,
     super_diagrams,
     super_schur_tableaux,
     supercharacter_amu,
 )
+from superint.schur import schur_tableaux
 
 from oracles import poly_mul, schur_polynomial
 
@@ -102,6 +102,13 @@ def test_schur_bialternant_numeric_matches_tableaux():
                 with mp.workprec(300):
                     scale = max(abs(b), mpf(1))
                     assert abs(a.to_mpc() - b) <= scale * mpf(2) ** -(PREC.bits - 40)
+
+
+def test_schur_bialternant_refuses_more_rows_than_values():
+    # the tableaux sum is 0 there, but the alternant has no row for the extra parts
+    for p, values in ((P((1, 1)), [Fraction(1, 2)]), (P((2, 1, 1)), [BigComplex(1), BigComplex(2)])):
+        with pytest.raises(ValueError, match="more rows than variables"):
+            schur_bialternant(p, values, PREC)
 
 
 def test_schur_bialternant_degenerate_arguments():

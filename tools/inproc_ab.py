@@ -18,8 +18,8 @@ Prints one JSON document: every process's pass times, each side's median
 and quartiles over all its passes (statistics.quantiles, inclusive), the
 ratio of the change's median to the parent's, and the rounds in which the
 change's median pass was the faster.  Each side also gets the median over
-its passes of each pass's per-op p50 and p90 latency in ms (the p90 taken
-as run.py takes it), with the change's ratios and the passes, paired in
+its passes of each pass's per-op p50 and p90 latency in ms (from
+perfbench/run.py's timing), with the change's ratios and the passes, paired in
 order, in which the change's p90 was the lower.  Only the standard library
 is used.
 """
@@ -35,23 +35,16 @@ import sys
 import time
 
 
-MIN_OPS = 100
-
-
-def percentile(values, q):
-    """q-th percentile (0 < q < 100) with the inclusive method, as perfbench/run.py takes it."""
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
-
-
 def child(root: str, workload: str, seed: int, passes: int) -> None:
     """One side's process, run in its checkout: print its op count, pass times and per-op p50 and p90 as JSON."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import run
     import workloads
 
     load = workloads.make(workload, root)
-    ops = load.stream_ops(20) if load.whole_stream else load.pass_ops * -(-MIN_OPS // load.pass_ops)
+    ops = load.stream_ops(20) if load.whole_stream else load.pass_ops * -(-run.MIN_OPS // load.pass_ops)
     stream = load.specs(seed)
     specs = [next(stream) for _ in range(ops)]
     for spec in specs:
@@ -69,8 +62,9 @@ def child(root: str, workload: str, seed: int, passes: int) -> None:
                 pass
             latencies.append(time.perf_counter() - op_start)
         times.append(time.perf_counter() - start)
-        p50.append(statistics.median(latencies) * 1e3)
-        p90.append(percentile(latencies, 90) * 1e3)
+        latency = run.timing(latencies)
+        p50.append(latency["latency_ms.p50"])
+        p90.append(latency["latency_ms.p90"])
     print(json.dumps({"ops": ops, "times": times, "p50_ms": p50, "p90_ms": p90}))
 
 
