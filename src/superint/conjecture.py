@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from math import factorial
 from operator import floordiv, mul
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_sub, round_nearest
 
 from .errors import TruncationCapExceeded
 from .integrals import c_constant
@@ -47,6 +48,9 @@ from .precision import (
     BigComplex,
     Precision,
     Slotted,
+    _from_mpc,
+    _mul_pairs,
+    _to_mpc,
     as_record,
     det_mpc,
     exact_determinant,
@@ -155,9 +159,10 @@ def _fixed_bits(K: int, prec: Precision) -> int:
 # prefix of the same z: the draws are cached on sample_disk's arguments
 # (_draw), and j0_truncated and jm_truncated share the tables below
 # (_series_tables) and the J0 values (_j0_value) across calls.  A table also
-# holds jm_truncated's coupled entries against each small-block z, keyed on
-# that z's raw mpc tuple, so one entry is one dot product per ordered (big z,
-# small z) pair, and a table that is evicted takes its entries along.  Tables
+# holds jm_truncated's coupled entries against each small-block z and its
+# cross-product differences against each second-block z, keyed on that z's
+# raw mpc tuple, so one entry is one dot product or one subtraction per
+# ordered pair, and a table that is evicted takes its entries along.  Tables
 # and values are keyed on the exact value of z, as raw mpc tuples, with K and
 # the Precision, and the tables are filled on first use, so a cold call does
 # no arithmetic the uncached one would not.  Each is an lru_cache that holds
@@ -185,16 +190,23 @@ def _draw(seed: int, sample_index: int, coordinate: int, radius, bits: int) -> B
 
 
 class _SeriesTables:
-    """The fixed-K series of one z: the weights, the shifted Bessel sums, the kernel sums and the coupled entries."""
+    """The fixed-K series of one z: the weights, the shifted Bessel sums, the kernel sums and the coupled entries.
 
-    __slots__ = ("z", "K", "fbits", "_weights", "_shifted", "_kernel", "_coupled")
+    Also the differences from other z that jm_truncated's cross product
+    reads.  Every value is rounded at the Precision's work_bits, whatever
+    the caller's mpmath context, so the first read of a memoized entry fixes
+    the bits any other read would.
+    """
 
-    def __init__(self, z, K: int, fbits: int):
-        self.z, self.K, self.fbits = z, K, fbits
+    __slots__ = ("z", "K", "fbits", "wp", "_weights", "_shifted", "_kernel", "_coupled", "_differences")
+
+    def __init__(self, z, K: int, prec: Precision):
+        self.z, self.K, self.fbits, self.wp = z, K, _fixed_bits(K, prec), prec.work_bits
         self._weights = None
         self._shifted = {}
         self._kernel = ([], [])
         self._coupled = {}
+        self._differences = {}
 
     def weights(self):
         """The s = 0 terms z^k / (k!)^2, k <= K, as fixed-point (re, im) lists."""
@@ -206,14 +218,14 @@ class _SeriesTables:
         """sum_{k=s..K} z^k / (k! (k-s)!), as z^s/s! times a fixed-point sum that starts at 1.
 
         Taking z^s/s! out keeps full relative accuracy at small |z|.  Zero
-        for K < s.  Rounded to the ambient precision, work_bits.  At s = 0
-        the terms are the weights.
+        for K < s.  Rounded at work_bits.  At s = 0 the terms are the weights.
         """
         value = self._shifted.get(s)
         if value is None:
             z, K, fbits = self.z, self.K, self.fbits
             re, im = self.weights() if s == 0 else fixed_series_terms(z, s, K - s, fbits)
-            value = self._shifted[s] = z ** s / factorial(s) * from_fixed(sum(re), sum(im), fbits)
+            with mp.workprec(self.wp):
+                value = self._shifted[s] = z ** s / factorial(s) * from_fixed(sum(re), sum(im), fbits)
         return value
 
     def kernel(self, length: int):
@@ -232,30 +244,43 @@ class _SeriesTables:
     def coupled(self, small: _SeriesTables):
         """The double series sum_k w_k(z) s_k(small.z), this z's weights against small's kernel sums.
 
-        A fixed-point sum at 2 fbits (_coupled_entry), rounded to the ambient
-        precision, work_bits, and memoized on small.z's raw mpc tuple; small
-        must share this table's K and Precision.
+        A fixed-point sum at 2 fbits (_coupled_entry), rounded at work_bits,
+        and memoized on small.z's raw mpc tuple; small must share this
+        table's K and Precision.
         """
         key = small.z._mpc_
         value = self._coupled.get(key)
         if value is None:
             weights = self.weights()
-            value = self._coupled[key] = _coupled_entry(weights, small.kernel(len(weights[0])), self.fbits)
+            value = self._coupled[key] = _coupled_entry(weights, small.kernel(len(weights[0])), self.fbits, self.wp)
+        return value
+
+    def difference(self, other: _SeriesTables):
+        """z - other.z rounded at work_bits, as mpc's subtraction rounds it, as det_mpc's integer pair.
+
+        Memoized on other.z's raw mpc tuple; other must share this table's
+        Precision.
+        """
+        key = other.z._mpc_
+        value = self._differences.get(key)
+        if value is None:
+            wp = self.wp
+            value = self._differences[key] = _from_mpc(mpc_sub(self.z._mpc_, key, wp, round_nearest), wp)
         return value
 
 
-def _coupled_entry(weights, kernel, fbits: int):
-    """sum_k w_k s_k over the (re, im) fixed-point lists at fbits, rounded from 2 fbits; stops at the weights' end."""
+def _coupled_entry(weights, kernel, fbits: int, wp: int):
+    """sum_k w_k s_k over the (re, im) fixed-point lists at fbits, rounded from 2 fbits at wp; stops at the weights' end."""
     (br, bi), (sr, si) = weights, kernel
     re = sum(map(mul, br, sr)) - sum(map(mul, bi, si))
     im = sum(map(mul, br, si)) + sum(map(mul, bi, sr))
-    return from_fixed(re, im, 2 * fbits)
+    return from_fixed(re, im, 2 * fbits, wp)
 
 
 @lru_cache(maxsize=10)
 def _series_tables(z, K: int, prec: Precision) -> _SeriesTables:
     """The tables of z, given as a raw mpc tuple, at depth K and prec."""
-    return _SeriesTables(mp.make_mpc(z), K, _fixed_bits(K, prec))
+    return _SeriesTables(mp.make_mpc(z), K, prec)
 
 
 def j0_truncated(z, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -280,9 +305,8 @@ def _j0_value(zs, K: int, prec: Precision) -> BigComplex:
     """j0_truncated at z, given as a tuple of raw mpc tuples."""
     tables = [_series_tables(v, K, prec) for v in zs]
     N = len(tables)
-    with mp.workprec(prec.work_bits):
-        rows = [[t.shifted(N - i) for t in tables] for i in range(1, N + 1)]
-        return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
+    rows = [[t.shifted(N - i) for t in tables] for i in range(1, N + 1)]
+    return BigComplex.from_mpc(det_mpc(rows, prec), prec.bits)
 
 
 def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
@@ -301,7 +325,11 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     coupled entries are fixed-point integer sums (_fixed_bits); all three and
     the moment columns come from the per-z tables, the coupled entries from
     the big-block z's table (_SeriesTables.coupled), so every (N, m) cell
-    that meets the same ordered pair of z reuses its entry.
+    that meets the same ordered pair of z reuses its entry.  So does the
+    cross product, whose differences the first-block z's tables hold
+    (_cross); it and its product by the determinant are taken on det_mpc's
+    integer pairs, each rounded at work_bits as the same mpc product rounds,
+    but for det_mpc's far-apart exact tie.
     """
     zs = [as_record(v, prec.bits).to_mpc() for v in z]
     N = len(zs)
@@ -312,25 +340,42 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     if n == 0:
         return j0_truncated(z, K, prec)
     tables = [_series_tables(v._mpc_, K, prec) for v in zs]
-    with mp.workprec(prec.work_bits):
-        cross = math.prod(a - b for a in zs[:m] for b in zs[m:])
-        if m >= n:
-            big, small = tables[:m], tables[m:]
-        else:
-            big, small = tables[m:], tables[:m]
-        ns, dd = len(small), len(big) - len(small)
-        rows = [[t.coupled(u) for u in small] + [t.shifted(d) for d in range(dd)] for t in big]
-        eps = -1 if (ns * dd + dd * (dd - 1) // 2) % 2 else 1
-        return BigComplex.from_mpc(eps * cross * det_mpc(rows, prec), prec.bits)
+    if m >= n:
+        big, small = tables[:m], tables[m:]
+    else:
+        big, small = tables[m:], tables[:m]
+    ns, dd = len(small), len(big) - len(small)
+    rows = [[t.coupled(u) for u in small] + [t.shifted(d) for d in range(dd)] for t in big]
+    wp = prec.work_bits
+    cross = _cross(tables, m, wp)
+    if (ns * dd + dd * (dd - 1) // 2) % 2:
+        cross = (-cross[0], cross[1], -cross[2], cross[3])
+    value = _mul_pairs(wp, cross, _from_mpc(det_mpc(rows, prec)._mpc_, wp))
+    return BigComplex.from_mpc(mp.make_mpc(_to_mpc(value)), prec.bits)
 
 
+def _cross(tables, m: int, wp: int):
+    """prod (z_a - z_b), a over the first m tables and b over the rest, as det_mpc's integer pair.
+
+    The differences come from the tables (_SeriesTables.difference).  Each
+    product is rounded at wp as mpc's multiplication rounds it (_mul_pairs),
+    in math.prod's order, whose first product, by 1, is exact.
+    """
+    return reduce(partial(_mul_pairs, wp), [a.difference(b) for a in tables[:m] for b in tables[m:]])
+
+
+@lru_cache(maxsize=32)
 def tail_bound(N: int, max_abs_z, K: int, prec: Precision = DEFAULT_PRECISION):
     """Crude rigorous bound on the discarded multi-index region of the J series.
 
     N * (max|z|)^(K+1) / ((K+1)!)^2 * (K+N)^(N(N-1)/2) * (1 + 2 max|z|)^(N^2):
     one index beyond K costs at least ((K+1)!)^-2 (max|z|)^(K+1); the
     combinatorial factor overestimates every Vandermonde and cross term, and
-    the final power bounds the remaining geometric sums.
+    the final power bounds the remaining geometric sums.  Rounded at
+    work_bits, whatever the caller's context, and cached on the arguments:
+    every sample of a cell at one N, radius, K and prec reads the same
+    bound.  Equal radii of different types (2, Fraction(2), 2.0) share an
+    entry; to_mpf reads each exactly, so they give the same bits.
     """
     with mp.workprec(prec.work_bits):
         r = to_mpf(max_abs_z)

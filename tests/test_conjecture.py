@@ -1,5 +1,6 @@
 """Series identity machinery, exact coefficient checks, deterministic sampling."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,8 @@ from superint.conjecture import (
     tail_bound,
     unit_double,
 )
+
+from superint.precision import _to_mpc
 
 from oracles import j0_box_sum, j0_truncated_mpmath, jm_box_sum, jm_truncated_mpmath
 
@@ -307,9 +310,9 @@ def test_series_memo_key_separates_depth_bits_and_guard_bits():
 
 
 def test_kernel_sums_do_not_depend_on_the_length_asked_for():
-    z, fbits = sample_disk(42, 0, 0, 2, PREC.bits).to_mpc(), conjecture._fixed_bits(64, PREC)
-    grown = conjecture._SeriesTables(z, 64, fbits)
-    fresh = conjecture._SeriesTables(z, 64, fbits)
+    z = sample_disk(42, 0, 0, 2, PREC.bits).to_mpc()
+    grown = conjecture._SeriesTables(z, 64, PREC)
+    fresh = conjecture._SeriesTables(z, 64, PREC)
     assert len(grown.kernel(3)[0]) == 3
     assert grown.kernel(40) == fresh.kernel(40)
     assert len(fresh.kernel(40)[0]) == 40
@@ -369,6 +372,87 @@ def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):
         clear_series_memo()
         cold = jm_truncated(z[:N], m, 64, PREC)
         assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
+
+
+def test_differences_are_computed_once_per_ordered_pair(monkeypatch):
+    # one sample's cells, N = 2..8 and every m < N, meet each pair (first-block
+    # z, second-block z) in many cells; the first z's table subtracts once
+    computed, sub = [], conjecture.mpc_sub
+
+    def counting(*args):
+        computed.append(args)
+        return sub(*args)
+
+    monkeypatch.setattr(conjecture, "mpc_sub", counting)
+    z = [sample_disk(4002, 0, c, 2, PREC.bits) for c in range(8)]
+    cells = [(N, m) for N in range(2, 9) for m in range(1, N + 1)]
+    random.Random(11).shuffle(cells)
+    pairs = {(a, b) for N, m in cells for a in range(m) for b in range(m, N)}
+    clear_series_memo()
+    warm = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    assert len(computed) == len(pairs) == 28
+    again = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    assert len(computed) == len(pairs)
+    for (N, m), a, b in zip(cells, warm, again):
+        clear_series_memo()
+        cold = jm_truncated(z[:N], m, 64, PREC)
+        assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_series_tables_round_at_their_own_work_bits(bits):
+    # a table's entries are memoized, so whoever reads one first fixes its bits;
+    # each is rounded at the table's work_bits, as the series read it inside
+    # mp.workprec(work_bits), whatever the caller's context
+    prec = Precision(bits=bits)
+    z, u = (sample_disk(4001, 0, c, 2, bits).to_mpc()._mpc_ for c in range(2))
+
+    def read():
+        clear_series_memo()
+        t, s = conjecture._series_tables(z, 64, prec), conjecture._series_tables(u, 64, prec)
+        return [v._mpc_ for v in (t.shifted(0), t.shifted(3), t.coupled(s), s.coupled(t))], t.difference(s)
+
+    with mp.workprec(prec.work_bits):
+        want = read()
+    for ambient in (53, 400):
+        with mp.workprec(ambient):
+            assert read() == want, ambient
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024])
+@pytest.mark.parametrize("guard_bits", [0, 32])
+def test_cross_product_is_the_mpc_product_bit_for_bit(bits, guard_bits):
+    # jm_truncated's prod (z_a - z_b) on integer pairs against math.prod of mpc
+    # differences at work_bits, on draws with one repeated and one nearly repeated z
+    prec = Precision(bits=bits, guard_bits=guard_bits)
+    wp = prec.work_bits
+    for s in range(3):
+        z = [sample_disk(4001, s, c, 2, bits).to_mpc() for c in range(6)]
+        z[5] = z[4]
+        with mp.workprec(bits):
+            z[3] = z[2] + mpf(2) ** -(bits - 4)
+        tables = [conjecture._series_tables(v._mpc_, 64, prec) for v in z]
+        for m in range(1, 6):
+            with mp.workprec(wp):
+                want = math.prod(a - b for a in z[:m] for b in z[m:])
+            assert _to_mpc(conjecture._cross(tables, m, wp)) == want._mpc_, (s, m)
+
+
+def test_tail_bound_reads_its_radius_exactly_and_is_cached():
+    tail_bound.cache_clear()
+    want = tail_bound(5, 2, 64, PREC)
+    for radius in (2, Fraction(2), 2.0):
+        for ambient in (53, 3000):
+            tail_bound.cache_clear()
+            with mp.workprec(ambient):
+                got = tail_bound(5, radius, 64, PREC)
+            assert got._mpf_ == want._mpf_, (radius, ambient)
+    info = tail_bound.cache_info()
+    assert tail_bound(5, 2, 64, PREC) is got
+    assert tail_bound.cache_info().hits == info.hits + 1
+    for N in range(1, 2 * info.maxsize + 1):
+        tail_bound(N, 2, 64, PREC)
+    assert tail_bound.cache_info().currsize == info.maxsize
 
 
 # At N = 8 and radius 1/100 the bordered determinant cancels up to 38 bits in
