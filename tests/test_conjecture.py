@@ -33,7 +33,6 @@ from superint.conjecture import (
     tail_bound,
     unit_double,
 )
-
 from superint.precision import _to_mpc
 
 from oracles import j0_box_sum, j0_truncated_mpmath, jm_box_sum, jm_truncated_mpmath
@@ -345,58 +344,52 @@ def test_verify_cells_refuses_an_empty_cell_list():
         conjecture.verify_cells([])
 
 
-def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):
-    # one sample's cells, N = 2..8 and every m, meet each ordered (big z,
-    # small z) pair in many cells; the big z's table computes its entry once
-    # (m = N is J0 and has no small block)
-    computed, entry = [], conjecture._coupled_entry
+def _calls_over_one_samples_cells(monkeypatch, name, seed, order):
+    """Count the calls to conjecture.<name> over one sample's N = 2..8 cells, every m, in a shuffled order.
+
+    The cells run warm, then again, which must call nothing more, then each
+    cold after clear_series_memo(); the three values of a cell must agree.
+    Returns the cells and the warm pass's call count.
+    """
+    computed, f = [], getattr(conjecture, name)
 
     def counting(*args):
         computed.append(args)
-        return entry(*args)
+        return f(*args)
 
-    monkeypatch.setattr(conjecture, "_coupled_entry", counting)
-    z = [sample_disk(4001, 0, c, 2, PREC.bits) for c in range(8)]
+    monkeypatch.setattr(conjecture, name, counting)
+    z = [sample_disk(seed, 0, c, 2, PREC.bits) for c in range(8)]
     cells = [(N, m) for N in range(2, 9) for m in range(1, N + 1)]
-    random.Random(7).shuffle(cells)
+    random.Random(order).shuffle(cells)
+    clear_series_memo()
+    warm = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    calls = len(computed)
+    again = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
+    assert len(computed) == calls
+    for (N, m), a, b in zip(cells, warm, again):
+        clear_series_memo()
+        cold = jm_truncated(z[:N], m, 64, PREC)
+        assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
+    return cells, calls
+
+
+def test_coupled_entries_are_computed_once_per_ordered_pair(monkeypatch):
+    # the cells meet each ordered (big z, small z) pair many times; the big
+    # z's table computes its entry once (m = N is J0 and has no small block)
+    cells, calls = _calls_over_one_samples_cells(monkeypatch, "_coupled_entry", 4001, 7)
     pairs = set()
     for N, m in cells:
         big, small = (range(m), range(m, N)) if 2 * m >= N else (range(m, N), range(m))
         pairs.update(product(big, small))
-    clear_series_memo()
-    warm = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
-    assert len(computed) == len(pairs) <= 56
-    again = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
-    assert len(computed) == len(pairs)
-    for (N, m), a, b in zip(cells, warm, again):
-        clear_series_memo()
-        cold = jm_truncated(z[:N], m, 64, PREC)
-        assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
+    assert calls == len(pairs) <= 56
 
 
 def test_differences_are_computed_once_per_ordered_pair(monkeypatch):
-    # one sample's cells, N = 2..8 and every m < N, meet each pair (first-block
-    # z, second-block z) in many cells; the first z's table subtracts once
-    computed, sub = [], conjecture.mpc_sub
-
-    def counting(*args):
-        computed.append(args)
-        return sub(*args)
-
-    monkeypatch.setattr(conjecture, "mpc_sub", counting)
-    z = [sample_disk(4002, 0, c, 2, PREC.bits) for c in range(8)]
-    cells = [(N, m) for N in range(2, 9) for m in range(1, N + 1)]
-    random.Random(11).shuffle(cells)
+    # the cells meet each pair (first-block z, second-block z) many times; the
+    # first z's table subtracts once
+    cells, calls = _calls_over_one_samples_cells(monkeypatch, "mpc_sub", 4002, 11)
     pairs = {(a, b) for N, m in cells for a in range(m) for b in range(m, N)}
-    clear_series_memo()
-    warm = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
-    assert len(computed) == len(pairs) == 28
-    again = [jm_truncated(z[:N], m, 64, PREC) for N, m in cells]
-    assert len(computed) == len(pairs)
-    for (N, m), a, b in zip(cells, warm, again):
-        clear_series_memo()
-        cold = jm_truncated(z[:N], m, 64, PREC)
-        assert (a.re, a.im) == (b.re, b.im) == (cold.re, cold.im), (N, m)
+    assert calls == len(pairs) == 28
 
 
 @pytest.mark.parametrize("bits", [64, 256])
