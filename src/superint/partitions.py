@@ -6,6 +6,7 @@ Everything here is exact integer / rational combinatorics.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from math import factorial
 from typing import Iterator
@@ -15,12 +16,16 @@ from .precision import Slotted, json_int, vandermonde
 
 
 class Partition(Slotted):
-    """Weakly decreasing non-negative integer rows with trailing zeros stripped."""
+    """Weakly decreasing non-negative integer rows with trailing zeros stripped.
+
+    Each row is read by operator.index, so a float, a Fraction or a string
+    row raises TypeError rather than being truncated or parsed.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(operator.index, rows))
         while rows and rows[-1] == 0:
             rows = rows[:-1]
         for i in range(len(rows) - 1):
@@ -58,7 +63,10 @@ class Partition(Slotted):
         if isinstance(other, Partition):
             return self.rows == other.rows
         if isinstance(other, (tuple, list)):
-            return self == Partition(other)
+            try:
+                return self == Partition(other)
+            except (TypeError, ValueError):  # not the rows of any partition
+                return False
         return NotImplemented
 
     def __hash__(self):

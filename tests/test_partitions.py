@@ -36,6 +36,14 @@ def test_partition_normalization_and_validation():
         P((1, 2))
     with pytest.raises(ValueError):
         P((2, -1))
+    # rows are read by operator.index: nothing is truncated or parsed
+    for rows in ((2.7, 1.2), ("3", "1"), (2.0, 1), (Fraction(2), 1)):
+        with pytest.raises(TypeError):
+            P(rows)
+    assert P((2, 1)) != [2.5, 1] and P((2, 1)) != (2, 1.0) and P((2, 1)) != ["2", "1"]
+    # a sequence that is no partition's rows equals none
+    assert P((2, 1)) != [1, 2] and P((2, 1)) != (2, -1)
+    assert P((2, 1)) == [2, 1, 0] and P((2, 1)) == (2, 1)
 
 
 def test_partition_helpers():

@@ -200,15 +200,29 @@ def test_supercharacter_on_records_matches_tableaux():
 
 
 def test_supercharacter_matches_tableaux_sweep():
+    # every (m|n) with m, n <= 3: up to 6 boxes to (2|2), 8 past it, and the
+    # (3|3) block plus two; per (m|n) four draws, Fractions, a value shared by
+    # the two sectors (every cross product vanishes), ints only (common
+    # denominator 1) and Fractions mixed with ints and zeros
     rng = random.Random(23)
-    for m in (1, 2):
-        for n in (1, 2):
-            for trial in range(5):
-                bos = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(m)]
-                ferm = [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)]
-                for sd in super_diagrams(m, n, 6):
-                    t = assemble(sd)
-                    assert supercharacter_amu(sd, bos, ferm) == super_schur_tableaux(t, bos, ferm)
+
+    def fraction():
+        return Fraction(rng.randint(-8, 8), rng.randint(1, 6))
+
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)):
+        boxes = 6 if max(m, n) < 3 else max(8, m * n + 2)
+        shared = [fraction() for _ in range(m + n - 1)]
+        draws = (
+            [fraction() for _ in range(m + n)],
+            shared + [shared[0]],
+            [rng.randint(-5, 5) for _ in range(m + n)],
+            [fraction(), rng.randint(-5, 5), Fraction(0), 0, fraction(), rng.randint(-5, 5)][: m + n],
+        )
+        for values in draws:
+            bos, ferm = values[:m], values[m:]
+            for sd in super_diagrams(m, n, boxes):
+                t = assemble(sd)
+                assert supercharacter_amu(sd, bos, ferm) == super_schur_tableaux(t, bos, ferm), (sd, bos, ferm)
 
 
 def test_supercharacter_with_coinciding_arguments_matches_tableaux():
@@ -307,6 +321,22 @@ def test_exact_tableau_sum_does_no_fraction_arithmetic_per_filling():
     counted = [_CountedFraction(v) for v in plain]
     _CountedFraction.ops = 0
     assert super_schur_tableaux(t, counted[:2], counted[2:]) == want
+    assert _CountedFraction.ops <= len(plain)
+
+
+def test_exact_supercharacter_does_no_fraction_arithmetic_per_factor():
+    # the cross differences and both alternants are taken on the integer
+    # numerators over one common denominator, and one Fraction is made at the
+    # end; on the values themselves (2|2) with p = (2, 1), q = (1) took 11
+    # counted operations
+    rng = random.Random(3803)
+    plain = [Fraction(rng.randint(-40, 40) or 1, rng.randint(2, 38)) for _ in range(4)]
+    sd = SuperDiagram(2, 2, P((2, 1)), P((1,)))
+    want = supercharacter_amu(sd, plain[:2], plain[2:])
+    assert want == super_schur_tableaux(assemble(sd), plain[:2], plain[2:])
+    counted = [_CountedFraction(v) for v in plain]
+    _CountedFraction.ops = 0
+    assert supercharacter_amu(sd, counted[:2], counted[2:]) == want
     assert _CountedFraction.ops <= len(plain)
 
 
