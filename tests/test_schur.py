@@ -202,7 +202,7 @@ def test_supercharacter_on_records_matches_tableaux():
 def test_supercharacter_matches_tableaux_sweep():
     # every (m|n) with m, n <= 3: up to 6 boxes to (2|2), 8 past it, and the
     # (3|3) block plus two; per (m|n) four draws, Fractions, a value shared by
-    # the two sectors (every cross product vanishes), ints only (common
+    # the two sectors (the cross product vanishes), ints only (common
     # denominator 1) and Fractions mixed with ints and zeros
     rng = random.Random(23)
 
@@ -327,8 +327,8 @@ def test_exact_tableau_sum_does_no_fraction_arithmetic_per_filling():
 def test_exact_supercharacter_does_no_fraction_arithmetic_per_factor():
     # the cross differences and both alternants are taken on the integer
     # numerators over one common denominator, and one Fraction is made at the
-    # end; on the values themselves (2|2) with p = (2, 1), q = (1) took 11
-    # counted operations
+    # end; the product form on the values themselves makes 11 counted
+    # operations at this diagram
     rng = random.Random(3803)
     plain = [Fraction(rng.randint(-40, 40) or 1, rng.randint(2, 38)) for _ in range(4)]
     sd = SuperDiagram(2, 2, P((2, 1)), P((1,)))
