@@ -63,14 +63,12 @@ class Partition(Slotted):
         if isinstance(other, Partition):
             return self.rows == other.rows
         if isinstance(other, (tuple, list)):
-            try:
-                return self == Partition(other)
-            except (TypeError, ValueError):  # not the rows of any partition
-                return False
+            # only the stripped int rows themselves, so an equal tuple hashes alike
+            return tuple(other) == self.rows and all(isinstance(r, int) for r in other)
         return NotImplemented
 
     def __hash__(self):
-        # as the tuple's, which compares equal
+        # as the rows tuple's, the one tuple that compares equal
         return hash(self.rows)
 
     def __repr__(self):

@@ -43,7 +43,17 @@ def test_partition_normalization_and_validation():
     assert P((2, 1)) != [2.5, 1] and P((2, 1)) != (2, 1.0) and P((2, 1)) != ["2", "1"]
     # a sequence that is no partition's rows equals none
     assert P((2, 1)) != [1, 2] and P((2, 1)) != (2, -1)
-    assert P((2, 1)) == [2, 1, 0] and P((2, 1)) == (2, 1)
+    assert P((2, 1)) != [2, 1, 0] and P((2, 1)) == (2, 1)
+
+
+def test_partition_equals_only_its_stripped_rows_and_hashes_alike():
+    # a padded tuple compared equal while hashing apart, so a set lookup missed it
+    assert P((2, 1)) != (2, 1, 0)
+    assert hash(P((2, 1))) != hash((2, 1, 0))
+    assert (2, 1, 0) not in {P((2, 1))}
+    # the one tuple that compares equal hashes alike and shares a set entry
+    assert (2, 1) in {P((2, 1))} and len({P((2, 1)), (2, 1)}) == 1
+    assert P((2, 1)) == [2, 1] and P(()) == () and P((0,)) != (0,)
 
 
 def test_partition_helpers():
