@@ -182,34 +182,41 @@ def _lr_fillings(r: Partition, mu: Partition, nu: Partition) -> int:
     """Count lattice-word semistandard fillings of the skew shape r/mu with weight nu.
 
     The cells are filled in reverse reading order (rows top to bottom, each
-    row right to left), with letters 0 .. len(nu) - 1.
+    row right to left), with letters 0 .. len(nu) - 1, by one depth-first
+    loop, as in super_schur_tableaux: it keeps each depth's letter and the
+    letters still to try there, and counts each letter of the word so far.
+    The first cell, the last of the top row, has no filled neighbour.
     """
     cells = _neighbours(
         [(i, j) for i, length in enumerate(r.rows) for j in range(length - 1, mu.row(i + 1) - 1, -1)], 1
     )
+    if not cells:
+        return 1
     weight = nu.rows
-    counts = [0] * len(weight)
-    filled = []
-
-    def rec():
-        k = len(filled)
-        if k == len(cells):
-            return 1
-        right, up = cells[k]
-        lo = 0 if up is None else filled[up] + 1  # strictly increasing down a column
-        hi = len(weight) if right is None else filled[right] + 1  # weakly increasing along a row
-        total = 0
-        for v in range(lo, hi):
+    last = len(cells) - 1
+    counts, filled, runs = [0] * len(weight), [0] * last, [iter(range(len(weight)))] + [None] * last
+    total, k = 0, 0
+    while k >= 0:
+        for v in runs[k]:
             # the reverse reading word must stay a lattice word of weight nu
-            if counts[v] < weight[v] and (v == 0 or counts[v] < counts[v - 1]):
-                filled.append(v)
-                counts[v] += 1
-                total += rec()
-                counts[v] -= 1
-                filled.pop()
-        return total
-
-    return rec()
+            if not (counts[v] < weight[v] and (v == 0 or counts[v] < counts[v - 1])):
+                continue
+            if k == last:
+                total += 1
+                continue
+            filled[k] = v
+            counts[v] += 1
+            k += 1
+            right, up = cells[k]
+            lo = 0 if up is None else filled[up] + 1  # strictly increasing down a column
+            hi = len(weight) if right is None else filled[right] + 1  # weakly increasing along a row
+            runs[k] = iter(range(lo, hi))
+            break
+        else:
+            k -= 1
+            if k >= 0:
+                counts[filled[k]] -= 1
+    return total
 
 
 def lr_coefficient(r: Partition, mu: Partition, nu: Partition) -> int:

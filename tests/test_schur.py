@@ -382,3 +382,21 @@ def test_lr_reproduces_schur_products():
                             combo[expo] = combo.get(expo, 0) + c * coeff
                     combo = {k: v for k, v in combo.items() if v}
                     assert combo == product, (mu, nu)
+
+
+def test_lr_coefficients_expand_schur_products_on_values():
+    # s_mu s_nu = sum_r c^r_(mu,nu) s_r at exact integer points of three variables, each s
+    # a bialternant, which shares no code with the LR walk; s vanishes past three rows
+    def s(p, values):
+        return schur_bialternant(p, values) if len(p) <= 3 else 0
+
+    points = [(2, 3, 5), (-1, 4, 4), (7, -2, 1)]
+    for total in range(9):
+        shapes = list(partitions_of(total))
+        for mu_boxes in range(total + 1):
+            for mu in partitions_of(mu_boxes):
+                for nu in partitions_of(total - mu_boxes):
+                    c = [lr_coefficient(r, mu, nu) for r in shapes]
+                    for values in points:
+                        want = s(mu, values) * s(nu, values)
+                        assert sum(cr * s(r, values) for cr, r in zip(c, shapes) if cr) == want, (mu, nu, values)
