@@ -17,6 +17,11 @@ with unit normalization; the ordinary-group measures are normalized to total
 volume 1.  That normalization is frozen once: it reproduces the closed
 determinant form of the one-source integral at (1,1), and is then used
 unchanged for (2,1).
+
+brute_force_ls computes on fixed-point Gaussian integers
+(`grassmann.FixedGaussian`) at a scale set by its precision and its sources,
+and makes an mpc of the final body only; brute_force_ls_supermatrix_11
+computes on its caller's coefficients.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from mpmath import mp, mpc
 
 from .errors import NonInvertibleBody
 from .grassmann import (
+    FixedGaussian,
     GrassmannElement,
     SuperMatrixSym,
     _even_matrix_det,
@@ -40,6 +46,14 @@ from .grassmann import (
     matmul_rows,
 )
 from .precision import DEFAULT_PRECISION, BigComplex, Precision, to_mpc_any
+
+
+# the fixed-point scale's bits past work_bits, a margin for its absolute errors:
+# on the oracle workload's Haar points at 256 bits, whose final bodies lie
+# between about 2^-14 and 2^14, each body keeps at least work_bits + 11
+# relative bits, so the record rounds as the mpc path's did; small sources
+# raise the scale further (brute_force_ls)
+FIXED_MARGIN_BITS = 32
 
 
 def odd_parameter_matrix(m: int, n: int):
@@ -112,15 +126,24 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     C_k det[x_j^nu R(nu, beta^2 x_j)] / Delta(x), with nu = k-1-i in row i,
     C_k = prod_(j<k) j! and Delta(x) = prod_(i<j) (x_i - x_j).  The closed
     form's beta^nu in row nu and its prefactor beta^((k-k^2)/2) cancel, so
-    neither is formed, and at beta = 0 the factor is the group's mass, 1.  At
+    neither is formed.  At beta = 0 the factor is the group's mass, 1,
+    returned as the int 1: the determinant ratio gives it only to rounding,
+    which would leave the oracle's zero at beta = 0 a rounding residue.  At
     k = 1 the constant and Delta are 1.  Each x_j beta^2 is formed once and
     its k orders come from one `analytic_eval` call; C_k is 1 for k <= 2 and
     is then not multiplied in.
     """
     k = len(eigen)
+    if not beta:
+        return GrassmannElement.scalar(eigen[0].generator_count, 1)
+    # a fixed-point beta puts the kernel values on its grid
+    fbits = beta.fbits if isinstance(beta, FixedGaussian) else None
     # column j: x_j^nu R(nu, beta^2 x_j) for nu = 0..k-1, x_j^nu taken one product at a time
     cols = [
-        [functools.reduce(operator.mul, [x] * nu, v) for nu, v in enumerate(analytic_eval(range(k), x * (beta * beta), prec))]
+        [
+            functools.reduce(operator.mul, [x] * nu, v)
+            for nu, v in enumerate(analytic_eval(range(k), x * (beta * beta), prec, fbits))
+        ]
         for x in eigen
     ]
     num = _even_matrix_det([[col[k - 1 - i] for col in cols] for i in range(k)])
@@ -132,30 +155,53 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     return out * math.prod(math.factorial(j) for j in range(k)) if k > 2 else out
 
 
-@functools.lru_cache(maxsize=8)
-def _odd_block(m: int, n: int, work_bits: int):
-    """The odd generators and u_g's and u_g^dagger's entries for one shape at one working precision.
+def _log2_size(x) -> int:
+    """An int m with |x| < 2^m <= 8 |x| for a nonzero source x, 0 at zero; by bit lengths for an int or Fraction.
 
-    u_g = exp of the odd block has exact entries, whose coefficients are ints
-    and GaussianRationals; each GaussianRational is converted here by its
-    to_mpc() at work_bits, which is what its product with an mpc did inside
-    every point, and the ints are kept.  The elements are immutable and callers only read them, so every
-    point of a shape and precision shares one build; brute_force_ls admits two
-    shapes, and small beta raises its precision.
+    Taking every source through an mpc to mpmath's mag would add about an
+    eighth to a (1|1) point.
+    """
+    if isinstance(x, (int, Fraction)):
+        return x.numerator.bit_length() - x.denominator.bit_length() + 1
+    z = to_mpc_any(x)
+    return mp.mag(z) if z else 0
+
+
+def _fixed_element(e: GrassmannElement, fbits: int) -> GrassmannElement:
+    """e with each coefficient but the ints, which multiply exactly, put on the grid 2^-fbits."""
+    terms = {mo: c if isinstance(c, int) else FixedGaussian.of(c, fbits) for mo, c in e.terms.items()}
+    return GrassmannElement(e.generator_count, terms)
+
+
+@functools.lru_cache(maxsize=2)
+def _exact_odd_block(m: int, n: int):
+    """The odd generators, the measure density and u_g's and u_g^dagger's entries for one shape, exact.
+
+    u_g = exp of the odd block and the density have ints, Fractions and
+    GaussianRationals for coefficients.  brute_force_ls admits two shapes,
+    and every point of a shape shares this one build.
     """
     alphas = odd_parameter_matrix(m, n)
     u_g = exp_odd_block(alphas)
-    with mp.workprec(work_bits):
-        rows = [
-            [[GrassmannElement(e.generator_count, {mo: c if isinstance(c, int) else c.to_mpc() for mo, c in e.terms.items()}) for e in row]
-             for row in M.entries]
-            for M in (u_g, u_g.adjoint())
-        ]
-    return alphas, *rows
+    return alphas, measure_factor(m, n, alphas), u_g.entries, u_g.adjoint().entries
 
 
-def _integrate_odd(alphas, blocks, beta, prec: Precision) -> GrassmannElement:
-    """Berezin integral over the odd parameters alphas for the twisted sources.
+@functools.lru_cache(maxsize=32)
+def _odd_block(m: int, n: int, fbits: int):
+    """`_exact_odd_block` with each coefficient but the ints put on the grid 2^-fbits.
+
+    The conversion forms no algebra product.  The elements are immutable and
+    callers only read them, so every point of a shape and scale shares one
+    conversion; the scale moves with the precision and the sources (nine
+    scales a shape on the oracle workload's points at 256 bits).
+    """
+    alphas, measure, *blocks = _exact_odd_block(m, n)
+    rows = [[[_fixed_element(e, fbits) for e in row] for row in entries] for entries in blocks]
+    return alphas, _fixed_element(measure, fbits), *rows
+
+
+def _integrate_odd(alphas, measure, blocks, beta, prec: Precision) -> GrassmannElement:
+    """Berezin integral over the odd parameters alphas, with odd density measure, for the twisted sources.
 
     blocks yields, for the boson then the fermion sector, the sector's
     diagonal blocks of u_g A and of B u_g^dagger, a pair of row lists.  The
@@ -164,27 +210,36 @@ def _integrate_odd(alphas, blocks, beta, prec: Precision) -> GrassmannElement:
     for the fermions.  Any generators beyond the odd parameters survive into
     the returned element.
     """
-    m, n = len(alphas), len(alphas[0])
-    integrand = measure_factor(m, n, alphas)
+    integrand = measure
     # the fermion integrand carries exp(-beta tr(...)): an even series, same value at -beta
     for sector_beta, (a_block, b_block) in zip((beta, -beta), blocks):
         M = matmul_rows(a_block, b_block)
         eigen = [M[0][0]] if len(M) == 1 else _newton_eigen_pair(M, prec)
         integrand = integrand * _ordinary_ls_factor(eigen, sector_beta, prec)
-    return berezin_integrate(integrand, measure_order(m, n))
+    return berezin_integrate(integrand, measure_order(len(alphas), len(alphas[0])))
 
 
 def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAULT_PRECISION) -> BigComplex:
     """Full Berezin-and-ordinary-group integral for diagonal numeric sources.
 
     a_diag and b_diag hold the m+n diagonal entries of the two source
-    supermatrices.  For (2, 1) the two boson products a_i b_i must differ,
-    else the intermediate eigenvalue formulas are singular.  beta may be 0:
-    each U(k) factor is then its group's mass, 1, and the value 0.  At small
-    nonzero |beta| the (2, 1) value falls as beta^4 while the intermediate
-    terms do not, so it cancels about loss = 4 log2(1/|beta|) bits; when
-    loss > guard_bits - 8 the integral runs with guard_bits + ceil(loss) + 16
-    guard bits and is rounded to prec.bits as ever.  The kernel values come
+    supermatrices.  The integral runs on fixed-point coefficients
+    (`grassmann.FixedGaussian`) at the scale F = prec.work_bits +
+    FIXED_MARGIN_BITS + s, where 2^-s bounds the smallest source product
+    |a_i b_i| below 1 to within six bits (s = 0 if none is), so the grid
+    holds that product to as many relative bits as a value of size 1; the
+    eigenvalues and the values they feed scale with it.  The sources, beta, the odd
+    block's entries, the measure density and each kernel coefficient are
+    put on the grid 2^-F once, with an error below 2^-F per part; sums are
+    exact and each product and inverse floors, below 2^-F per part again.  Only the final body is
+    converted back, to an mpc at work_bits, and rounded to prec.bits.  For
+    (2, 1) the two boson products a_i b_i must differ, else the intermediate
+    eigenvalue formulas are singular.  beta may be 0: each U(k) factor is
+    then its group's mass, 1, and the value 0.  At small nonzero |beta| the
+    (2, 1) value falls as beta^4 while the intermediate terms do not, so it
+    cancels about loss = 4 log2(1/|beta|) bits; when loss > guard_bits - 8
+    the integral runs with guard_bits + ceil(loss) + 16 guard bits, so on a
+    scale F as many bits finer, and is rounded to prec.bits as ever.  The kernel values come
     from mpmath's series (`grassmann._bessel_kernel`), which
     `prec.truncation_cap` does not bound.
     """
@@ -198,22 +253,24 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
         loss = -4 * float(mp.log(abs(beta_v), 2)) if beta_v else 0
+        shortfall = max([0] + [-_log2_size(x) - _log2_size(y) for x, y in zip(a_diag, b_diag)])
     if loss > prec.guard_bits - 8:
         prec = Precision(prec.bits, prec.guard_bits + math.ceil(loss) + 16, prec.truncation_cap)
+    fbits = prec.work_bits + FIXED_MARGIN_BITS + shortfall
     with mp.workprec(prec.work_bits):
-        beta_v = to_mpc_any(beta)
-        a_vals = [to_mpc_any(v) for v in a_diag]
-        b_vals = [to_mpc_any(v) for v in b_diag]
-        alphas, u_g, u_g_adjoint = _odd_block(m, n, prec.work_bits)
+        beta_v = FixedGaussian.of(beta, fbits)
+        a_vals = [FixedGaussian.of(v, fbits) for v in a_diag]
+        b_vals = [FixedGaussian.of(v, fbits) for v in b_diag]
+        alphas, measure, u_g, u_g_adjoint = _odd_block(m, n, fbits)
         # diagonal sources: u_g A scales column j of u_g by a_j, B u_g^dagger row i by b_i;
         # only each sector's diagonal block is formed
         sectors = (range(m), range(m, size))
         a_blocks = [[[u_g[i][j] * a_vals[j] for j in s] for i in s] for s in sectors]
         b_blocks = [[[u_g_adjoint[i][j] * b_vals[i] for j in s] for i in s] for s in sectors]
-        reduced = _integrate_odd(alphas, zip(a_blocks, b_blocks), beta_v, prec)
+        reduced = _integrate_odd(alphas, measure, zip(a_blocks, b_blocks), beta_v, prec)
         if not reduced.soul().is_zero:
             raise RuntimeError("odd directions did not integrate out")
-        return BigComplex.from_mpc(mpc(reduced.body), prec.bits)
+        return BigComplex.from_mpc(to_mpc_any(reduced.body), prec.bits)
 
 
 def brute_force_ls_supermatrix_11(
@@ -233,4 +290,4 @@ def brute_force_ls_supermatrix_11(
         u_g = exp_odd_block(alphas)
         a_twist, b_twist = u_g @ a_mat, b_mat @ u_g.adjoint()
         blocks = [(a_twist.block(s), b_twist.block(s)) for s in ("bb", "ff")]
-        return _integrate_odd(alphas, blocks, to_mpc_any(beta), prec)
+        return _integrate_odd(alphas, measure_factor(1, 1, alphas), blocks, to_mpc_any(beta), prec)

@@ -7,10 +7,23 @@ bitmap basis-blade representation of Dorst, Fontijne & Mann, *Geometric
 Algebra for Computer Science*): the monomial reads in ascending generator
 order, and every sign in the algebra is the parity of a count of set bits.
 
-Coefficients may be exact (int, Fraction, GaussianRational) or
-multiprecision (mpf, mpc); all operations are coefficient-ring agnostic.
-Each coefficient type is false at zero and has conjugate(), which the one
-zero rule and the conjugation use.
+Coefficients come from one of three rings, and all operations are
+coefficient-ring agnostic:
+  - exact: int, Fraction and GaussianRational, which the odd-block
+    exponential and the measure densities are built in;
+  - multiprecision: mpf and mpc, each product rounded to nearest at the
+    ambient precision, relative to its size;
+  - fixed point: FixedGaussian, (re + i im) 2^-F on int parts at a scale F
+    its caller picks, with exact sums and products by ints and each other
+    product floored, an absolute error below 2^-F per part.  The Haar
+    oracle's points run on it (`bruteforce.brute_force_ls`): a product
+    costs about 1.3 us at F = 320 against about 4.6 us for an mpc product
+    at 288 bits (Python 3.11, mpmath on Python ints).
+Ints mix with every ring, with FixedGaussian in products and as the
+numerator of an inverse only; no other two rings are mixed, and two
+FixedGaussians combine only at one scale.  Each coefficient type
+is false at zero and has conjugate(), which the one zero rule and the
+conjugation use.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from fractions import Fraction
 from mpmath import mp, mpc
 
 from .errors import GeneratorMismatch, NonInvertibleBody
-from .precision import DEFAULT_PRECISION, Precision, Slotted, to_mpc_any, to_mpf
+from .precision import DEFAULT_PRECISION, Precision, Slotted, from_fixed, to_mpc_any, to_mpf
 
 
 class GaussianRational(Slotted):
@@ -104,6 +117,119 @@ class GaussianRational(Slotted):
 
 
 I_EXACT = GaussianRational(0, 1)
+
+
+def _grid_part(x, fbits: int) -> int:
+    """floor(x 2^fbits) for a real int, Fraction or mpf; the sign of an mpf is read from its _mpf_ tuple."""
+    if isinstance(x, int):
+        return x << fbits
+    if isinstance(x, Fraction):
+        return (x.numerator << fbits) // x.denominator
+    sign, man, exp, _ = x._mpf_
+    shift = exp + fbits
+    man = -man if sign else man
+    return man << shift if shift >= 0 else man >> -shift
+
+
+class FixedGaussian(Slotted):
+    """Fixed-point Gaussian integer: the complex number (re + i im) 2^-fbits, with int re and im.
+
+    The Haar oracle's coefficient ring.  Its caller picks the scale fbits,
+    and every value carries it: combining two values at different scales
+    raises ValueError.  Error budget, in units u = 2^-fbits per part:
+      - entry (`of`): floor onto the grid, an error in (-u, 0]; none for an
+        int, nor for an mpf whose lowest set bit is at least u;
+      - + and -, a product by an int, negation and conjugate(): exact;
+      - a product of two values: the exact product of the stored values,
+        floored, an error in (-u, 0] per part;
+      - the inverse (`1 / z`, `n / z` for an int n): floor(n 2^(2 fbits)
+        conj(z) / |z|^2) of the stored value, an error in (-u, 0] per part.
+    Every error is absolute, so a value of magnitude 2^-k holds about k bits
+    fewer than fbits relative ones; the caller's scale must leave a margin
+    over the relative precision it needs.  to_mpc() rounds to nearest at the
+    ambient precision.  A value is false at zero.
+    """
+
+    __slots__ = ("re", "im", "fbits")
+
+    @classmethod
+    def of(cls, x, fbits: int) -> "FixedGaussian":
+        """x on the grid 2^-fbits, each part floored: an int, Fraction, GaussianRational or what to_mpc_any takes."""
+        if isinstance(x, GaussianRational):
+            parts = x.re, x.im
+        elif isinstance(x, (int, Fraction)):
+            parts = x, 0
+        else:
+            z = to_mpc_any(x)
+            parts = z.real, z.imag
+        return _fixed(_grid_part(parts[0], fbits), _grid_part(parts[1], fbits), fbits)
+
+    def __add__(self, other):
+        if other.__class__ is not FixedGaussian:
+            return NotImplemented
+        if other.fbits != self.fbits:
+            _scales_differ(self, other)
+        return _fixed(self.re + other.re, self.im + other.im, self.fbits)
+
+    def __sub__(self, other):
+        if other.__class__ is not FixedGaussian:
+            return NotImplemented
+        if other.fbits != self.fbits:
+            _scales_differ(self, other)
+        return _fixed(self.re - other.re, self.im - other.im, self.fbits)
+
+    def __neg__(self):
+        return _fixed(-self.re, -self.im, self.fbits)
+
+    def __mul__(self, other):
+        f = self.fbits
+        if other.__class__ is FixedGaussian:
+            if other.fbits != f:
+                _scales_differ(self, other)
+            a, b, c, d = self.re, self.im, other.re, other.im
+            # three int products: ac - bd = k - b(c + d) and ad + bc = k + a(d - c), k = c(a + b)
+            k = c * (a + b)
+            return _fixed((k - b * (c + d)) >> f, (k + a * (d - c)) >> f, f)
+        if isinstance(other, int):
+            return _fixed(self.re * other, self.im * other, f)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        norm = self.re * self.re + self.im * self.im
+        if not norm:
+            raise ZeroDivisionError("fixed-point inverse of zero")
+        shift = 2 * self.fbits
+        return _fixed((other * self.re << shift) // norm, (-other * self.im << shift) // norm, self.fbits)
+
+    def conjugate(self):
+        return _fixed(self.re, -self.im, self.fbits)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def to_mpc(self) -> mpc:
+        return from_fixed(self.re, self.im, self.fbits)
+
+
+def _scales_differ(x: FixedGaussian, y: FixedGaussian):
+    raise ValueError(f"fixed-point scales differ: 2^-{x.fbits} and 2^-{y.fbits}")
+
+
+_new_fixed = object.__new__
+_set_re, _set_im, _set_fbits = FixedGaussian.re.__set__, FixedGaussian.im.__set__, FixedGaussian.fbits.__set__
+
+
+def _fixed(re: int, im: int, fbits: int) -> FixedGaussian:
+    """A FixedGaussian built without the Slotted constructor, which would add about two fifths to a product."""
+    z = _new_fixed(FixedGaussian)
+    _set_re(z, re)
+    _set_im(z, im)
+    _set_fbits(z, fbits)
+    return z
 
 
 def _reorder_is_odd(left: int, right: int) -> bool:
@@ -340,7 +466,7 @@ def even_inverse(w: GrassmannElement) -> GrassmannElement:
 def _scalar_inverse(c):
     if isinstance(c, int):
         return Fraction(1, c)
-    if isinstance(c, (Fraction, GaussianRational)):
+    if isinstance(c, (Fraction, GaussianRational, FixedGaussian)):
         return 1 / c
     return 1 / mpc(c)
 
@@ -361,7 +487,7 @@ def _bessel_kernel(nu: int, body, prec: Precision):
         return mp.hyp0f1(nu + 1, to_mpc_any(body), force_series=True) / math.factorial(nu)
 
 
-def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> list:
+def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION, fbits: int | None = None) -> list:
     """[R(nu, body + soul) for nu in orders], each sum_j R^(j)(nu, body) soul^j / j!, exact in the soul.
 
     `w` must be even.  The soul expansion terminates by nilpotency; termwise
@@ -370,16 +496,25 @@ def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISI
     (`_soul_series`) serves every order, and each order's terms are added
     in j order, so an element equals the one a single order's series gives,
     term for term.  The soul products are rounded at prec.work_bits,
-    whatever the caller's mpmath precision.
+    whatever the caller's mpmath precision.  With `fbits`, each coefficient
+    R(nu+j, body) / j! is taken at prec.work_bits and put on the grid of
+    `FixedGaussian.of` at that scale, so the series stays in the fixed-point
+    ring even where w is zero.
     """
     _require_even(w)
     body = w.body
+
+    def coefficient(nu, j):
+        value = _bessel_kernel(nu + j, body, prec)
+        value = value / math.factorial(j) if j else value
+        return value if fbits is None else FixedGaussian.of(value, fbits)
+
     with mp.workprec(prec.work_bits):
         powers = _soul_series(w.soul())
         return [
             sum(
-                (s * (_bessel_kernel(nu + j, body, prec) / math.factorial(j)) for j, s in enumerate(powers, 1)),
-                GrassmannElement.scalar(w.generator_count, _bessel_kernel(nu, body, prec)),
+                (s * coefficient(nu, j) for j, s in enumerate(powers, 1)),
+                GrassmannElement.scalar(w.generator_count, coefficient(nu, 0)),
             )
             for nu in orders
         ]

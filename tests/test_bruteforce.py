@@ -140,6 +140,14 @@ def test_brute_force_at_zero_beta_is_the_closed_forms_zero(m):
     assert bf.is_zero and bf == ls_closed_form(ev, PREC).value
 
 
+@pytest.mark.parametrize("e", [3, 5, 9])
+def test_brute_force_is_exactly_zero_at_zero_beta_on_any_grid(e):
+    # sources scaled by 2^-e refine the fixed-point grid; the determinant ratio of a U(2)
+    # factor gives its mass 1 only to rounding there, so each factor is the exact 1
+    a, b = ([v * Fraction(1, 2**e) for v in side] for side in SMALL_BETA_SOURCES)
+    assert brute_force_ls(2, 1, a, b, BigComplex(0), PREC).is_zero
+
+
 def test_known_defect_haar_oracle_loses_bits_at_small_beta():
     # the (2|1) value falls as beta^4 while the oracle's terms stay of order 1, so it
     # cancels 4 log2(1/|beta|) bits, which brute_force_ls now adds to its guard bits;
@@ -155,6 +163,21 @@ def test_known_defect_haar_oracle_loses_bits_at_small_beta():
             assert abs(bf - want) <= abs(want) * mpf(2) ** -200, e
 
 
+@pytest.mark.parametrize("m,e", [(1, 40), (2, 10)], ids=["1|1", "2|1"])
+def test_haar_oracle_keeps_its_bits_at_small_sources(m, e):
+    # sources scaled by 2^-e put the products a_i b_i near 2^-(2e + 2); on a fixed-point
+    # grid at work_bits + 32 the (1|1) value kept about 227 bits at e = 40 and the (2|1)
+    # one about 234 at e = 10, so the grid is refined by the bits the smallest product
+    # lies below 1 (the mpc path kept about 259 and 226)
+    a, b = ([v * Fraction(1, 2**e) for v in side[2 - m :]] for side in SMALL_BETA_SOURCES)
+    bf = brute_force_ls(m, 1, a, b, BETA, PREC).to_mpc()
+    prods = [x * y for x, y in zip(a, b)]
+    ev = SuperEigenvalues(tuple(prods[:m]), (prods[m],), BETA)
+    want = ls_closed_form(ev, Precision(bits=1024)).value.to_mpc()
+    with mp.workprec(1100):
+        assert abs(bf - want) <= abs(want) * mpf(2) ** -250
+
+
 def test_brute_force_bit_pinned_at_escalated_small_beta():
     # every bit of the (2|1) values at beta = 2^-60 and 2^-100, where brute_force_ls
     # escalates its guard bits; a point at the default working precision runs first,
@@ -168,7 +191,7 @@ def test_brute_force_bit_pinned_at_escalated_small_beta():
     assert hashlib.sha256(repr(out).encode()).hexdigest() == "d6aa1ea3c99979efbc767d7db8722ff4cc2c81acea8c41a586fec0eeb56b74e1"
 
 
-@pytest.mark.parametrize("m,products", [(1, 14), (2, 84)], ids=["1|1", "2|1"])
+@pytest.mark.parametrize("m,products", [(1, 14), (2, 79)], ids=["1|1", "2|1"])
 def test_haar_point_grassmann_product_count(monkeypatch, m, products):
     # the Grassmann products of one point after its shape's odd block is built; a
     # change of the count is a change of the oracle's work, which the values do not show

@@ -22,7 +22,7 @@ from superint import (
     supertrace,
 )
 from superint.errors import GeneratorMismatch
-from superint.grassmann import _bessel_kernel
+from superint.grassmann import FixedGaussian, _bessel_kernel
 from superint.precision import bessel_ratio_raw
 
 from oracles import monomial_product_sign
@@ -393,6 +393,113 @@ def test_gaussian_rational_hash_agrees_with_equality():
     assert len({real, plain}) == 1
     soul = gen(g, 0) * gen(g, 1)
     assert len({real + soul * GaussianRational(Fraction(2, 3)), plain + soul * Fraction(2, 3)}) == 1
+
+
+# a small scale, so that the floors of the fixed-point ring are seen
+FIXED_BITS = 96
+
+
+def _stored(z):
+    """The value a FixedGaussian stands for, exactly."""
+    return GaussianRational(Fraction(z.re, 2**z.fbits), Fraction(z.im, 2**z.fbits))
+
+
+def _within_floor_budget(got, exact):
+    """Whether each part of got is exact floored onto got's grid: an error in (-u, 0], u = 2^-fbits."""
+    unit = 2**got.fbits
+    return all(-1 < part - want * unit <= 0 for part, want in ((got.re, exact.re), (got.im, exact.im)))
+
+
+def _fixed_inputs(seed, count=40):
+    """Seeded GaussianRationals from about 2^-60 to 2^40 in size, each with its FixedGaussian."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        scale = Fraction(2) ** rng.randint(-60, 40)
+        x = GaussianRational(
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) * scale,
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) * scale,
+        )
+        out.append((x, FixedGaussian.of(x, FIXED_BITS)))
+    return out
+
+
+def test_fixed_point_entry_floors_onto_the_grid():
+    for x, z in _fixed_inputs(1):
+        assert z.fbits == FIXED_BITS and _within_floor_budget(z, x)
+        assert _within_floor_budget(FixedGaussian.of(x.re, FIXED_BITS), GaussianRational(x.re))
+    assert _stored(FixedGaussian.of(-7, FIXED_BITS)) == -7
+    # an mpf or mpc whose lowest set bit is on the grid enters exactly, its sign read with it
+    with mp.workprec(200):
+        for man, exp in ((-12345, -40), (987, -FIXED_BITS), (-1, 30)):
+            value = mpf(man) * mpf(2) ** exp
+            want = Fraction(man) * Fraction(2) ** exp
+            assert _stored(FixedGaussian.of(value, FIXED_BITS)) == want
+            assert _stored(FixedGaussian.of(mpc(1, value), FIXED_BITS)) == GaussianRational(1, want)
+    # below the grid a positive part floors to 0, a negative one to -u
+    tiny = Fraction(1, 2 ** (FIXED_BITS + 1))
+    assert not FixedGaussian.of(tiny, FIXED_BITS)
+    assert _stored(FixedGaussian.of(-tiny, FIXED_BITS)) == -Fraction(1, 2**FIXED_BITS)
+
+
+def test_fixed_point_ring_operations_within_their_budgets():
+    pairs = list(zip(_fixed_inputs(2), _fixed_inputs(3)))
+    for (_, x), (_, y) in pairs:
+        sx, sy = _stored(x), _stored(y)
+        # exact: sums, differences, negation, products by ints and conjugation
+        assert _stored(x + y) == sx + sy and _stored(x - y) == sx - sy and _stored(-x) == -sx
+        assert _stored(x * 7) == sx * 7 and _stored(-3 * x) == sx * -3
+        assert _stored(x.conjugate()) == sx.conjugate()
+        # floored: the product and the inverse of the stored values
+        assert _within_floor_budget(x * y, sx * sy)
+        assert _within_floor_budget(1 / x, 1 / sx) and _within_floor_budget(5 / y, 5 / sy)
+    assert not FixedGaussian.of(0, FIXED_BITS) and FixedGaussian.of(GaussianRational(0, 1), FIXED_BITS)
+    with pytest.raises(ZeroDivisionError):
+        1 / FixedGaussian.of(0, FIXED_BITS)
+
+
+def test_fixed_point_budget_check_catches_a_planted_error():
+    (_, x), (_, y) = _fixed_inputs(4, 2)
+    product = x * y
+    exact = _stored(x) * _stored(y)
+    assert _within_floor_budget(product, exact)
+    planted = FixedGaussian(product.re - 2, product.im, product.fbits)
+    assert not _within_floor_budget(planted, exact)
+
+
+def test_fixed_point_values_at_different_scales_do_not_mix():
+    x = FixedGaussian.of(Fraction(1, 3), FIXED_BITS)
+    y = FixedGaussian.of(Fraction(1, 3), FIXED_BITS + 1)
+    for op in (lambda: x * y, lambda: x + y, lambda: x - y):
+        with pytest.raises(ValueError, match="scales differ"):
+            op()
+    # nor with another coefficient ring, ints aside
+    for other in (Fraction(1, 3), GaussianRational(1, 1), mpc(1, 1)):
+        with pytest.raises(TypeError):
+            x * other
+
+
+def test_fixed_point_full_even_product_agrees_with_mpc():
+    # every even monomial of 8 generators on both sides, as in a (2|1) Haar point's
+    # largest products; the fixed-point product, at work_bits + 32, agrees with the
+    # mpc product at work_bits to 2^-(bits - 8) relative in each coefficient
+    g = 8
+    rng = random.Random(5)
+    even = [mono for mono in range(1 << g) if mono.bit_count() % 2 == 0]
+
+    def draw():
+        return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+
+    exact = [GrassmannElement(g, {mono: GaussianRational(draw(), draw()) for mono in even}) for _ in range(2)]
+    fbits = PREC.work_bits + 32
+    fixed = [GrassmannElement(g, {mono: FixedGaussian.of(c, fbits) for mono, c in e.terms.items()}) for e in exact]
+    with mp.workprec(PREC.work_bits):
+        on_mpc = [GrassmannElement(g, {mono: c.to_mpc() for mono, c in e.terms.items()}) for e in exact]
+        want = on_mpc[0] * on_mpc[1]
+        got = fixed[0] * fixed[1]
+        assert len(want.terms) == 128 and set(got.terms) == set(want.terms)
+        for mono, c in want.terms.items():
+            assert abs(got.terms[mono].to_mpc() - c) <= abs(c) * mpf(2) ** -(PREC.bits - 8), mono
 
 
 def test_exp_odd_block_unitary_1_1():

@@ -12,6 +12,7 @@ import pytest
 
 import superint
 from superint import acceptance, cli, integrals
+from superint.grassmann import FixedGaussian
 from superint.precision import Slotted
 
 # every public name of the package, by defining submodule
@@ -106,6 +107,7 @@ def _values():
         P((2, 1)),
         superint.SuperDiagram(2, 1, P((2, 1)), P((1,))),
         GR(Fraction(1, 3), -2),
+        FixedGaussian.of(GR(Fraction(1, 3), -2), 64),
         odd * GE.generator(4, 1) + GE.scalar(4, 1),
         superint.exp_odd_block([[odd], [GE.generator(4, 2)]]),
         report.samples[0],
