@@ -136,14 +136,9 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     k = len(eigen)
     if not beta:
         return GrassmannElement.scalar(eigen[0].generator_count, 1)
-    # a fixed-point beta puts the kernel values on its grid
-    fbits = beta.fbits if isinstance(beta, FixedGaussian) else None
     # column j: x_j^nu R(nu, beta^2 x_j) for nu = 0..k-1, x_j^nu taken one product at a time
     cols = [
-        [
-            functools.reduce(operator.mul, [x] * nu, v)
-            for nu, v in enumerate(analytic_eval(range(k), x * (beta * beta), prec, fbits))
-        ]
+        [functools.reduce(operator.mul, [x] * nu, v) for nu, v in enumerate(_kernel_orders(k, x * (beta * beta), prec))]
         for x in eigen
     ]
     num = _even_matrix_det([[col[k - 1 - i] for col in cols] for i in range(k)])
@@ -153,6 +148,19 @@ def _ordinary_ls_factor(eigen, beta, prec: Precision) -> GrassmannElement:
     delta = functools.reduce(operator.mul, [x - y for i, x in enumerate(eigen) for y in eigen[i + 1 :]])
     out = num * even_inverse(delta)
     return out * math.prod(math.factorial(j) for j in range(k)) if k > 2 else out
+
+
+def _kernel_orders(k: int, w: GrassmannElement, prec: Precision) -> list:
+    """[R(nu, w) for nu < k], by `analytic_eval` but at a zero w, a zero source's eigenvalue.
+
+    There each value is R(nu, 0) = 1/nu!, taken exact: the int 1 at the
+    nu <= 1 that k <= 2 reads, which multiplies into every ring, where
+    `analytic_eval` would give an mpc that a fixed-point factor cannot take.
+    """
+    if w.is_zero:
+        values = (Fraction(1, math.factorial(nu)) if nu > 1 else 1 for nu in range(k))
+        return [GrassmannElement.scalar(w.generator_count, v) for v in values]
+    return analytic_eval(range(k), w, prec)
 
 
 def _log2_size(x) -> int:
@@ -192,7 +200,7 @@ def _odd_block(m: int, n: int, fbits: int):
 
     The conversion forms no algebra product.  The elements are immutable and
     callers only read them, so every point of a shape and scale shares one
-    conversion; the scale moves with the precision and the sources (nine
+    conversion; the scale moves with the precision and the sources (seven
     scales a shape on the oracle workload's points at 256 bits).
     """
     alphas, measure, *blocks = _exact_odd_block(m, n)
@@ -225,10 +233,13 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     a_diag and b_diag hold the m+n diagonal entries of the two source
     supermatrices.  The integral runs on fixed-point coefficients
     (`grassmann.FixedGaussian`) at the scale F = prec.work_bits +
-    FIXED_MARGIN_BITS + s, where 2^-s bounds the smallest source product
-    |a_i b_i| below 1 to within six bits (s = 0 if none is), so the grid
-    holds that product to as many relative bits as a value of size 1; the
-    eigenvalues and the values they feed scale with it.  The sources, beta, the odd
+    FIXED_MARGIN_BITS + s, where 2^-s bounds the smallest of the sources
+    a_i, b_i and their products a_i b_i below 1, to within three bits for a
+    source and six for a product (s = 0 if none is).  The grid then holds
+    each source and each product to as many relative bits as a value of
+    size 1: a source's entry error, carried into M by a product with a
+    larger partner, stays that far below M's entry; the eigenvalues and
+    the values they feed scale with it.  The sources, beta, the odd
     block's entries, the measure density and each kernel coefficient are
     put on the grid 2^-F once, with an error below 2^-F per part; sums are
     exact and each product and inverse floors, below 2^-F per part again.  Only the final body is
@@ -253,7 +264,8 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
         loss = -4 * float(mp.log(abs(beta_v), 2)) if beta_v else 0
-        shortfall = max([0] + [-_log2_size(x) - _log2_size(y) for x, y in zip(a_diag, b_diag)])
+        sizes = [(_log2_size(x), _log2_size(y)) for x, y in zip(a_diag, b_diag)]
+        shortfall = -min([0] + [min(sa + sb, sa, sb) for sa, sb in sizes])
     if loss > prec.guard_bits - 8:
         prec = Precision(prec.bits, prec.guard_bits + math.ceil(loss) + 16, prec.truncation_cap)
     fbits = prec.work_bits + FIXED_MARGIN_BITS + shortfall

@@ -487,7 +487,7 @@ def _bessel_kernel(nu: int, body, prec: Precision):
         return mp.hyp0f1(nu + 1, to_mpc_any(body), force_series=True) / math.factorial(nu)
 
 
-def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION, fbits: int | None = None) -> list:
+def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISION) -> list:
     """[R(nu, body + soul) for nu in orders], each sum_j R^(j)(nu, body) soul^j / j!, exact in the soul.
 
     `w` must be even.  The soul expansion terminates by nilpotency; termwise
@@ -496,13 +496,14 @@ def analytic_eval(orders, w: GrassmannElement, prec: Precision = DEFAULT_PRECISI
     (`_soul_series`) serves every order, and each order's terms are added
     in j order, so an element equals the one a single order's series gives,
     term for term.  The soul products are rounded at prec.work_bits,
-    whatever the caller's mpmath precision.  With `fbits`, each coefficient
-    R(nu+j, body) / j! is taken at prec.work_bits and put on the grid of
-    `FixedGaussian.of` at that scale, so the series stays in the fixed-point
-    ring even where w is zero.
+    whatever the caller's mpmath precision.  When w has FixedGaussian
+    coefficients, each coefficient R(nu+j, body) / j! is taken at
+    prec.work_bits and put on their grid by `FixedGaussian.of`, so the
+    series stays in the fixed-point ring.
     """
     _require_even(w)
     body = w.body
+    fbits = next((c.fbits for c in w.terms.values() if c.__class__ is FixedGaussian), None)
 
     def coefficient(nu, j):
         value = _bessel_kernel(nu + j, body, prec)

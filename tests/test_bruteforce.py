@@ -163,13 +163,20 @@ def test_known_defect_haar_oracle_loses_bits_at_small_beta():
             assert abs(bf - want) <= abs(want) * mpf(2) ** -200, e
 
 
-@pytest.mark.parametrize("m,e", [(1, 40), (2, 10)], ids=["1|1", "2|1"])
-def test_haar_oracle_keeps_its_bits_at_small_sources(m, e):
-    # sources scaled by 2^-e put the products a_i b_i near 2^-(2e + 2); on a fixed-point
-    # grid at work_bits + 32 the (1|1) value kept about 227 bits at e = 40 and the (2|1)
-    # one about 234 at e = 10, so the grid is refined by the bits the smallest product
-    # lies below 1 (the mpc path kept about 259 and 226)
-    a, b = ([v * Fraction(1, 2**e) for v in side[2 - m :]] for side in SMALL_BETA_SOURCES)
+@pytest.mark.parametrize(
+    "m,ea,eb",
+    [(1, 40, 40), (2, 10, 10), (1, 100, -100), (2, 100, -100), (2, -60, 60)],
+    ids=["1|1", "2|1", "1|1-a-small", "2|1-a-small", "2|1-b-small"],
+)
+def test_haar_oracle_keeps_its_bits_at_small_sources(m, ea, eb):
+    # a scaled by 2^-ea and b by 2^-eb.  At ea = eb = e the products a_i b_i lie near
+    # 2^-(2e + 2); on a fixed-point grid at work_bits + 32 the (1|1) value kept about
+    # 227 bits at e = 40 and the (2|1) one about 234 at e = 10.  At ea = -eb the
+    # products are of order 1 but one source is small; a grid refined only by the
+    # products' shortfall kept about 219 and 213 bits at 2^-100.  So the grid is refined
+    # by the bits the smallest source or product lies below 1 (the mpc path kept
+    # 257 and 256 bits on the unbalanced points)
+    a, b = ([v * Fraction(2) ** -e for v in side[2 - m :]] for side, e in zip(SMALL_BETA_SOURCES, (ea, eb)))
     bf = brute_force_ls(m, 1, a, b, BETA, PREC).to_mpc()
     prods = [x * y for x, y in zip(a, b)]
     ev = SuperEigenvalues(tuple(prods[:m]), (prods[m],), BETA)
