@@ -246,9 +246,12 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
     converted back, to an mpc at work_bits, and rounded to prec.bits.  For
     (2, 1) the two boson products a_i b_i must differ, else the intermediate
     eigenvalue formulas are singular.  beta may be 0: each U(k) factor is
-    then its group's mass, 1, and the value 0.  At small nonzero |beta| the
-    (2, 1) value falls as beta^4 while the intermediate terms do not, so it
-    cancels about loss = 4 log2(1/|beta|) bits; when loss > guard_bits - 8
+    then its group's mass, 1, and the value 0.  At a small nonzero
+    |beta^2 a_i b_i| the (2, 1) value falls as its square while the
+    intermediate terms do not (the grid's refinement s gains only its first
+    power), so it cancels about loss = 2 log2(1/|beta^2 a_i b_i|) bits at the
+    smallest product a_i b_i below 1, read by bit lengths as for s, or
+    4 log2(1/|beta|) if none is below 1; when loss > guard_bits - 8
     the integral runs with guard_bits + ceil(loss) + 16 guard bits, so on a
     scale F as many bits finer, and is rounded to prec.bits as ever.  The kernel values come
     from mpmath's series (`grassmann._bessel_kernel`), which
@@ -263,9 +266,10 @@ def brute_force_ls(m: int, n: int, a_diag, b_diag, beta, prec: Precision = DEFAU
         raise ValueError("need m+n diagonal values per source")
     with mp.workprec(prec.work_bits):
         beta_v = to_mpc_any(beta)
-        loss = -4 * float(mp.log(abs(beta_v), 2)) if beta_v else 0
         sizes = [(_log2_size(x), _log2_size(y)) for x, y in zip(a_diag, b_diag)]
         shortfall = -min([0] + [min(sa + sb, sa, sb) for sa, sb in sizes])
+        # 2 log2(1/|beta^2 a_i b_i|) at the smallest product a_i b_i, or at 1 if none is smaller
+        loss = 2 * (-2 * float(mp.log(abs(beta_v), 2)) - min([0] + [sa + sb for sa, sb in sizes])) if beta_v else 0
     if loss > prec.guard_bits - 8:
         prec = Precision(prec.bits, prec.guard_bits + math.ceil(loss) + 16, prec.truncation_cap)
     fbits = prec.work_bits + FIXED_MARGIN_BITS + shortfall

@@ -17,7 +17,6 @@ from functools import lru_cache, reduce
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fone,
     ften,
     fzero,
     from_int,
@@ -25,7 +24,6 @@ from mpmath.libmp import (
     from_rational,
     mpc_abs,
     mpc_div_mpf,
-    mpc_mpf_div,
     mpc_pos,
     mpf_lt,
     mpf_mul,
@@ -719,10 +717,9 @@ def newton_sums(sides, sums, prec: Precision):
 # -- determinants ------------------------------------------------------------
 
 
-# det_mpc's entries are (re, re_exp, im, im_exp): each part m·2^e with m odd or
-# 0 (exponent 0), the signed form of libmp's normalized (sign, man, exp, bc)
-_PAIR_ZERO = (0, 0, 0, 0)
-_PAIR_ONE = (1, 0, 0, 0)
+# conjecture._cross's integer pairs are (re, re_exp, im, im_exp): each part
+# m·2^e with m odd or 0 (exponent 0), the signed form of libmp's normalized
+# (sign, man, exp, bc), rounded as mpc's operators round them
 
 
 def _add(am, ae, bm, be, wp):
@@ -764,15 +761,8 @@ def _add(am, ae, bm, be, wp):
 
 def _mul_pairs(wp, z, w):
     """z·w as mpc_mul rounds it at wp bits: each part's two exact products summed by _add."""
-    zr, zre, zi, zie = z
-    wr, wre, wi, wie = w
+    (zr, zre, zi, zie), (wr, wre, wi, wie) = z, w
     return _add(zr * wr, zre + wre, -zi * wi, zie + wie, wp) + _add(zr * wi, zre + wie, zi * wr, zie + wre, wp)
-
-
-def _update_pairs(wp, x, f, t):
-    """x - f·t as mpc_sub(x, mpc_mul(f, t)) rounds it at wp bits: two roundings per part."""
-    pr, pre, pi, pie = _mul_pairs(wp, f, t)
-    return _add(x[0], x[1], -pr, pre, wp) + _add(x[2], x[3], -pi, pie, wp)
 
 
 def _to_mpc(z):
@@ -784,92 +774,89 @@ def _from_mpc(z, wp):
     """A raw libmp mpc of finite parts as a pair entry, each part rounded to wp bits as mpc(z) rounds it."""
     (rs, rm, re, rb), (is_, im, ie, ib) = z
     rm, im = -rm if rs else rm, -im if is_ else im
-    if rb <= wp and ib <= wp:
-        return rm, re, im, ie
-    return _add(rm, re, 0, 0, wp) + _add(im, ie, 0, 0, wp)
-
-
-def _inverse_pairs(wp, z):
-    """1/z as mpc's operators round it at wp bits (libmp's mpc_mpf_div)."""
-    return _from_mpc(mpc_mpf_div(fone, _to_mpc(z), wp, round_nearest), wp)
-
-
-def _pivot_pairs(wp, column):
-    """The first index of the largest |entry|², each floored to an integer at one scale for the column.
-
-    Each |entry|² is floored to an integer N at one scale 2^s, with the
-    column's largest part squared at wp + 7 or wp + 8 bits, so N is below
-    |entry|²/2^s by less than 2 and the largest N is at least 2^(wp+6) - 2.
-    Entries of equal |entry|, a conjugate pair say, give equal N, and the
-    first of them is the pivot.  Where two |entry| lie within a relative
-    2^-(wp-4) or so of each other, this pick may differ from the largest
-    |entry| rounded to wp bits; either pivot is a largest one to that
-    accuracy.
-    """
-    s = max((2 * (m.bit_length() + e) for z in column for m, e in (z[:2], z[2:]) if m), default=0) - wp - 8
-    norms = []
-    for zr, zre, zi, zie in column:
-        d, g = 2 * zre - s, 2 * zie - s
-        norms.append((zr * zr << d if d >= 0 else zr * zr >> -d) + (zi * zi << g if g >= 0 else zi * zi >> -g))
-    return norms.index(max(norms))
+    return (rm, re, im, ie) if rb <= wp and ib <= wp else _add(rm, re, 0, 0, wp) + _add(im, ie, 0, 0, wp)
 
 
 def det_mpc(rows, prec: Precision):
-    """Partial-pivoted elimination determinant of a square mpc matrix.
+    """Partial-pivoted elimination determinant of a square mpc matrix, in one complex floating-point arithmetic.
 
-    Each entry is held as integer pairs (m, e), m·2^e per part, with m odd or
-    0: libmp's mpf value in signed form.  A product of two parts is an exact
-    integer multiply, and each sum is formed and rounded by _add at
-    work_bits: exactly, unless the parts' exponents lie more than 100 bits
-    apart and their top bits more than work_bits + 4, where the smaller part
-    is dropped; then to nearest, ties to even, with trailing zeros stripped,
-    as libmp's normalize rounds.  So every value is rounded as the same
-    elimination on mpc values rounds it, a multiplier or a product as
-    mpc_mul, a row update as mpc_sub of it, except at an exact tie of a sum
-    whose smaller part is dropped, which mpf_add breaks toward that part's
-    sign, and at the pivot: the first largest |entry|² floored at one scale
-    (_pivot_pairs), which may differ from the mpc elimination's pick where
-    two candidates lie within a relative 2^-(work_bits-4) or so.  A zero
-    multiplier leaves its row as it is, and a row update starts at the
-    column after the pivot's: the entries below a pivot are never read
-    again.  libmp decides only the pivot's inverse (mpc_mpf_div, once per
-    column but the last) and the conversions of the entries and the result.
-    The determinant is the product of the pivots in elimination order, 0 once
-    a column holds only zero candidates; rounding to nearest is symmetric in
-    the sign, so the sign of the row swaps can come last.  Raises ValueError
-    for a non-square matrix and names the first entry that is not finite.
+    Each entry is (re, im, e), the value (re + i·im)·2^e: Gaussian-integer
+    mantissas with one exponent shared by both parts, the larger part at
+    most P = work_bits + 24 bits, read from libmp's (sign, man, exp, bc)
+    tuples (an entry that is not an mpc is made one at work_bits first); a
+    part is floored only where it reaches more than P bits below the other
+    part's top bit.  Column c's pivot is its first candidate whose larger
+    part has the highest top bit, so no multiplier exceeds 2√2 in modulus.
+    The pivot is inverted once, by integer division, to P + 8 bits or more,
+    and each multiplier f = x·(1/pivot) is rounded to nearest at P bits.  A
+    row update x − f·t, t in the pivot row, floors x and the exact product
+    f·t at 2^e and subtracts exactly, with e = max(top x − P + 4,
+    exp f + top t + 6), top the top bit of the larger part: each part is off
+    by less than 2^e ≤ 2^-(P−8)·max(|x|, |f||t|).  A zero multiplier leaves
+    its row as it is, and a row update starts at the column after the
+    pivot's.  The determinant is the exact product of the pivots, each part
+    rounded once, to nearest at work_bits, at the end; it is an exact 0 once
+    a column holds only zero candidates, and 1 for the 0×0 matrix.  So, by
+    the argument of Higham, Accuracy and Stability of Numerical Algorithms
+    (2nd ed.), Thm 9.3, the pivots are those of an exact elimination of
+    A + ΔA with |ΔA| ≤ (n + 1)·2^-(P−9)·(|A| + |L||U|) entrywise in modulus,
+    L and U the computed factors, and the value is off by ΔA's effect and
+    by the final rounding, 2^-work_bits relative.  Raises ValueError for a
+    non-square matrix and names the first entry that is not finite.
     """
     wp = prec.work_bits
+    P = wp + 24
     a = []
     with mp.workprec(wp):
         for i, row in enumerate(rows):
             a.append([])
             for j, x in enumerate(row):
-                z = x._mpc_ if type(x) is mpc else mpc(x)._mpc_
-                (_, rm, re, _), (_, im, ie, _) = z
+                (rs, rm, re, rb), (is_, im, ie, ib) = x._mpc_ if type(x) is mpc else mpc(x)._mpc_
                 if not rm and re or not im and ie:  # a zero mantissa with an exponent: ±inf or nan
                     raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
-                a[-1].append(_from_mpc(z, wp))
+                re, ie = re if rm else ie, ie if im else re  # a zero part takes the other part's exponent
+                e = max(min(re, ie), max(re + rb, ie + ib) - P)
+                rm, im = -rm if rs else rm, -im if is_ else im
+                a[-1].append((rm << re - e if re >= e else rm >> e - re, im << ie - e if ie >= e else im >> e - ie, e))
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    det, odd = _PAIR_ONE, False
+    dr, di, de = 1, 0, 0
     for c in range(n):
-        p = c + _pivot_pairs(wp, [row[c] for row in a[c:]])
-        if a[p][c] == _PAIR_ZERO:
+        tops = [(abs(xr) | abs(xi)).bit_length() + xe if xr or xi else -math.inf for xr, xi, xe in (row[c] for row in a[c:])]
+        best = max(tops)
+        if best == -math.inf:
             return mpc(0)
+        p = c + tops.index(best)
         if p != c:
-            a[c], a[p] = a[p], a[c]
-            odd = not odd
+            a[c], a[p], dr, di = a[p], a[c], -dr, -di
         top = a[c]
-        det = _mul_pairs(wp, det, top[c])
-        scale = _inverse_pairs(wp, top[c]) if c + 1 < n else None
+        pr, pi, pe = top[c]
+        dr, di, de = dr * pr - di * pi, dr * pi + di * pr, de + pe
+        k, norm = P + 8 + best - pe, pr * pr + pi * pi
+        vr, vi, ve = (pr << k) // norm, (-pi << k) // norm, -pe - k
+        # per nonzero t of the pivot row: its column, parts, exponent, top bit + 6 and the sums
+        # tr + ti and ti - tr of three-product (Gauss) complex multiplication
+        cols = [(j, tr, ti, te, (abs(tr) | abs(ti)).bit_length() + te + 6, tr + ti, ti - tr)
+                for j, (tr, ti, te) in enumerate(top[c + 1 :], c + 1) if tr or ti]
         for row in a[c + 1 :]:
-            f = _mul_pairs(wp, row[c], scale)
-            if f != _PAIR_ZERO:
-                row[c + 1 :] = [_update_pairs(wp, x, f, t) for x, t in zip(row[c + 1 :], top[c + 1 :])]
-    re, ree, im, ime = det
-    return mp.make_mpc(_to_mpc((-re, ree, -im, ime) if odd else det))
+            xr, xi, xe = row[c]
+            if not (xr or xi):
+                continue
+            fr, fi = xr * vr - xi * vi, xr * vi + xi * vr
+            s = (abs(fr) | abs(fi)).bit_length() - P  # at least 8: |1/pivot| has P + 8 bits or more
+            fr, fi = (fr >> s - 1) + 1 >> 1, (fi >> s - 1) + 1 >> 1
+            fe, fs = xe + ve + s, fr + fi
+            for j, tr, ti, te, end, ts, td in cols:
+                # f's parts have P + 1 bits at most, so f·t's are below 2^(fe + P + top t + 2);
+                # e >= fe + end, and the product, at exponent fe + te, is shifted right by d >= 7
+                xr, xi, xe = row[j]
+                bits = (abs(xr) | abs(xi)).bit_length()
+                e = max(bits + xe - P + 4, fe + end) if bits else fe + end
+                d, g, y = e - fe - te, xe - e, fs * tr
+                yr, yi = y - fi * ts >> d, y + fr * td >> d
+                row[j] = ((xr << g) - yr, (xi << g) - yi, e) if g >= 0 else ((xr >> -g) - yr, (xi >> -g) - yi, e)
+    return mp.make_mpc((from_man_exp(dr, de, wp, round_nearest), from_man_exp(di, de, wp, round_nearest)))
 
 
 def exact_determinant(rows):

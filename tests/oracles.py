@@ -11,9 +11,7 @@ is the single-order fixed-point kernel as a plain generator loop, whose
 integers bessel_ratio_raw must reproduce exactly,
 bessel_orders_interleaved_reference sums the chained orders of one w term by
 term together, whose values and term counts bessel_ratio_raw's chained orders
-must reproduce exactly, and det_mpc_reference is
-the elimination determinant on mpc values, to which det_mpc must agree bit
-for bit.
+must reproduce exactly.
 """
 
 import itertools
@@ -49,34 +47,6 @@ def monomial_product_sign(left, right):
             if seq[i] > seq[j]:
                 inversions += 1
     return -1 if inversions % 2 else 1
-
-
-def det_mpc_reference(rows, prec):
-    """Partial-pivoted elimination determinant of a square mpc matrix, on mpc values.
-
-    Pivots on the first largest |entry| of each column, rounded at work_bits,
-    and updates each row below the pivot from the pivot's column on.
-    """
-    with mp.workprec(prec.work_bits):
-        a = [[mpc(x) for x in row] for row in rows]
-        n = len(a)
-        det = 1
-        for c in range(n):
-            pivot = max(range(c, n), key=lambda r: abs(a[r][c]))
-            if a[pivot][c] == 0:
-                return mpc(0)
-            if pivot != c:
-                a[c], a[pivot] = a[pivot], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                f = a[r][c] * inv
-                if f == 0:
-                    continue
-                for cc in range(c, n):
-                    a[r][cc] -= f * a[c][cc]
-        return mpc(det)
 
 
 def det_cofactor(rows):

@@ -185,6 +185,21 @@ def test_haar_oracle_keeps_its_bits_at_small_sources(m, ea, eb):
         assert abs(bf - want) <= abs(want) * mpf(2) ** -250
 
 
+@pytest.mark.parametrize("e", [20, 40, 80])
+def test_haar_oracle_keeps_its_bits_at_small_source_products(e):
+    # both sources scaled by 2^-e, so the products a_i b_i lie near 2^-(2e + 2): the (2|1)
+    # value falls as |beta^2 a_i b_i|^2 while the grid's refinement gains only the first
+    # power, so brute_force_ls escalates on the products as on a small beta; reading beta
+    # alone it was off by 2^-214.1, 2^-134.6 and 2^+21.1 relative with a 256-bit tag
+    a, b = ([v * Fraction(1, 2**e) for v in side] for side in SMALL_BETA_SOURCES)
+    bf = brute_force_ls(2, 1, a, b, BETA, PREC).to_mpc()
+    prods = [x * y for x, y in zip(a, b)]
+    ev = SuperEigenvalues(tuple(prods[:2]), (prods[2],), BETA)
+    want = ls_closed_form(ev, Precision(bits=2048)).value.to_mpc()
+    with mp.workprec(2100):
+        assert abs(bf - want) <= abs(want) * mpf(2) ** -250
+
+
 def test_brute_force_bit_pinned_at_escalated_small_beta():
     # every bit of the (2|1) values at beta = 2^-60 and 2^-100, where brute_force_ls
     # escalates its guard bits; a point at the default working precision runs first,

@@ -6,9 +6,11 @@ import math
 import pickle
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,6 @@ from oracles import (
     bessel_ratio_fixed_reference,
     bessel_ratio_mpmath,
     det_cofactor,
-    det_mpc_reference,
 )
 
 PREC = Precision()
@@ -641,7 +642,7 @@ def test_eliminations_refuse_malformed_matrices():
     assert exact_determinant([]) == 1
 
 
-# -- det_mpc against the elimination on mpc values, bit for bit -------------------
+# -- det_mpc against mpmath's determinant at 8 work_bits, within its stated budget -------
 
 # exactly singular, or with a zero leading entry that forces a row swap
 INTEGER_MATRICES = [
@@ -677,8 +678,74 @@ def _random_rows(rng, n, bits, scale=lambda i, j: 0):
     return [[_z(_full(rng, bits, scale(i, j)), _full(rng, bits, scale(i, j))) for j in range(n)] for i in range(n)]
 
 
-def _assert_det_bits(rows, prec):
-    assert det_mpc(rows, prec)._mpc_ == det_mpc_reference(rows, prec)._mpc_
+def _top(z):
+    """The top bit of z's larger part, as det_mpc reads it: m.bit_length() + e for the part m·2^e."""
+    return max(part.man.bit_length() + part.exp for part in (z.real, z.imag) if part)
+
+
+def _det_budget(rows, wp):
+    """The determinant of rows by an elimination in mpmath, and the bound det_mpc's docstring puts on its error there.
+
+    The elimination pivots as det_mpc does, on the first candidate of the
+    highest top bit, at 8 wp plus the spread of the entries' top bits, so
+    that a graded matrix keeps its small entries (mp.det is no oracle here:
+    its LU takes a pivot below 2^-prec of the matrix norm for 0, and returns
+    0 for every graded matrix of more than a few rows at 8 wp).  The
+    docstring bounds the perturbation, |ΔA| <= B = (n + 1) 2^-(P-9)
+    (|A| + |L||U|) with P = wp + 24, A in its pivot order and L, U its
+    factors, taken from the same elimination.  Over that box
+    |det(A + ΔA) - det(A)| <= per(|A| + B) - per(|A|), which holds beyond
+    first order, as a graded matrix needs, and is summed over the column
+    sets of the leading rows with no cancellation.  Add the final rounding,
+    2^-wp of the value.
+    """
+    n = len(rows)
+    with mp.workprec(8 * wp):  # exact: no part has more than 3 wp bits
+        a = [[mpc(x) for x in row] for row in rows]
+    tops = [_top(x) for row in a for x in row if x]
+    want = mpc(1)
+    with mp.workprec(8 * wp + (max(tops) - min(tops) if tops else 0)):
+        perm = [list(row) for row in a]  # A in the pivot order; L and U in place of a
+        for c in range(n):
+            column = [_top(row[c]) if row[c] else -math.inf for row in a[c:]]
+            p = c + column.index(max(column))
+            a[c], a[p], perm[c], perm[p] = a[p], a[c], perm[p], perm[c]
+            want *= a[c][c] if p == c else -a[c][c]
+            for row in a[c + 1 :] if a[c][c] else ():
+                row[c] /= a[c][c]
+                row[c + 1 :] = [x - row[c] * t for x, t in zip(row[c + 1 :], a[c][c + 1 :])]
+    # |L||U|, then log2 of |A|, of the box and of their sum as floats: the sums below are of positive terms
+    log2 = lambda x: float(mp.log(x, 2)) if x else -math.inf
+    scale = math.log2(n + 1) - (wp + 24 - 9)
+    with mp.workprec(64):
+        a, perm = [[abs(x) for x in row] for row in a], [[abs(x) for x in row] for row in perm]
+        lu = [[sum(a[i][k] * a[k][j] for k in range(min(i, j) + 1) if k != i) + (a[i][j] if i <= j else 0)
+               for j in range(n)] for i in range(n)]
+        size = [[log2(x) for x in row] for row in perm]
+        box = [[log2(x + y) + scale for x, y in zip(row, lus)] for row, lus in zip(perm, lu)]
+        both = [[log2(x + mpf(2) ** b) if b > -math.inf else s for x, b, s in zip(row, bs, ss)]
+                for row, bs, ss in zip(perm, box, size)]
+
+    def total(logs):  # log2 of the sum of 2^x over logs
+        top = max(logs)
+        return top if top == -math.inf else top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+    # per(|A|) and per(|A| + B) - per(|A|) over the columns the leading rows take
+    per, grow = [0.0] + [-math.inf] * ((1 << n) - 1), [-math.inf] * (1 << n)
+    for cols in range(1, 1 << n):
+        r, rests = bin(cols).count("1") - 1, [(j, cols ^ 1 << j) for j in range(n) if cols >> j & 1]
+        per[cols] = total([per[rest] + size[r][j] for j, rest in rests])
+        grow[cols] = total([grow[rest] + both[r][j] for j, rest in rests] + [per[rest] + box[r][j] for j, rest in rests])
+    with mp.workprec(64):
+        spread = mpf(2) ** grow[-1] if grow[-1] > -math.inf else mpf(0)
+        return want, (abs(want) + spread) * mpf(2) ** -wp + spread
+
+
+def _assert_within_budget(rows, prec):
+    got = det_mpc(rows, prec)
+    want, budget = _det_budget(rows, prec.work_bits)
+    with mp.workprec(8 * prec.work_bits):
+        assert abs(got - want) <= budget, (rows, got, want)
 
 
 def _update(x, f, t):
@@ -758,11 +825,12 @@ def _rounding_edge_matrices(rng, wp):
 
 
 @pytest.mark.parametrize("bits", [96, 256, 1024])
-def test_det_mpc_bit_identical_to_reference(bits):
+def test_det_mpc_within_its_budget(bits):
     # work bits 128, 288 and 1056; entries of work_bits, of twice that (an
-    # entry is rounded to work_bits before its first operation), graded by
-    # row and column, and of scattered magnitudes; then row updates,
-    # multipliers and products on the edges of mpf_add's rounding
+    # entry is floored to P = work_bits + 24 bits before its first
+    # operation), graded by row and column, and of scattered magnitudes; then
+    # row updates, multipliers and products on the edges of mpf_add's
+    # rounding, and the integer matrices
     prec = Precision(bits=bits)
     wp = prec.work_bits
     rng = random.Random(bits)
@@ -774,13 +842,69 @@ def test_det_mpc_bit_identical_to_reference(bits):
     ]
     for n in range(1, 13):
         for grading in gradings:
-            _assert_det_bits(_random_rows(rng, n, wp, grading), prec)
-        _assert_det_bits(_random_rows(rng, n, 2 * wp), prec)
-    for rows in _rounding_edge_matrices(rng, wp):
-        _assert_det_bits(rows, prec)
-    for rows in INTEGER_MATRICES:
-        _assert_det_bits(rows, prec)
-        assert exact_determinant(rows) == det_cofactor(rows)
+            _assert_within_budget(_random_rows(rng, n, wp, grading), prec)
+        _assert_within_budget(_random_rows(rng, n, 2 * wp), prec)
+    for rows in _rounding_edge_matrices(rng, wp) + INTEGER_MATRICES:
+        _assert_within_budget(rows, prec)
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_det_mpc_is_exactly_zero_on_singular_integer_matrices(bits):
+    # every multiplier x/pivot of these eliminations is a short dyadic rational,
+    # which the inverse to P + 8 bits and the rounding to nearest at P bits give
+    # exactly even where 1/pivot is no dyadic (the pivot 3/4 of [[1, 2, 3], [4, 5, 6],
+    # [7, 8, 9]], 3 of [[3, 6], [3, 6]]), so each row update is exact and a column
+    # ends all zero; times 1 - i, each pivot's inverse is inexact
+    prec = Precision(bits=bits)
+    singular = [rows for rows in INTEGER_MATRICES if not exact_determinant(rows)] + [[[3, 6], [3, 6]]]
+    assert len(singular) == 6
+    for rows in singular:
+        got = det_mpc(rows, prec)
+        assert got._mpc_ == mpc(0)._mpc_, rows
+        assert det_mpc([[mpc(x, -x) for x in row] for row in rows], prec) == 0
+
+
+@pytest.mark.parametrize("bits", [96, 256, 1024])
+def test_det_mpc_takes_a_conjugate_pair_in_either_order(bits):
+    # z and its conjugate have the same top bit, so each order pivots on the
+    # first of them; either way the value is within budget of mpmath's, and the
+    # two orders, a row swap, give opposite values to within both budgets
+    prec = Precision(bits=bits)
+    wp = prec.work_bits
+    rng = random.Random(11 * bits)
+    for n in (2, 3, 5):
+        for _ in range(3):
+            rows = _random_rows(rng, n, wp)
+            rows[1][0] = mpc(rows[0][0].real, -rows[0][0].imag)
+            swapped = [rows[1], rows[0]] + rows[2:]
+            got, other = det_mpc(rows, prec), det_mpc(swapped, prec)
+            (want, budget), (_, budget2) = _det_budget(rows, wp), _det_budget(swapped, wp)
+            with mp.workprec(8 * wp):
+                assert abs(got - want) <= budget and abs(other + want) <= budget2
+                assert abs(got + other) <= budget + budget2
+
+
+def test_det_mpc_calls_libmp_only_for_its_two_final_roundings():
+    # the elimination runs on Python ints; libmp's from_man_exp rounds the
+    # determinant's two parts at the end, and nothing else from libmp is called
+    prec = Precision(bits=256)
+    rng = random.Random(3)
+    code = det_mpc.__code__
+    for n in (1, 4, 12):
+        rows = _random_rows(rng, n, prec.work_bits)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_back is not None and frame.f_back.f_code is code:
+                calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            det_mpc(rows, prec)
+        finally:
+            sys.setprofile(None)
+        libmp = [name for path, name in calls if "libmp" in Path(path).parts]
+        assert libmp == ["from_man_exp", "from_man_exp"], (n, calls)
 
 
 def _near_tie_columns(rng, wp):
@@ -833,23 +957,6 @@ def test_det_mpc_near_tie_pivots_match_a_wider_determinant(bits):
                 rows[i + 1][0] = 0
                 rows[i + 1][1] = v
             check(rows)
-
-
-@pytest.mark.parametrize("bits", [96, 256, 1024])
-def test_pivot_takes_the_first_of_equal_norms(bits):
-    # conjugate pairs and swapped parts have equal exact norms: the first of them is the pivot
-    wp = Precision(bits=bits).work_bits
-    rng = random.Random(11 * bits)
-    for _ in range(4):
-        x, y = _full(rng, wp), _full(rng, wp)
-        for column, first in [
-            ([mpc(x, y), mpc(x, -y)], 0),
-            ([mpc(x, -y), mpc(x, y)], 0),
-            ([mpc(x, y), mpc(y, x), mpc(-x, y)], 0),
-            ([mpc(x / 2, y / 2), mpc(-x, -y), mpc(x, -y)], 1),
-        ]:
-            pairs = [precision._from_mpc(z._mpc_, wp) for z in column]
-            assert precision._pivot_pairs(wp, pairs) == first
 
 
 @pytest.mark.parametrize("bits", [96, 256, 1024])
