@@ -761,7 +761,8 @@ def _add(am, ae, bm, be, wp):
 
 def _mul_pairs(wp, z, w):
     """z·w as mpc_mul rounds it at wp bits: each part's two exact products summed by _add."""
-    (zr, zre, zi, zie), (wr, wre, wi, wie) = z, w
+    zr, zre, zi, zie = z
+    wr, wre, wi, wie = w
     return _add(zr * wr, zre + wre, -zi * wi, zie + wie, wp) + _add(zr * wi, zre + wie, zi * wr, zie + wre, wp)
 
 
@@ -774,7 +775,9 @@ def _from_mpc(z, wp):
     """A raw libmp mpc of finite parts as a pair entry, each part rounded to wp bits as mpc(z) rounds it."""
     (rs, rm, re, rb), (is_, im, ie, ib) = z
     rm, im = -rm if rs else rm, -im if is_ else im
-    return (rm, re, im, ie) if rb <= wp and ib <= wp else _add(rm, re, 0, 0, wp) + _add(im, ie, 0, 0, wp)
+    if rb <= wp and ib <= wp:
+        return rm, re, im, ie
+    return _add(rm, re, 0, 0, wp) + _add(im, ie, 0, 0, wp)
 
 
 def det_mpc(rows, prec: Precision):
@@ -823,26 +826,24 @@ def det_mpc(rows, prec: Precision):
         raise ValueError("matrix must be square")
     dr, di, de = 1, 0, 0
     for c in range(n):
-        tops = [(abs(xr) | abs(xi)).bit_length() + xe if xr or xi else -math.inf for xr, xi, xe in (row[c] for row in a[c:])]
+        tops = [(abs(xr) | abs(xi)).bit_length() + xe if xr or xi else -math.inf
+                for xr, xi, xe in (row[c] for row in a[c:])]
         best = max(tops)
         if best == -math.inf:
             return mpc(0)
         p = c + tops.index(best)
         if p != c:
             a[c], a[p], dr, di = a[p], a[c], -dr, -di
-        top = a[c]
-        pr, pi, pe = top[c]
+        pr, pi, pe = a[c][c]
         dr, di, de = dr * pr - di * pi, dr * pi + di * pr, de + pe
         k, norm = P + 8 + best - pe, pr * pr + pi * pi
         vr, vi, ve = (pr << k) // norm, (-pi << k) // norm, -pe - k
         # per nonzero t of the pivot row: its column, parts, exponent, top bit + 6 and the sums
         # tr + ti and ti - tr of three-product (Gauss) complex multiplication
         cols = [(j, tr, ti, te, (abs(tr) | abs(ti)).bit_length() + te + 6, tr + ti, ti - tr)
-                for j, (tr, ti, te) in enumerate(top[c + 1 :], c + 1) if tr or ti]
-        for row in a[c + 1 :]:
+                for j, (tr, ti, te) in enumerate(a[c][c + 1 :], c + 1) if tr or ti]
+        for row in (row for row in a[c + 1 :] if row[c][0] or row[c][1]):  # a zero multiplier leaves its row
             xr, xi, xe = row[c]
-            if not (xr or xi):
-                continue
             fr, fi = xr * vr - xi * vi, xr * vi + xi * vr
             s = (abs(fr) | abs(fi)).bit_length() - P  # at least 8: |1/pivot| has P + 8 bits or more
             fr, fi = (fr >> s - 1) + 1 >> 1, (fi >> s - 1) + 1 >> 1

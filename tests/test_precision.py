@@ -828,7 +828,8 @@ def _rounding_edge_matrices(rng, wp):
 def test_det_mpc_within_its_budget(bits):
     # work bits 128, 288 and 1056; entries of work_bits, of twice that (an
     # entry is floored to P = work_bits + 24 bits before its first
-    # operation), graded by row and column, and of scattered magnitudes; then
+    # operation), graded by row and column, and of scattered magnitudes, some
+    # real or imaginary, so a zero part sits beside a part far below 1; then
     # row updates, multipliers and products on the edges of mpf_add's
     # rounding, and the integer matrices
     prec = Precision(bits=bits)
@@ -842,8 +843,12 @@ def test_det_mpc_within_its_budget(bits):
     ]
     for n in range(1, 13):
         for grading in gradings:
-            _assert_within_budget(_random_rows(rng, n, wp, grading), prec)
+            rows = _random_rows(rng, n, wp, grading)
+            _assert_within_budget(rows, prec)
         _assert_within_budget(_random_rows(rng, n, 2 * wp), prec)
+        if n % 3 == 1:  # scattered entries with one part zero: real, then imaginary
+            _assert_within_budget([[_z(x.real) for x in row] for row in rows], prec)
+            _assert_within_budget([[_z(0, x.imag) for x in row] for row in rows], prec)
     for rows in _rounding_edge_matrices(rng, wp) + INTEGER_MATRICES:
         _assert_within_budget(rows, prec)
 
