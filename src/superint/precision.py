@@ -787,8 +787,8 @@ def det_mpc(rows, prec: Precision):
     mantissas with one exponent shared by both parts, the larger part at
     most P = work_bits + 24 bits, read from libmp's (sign, man, exp, bc)
     tuples (an entry that is not an mpc is made one at work_bits first); a
-    part is floored only where it reaches more than P bits below the other
-    part's top bit.  Column c's pivot is its first candidate whose larger
+    part is floored only where its lowest bit lies more than P bits below
+    the larger part's top bit.  Column c's pivot is its first candidate whose larger
     part has the highest top bit, so no multiplier exceeds 2√2 in modulus.
     The pivot is inverted once, by integer division, to P + 8 bits or more,
     and each multiplier f = x·(1/pivot) is rounded to nearest at P bits.  A
@@ -837,7 +837,7 @@ def det_mpc(rows, prec: Precision):
         pr, pi, pe = a[c][c]
         dr, di, de = dr * pr - di * pi, dr * pi + di * pr, de + pe
         k, norm = P + 8 + best - pe, pr * pr + pi * pi
-        vr, vi, ve = (pr << k) // norm, (-pi << k) // norm, -pe - k
+        vr, vi, ve = ((pr << k) // norm, (-pi << k) // norm, -pe - k) if c + 1 < n else (0, 0, 0)  # no rows below
         # per nonzero t of the pivot row: its column, parts, exponent, top bit + 6 and the sums
         # tr + ti and ti - tr of three-product (Gauss) complex multiplication
         cols = [(j, tr, ti, te, (abs(tr) | abs(ti)).bit_length() + te + 6, tr + ti, ti - tr)
