@@ -256,7 +256,7 @@ class _SeriesTables:
         return value
 
     def difference(self, other: _SeriesTables):
-        """z - other.z rounded at work_bits, as mpc's subtraction rounds it, as det_mpc's integer pair.
+        """z - other.z rounded at work_bits, as mpc's subtraction rounds it, as an integer pair (precision._from_mpc).
 
         Memoized on other.z's raw mpc tuple; other must share this table's
         Precision.
@@ -327,9 +327,9 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
     the big-block z's table (_SeriesTables.coupled), so every (N, m) cell
     that meets the same ordered pair of z reuses its entry.  So does the
     cross product, whose differences the first-block z's tables hold
-    (_cross); it and its product by the determinant are taken on det_mpc's
-    integer pairs, each rounded at work_bits as the same mpc product rounds,
-    but for det_mpc's far-apart exact tie.
+    (_cross); it and its product by the determinant are taken on integer
+    (mantissa, exponent) pairs, each rounded at work_bits as the same mpc
+    product rounds, but for precision._add's far-apart exact tie.
     """
     zs = [as_record(v, prec.bits).to_mpc() for v in z]
     N = len(zs)
@@ -355,7 +355,7 @@ def jm_truncated(z, m: int, K: int, prec: Precision = DEFAULT_PRECISION) -> BigC
 
 
 def _cross(tables, m: int, wp: int):
-    """prod (z_a - z_b), a over the first m tables and b over the rest, as det_mpc's integer pair.
+    """prod (z_a - z_b), a over the first m tables and b over the rest, as an integer pair (precision._from_mpc).
 
     The differences come from the tables (_SeriesTables.difference).  Each
     product is rounded at wp as mpc's multiplication rounds it (_mul_pairs),
